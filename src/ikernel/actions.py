@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .derivation import Derivation
-from .exactlin import RationalMatrix, SpanBasis, solve_columns
+from .exactlin import SpanBasis, column_rows, nullspace, solve
 from .poly import (
     COORDINATE,
     PARAMETER,
@@ -196,40 +196,42 @@ def derive_composition_rule(
     for d in range(ansatz_degree + 1):
         ansatz.extend(monomials_of_degree(param_system, d))
 
-    # One stacked exact linear system over all coordinates at once.
+    # One stacked exact linear system over all coordinates at once; column
+    # entries and the target are keyed by (coordinate, monomial) rows.
     column_keys = [(p, mono) for p in params for mono in ansatz]
-    columns = {key: [] for key in column_keys}
-    target_vec: list[Fraction] = []
+    columns: dict[tuple[str, Monomial], dict] = {key: {} for key in column_keys}
+    target: dict[tuple[str, Monomial], Fraction] = {}
+    row_keys: list[tuple[str, Monomial]] = []
     coord_only = substitution.coordinate_system
     for name in substitution.varsys.coordinate_names:
         base = constant_part.get(name, coord_only.zero()).embed(doubled)
         residue = composed[name] - base
-        per_key = {}
         frame: set[Monomial] = set(residue.terms)
         for p, mono in column_keys:
             coeff = linear_part[p].get(name)
             if coeff is None:
-                per_key[(p, mono)] = doubled.zero()
                 continue
             mono_poly = Polynomial(
                 param_system, {mono: Fraction(1)}
             ).embed(doubled)
             contribution = coeff.embed(doubled) * mono_poly
-            per_key[(p, mono)] = contribution
+            for m, c in contribution.terms.items():
+                columns[(p, mono)][(name, m)] = c
             frame.update(contribution.terms)
-        ordered = sorted(frame, key=Monomial.sort_key)
-        for key in column_keys:
-            columns[key].extend(per_key[key].coeff(m) for m in ordered)
-        target_vec.extend(residue.coeff(m) for m in ordered)
+        for m, c in residue.terms.items():
+            target[(name, m)] = c
+        row_keys.extend((name, m) for m in sorted(frame, key=Monomial.sort_key))
 
-    solution = solve_columns([columns[key] for key in column_keys], target_vec)
+    rows = column_rows([columns[key] for key in column_keys] + [target], row_keys)
+    solution = solve(rows, len(column_keys))
     if solution is None:
         return None
     rule: dict[str, Polynomial] = {}
     for p in params:
         terms: dict[Monomial, Fraction] = {}
-        for (q, mono), value in zip(column_keys, solution):
-            if q == p and value:
+        for j, value in solution.items():
+            q, mono = column_keys[j]
+            if q == p:
                 terms[mono] = value
         rule[p] = Polynomial(param_system, terms).embed(doubled)
     if not check_group_law(substitution, rule):
@@ -247,23 +249,12 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     for mono in frame:
         mono_poly = Polynomial(coords, {mono: Fraction(1)})
         delta = substitution.apply(mono_poly) - mono_poly.embed(substitution.varsys)
-        deltas.append(delta)
+        deltas.append(delta.terms)
         out_frame.update(delta.terms)
-    ordered = sorted(out_frame, key=Monomial.sort_key)
-    rows = [
-        [delta.coeff(m) for delta in deltas] for m in ordered
-    ]
-    if rows:
-        kernel = RationalMatrix(rows, ncols=len(frame)).nullspace()
-    else:
-        kernel = tuple(
-            tuple(Fraction(int(i == j)) for j in range(len(frame)))
-            for i in range(len(frame))
-        )
+    rows = column_rows(deltas, sorted(out_frame, key=Monomial.sort_key))
     members = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(frame, vec) if c}
-        members.append(Polynomial(coords, terms))
+    for vec in nullspace(rows, len(frame)):
+        members.append(Polynomial(coords, {frame[j]: c for j, c in vec.items()}))
     return SpanBasis.from_polynomials(coords, members, frame=frame, track_sources=False)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactlin import Echelon, SpanBasis
+from .exactlin import Echelon, SpanBasis, sparse_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -162,10 +162,7 @@ class GradedBasis:
             index = {m: i for i, m in enumerate(frame)}
             ech = Echelon(len(frame))
             for poly, _ in self._products(degree, tracked=False):
-                vec = [Fraction(0)] * len(frame)
-                for m, c in poly.terms.items():
-                    vec[index[m]] = c
-                ech.insert(vec)
+                ech.insert(sparse_row(poly, index))
             vectors, pivots, _ = ech.emit()
             basis = SpanBasis(vs, frame, vectors, pivots)
         self._pieces[degree] = basis
@@ -188,10 +185,7 @@ class GradedBasis:
             ech = Echelon(len(frame), track=True)
             formals: list[Polynomial] = []
             for poly, expr in self._products(degree, tracked=True):
-                vec = [Fraction(0)] * len(frame)
-                for m, c in poly.terms.items():
-                    vec[index[m]] = c
-                ech.insert(vec)
+                ech.insert(sparse_row(poly, index))
                 formals.append(expr)
             vectors, pivots, exprs = ech.emit()
             assert exprs is not None
@@ -377,11 +371,7 @@ def decomposable_span(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
         right = basisdata.piece(degree - e).polynomials()
         for b in left:
             for c in right:
-                product = b * c
-                vec = [Fraction(0)] * len(frame)
-                for m, coeff in product.terms.items():
-                    vec[index[m]] = coeff
-                ech.insert(vec)
+                ech.insert(sparse_row(b * c, index))
     vectors, pivots, _ = ech.emit()
     return SpanBasis(vs, frame, vectors, pivots)
 
@@ -400,13 +390,10 @@ def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis
     index = {m: i for i, m in enumerate(frame)}
     decomposable = decomposable_span(algebra, degree)
     ech = Echelon(len(frame))
-    for vec in decomposable.vectors:
-        ech.insert(vec)
+    for poly in decomposable.polynomials():
+        ech.insert(sparse_row(poly, index))
     representatives = []
     for poly in graded_piece(algebra, degree).polynomials():
-        vec = [Fraction(0)] * len(frame)
-        for m, c in poly.terms.items():
-            vec[index[m]] = c
-        if ech.insert(vec):
+        if ech.insert(sparse_row(poly, index)):
             representatives.append(poly)
     return SpanBasis.from_polynomials(vs, representatives, frame=frame, track_sources=False)

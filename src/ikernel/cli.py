@@ -122,6 +122,8 @@ def _cmd_verify(args) -> int:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read report: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError("report is not a JSON object")
     result = verify_report(data)
     if result.ok:
         print(f"verified {result.total} certificate(s): all re-evaluate exactly")

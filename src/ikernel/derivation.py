@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, graded_piece, membership
-from .exactlin import RationalMatrix, SpanBasis
+from .exactlin import SpanBasis, column_rows, nullspace
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
 
 
@@ -99,38 +99,20 @@ def kernel_graded_basis(
     frame = monomials_of_degree(varsys, degree)
     frame_polys = [Polynomial(varsys, {m: Fraction(1)}) for m in frame]
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for drv in derivations:
         if drv.varsys != varsys:
             raise VarSystemMismatch("derivation over a different system")
         shift = drv.homogeneous_shift()
         if shift is None:
             continue
-        out_frame = monomials_of_degree(varsys, degree + shift)
-        if not out_frame:
-            continue
-        out_index = {m: i for i, m in enumerate(out_frame)}
-        columns = []
-        for mono_poly in frame_polys:
-            image = drv.apply(mono_poly)
-            col = [Fraction(0)] * len(out_frame)
-            for m, c in image.terms.items():
-                col[out_index[m]] = c
-            columns.append(col)
-        for k in range(len(out_frame)):
-            rows.append([columns[j][k] for j in range(len(frame))])
+        images = [drv.apply(mono_poly).terms for mono_poly in frame_polys]
+        rows.extend(column_rows(images, monomials_of_degree(varsys, degree + shift)))
 
-    if rows:
-        kernel = RationalMatrix(rows, ncols=len(frame)).nullspace()
-    else:
-        kernel = tuple(
-            tuple(Fraction(int(i == j)) for j in range(len(frame)))
-            for i in range(len(frame))
-        )
+    kernel = nullspace(rows, len(frame))
     members = []
     for vec in kernel:
-        terms = {m: c for m, c in zip(frame, vec) if c}
-        members.append(Polynomial(varsys, terms))
+        members.append(Polynomial(varsys, {frame[j]: c for j, c in vec.items()}))
     basis = SpanBasis.from_polynomials(varsys, members, frame=frame, track_sources=False)
     if isinstance(ambient, SubalgebraSpec):
         basis = basis.intersect(graded_piece(ambient, degree))

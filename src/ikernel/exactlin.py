@@ -1,128 +1,145 @@
 """Exact rational linear algebra over bases of monomials.
 
-Dense matrices of `Fraction` entries at the API; internally rows are scaled
-to primitive integer vectors so elimination stays in machine-fast integer
-arithmetic while remaining exact.
+The one elimination engine is `Echelon`: rows are sparse `{column: int}`
+maps holding only their nonzero entries, kept primitive and fraction-free,
+and elimination touches nonzero entries only.  `Fraction`s exist only at
+the edge: rows arrive as sparse rational maps (`sparse_row`,
+`column_rows`), `Echelon.emit` returns reduced rational rows, and the dense
+`RationalMatrix` / `solve_columns` facade converts onto the same engine.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _content(row: Sequence[int]) -> int:
+def _content(values: Iterable[int]) -> int:
     g = 0
-    for v in row:
+    for v in values:
         g = gcd(g, v)
         if g == 1:
             return 1
     return g
 
 
-class Echelon:
-    """Gauss-Jordan accumulator over exact integer rows.
+def _eliminate(row: dict, lead: int, a: int, other: Mapping) -> None:
+    """row <- lead*row - a*other in place, dropping entries that cancel."""
+    if lead != 1:
+        for c in row:
+            row[c] *= lead
+    for c, y in other.items():
+        v = row.get(c, 0) - a * y
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
-    Rows are kept primitive with positive leading entry, distinct pivot
-    columns, and mutually reduced, so emitting (rows divided by their
-    pivots) yields the unique reduced row echelon basis of the span.
-    With `track=True` every stored row also carries its expression as an
-    exact linear combination of the inserted vectors, keyed by insertion
-    ordinal.
+
+class Echelon:
+    """Gauss-Jordan accumulator over sparse, fraction-free integer rows.
+
+    Each stored row is a `{column: int}` map of its nonzero entries, kept
+    primitive with positive leading entry; pivot columns are distinct and
+    rows are mutually reduced, so emitting (rows divided by their pivots)
+    yields the unique reduced row echelon basis of the span.  New rows are
+    reduced with the integer-preserving update `lead*x - a*y` over their
+    nonzero entries, and their content is stripped once entries pass
+    `_STRIP_LIMIT`.  With `track=True` every stored row also carries its
+    expression as an exact linear combination of the inserted vectors,
+    keyed by insertion ordinal.  `rows` views each stored row's nonzero
+    values in pivot order.
     """
 
-    __slots__ = ("width", "rows", "pivots", "exprs", "inserted")
+    __slots__ = ("width", "pivots", "inserted", "_rows", "_exprs")
 
     def __init__(self, width: int, track: bool = False):
         self.width = width
-        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self.exprs: list[dict[int, Fraction]] | None = [] if track else None
         self.inserted = 0
+        self._rows: dict[int, dict[int, int]] = {}
+        self._exprs: dict[int, dict[int, Fraction]] | None = {} if track else None
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def insert(self, vec: Sequence[Fraction | int]) -> bool:
-        """Add one vector to the span; True iff the rank grew."""
-        if len(vec) != self.width:
-            raise ValueError("vector width mismatch")
+    @property
+    def rows(self) -> tuple[Iterable[int], ...]:
+        return tuple(self._rows[p].values() for p in self.pivots)
+
+    def insert(self, vec: Mapping[int, Fraction | int]) -> bool:
+        """Add one sparse vector `{column: value}` to the span; True iff the
+        rank grew.  Zero entries may be present or omitted."""
+        if vec and (min(vec) < 0 or max(vec) >= self.width):
+            raise ValueError("vector has a column outside the frame")
         ordinal = self.inserted
         self.inserted += 1
 
         scale = 1
-        for v in vec:
-            if isinstance(v, Fraction) and v.denominator != 1:
+        for v in vec.values():
+            if v.denominator != 1:
                 scale = lcm(scale, v.denominator)
-        row = [int(v * scale) for v in vec]
+        row = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
         expr: dict[int, Fraction] | None = None
-        if self.exprs is not None:
+        if self._exprs is not None:
             expr = {ordinal: Fraction(scale)}
 
-        for k in range(len(self.rows)):
-            p = self.pivots[k]
+        # Reducing by a stored row never creates entries in other pivot
+        # columns, so the pivots to clear are those the row starts with.
+        for p in sorted(c for c in row if c in self._rows):
             a = row[p]
-            if not a:
-                continue
-            other = self.rows[k]
-            lead = other[p]
-            row = [lead * x - a * y for x, y in zip(row, other)]
+            lead = self._rows[p][p]
+            _eliminate(row, lead, a, self._rows[p])
             if expr is not None:
-                oexpr = self.exprs[k]
-                expr = {j: lead * c for j, c in expr.items()}
-                for j, c in oexpr.items():
-                    expr[j] = expr.get(j, Fraction(0)) - a * c
-            if max(map(abs, row), default=0) > _STRIP_LIMIT:
-                g = _content(row)
+                _eliminate(expr, lead, a, self._exprs[p])
+            if max(map(abs, row.values()), default=0) > _STRIP_LIMIT:
+                g = _content(row.values())
                 if g > 1:
-                    row = [x // g for x in row]
+                    row = {c: x // g for c, x in row.items()}
                     if expr is not None:
                         expr = {j: c / g for j, c in expr.items()}
 
-        pivot = next((i for i, v in enumerate(row) if v), None)
-        if pivot is None:
+        if not row:
             return False
+        pivot = min(row)
 
-        g = _content(row)
+        g = _content(row.values())
         if row[pivot] < 0:
             g = -g
         if g != 1:
-            row = [x // g for x in row]
+            row = {c: x // g for c, x in row.items()}
             if expr is not None:
                 expr = {j: c / g for j, c in expr.items()}
 
-        # Clear the new pivot column from the existing rows.
+        # Clear the new pivot column from the stored rows.
         lead = row[pivot]
-        for k in range(len(self.rows)):
-            b = self.rows[k][pivot]
+        for q, other in self._rows.items():
+            b = other.get(pivot)
             if not b:
                 continue
-            updated = [lead * x - b * y for x, y in zip(self.rows[k], row)]
-            gk = _content(updated)
+            _eliminate(other, lead, b, row)
+            gk = _content(other.values())
             if gk > 1:
-                updated = [x // gk for x in updated]
-            self.rows[k] = updated
-            if self.exprs is not None and expr is not None:
-                merged = {j: lead * c for j, c in self.exprs[k].items()}
-                for j, c in expr.items():
-                    merged[j] = merged.get(j, Fraction(0)) - b * c
+                for c in other:
+                    other[c] //= gk
+            if expr is not None:
+                _eliminate(self._exprs[q], lead, b, expr)
                 if gk > 1:
-                    merged = {j: c / gk for j, c in merged.items()}
-                self.exprs[k] = merged
+                    self._exprs[q] = {j: c / gk for j, c in self._exprs[q].items()}
 
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
-        self.rows.insert(at, row)
-        self.pivots.insert(at, pivot)
-        if self.exprs is not None:
-            self.exprs.insert(at, expr if expr is not None else {})
+        self._rows[pivot] = row
+        insort(self.pivots, pivot)
+        if expr is not None:
+            self._exprs[pivot] = expr
         return True
 
     def emit(
@@ -130,19 +147,86 @@ class Echelon:
     ) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], tuple[dict[int, Fraction], ...] | None]:
         """Reduced echelon rows (pivots normalized to 1), pivot columns, expressions."""
         vectors = []
-        exprs_out = [] if self.exprs is not None else None
-        for k, row in enumerate(self.rows):
-            lead = row[self.pivots[k]]
-            vectors.append(tuple(Fraction(x, lead) for x in row))
+        exprs_out = [] if self._exprs is not None else None
+        for p in self.pivots:
+            row = self._rows[p]
+            lead = row[p]
+            vec = [_ZERO] * self.width
+            for c, x in row.items():
+                vec[c] = Fraction(x, lead)
+            vectors.append(tuple(vec))
             if exprs_out is not None:
-                exprs_out.append({j: c / lead for j, c in self.exprs[k].items()})
+                exprs_out.append({j: c / lead for j, c in self._exprs[p].items()})
         return tuple(vectors), tuple(self.pivots), (
             tuple(exprs_out) if exprs_out is not None else None
         )
 
 
+def sparse_row(f: Polynomial, index: Mapping[Monomial, int]) -> dict[int, Fraction]:
+    """The terms of f as a sparse row over a frame's monomial index."""
+    return {index[m]: c for m, c in f.terms.items()}
+
+
+def column_rows(
+    columns: Sequence[Mapping[Hashable, Fraction]], keys: Iterable[Hashable]
+) -> list[dict[int, Fraction]]:
+    """Sparse rows, one per key in order, of the matrix whose j-th column
+    maps row keys to entries (a polynomial's `terms`, say)."""
+    index: dict[Hashable, int] = {}
+    rows: list[dict[int, Fraction]] = []
+    for key in keys:
+        index[key] = len(rows)
+        rows.append({})
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            rows[index[key]][j] = v
+    return rows
+
+
+def nullspace(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[int, Fraction]]:
+    """Canonical nullspace basis of sparse rows over `width` columns: one
+    sparse vector per free column, ascending, equal to 1 there."""
+    ech = Echelon(width)
+    for row in rows:
+        ech.insert(row)
+    reduced, pivots, _ = ech.emit()
+    kernel = {j: {j: _ONE} for j in range(width)}
+    for p in pivots:
+        del kernel[p]
+    for vec, p in zip(reduced, pivots):
+        for j, v in enumerate(vec):
+            if v and j in kernel:
+                kernel[j][p] = -v
+    return list(kernel.values())
+
+
+def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fraction] | None:
+    """One exact solution `{unknown: value}` of sparse augmented rows whose
+    column `width` holds the right-hand side, or None if inconsistent.
+
+    Deterministic: the reduced-echelon particular solution with every free
+    unknown set to zero, read off the canonical nullspace vector of the
+    right-hand-side column (which exists iff that column is free).
+    """
+    kernel = nullspace(rows, width + 1)
+    if not kernel or width not in kernel[-1]:
+        return None
+    return {j: -v for j, v in kernel[-1].items() if j != width}
+
+
+def _sparse(vec: Sequence[Fraction | int]) -> dict[int, Fraction]:
+    return {j: Fraction(v) for j, v in enumerate(vec) if v}
+
+
+def _dense(vec: Mapping[int, Fraction], width: int) -> tuple[Fraction, ...]:
+    out = [_ZERO] * width
+    for j, v in vec.items():
+        out[j] = v
+    return tuple(out)
+
+
 class RationalMatrix:
-    """Dense matrix of exact rationals."""
+    """Dense matrix of exact rationals (a facade over `Echelon`)."""
 
     __slots__ = ("rows", "ncols")
 
@@ -169,9 +253,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> RationalMatrix:
-        return cls(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], ncols=n
-        )
+        return cls([_dense({i: _ONE}, n) for i in range(n)], ncols=n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -186,32 +268,19 @@ class RationalMatrix:
         together with the pivot columns."""
         ech = Echelon(self.ncols)
         for row in self.rows:
-            ech.insert(row)
+            ech.insert(_sparse(row))
         vectors, pivots, _ = ech.emit()
-        zero = (Fraction(0),) * self.ncols
+        zero = (_ZERO,) * self.ncols
         padded = vectors + (zero,) * (self.nrows - len(vectors))
         return RationalMatrix(padded, ncols=self.ncols), pivots
 
     def rank(self) -> int:
-        ech = Echelon(self.ncols)
-        for row in self.rows:
-            ech.insert(row)
-        return ech.dim
+        return len(self.rref()[1])
 
     def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
         """Canonical nullspace basis: one vector per free column, ascending."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        out = []
-        for j in range(self.ncols):
-            if j in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.ncols
-            vec[j] = Fraction(1)
-            for i, p in enumerate(pivots):
-                vec[p] = -reduced.rows[i][j]
-            out.append(tuple(vec))
-        return tuple(out)
+        kernel = nullspace(map(_sparse, self.rows), self.ncols)
+        return tuple(_dense(vec, self.ncols) for vec in kernel)
 
 
 def solve_columns(
@@ -227,14 +296,9 @@ def solve_columns(
         if len(col) != m:
             raise ValueError("column height mismatch")
     n = len(columns)
-    rows = [[columns[j][k] for j in range(n)] + [target[k]] for k in range(m)]
-    reduced, pivots = RationalMatrix(rows, ncols=n + 1).rref()
-    solution = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        if p == n:
-            return None  # inconsistent
-        solution[p] = reduced.rows[i][n]
-    return tuple(solution)
+    rows = column_rows([_sparse(col) for col in [*columns, target]], range(m))
+    solution = solve(rows, n)
+    return None if solution is None else _dense(solution, n)
 
 
 class SpanBasis:
@@ -285,18 +349,15 @@ class SpanBasis:
         index = {m: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame), track=track_sources)
         for f in polys:
-            vec = [Fraction(0)] * len(frame)
-            for m, c in f.terms.items():
-                if m not in index:
-                    raise ValueError("polynomial has a monomial outside the frame")
-                vec[index[m]] = c
-            ech.insert(vec)
+            try:
+                row = sparse_row(f, index)
+            except KeyError:
+                raise ValueError("polynomial has a monomial outside the frame") from None
+            ech.insert(row)
         vectors, pivots, exprs = ech.emit()
         coords = None
         if exprs is not None:
-            coords = [
-                tuple(e.get(j, Fraction(0)) for j in range(len(polys))) for e in exprs
-            ]
+            coords = [tuple(e.get(j, _ZERO) for j in range(len(polys))) for e in exprs]
         return cls(varsys, frame, vectors, pivots, coords)
 
     @property
@@ -340,7 +401,7 @@ class SpanBasis:
         if coords is None:
             return None
         n = len(self.source_coords[0]) if self.source_coords else 0
-        out = [Fraction(0)] * n
+        out = [_ZERO] * n
         for c, row in zip(coords, self.source_coords):
             if c:
                 for j, t in enumerate(row):
@@ -375,28 +436,16 @@ class SpanBasis:
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
         frame = self._unified_frame(other)
-        index = {m: i for i, m in enumerate(frame)}
         mine = self.polynomials()
-        theirs = other.polynomials()
-
-        def as_column(f: Polynomial, negate: bool) -> list[Fraction]:
-            col = [Fraction(0)] * len(frame)
-            for m, c in f.terms.items():
-                col[index[m]] = -c if negate else c
-            return col
-
-        columns = [as_column(f, False) for f in mine]
-        columns += [as_column(f, True) for f in theirs]
+        columns = [f.terms for f in mine] + [(-f).terms for f in other.polynomials()]
         if not columns:
             return SpanBasis.from_polynomials(self.varsys, [], frame=frame, track_sources=False)
-        rows = [[col[k] for col in columns] for k in range(len(frame))]
-        kernel = RationalMatrix(rows, ncols=len(columns)).nullspace()
         members = []
-        for vec in kernel:
+        for vec in nullspace(column_rows(columns, frame), len(columns)):
             member = self.varsys.zero()
-            for c, f in zip(vec[: len(mine)], mine):
-                if c:
-                    member = member + f * c
+            for j, c in sorted(vec.items()):
+                if j < len(mine):
+                    member = member + mine[j] * c
             members.append(member)
         return SpanBasis.from_polynomials(
             self.varsys, members, frame=frame, track_sources=False

@@ -22,7 +22,7 @@ from .algebra import (
     membership,
     verify_membership_json,
 )
-from .exactlin import RationalMatrix, solve_columns
+from .exactlin import column_rows, nullspace, solve
 from .poly import Monomial, Polynomial, VarSystem, monomials_of_degree
 
 
@@ -113,13 +113,6 @@ def _require_homogeneous(x: Polynomial, minimum_degree: int = 1) -> int:
     return e
 
 
-def _vector(f: Polynomial, index: dict[Monomial, int], width: int) -> list[Fraction]:
-    vec = [Fraction(0)] * width
-    for m, c in f.terms.items():
-        vec[index[m]] = c
-    return vec
-
-
 def integral_relation_search(
     x: Polynomial, algebra: SubalgebraSpec, max_degree: int
 ) -> RelationCertificate | None:
@@ -137,24 +130,22 @@ def integral_relation_search(
         powers.append(powers[-1] * x)
 
     for n in range(1, max_degree + 1):
-        frame = monomials_of_degree(algebra.varsys, e * n)
-        index = {m: i for i, m in enumerate(frame)}
-        width = len(frame)
-        columns: list[list[Fraction]] = []
+        columns: list[dict[Monomial, Fraction]] = []
         owners: list[tuple[int, Polynomial]] = []
         for i in range(n - 1, -1, -1):
             piece = basisdata.piece(e * (n - i))
             for basis_poly in piece.polynomials():
-                columns.append(_vector(basis_poly * powers[i], index, width))
+                columns.append((basis_poly * powers[i]).terms)
                 owners.append((i, basis_poly))
-        target = _vector(-powers[n], index, width)
-        solution = solve_columns(columns, target)
+        columns.append((-powers[n]).terms)
+        frame = monomials_of_degree(algebra.varsys, e * n)
+        solution = solve(column_rows(columns, frame), len(owners))
         if solution is None:
             continue
         by_power: dict[int, Polynomial] = {}
-        for value, (i, basis_poly) in zip(solution, owners):
-            if value:
-                by_power[i] = by_power.get(i, algebra.varsys.zero()) + basis_poly * value
+        for j, value in sorted(solution.items()):
+            i, basis_poly = owners[j]
+            by_power[i] = by_power.get(i, algebra.varsys.zero()) + basis_poly * value
         coefficients = []
         for i in sorted(by_power, reverse=True):
             poly = by_power[i]
@@ -202,27 +193,23 @@ def algebraic_relation_search(
             top_dim = basisdata.piece(weight - n * e).dim
             if top_dim == 0:
                 continue
-            frame = monomials_of_degree(algebra.varsys, weight)
-            index = {m: i for i, m in enumerate(frame)}
-            width = len(frame)
-            columns: list[list[Fraction]] = []
+            columns: list[dict[Monomial, Fraction]] = []
             owners: list[tuple[int, Polynomial]] = []
             for i in range(n, -1, -1):
                 piece = basisdata.piece(weight - i * e)
                 for basis_poly in piece.polynomials():
-                    columns.append(_vector(basis_poly * powers[i], index, width))
+                    columns.append((basis_poly * powers[i]).terms)
                     owners.append((i, basis_poly))
-            rows = [[col[k] for col in columns] for k in range(width)]
-            kernel = RationalMatrix(rows, ncols=len(columns)).nullspace()
-            for vec in kernel:
-                if not any(vec[:top_dim]):
+            frame = monomials_of_degree(algebra.varsys, weight)
+            for vec in nullspace(column_rows(columns, frame), len(columns)):
+                if min(vec) >= top_dim:
                     continue
                 by_power: dict[int, Polynomial] = {}
-                for value, (i, basis_poly) in zip(vec, owners):
-                    if value:
-                        by_power[i] = (
-                            by_power.get(i, algebra.varsys.zero()) + basis_poly * value
-                        )
+                for j, value in sorted(vec.items()):
+                    i, basis_poly = owners[j]
+                    by_power[i] = (
+                        by_power.get(i, algebra.varsys.zero()) + basis_poly * value
+                    )
                 top = by_power.get(n)
                 if top is None or top.is_zero():
                     continue

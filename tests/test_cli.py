@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ikernel.cli import main
 
 
@@ -100,3 +102,11 @@ def test_usage_errors(capsys):
     assert main(["run", "--scenario", "lemma-infini", "--bound", "relation_degree"]) == 3
     assert main(["verify", "/no/such/file.json"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+def test_verify_rejects_non_object_report(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 3
+    assert "not a JSON object" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Exact rational linear algebra: rref, nullspaces, span bases."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from ikernel import exactlin
 from ikernel.exactlin import (
+    Echelon,
     RationalMatrix,
     SpanBasis,
     intersect_spans,
@@ -168,3 +172,100 @@ def test_spans_same_rejects_different_spaces():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [1]])
+
+
+# -- differential check of the sparse core against dense Gauss-Jordan --------
+
+
+def _dense_rref(rows, width):
+    """Textbook Gauss-Jordan over Fractions: reduced nonzero rows, pivots."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in rows[: len(pivots)]), tuple(pivots)
+
+
+def _random_rows(rng, width, scale=1):
+    """Mostly-zero rational rows with zero rows, duplicates and multiples."""
+    rows = []
+    for _ in range(rng.randint(0, width + 5)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * width)
+        elif kind < 0.25 and rows:
+            factor = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            rows.append([v * factor for v in rng.choice(rows)])
+        else:
+            density = rng.choice([0.05, 0.1, 0.3])
+            rows.append(
+                [
+                    Fraction(rng.randint(-5, 5) * scale, rng.randint(1, 4))
+                    if rng.random() < density
+                    else 0
+                    for _ in range(width)
+                ]
+            )
+    return rows
+
+
+def _check_against_dense(rows, width):
+    ech = Echelon(width, track=True)
+    raised = 0
+    for k, row in enumerate(rows):
+        # Alternate between omitting zeros and passing them explicitly.
+        sparse = {j: v for j, v in enumerate(row) if v or k % 2}
+        raised += ech.insert(sparse)
+    vectors, pivots, exprs = ech.emit()
+    assert (vectors, pivots) == _dense_rref(rows, width)
+    assert ech.dim == raised == len(pivots)
+    for vec, expr in zip(vectors, exprs):
+        rebuilt = [Fraction(0)] * width
+        for j, c in expr.items():
+            for col, v in enumerate(rows[j]):
+                rebuilt[col] += c * v
+        assert tuple(rebuilt) == vec
+    assert ech.width == width
+    assert all(type(x) is int and x for row in ech.rows for x in row)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_echelon_matches_dense_gauss_jordan(seed):
+    rng = random.Random(seed)
+    width = rng.randint(1, 60)
+    _check_against_dense(_random_rows(rng, width), width)
+
+
+def _strip_branch_line():
+    lines, start = inspect.getsourcelines(Echelon.insert)
+    at = next(i for i, text in enumerate(lines) if "> _STRIP_LIMIT" in text)
+    return start + at + 1  # the content computation that opens the branch
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_echelon_strips_content_of_huge_rows(seed, monkeypatch):
+    callers = []
+    real_content = exactlin._content
+
+    def spy(values):
+        callers.append(sys._getframe(1).f_lineno)
+        return real_content(values)
+
+    monkeypatch.setattr(exactlin, "_content", spy)
+    rng = random.Random(1000 + seed)
+    width = rng.randint(2, 30)
+    big = (1 << 70) + rng.randint(0, 1 << 20)
+    rows = [[1, 1] + [0] * (width - 2), [3 * big, 5 * big] + [0] * (width - 2)]
+    rows += _random_rows(rng, width, scale=big)
+    _check_against_dense(rows, width)
+    assert _strip_branch_line() in callers

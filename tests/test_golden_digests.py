@@ -1,0 +1,44 @@
+"""Golden report digests: reports stay byte-identical across engine changes.
+
+Each digest is the SHA-256 of `to_json(include_wall_time=False)`, recorded
+before the elimination core was rewritten over sparse integer rows.  A
+changed digest means a report's content changed; update an entry only when
+that change is intended.
+"""
+
+import hashlib
+
+import pytest
+
+from ikernel.harness import ScenarioConfig, run_scenario
+
+GOLDEN = {
+    ("lemma-infini", (1, 1, 4)): "1fddfc1269c617057b30403e9e7e16e02f22305551b094393ea2ca0c3da84eb5",
+    ("lemma-infini2", (1, 1, 4)): "4bc3e5fa1c1a7d527392594f368a011c806457d13d70bba49c39eebbd5ab2635",
+    ("g1-invariants", (1, 1, 4)): "806fb69a950c4258e9ac7fb83ca1d0d0ae6a183cd4b855c1c0f72925afafa807",
+    ("g1-integrality-dichotomy", (1, 1, 4)): "9c547b5f8ae0f25d894cfb755c4eda86672ac90123295ab786734aad5f6a216c",
+    ("g2-invariants-A", (1, 1, 4)): "338d6e388bb898409a6a1b1b189b8509a0b6eab1c9e130bf7e783136f30daa43",
+    ("g2-invariants-B", (1, 1, 4)): "16a878ec0d52b0cd5118905b602af1cd7168eb76d06feae6ce0cdb58e00d72a6",
+    ("theorem1-cusp", (1, 1, 4)): "b2b1fa08a6d11035db9f8f6bc226cf2cbe1d792a9a134ccadd73f3308b7d0825",
+    ("action-stability", (1, 1, 4)): "c73f08fe6038e3a1122bcbcd8f2e491e2f44b2e8d6bf4b46b15ef5a32d575a80",
+    ("localization-smoothness", (1, 1, 4)): "8f9a6016e650d1e9237a3d63482a87168d40664c96ddd5cf876fec031d4e9bb3",
+    ("lemma-infini", (2, 1, 3)): "384a2a2da62c03c386be6e984865a05e3e0a2a04a5638e30f9d2056fb93bd4d8",
+    ("lemma-infini2", (2, 1, 3)): "b7de57aaa0284374eb29739cf3f45ce9b7de31957f7c5b88ceada44b2561864a",
+    ("g1-invariants", (2, 1, 3)): "a3267a4819578ee3ccb7e6052a1eeabcdac90f879cb3d5eb89504fde9d2ba94a",
+    ("g1-integrality-dichotomy", (2, 1, 3)): "c4f3bdd4890b6d034ed0fe67449c6806ef6aafe4131a3ec8331f2018c8beb1b0",
+    ("g2-invariants-A", (2, 1, 3)): "9d063c531a6ae86b1c34ff5b6530d0a9bb1b896f6de2318e70e17ad35a51a636",
+    ("g2-invariants-B", (2, 1, 3)): "1300f62ed76e6b5cc193044ab3c9515eaf1b7c8b2c1269edc328c160c5d00581",
+    ("theorem1-cusp", (2, 1, 3)): "50e0be3bab28d3a52e3cb1839307dd3be49c2bc743c00920f68d0d28db26a960",
+    ("action-stability", (2, 1, 3)): "b053e55521cce630949937b1b806fe6c9f7d316ffe7987942704bdf8ac0039fc",
+    ("localization-smoothness", (2, 1, 3)): "84f42dee51d09fc9d8cb5d998f379f1f6619fa164f17a784efca58bec68c7ed7",
+}
+
+
+@pytest.mark.parametrize(
+    "name,size", sorted(GOLDEN), ids=[f"{name}-{n}-{m}-{d}" for name, (n, m, d) in sorted(GOLDEN)]
+)
+def test_report_digest_is_pinned(name, size):
+    n, m, max_degree = size
+    report = run_scenario(ScenarioConfig(scenario=name, n=n, m=m, max_degree=max_degree))
+    text = report.to_json(include_wall_time=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(name, size)]
