@@ -238,9 +238,24 @@ class MembershipCertificate:
         return f"<MembershipCertificate {self.target} = {self.expression}>"
 
 
+def certificate_varsys(data: Mapping) -> VarSystem:
+    """The variable system of a serialized certificate, after checking the
+    shape of its `variables` field and of any `generators` field."""
+    names = data["variables"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError("field 'variables' must be a list of strings")
+    generators = data.get("generators", [])
+    if not isinstance(generators, list) or not all(
+        isinstance(g, list) and len(g) == 2 and all(isinstance(s, str) for s in g)
+        for g in generators
+    ):
+        raise ValueError("field 'generators' must be a list of [label, text] string pairs")
+    return VarSystem(names)
+
+
 def verify_membership_json(data: Mapping) -> bool:
     """Re-check a serialized membership certificate with poly arithmetic only."""
-    varsys = VarSystem(tuple(data["variables"]))
+    varsys = certificate_varsys(data)
     generators = [(label, varsys.parse(text)) for label, text in data["generators"]]
     label_system = VarSystem(tuple(label for label, _ in generators))
     expression = label_system.parse(data["expression"])

@@ -19,11 +19,12 @@ from .algebra import (
     MembershipCertificate,
     NotHomogeneous,
     SubalgebraSpec,
+    certificate_varsys,
     membership,
     verify_membership_json,
 )
 from .exactlin import column_rows, nullspace, solve
-from .poly import Monomial, Polynomial, VarSystem, monomials_of_degree
+from .poly import Monomial, Polynomial, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class RelationCertificate:
 
 def verify_relation_json(data: Mapping) -> bool:
     """Re-check a serialized relation certificate with poly arithmetic only."""
-    varsys = VarSystem(tuple(data["variables"]))
+    varsys = certificate_varsys(data)
     element = varsys.parse(data["element"])
     total = varsys.zero()
     if data["monic"]:
@@ -255,7 +256,7 @@ class LocalizationCertificate:
 
 def verify_localization_json(data: Mapping) -> bool:
     cert = data["certificate"]
-    varsys = VarSystem(tuple(cert["variables"]))
+    varsys = certificate_varsys(cert)
     numerator = varsys.parse(data["numerator"])
     localizing = varsys.parse(data["localizing"])
     product = numerator * localizing ** int(data["power"])

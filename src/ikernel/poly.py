@@ -3,12 +3,22 @@
 All values are immutable after construction and every operation is a pure
 function, so they may be shared freely across threads.  Coefficients are
 arbitrary-precision `fractions.Fraction`; nothing in this module rounds.
+
+The public constructors `Monomial(...)` and `Polynomial(...)` validate
+everything (exponent signs, monomial lengths, coefficient types, zeros),
+because callers hand them values from anywhere.  Ring operations, calculus,
+substitution and the parser build results that are canonical by
+construction, so they go through the private `Monomial._trusted` and
+`Polynomial._trusted`, which wrap without re-checking.  Internally they
+accumulate into plain `{exponent tuple: Fraction}` term maps (`_accumulate`,
+`_product`, `_power`) and wrap the result once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 COORDINATE = "coordinate"
@@ -149,13 +159,21 @@ class Monomial:
         self.exponents = exps
         self._hash = hash(exps)
 
+    @classmethod
+    def _trusted(cls, exps: tuple[int, ...]) -> Monomial:
+        """Wrap a tuple of nonnegative ints without re-checking it."""
+        mono = object.__new__(cls)
+        mono.exponents = exps
+        mono._hash = hash(exps)
+        return mono
+
     def degree(self) -> int:
         return sum(self.exponents)
 
     def mul(self, other: Monomial) -> Monomial:
         if len(self.exponents) != len(other.exponents):
             raise VarSystemMismatch("monomials over different systems")
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
+        return Monomial._trusted(tuple(map(add, self.exponents, other.exponents)))
 
     def divides(self, other: Monomial) -> bool:
         if len(self.exponents) != len(other.exponents):
@@ -205,6 +223,18 @@ class Polynomial:
                 clean[mono] = c
         self.varsys = varsys
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, varsys: VarSystem, terms: dict[Monomial, Fraction]) -> Polynomial:
+        """Wrap a canonical term map (monomials of the system's length,
+        nonzero `Fraction` values) without re-checking or copying it."""
+        poly = object.__new__(cls)
+        poly.varsys = varsys
+        poly.terms = terms
+        return poly
+
+    def _exponent_map(self) -> dict[tuple[int, ...], Fraction]:
+        return {m.exponents: c for m, c in self.terms.items()}
 
     # -- predicates and views -------------------------------------------------
 
@@ -276,19 +306,12 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in rhs.terms.items():
-            new = terms.get(m, Fraction(0)) + c
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.varsys, terms)
+        return Polynomial._trusted(self.varsys, _accumulate(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.varsys, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.varsys, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -306,30 +329,20 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.varsys.zero()
-            return Polynomial(self.varsys, {m: c * other for m, c in self.terms.items()})
+            return Polynomial._trusted(self.varsys, {m: c * other for m, c in self.terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in rhs.terms.items():
-                m = m1.mul(m2)
-                new = terms.get(m, Fraction(0)) + c1 * c2
-                if new:
-                    terms[m] = new
-                else:
-                    terms.pop(m, None)
-        return Polynomial(self.varsys, terms)
+        product = _product(self._exponent_map(), rhs._exponent_map())
+        return _from_exponent_map(self.varsys, product)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.varsys.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        unit = (0,) * self.varsys.nvars
+        return _from_exponent_map(self.varsys, _power(self._exponent_map(), exponent, unit))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -345,19 +358,12 @@ class Polynomial:
     def partial(self, name: str) -> Polynomial:
         """Formal partial derivative with respect to one variable."""
         i = self.varsys.index(name)
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m.exponents[i]
-            if e:
-                exps = list(m.exponents)
-                exps[i] = e - 1
-                mono = Monomial(exps)
-                new = terms.get(mono, Fraction(0)) + c * e
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
-        return Polynomial(self.varsys, terms)
+        terms = {
+            Monomial._trusted(m.exponents[:i] + (e - 1,) + m.exponents[i + 1:]): c * e
+            for m, c in self.terms.items()
+            if (e := m.exponents[i])
+        }
+        return Polynomial._trusted(self.varsys, terms)
 
     def substitute(
         self,
@@ -384,31 +390,34 @@ class Polynomial:
             for i, e in enumerate(m.exponents):
                 if e:
                     occurring.add(i)
-        base: dict[int, Polynomial] = {}
+        base: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for i in occurring:
             name = self.varsys.names[i]
             if name in images:
-                base[i] = images[name]
+                base[i] = images[name]._exponent_map()
             elif name in target:
-                base[i] = target.variable(name)
+                base[i] = target.variable(name)._exponent_map()
             else:
                 raise VarSystemMismatch(f"variable {name!r} absent from the target system")
 
-        powers: dict[int, list[Polynomial]] = {i: [target.one()] for i in base}
-        def power(i: int, e: int) -> Polynomial:
+        unit = (0,) * target.nvars
+        powers = {i: [{unit: Fraction(1)}] for i in base}
+        def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
+            if len(base[i]) == 1:
+                return _power(base[i], e, unit)
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(cache[-1] * base[i])
+                cache.append(_product(cache[-1], base[i]))
             return cache[e]
 
-        result = target.zero()
+        result: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
-            term = target.constant(c)
+            term = {unit: c}
             for i, e in enumerate(m.exponents):
                 if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+                    term = _product(term, power(i, e))
+            _accumulate(result, term.items())
+        return _from_exponent_map(target, result)
 
     def embed(self, target: VarSystem) -> Polynomial:
         """Reinterpret over a larger (or reordered) system, matching by name."""
@@ -422,8 +431,8 @@ class Polynomial:
             for i, e in enumerate(m.exponents):
                 if e:
                     exps[mapping[i]] = e
-            terms[Monomial(exps)] = c
-        return Polynomial(target, terms)
+            terms[Monomial._trusted(tuple(exps))] = c
+        return Polynomial._trusted(target, terms)
 
     def coefficients_in(self, names: Sequence[str]) -> dict[tuple[int, ...], Polynomial]:
         """Collect terms by their exponents on `names`.
@@ -446,6 +455,49 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<Polynomial {format_polynomial(self)}>"
+
+
+# -- term maps ------------------------------------------------------------------
+#
+# Ring arithmetic on plain `{exponent tuple: Fraction}` maps, whose tuple keys
+# hash and compare in C.  Every map holds nonzero coefficients only.
+
+def _accumulate(acc: dict, terms: Iterable[tuple[object, Fraction]]) -> dict:
+    """Add nonzero (key, coefficient) terms into `acc` in place, dropping
+    any key whose coefficient cancels to zero; returns `acc`."""
+    get = acc.get
+    for key, c in terms:
+        old = get(key)
+        if old is None:
+            acc[key] = c
+        else:
+            new = old + c
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+    return acc
+
+
+def _product(f: dict, g: dict) -> dict:
+    return _accumulate(
+        {}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in f.items() for e2, c2 in g.items())
+    )
+
+
+def _power(f: dict, k: int, unit: tuple[int, ...]) -> dict:
+    if len(f) == 1:  # a single term: scale its exponents, no repeated products
+        ((exps, c),) = f.items()
+        return {tuple(e * k for e in exps): c**k}
+    result = {unit: Fraction(1)}
+    for _ in range(k):
+        result = _product(result, f)
+    return result
+
+
+def _from_exponent_map(varsys: VarSystem, terms: dict) -> Polynomial:
+    trusted = Monomial._trusted
+    return Polynomial._trusted(varsys, {trusted(e): c for e, c in terms.items()})
 
 
 def monomials_of_degree(
@@ -471,7 +523,7 @@ def monomials_of_degree(
     def descend(pos: int, remaining: int, exps: list[int]) -> None:
         if pos == len(idxs) - 1:
             exps[idxs[pos]] = remaining
-            out.append(Monomial(exps))
+            out.append(Monomial._trusted(tuple(exps)))
             exps[idxs[pos]] = 0
             return
         for e in range(remaining, -1, -1):
@@ -544,10 +596,14 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
+    """Recursive descent over `{exponent tuple: Fraction}` term maps; the
+    caller wraps the final map once."""
+
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
         self.tokens = tokens
         self.pos = 0
         self.varsys = varsys
+        self.unit = (0,) * varsys.nvars
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -564,23 +620,21 @@ class _Parser:
         if tok != ("op", op):
             raise ParseError(f"expected {op!r}, found {tok[1]!r}")
 
-    def parse_expression(self) -> Polynomial:
-        sign = 1
+    def parse_expression(self) -> dict:
+        result: dict = {}
+        sign = "+"
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        result = self.parse_term() * sign
+            sign = self.take()[1]
         while True:
+            term = self.parse_term().items()
+            _accumulate(result, term if sign == "+" else ((e, -c) for e, c in term))
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                break
-            self.take()
-            term = self.parse_term()
-            result = result + term if tok[1] == "+" else result - term
-        return result
+                return result
+            sign = self.take()[1]
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> dict:
         result = self.parse_factor()
         while True:
             tok = self.peek()
@@ -588,14 +642,14 @@ class _Parser:
                 break
             if tok == ("op", "*"):
                 self.take()
-                result = result * self.parse_factor()
+                result = _product(result, self.parse_factor())
             elif tok[0] in ("int", "name") or tok == ("op", "("):
-                result = result * self.parse_factor()  # implicit product
+                result = _product(result, self.parse_factor())  # implicit product
             else:
                 break
         return result
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> dict:
         base = self.parse_primary()
         tok = self.peek()
         if tok == ("op", "^"):
@@ -603,24 +657,25 @@ class _Parser:
             exp_tok = self.take()
             if exp_tok[0] != "int":
                 raise ParseError(f"expected integer exponent, found {exp_tok[1]!r}")
-            return base ** int(exp_tok[1])
+            return _power(base, int(exp_tok[1]), self.unit)
         return base
 
-    def parse_primary(self) -> Polynomial:
+    def parse_primary(self) -> dict:
         kind, value = self.take()
         if kind == "int":
-            numerator = int(value)
+            coeff = Fraction(int(value))
             if self.peek() == ("op", "/"):
                 self.take()
                 den_tok = self.take()
                 if den_tok[0] != "int" or int(den_tok[1]) == 0:
                     raise ParseError("malformed rational coefficient")
-                return self.varsys.constant(Fraction(numerator, int(den_tok[1])))
-            return self.varsys.constant(numerator)
+                coeff /= int(den_tok[1])
+            return {self.unit: coeff} if coeff else {}
         if kind == "name":
             if value not in self.varsys:
                 raise ParseError(f"unknown variable {value!r}")
-            return self.varsys.variable(value)
+            i = self.varsys.index(value)
+            return {self.unit[:i] + (1,) + self.unit[i + 1:]: Fraction(1)}
         if (kind, value) == ("op", "("):
             inner = self.parse_expression()
             self.expect_op(")")
@@ -633,4 +688,4 @@ def parse_polynomial(text: str, varsys: VarSystem) -> Polynomial:
     result = parser.parse_expression()
     if parser.peek() is not None:
         raise ParseError(f"unexpected token {parser.peek()[1]!r}")
-    return result
+    return _from_exponent_map(varsys, result)

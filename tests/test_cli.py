@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, report files."""
 
 import json
+import time
 
 import pytest
 
@@ -110,3 +111,81 @@ def test_verify_rejects_non_object_report(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["verify", str(path)]) == 3
     assert "not a JSON object" in capsys.readouterr().err
+
+
+def _write_report(path, certificate):
+    path.write_text(json.dumps({"schema": 1, "details": {"certificate": certificate}}))
+
+
+def test_verify_single_term_powers_are_fast(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    _write_report(path, {
+        "cert_type": "membership",
+        "variables": ["x"],
+        "generators": [["a", "x"]],
+        "target": "x^3000000",
+        "expression": "a^3000000",
+    })
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "verified 1 certificate(s)" in capsys.readouterr().out
+
+
+def _certificates(inst):
+    from ikernel import integral_relation_search, localization_contains, membership
+
+    vs = inst.varsys
+    x1, y1 = vs.variable("x1"), vs.variable("y1")
+    return {
+        "membership": membership(inst.algebra, vs.parse("x1^2*y1")).to_json_dict(),
+        "relation": integral_relation_search(x1, inst.algebra, 3).to_json_dict(),
+        "localization": localization_contains(x1, inst.algebra, y1, 4).to_json_dict(),
+    }
+
+
+def _field_holder(cert, field):
+    """The dict of `cert` that carries `field`, nested where it must be."""
+    if cert["cert_type"] == "localization":
+        return cert["certificate"]
+    if cert["cert_type"] == "relation" and field == "generators":
+        return cert["coefficients"][0]["certificate"]
+    return cert
+
+
+def test_verify_rejects_string_variables(tmp_path, capsys):
+    # a string must fail, not be read as the tuple of its characters
+    path = tmp_path / "report.json"
+    cert = {"cert_type": "membership", "variables": ["x"], "generators": [["a", "x"]],
+            "target": "x^2", "expression": "a^2"}
+    _write_report(path, cert)
+    assert main(["verify", str(path)]) == 0
+    _write_report(path, dict(cert, variables="x"))
+    assert main(["verify", str(path)]) == 1
+    assert "field 'variables' must be a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["membership", "relation", "localization"])
+@pytest.mark.parametrize("value", ["x1", ["x1", 2], None, {"x1": 1}])
+def test_verify_rejects_malformed_variables(tmp_path, capsys, inst11, kind, value):
+    cert = _certificates(inst11)[kind]
+    path = tmp_path / "report.json"
+    _write_report(path, cert)
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+
+    _field_holder(cert, "variables")["variables"] = value
+    _write_report(path, cert)
+    assert main(["verify", str(path)]) == 1
+    assert "field 'variables'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["membership", "relation", "localization"])
+@pytest.mark.parametrize("value", ["y1", [["y1"]], [["y1", 3]], [("z", "z", "z")], [{"y1": "y1"}]])
+def test_verify_rejects_malformed_generators(tmp_path, capsys, inst11, kind, value):
+    cert = _certificates(inst11)[kind]
+    _field_holder(cert, "generators")["generators"] = value
+    path = tmp_path / "report.json"
+    _write_report(path, cert)
+    assert main(["verify", str(path)]) == 1
+    assert "field 'generators'" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from ikernel.poly import (
     Polynomial,
     VarSystem,
     VarSystemMismatch,
+    _tokenize,
     format_polynomial,
     monomials_of_degree,
     parse_polynomial,
@@ -175,7 +176,7 @@ def test_no_zero_divisors(f, g):
 @settings(max_examples=40, deadline=None)
 @given(_polys(), _polys())
 def test_substitute_is_a_homomorphism(f, g):
-    images = {"x1": Y + Z, "z": X * X - 1}
+    images = {"x1": Y + Z, "z": X * X - 1, "y1": Fraction(-3, 2) * X * Z}
     assert (f * g).substitute(images, target=VS) == f.substitute(
         images, target=VS
     ) * g.substitute(images, target=VS)
@@ -188,3 +189,190 @@ def test_substitute_is_a_homomorphism(f, g):
 @given(_polys())
 def test_text_round_trip(f):
     assert parse_polynomial(format_polynomial(f), VS) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), _polys(), _polys(), st.integers(-3, 3) | _coeffs(), st.integers(0, 4))
+def test_results_are_canonical(f, g, h, scalar, k):
+    extended = VS.extend(("t",))
+    results = [
+        f + g, f - g, f * g, f * scalar, scalar * f, f**k,
+        f.partial("x1"), f.partial("z"),
+        f.substitute({"x1": g, "z": h}, target=VS),
+        f.substitute({"z": extended.variable("t") * h.embed(extended)}),
+        f.embed(extended),
+        parse_polynomial(format_polynomial(f), VS),
+    ]
+    for result in results:
+        for mono, coeff in result.terms.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert len(mono.exponents) == result.varsys.nvars
+            assert all(type(e) is int and e >= 0 for e in mono.exponents)
+            assert mono == Monomial(mono.exponents) and hash(mono) == hash(Monomial(mono.exponents))
+    power = VS.one()
+    for _ in range(k):
+        power = power * f
+    assert f**k == power
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        Monomial((1, -1))
+    with pytest.raises(VarSystemMismatch):
+        Polynomial(VS, {Monomial((1, 2)): Fraction(1)})
+    assert Polynomial(VS, {Monomial((1, 0, 0)): 0}).is_zero()
+
+
+# -- differential parser test --------------------------------------------------
+#
+# The parser as it was when every intermediate value was a `Polynomial`; the
+# term-map parser in `ikernel.poly` must agree with it on every text.
+
+class _ReferenceParser:
+    def __init__(self, tokens, varsys):
+        self.tokens = tokens
+        self.pos = 0
+        self.varsys = varsys
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        tok = self.take()
+        if tok != ("op", op):
+            raise ParseError(f"expected {op!r}, found {tok[1]!r}")
+
+    def parse_expression(self):
+        sign = 1
+        tok = self.peek()
+        if tok is not None and tok[0] == "op" and tok[1] in "+-":
+            self.take()
+            sign = -1 if tok[1] == "-" else 1
+        result = self.parse_term() * sign
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+                break
+            self.take()
+            term = self.parse_term()
+            result = result + term if tok[1] == "+" else result - term
+        return result
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                break
+            if tok == ("op", "*"):
+                self.take()
+                result = result * self.parse_factor()
+            elif tok[0] in ("int", "name") or tok == ("op", "("):
+                result = result * self.parse_factor()
+            else:
+                break
+        return result
+
+    def parse_factor(self):
+        base = self.parse_primary()
+        tok = self.peek()
+        if tok == ("op", "^"):
+            self.take()
+            exp_tok = self.take()
+            if exp_tok[0] != "int":
+                raise ParseError(f"expected integer exponent, found {exp_tok[1]!r}")
+            result = self.varsys.one()
+            for _ in range(int(exp_tok[1])):
+                result = result * base
+            return result
+        return base
+
+    def parse_primary(self):
+        kind, value = self.take()
+        if kind == "int":
+            numerator = int(value)
+            if self.peek() == ("op", "/"):
+                self.take()
+                den_tok = self.take()
+                if den_tok[0] != "int" or int(den_tok[1]) == 0:
+                    raise ParseError("malformed rational coefficient")
+                return self.varsys.constant(Fraction(numerator, int(den_tok[1])))
+            return self.varsys.constant(numerator)
+        if kind == "name":
+            if value not in self.varsys:
+                raise ParseError(f"unknown variable {value!r}")
+            return self.varsys.variable(value)
+        if (kind, value) == ("op", "("):
+            inner = self.parse_expression()
+            self.expect_op(")")
+            return inner
+        raise ParseError(f"unexpected token {value!r}")
+
+
+def _reference_parse(text, varsys):
+    parser = _ReferenceParser(_tokenize(text), varsys)
+    result = parser.parse_expression()
+    if parser.peek() is not None:
+        raise ParseError(f"unexpected token {parser.peek()[1]!r}")
+    return result
+
+
+def _texts():
+    atom = st.one_of(
+        st.sampled_from(("x1", "y1", "z")),
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    )
+
+    def extend(inner):
+        factor = st.one_of(atom, inner.map(lambda e: f"({e})"))
+        powered = st.tuples(factor, st.none() | st.integers(0, 3)).map(
+            lambda fk: fk[0] if fk[1] is None else f"{fk[0]}^{fk[1]}"
+        )
+        joiner = st.sampled_from(("*", " * ", " ", ""))
+        term = st.lists(st.tuples(joiner, powered), min_size=1, max_size=3).map(
+            lambda parts: "".join(j + p for j, p in parts)[len(parts[0][0]):]
+        )
+        sign = st.sampled_from(("", "-", "+", "- "))
+        plus = st.sampled_from((" + ", " - ", "+", "-"))
+        expression = st.tuples(sign, st.lists(st.tuples(plus, term), min_size=1, max_size=3)).map(
+            lambda sp: sp[0] + "".join(o + t for o, t in sp[1])[len(sp[1][0][0]):]
+        )
+        cancelling = expression.map(lambda e: f"{e} - ({e})")
+        return st.one_of(expression, cancelling)
+
+    return st.recursive(atom, extend, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts())
+def test_parser_matches_reference(text):
+    try:
+        expected = _reference_parse(text, VS)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_polynomial(text, VS)
+        return
+    assert parse_polynomial(text, VS) == expected
+
+
+def test_parser_matches_reference_on_fixed_texts():
+    for text in ("2x1", "x1 y1", "2x1 y1^2z", "-(x1 + z)^3", "(x1 - y1)^0", "((x1+1)^2)^2",
+                 "3/6*x1 - 1/2 x1", "x1*z - z x1", "-1/3(y1 + 2/5)^2 - 0"):
+        assert parse_polynomial(text, VS) == _reference_parse(text, VS), text
+
+
+@pytest.mark.parametrize("text", ["x1/2", "1/0", "x1^y1", "(x1", "x1 $", "w", "x1 + q", "", "x1^",
+                                  "x1^-2", "1//2", "x1 +", ")", "x1)"])
+def test_malformed_texts_raise_in_both_parsers(text):
+    with pytest.raises(ParseError):
+        _reference_parse(text, VS)
+    with pytest.raises(ParseError):
+        parse_polynomial(text, VS)
