@@ -38,13 +38,7 @@ from .derivation import (
     kernel_graded_basis,
     preserves_subalgebra,
 )
-from .exactlin import (
-    RationalMatrix,
-    SpanBasis,
-    intersect_spans,
-    solve_columns,
-    solve_in_span,
-)
+from .exactlin import SpanBasis
 from .harness import (
     ScenarioConfig,
     ScenarioReport,

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .derivation import Derivation
-from .exactlin import SpanBasis, column_rows, nullspace, solve
+from .exactlin import SpanBasis, column_rows, kernel_span, solve
 from .poly import (
     COORDINATE,
     PARAMETER,
@@ -244,18 +244,15 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     values, as a nullspace over the monomial frame."""
     coords = substitution.coordinate_system
     frame = monomials_of_degree(coords, degree)
+    sources = [Polynomial(coords, {mono: Fraction(1)}) for mono in frame]
     deltas = []
     out_frame: set[Monomial] = set()
-    for mono in frame:
-        mono_poly = Polynomial(coords, {mono: Fraction(1)})
+    for mono_poly in sources:
         delta = substitution.apply(mono_poly) - mono_poly.embed(substitution.varsys)
         deltas.append(delta.terms)
         out_frame.update(delta.terms)
-    rows = column_rows(deltas, sorted(out_frame, key=Monomial.sort_key))
-    members = []
-    for vec in nullspace(rows, len(frame)):
-        members.append(Polynomial(coords, {frame[j]: c for j, c in vec.items()}))
-    return SpanBasis.from_polynomials(coords, members, frame=frame, track_sources=False)
+    keys = sorted(out_frame, key=Monomial.sort_key)
+    return kernel_span(coords, sources, deltas, keys, frame)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ algebra problem, with no truncation error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .exactlin import Echelon, SpanBasis, sparse_row
@@ -153,18 +154,11 @@ class GradedBasis:
         if degree in self._pieces:
             return self._pieces[degree]
         vs = self.algebra.varsys
-        frame = monomials_of_degree(vs, degree)
         if degree == 0:
-            basis = SpanBasis.from_polynomials(
-                vs, [vs.one()], frame=frame, track_sources=False
-            )
+            products = [vs.one()]
         else:
-            index = {m: i for i, m in enumerate(frame)}
-            ech = Echelon(len(frame))
-            for poly, _ in self._products(degree, tracked=False):
-                ech.insert(sparse_row(poly, index))
-            vectors, pivots, _ = ech.emit()
-            basis = SpanBasis(vs, frame, vectors, pivots)
+            products = (poly for poly, _ in self._products(degree, tracked=False))
+        basis = SpanBasis.from_polynomials(vs, products, frame=monomials_of_degree(vs, degree))
         self._pieces[degree] = basis
         return basis
 
@@ -176,9 +170,7 @@ class GradedBasis:
         vs = alg.varsys
         frame = monomials_of_degree(vs, degree)
         if degree == 0:
-            basis = SpanBasis.from_polynomials(
-                vs, [vs.one()], frame=frame, track_sources=False
-            )
+            basis = SpanBasis.from_polynomials(vs, [vs.one()], frame=frame)
             result = (basis, (alg.label_system.one(),))
         else:
             index = {m: i for i, m in enumerate(frame)}
@@ -307,10 +299,7 @@ def intersect_with_subring(
     vs = algebra.varsys
     monos = monomials_of_degree(vs, degree, names)
     subring = SpanBasis.from_polynomials(
-        vs,
-        [Polynomial(vs, {m: Fraction(1)}) for m in monos],
-        frame=monos,
-        track_sources=False,
+        vs, [Polynomial(vs, {m: Fraction(1)}) for m in monos], frame=monos
     )
     return piece.intersect(subring)
 
@@ -377,18 +366,13 @@ def decomposable_span(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
     if degree < 1:
         raise ValueError("degree must be positive")
     vs = algebra.varsys
-    frame = monomials_of_degree(vs, degree)
-    index = {m: i for i, m in enumerate(frame)}
-    ech = Echelon(len(frame))
-    basisdata = algebra.graded_basis()
-    for e in range(1, degree // 2 + 1):
-        left = basisdata.piece(e).polynomials()
-        right = basisdata.piece(degree - e).polynomials()
-        for b in left:
-            for c in right:
-                ech.insert(sparse_row(b * c, index))
-    vectors, pivots, _ = ech.emit()
-    return SpanBasis(vs, frame, vectors, pivots)
+    pieces = algebra.graded_basis().piece
+    products = (
+        b * c
+        for e in range(1, degree // 2 + 1)
+        for b, c in product(pieces(e).polynomials(), pieces(degree - e).polynomials())
+    )
+    return SpanBasis.from_polynomials(vs, products, frame=monomials_of_degree(vs, degree))
 
 
 def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
@@ -411,4 +395,4 @@ def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis
     for poly in graded_piece(algebra, degree).polynomials():
         if ech.insert(sparse_row(poly, index)):
             representatives.append(poly)
-    return SpanBasis.from_polynomials(vs, representatives, frame=frame, track_sources=False)
+    return SpanBasis.from_polynomials(vs, representatives, frame=frame)

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 pass / member, 1 fail / non-member, 2 none-up-to-bound,
-3 usage error.
+3 usage error.  `verify` exits 1 if a certificate fails to re-check,
+3 if the report is malformed (including a missing or unknown verdict),
+and otherwise with the code `run` gives the report's verdict.
 """
 
 from __future__ import annotations
@@ -125,9 +127,11 @@ def _cmd_verify(args) -> int:
     if not isinstance(data, dict):
         raise UsageError("report is not a JSON object")
     result = verify_report(data)
+    if not isinstance(result.verdict, str) or result.verdict not in _VERDICT_CODES:
+        raise UsageError(f"report verdict {result.verdict!r} is not one of {list(_VERDICT_CODES)}")
     if result.ok:
-        print(f"verified {result.total} certificate(s): all re-evaluate exactly")
-        return 0
+        print(f"verified {result.total} certificate(s): all re-evaluate exactly ({result.verdict})")
+        return _VERDICT_CODES[result.verdict]
     for failure in result.failures:
         print(failure, file=sys.stderr)
     print(f"verified {result.total} certificate(s): {len(result.failures)} failure(s)")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, graded_piece, membership
-from .exactlin import SpanBasis, column_rows, nullspace
+from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
 
 
@@ -97,23 +97,25 @@ def kernel_graded_basis(
     else:
         varsys = ambient
     frame = monomials_of_degree(varsys, degree)
-    frame_polys = [Polynomial(varsys, {m: Fraction(1)}) for m in frame]
+    sources = [Polynomial(varsys, {m: Fraction(1)}) for m in frame]
 
-    rows: list[dict[int, Fraction]] = []
+    # Stack the derivations' images, each in its own block of rows.
+    images: list[dict[int, Fraction]] = [{} for _ in frame]
+    height = 0
     for drv in derivations:
         if drv.varsys != varsys:
             raise VarSystemMismatch("derivation over a different system")
         shift = drv.homogeneous_shift()
         if shift is None:
             continue
-        images = [drv.apply(mono_poly).terms for mono_poly in frame_polys]
-        rows.extend(column_rows(images, monomials_of_degree(varsys, degree + shift)))
+        targets = monomials_of_degree(varsys, degree + shift)
+        row = {m: height + r for r, m in enumerate(targets)}
+        height += len(targets)
+        for image, mono_poly in zip(images, sources):
+            for m, c in drv.apply(mono_poly).terms.items():
+                image[row[m]] = c
 
-    kernel = nullspace(rows, len(frame))
-    members = []
-    for vec in kernel:
-        members.append(Polynomial(varsys, {frame[j]: c for j, c in vec.items()}))
-    basis = SpanBasis.from_polynomials(varsys, members, frame=frame, track_sources=False)
+    basis = kernel_span(varsys, sources, images, range(height), frame)
     if isinstance(ambient, SubalgebraSpec):
         basis = basis.intersect(graded_piece(ambient, degree))
     return basis

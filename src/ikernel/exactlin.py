@@ -4,8 +4,10 @@ The one elimination engine is `Echelon`: rows are sparse `{column: int}`
 maps holding only their nonzero entries, kept primitive and fraction-free,
 and elimination touches nonzero entries only.  `Fraction`s exist only at
 the edge: rows arrive as sparse rational maps (`sparse_row`,
-`column_rows`), `Echelon.emit` returns reduced rational rows, and the dense
-`RationalMatrix` / `solve_columns` facade converts onto the same engine.
+`column_rows`) and `Echelon.emit` returns reduced rational rows.  On top of
+it sit `nullspace` and `solve` over sparse rows, and `SpanBasis`, a span of
+polynomials over a monomial frame, built by `SpanBasis.from_polynomials`
+or, as the kernel of a linear map, by `kernel_span`.
 """
 
 from __future__ import annotations
@@ -214,103 +216,15 @@ def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fract
     return {j: -v for j, v in kernel[-1].items() if j != width}
 
 
-def _sparse(vec: Sequence[Fraction | int]) -> dict[int, Fraction]:
-    return {j: Fraction(v) for j, v in enumerate(vec) if v}
-
-
-def _dense(vec: Mapping[int, Fraction], width: int) -> tuple[Fraction, ...]:
-    out = [_ZERO] * width
-    for j, v in vec.items():
-        out[j] = v
-    return tuple(out)
-
-
-class RationalMatrix:
-    """Dense matrix of exact rationals (a facade over `Echelon`)."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows: Iterable[Sequence[Fraction | int]], ncols: int | None = None):
-        data = []
-        for row in rows:
-            data.append(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row))
-        if data:
-            widths = {len(r) for r in data}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            width = widths.pop()
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row width")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self.rows = tuple(data)
-        self.ncols = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls([_dense({i: _ONE}, n) for i in range(n)], ncols=n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.ncols == other.ncols
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
-
-    def rref(self) -> tuple[RationalMatrix, tuple[int, ...]]:
-        """Reduced row echelon form (same shape, zero rows at the bottom)
-        together with the pivot columns."""
-        ech = Echelon(self.ncols)
-        for row in self.rows:
-            ech.insert(_sparse(row))
-        vectors, pivots, _ = ech.emit()
-        zero = (_ZERO,) * self.ncols
-        padded = vectors + (zero,) * (self.nrows - len(vectors))
-        return RationalMatrix(padded, ncols=self.ncols), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Canonical nullspace basis: one vector per free column, ascending."""
-        kernel = nullspace(map(_sparse, self.rows), self.ncols)
-        return tuple(_dense(vec, self.ncols) for vec in kernel)
-
-
-def solve_columns(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """One exact solution of  sum_j c_j * columns[j] = target,  or None.
-
-    Deterministic: the reduced-echelon particular solution with every free
-    unknown set to zero.
-    """
-    m = len(target)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("column height mismatch")
-    n = len(columns)
-    rows = column_rows([_sparse(col) for col in [*columns, target]], range(m))
-    solution = solve(rows, n)
-    return None if solution is None else _dense(solution, n)
-
-
 class SpanBasis:
     """A subspace of polynomials presented over an explicit monomial frame.
 
     `vectors` are the unique reduced-echelon basis rows over `ambient`
-    (canonical order), so representation of any member is unique.  When the
-    basis was built from an explicit spanning family, `source_coords`
-    expresses each echelon row in terms of that family.
+    (canonical order), so representation of any member is unique.  Build
+    one with `from_polynomials` or `kernel_span`.
     """
 
-    __slots__ = ("varsys", "ambient", "vectors", "pivots", "source_coords", "_polys")
+    __slots__ = ("varsys", "ambient", "vectors", "pivots", "_polys")
 
     def __init__(
         self,
@@ -318,47 +232,38 @@ class SpanBasis:
         ambient: Sequence[Monomial],
         vectors: Sequence[Sequence[Fraction]],
         pivots: Sequence[int],
-        source_coords: Sequence[Sequence[Fraction]] | None = None,
     ):
         self.varsys = varsys
         self.ambient = tuple(ambient)
         self.vectors = tuple(tuple(v) for v in vectors)
         self.pivots = tuple(pivots)
-        self.source_coords = (
-            tuple(tuple(c) for c in source_coords) if source_coords is not None else None
-        )
         self._polys: tuple[Polynomial, ...] | None = None
 
     @classmethod
     def from_polynomials(
         cls,
         varsys: VarSystem,
-        polys: Sequence[Polynomial],
+        polys: Iterable[Polynomial],
         frame: Sequence[Monomial] | None = None,
-        track_sources: bool = True,
     ) -> SpanBasis:
+        """The span of `polys` over `frame`, by default every monomial they
+        use in canonical order.  With a frame, `polys` is consumed once."""
+        if frame is None:
+            polys = tuple(polys)
+            frame = sorted({m for f in polys for m in f.terms}, key=Monomial.sort_key)
+        frame = tuple(frame)
+        index = {m: i for i, m in enumerate(frame)}
+        ech = Echelon(len(frame))
         for f in polys:
             if f.varsys != varsys:
                 raise VarSystemMismatch("spanning polynomial over a different system")
-        if frame is None:
-            seen = set()
-            for f in polys:
-                seen.update(f.terms)
-            frame = sorted(seen, key=Monomial.sort_key)
-        frame = tuple(frame)
-        index = {m: i for i, m in enumerate(frame)}
-        ech = Echelon(len(frame), track=track_sources)
-        for f in polys:
             try:
                 row = sparse_row(f, index)
             except KeyError:
                 raise ValueError("polynomial has a monomial outside the frame") from None
             ech.insert(row)
-        vectors, pivots, exprs = ech.emit()
-        coords = None
-        if exprs is not None:
-            coords = [tuple(e.get(j, _ZERO) for j in range(len(polys))) for e in exprs]
-        return cls(varsys, frame, vectors, pivots, coords)
+        vectors, pivots, _ = ech.emit()
+        return cls(varsys, frame, vectors, pivots)
 
     @property
     def dim(self) -> int:
@@ -393,21 +298,6 @@ class SpanBasis:
             return tuple(coords)
         return None
 
-    def source_coordinates_of(self, f: Polynomial) -> tuple[Fraction, ...] | None:
-        """Coordinates of f over the originally supplied spanning family."""
-        if self.source_coords is None:
-            raise ValueError("basis was built without source tracking")
-        coords = self.coordinates_of(f)
-        if coords is None:
-            return None
-        n = len(self.source_coords[0]) if self.source_coords else 0
-        out = [_ZERO] * n
-        for c, row in zip(coords, self.source_coords):
-            if c:
-                for j, t in enumerate(row):
-                    out[j] += c * t
-        return tuple(out)
-
     def contains(self, f: Polynomial) -> bool:
         return self.coordinates_of(f) is not None
 
@@ -416,56 +306,38 @@ class SpanBasis:
             return False
         return all(self.contains(p) for p in other.polynomials())
 
-    def _unified_frame(self, other: SpanBasis) -> tuple[Monomial, ...]:
-        return tuple(sorted(set(self.ambient) | set(other.ambient), key=Monomial.sort_key))
-
-    def plus(self, other: SpanBasis) -> SpanBasis:
-        """Span of the union (subspace sum)."""
-        if self.varsys != other.varsys:
-            raise VarSystemMismatch("bases over different systems")
-        frame = self._unified_frame(other)
-        return SpanBasis.from_polynomials(
-            self.varsys,
-            self.polynomials() + other.polynomials(),
-            frame=frame,
-            track_sources=False,
-        )
-
     def intersect(self, other: SpanBasis) -> SpanBasis:
-        """Intersection via the kernel of the stacked bases."""
+        """Intersection: the members  sum_j c_j*mine[j]  with
+        sum_j c_j*mine[j] = sum_k c'_k*theirs[k]."""
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
-        frame = self._unified_frame(other)
-        mine = self.polynomials()
-        columns = [f.terms for f in mine] + [(-f).terms for f in other.polynomials()]
-        if not columns:
-            return SpanBasis.from_polynomials(self.varsys, [], frame=frame, track_sources=False)
-        members = []
-        for vec in nullspace(column_rows(columns, frame), len(columns)):
-            member = self.varsys.zero()
-            for j, c in sorted(vec.items()):
-                if j < len(mine):
-                    member = member + mine[j] * c
-            members.append(member)
-        return SpanBasis.from_polynomials(
-            self.varsys, members, frame=frame, track_sources=False
-        )
+        frame = sorted(set(self.ambient) | set(other.ambient), key=Monomial.sort_key)
+        mine, theirs = self.polynomials(), other.polynomials()
+        sources = mine + (self.varsys.zero(),) * len(theirs)
+        images = [f.terms for f in mine] + [(-f).terms for f in theirs]
+        return kernel_span(self.varsys, sources, images, frame, frame)
 
 
-def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    return matrix.rref()
+def kernel_span(
+    varsys: VarSystem,
+    sources: Sequence[Polynomial],
+    images: Sequence[Mapping[Hashable, Fraction]],
+    keys: Iterable[Hashable],
+    frame: Sequence[Monomial],
+) -> SpanBasis:
+    """The span of  sum_j c_j*sources[j]  over every c with
+    sum_j c_j*images[j] = 0, as a `SpanBasis` over `frame`.
 
-
-def solve_in_span(basis: SpanBasis, target: Polynomial) -> tuple[Fraction, ...] | None:
-    """Exact coordinates of target in the span, or None if it is not there.
-
-    When the basis tracks its original spanning family the coordinates are
-    over that family; otherwise they are over the reduced echelon rows.
+    `images[j]` maps the keys of the image space to entries (a polynomial's
+    `terms`, say); `keys` lists every key of that space, one matrix row each.
     """
-    if basis.source_coords is not None:
-        return basis.source_coordinates_of(target)
-    return basis.coordinates_of(target)
-
-
-def intersect_spans(u: SpanBasis, v: SpanBasis) -> SpanBasis:
-    return u.intersect(v)
+    # With no unknowns the kernel is zero: skip eliminating the empty rows.
+    kernel = nullspace(column_rows(images, keys), len(images)) if images else []
+    members = []
+    for vec in kernel:
+        terms: dict[Monomial, Fraction] = {}
+        for j, c in vec.items():
+            for m, t in sources[j].terms.items():
+                terms[m] = terms.get(m, _ZERO) + c * t
+        members.append(Polynomial(varsys, terms))
+    return SpanBasis.from_polynomials(varsys, members, frame=frame)

@@ -218,7 +218,6 @@ def _scenario_g1_invariants(cfg: ScenarioConfig) -> tuple[str, dict]:
             inst.varsys,
             [Polynomial(inst.varsys, {m: Fraction(1)}) for m in zfree],
             frame=zfree,
-            track_sources=False,
         )
         ring_equal = ring_kernel.spans_same(expected_ring)
         sub_kernel = kernel_graded_basis(
@@ -305,7 +304,6 @@ def _scenario_g2_invariants_B(cfg: ScenarioConfig) -> tuple[str, dict]:
             inst.varsys,
             [Polynomial(inst.varsys, {m: Fraction(1)}) for m in xonly],
             frame=xonly,
-            track_sources=False,
         )
         equal = kernel.spans_same(expected)
         ok = ok and equal and kernel.dim == comb(d + cfg.n - 1, cfg.n - 1)
@@ -350,9 +348,7 @@ def _scenario_theorem1_cusp(cfg: ScenarioConfig) -> tuple[str, dict]:
     ok = True
     for d in range(cfg.max_degree + 1):
         ring_kernel = kernel_graded_basis([cusp.derivation], cusp.varsys, d)
-        expected_ring = SpanBasis.from_polynomials(
-            cusp.varsys, [u ** d], track_sources=False
-        )
+        expected_ring = SpanBasis.from_polynomials(cusp.varsys, [u ** d])
         ring_equal = ring_kernel.spans_same(expected_ring)
         sub_kernel = kernel_graded_basis([cusp.derivation], cusp.algebra, d)
         sub_equal = sub_kernel.spans_same(graded_piece(cusp.kernel_subalgebra, d))
@@ -554,6 +550,7 @@ def _collect_certificates(obj) -> list[dict]:
 class VerifyResult:
     total: int
     failures: list[str]
+    verdict: object = None  # the report's field as found; `ok` is about certificates only
 
     @property
     def ok(self) -> bool:
@@ -563,9 +560,10 @@ class VerifyResult:
 def verify_report(data: Mapping) -> VerifyResult:
     """Re-check every certificate embedded in a report dictionary."""
     failures: list[str] = []
+    verdict = data.get("verdict")
     if data.get("schema") != SCHEMA_VERSION:
         failures.append(f"unsupported schema: {data.get('schema')!r}")
-        return VerifyResult(0, failures)
+        return VerifyResult(0, failures, verdict)
     certificates = _collect_certificates(data.get("details", {}))
     for k, cert in enumerate(certificates):
         kind = cert["cert_type"]
@@ -577,4 +575,4 @@ def verify_report(data: Mapping) -> VerifyResult:
             continue
         if not good:
             failures.append(f"certificate {k} ({kind}): re-evaluation failed")
-    return VerifyResult(len(certificates), failures)
+    return VerifyResult(len(certificates), failures, verdict)

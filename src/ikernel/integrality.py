@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import comb
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     MembershipCertificate,
@@ -89,19 +90,46 @@ class RelationCertificate:
         }
 
 
+# Caps on the powers `base**k` that the `degree`, `i` and `power` fields of a
+# serialized certificate ask for.  For a t-term base, base**k has at most
+# C(k+t-1, t-1) terms with coefficients about k times as wide as base's;
+# their product estimates its size and, since a multi-term base is multiplied
+# out k times, its cost.  The estimates of one certificate are summed.
+MAX_CERT_EXPONENT = 100_000
+MAX_CERT_POWER_BITS = 1 << 18
+
+
+def _check_powers(base: Polynomial, exponents: Iterable[tuple[str, object]]) -> None:
+    """Before any arithmetic: every exponent a JSON integer >= 0 and the
+    powers of `base` within the caps, or ValueError naming the field."""
+    t = max(len(base.terms), 1)
+    bits = max(((c.numerator * c.denominator).bit_length() for c in base.terms.values()), default=0)
+    size = 0
+    for field, k in exponents:
+        if type(k) is not int or k < 0:  # JSON true is a Python int
+            raise ValueError(f"field {field!r} must be a nonnegative integer")
+        if k > MAX_CERT_EXPONENT:
+            raise ValueError(f"field {field!r}: exponent {k} is over the cap {MAX_CERT_EXPONENT}")
+        size += k * bits * comb(k + t - 1, t - 1)
+        if size > MAX_CERT_POWER_BITS:
+            raise ValueError(f"field {field!r}: power {k} of a {t}-term polynomial is over the cap")
+
+
 def verify_relation_json(data: Mapping) -> bool:
     """Re-check a serialized relation certificate with poly arithmetic only."""
     varsys = certificate_varsys(data)
     element = varsys.parse(data["element"])
+    entries = data["coefficients"]
+    _check_powers(element, [("degree", data["degree"])] + [("i", e["i"]) for e in entries])
     total = varsys.zero()
     if data["monic"]:
-        total = total + element ** int(data["degree"])
-    for entry in data["coefficients"]:
+        total = total + element ** data["degree"]
+    for entry in entries:
         poly = varsys.parse(entry["polynomial"])
         cert = entry["certificate"]
         if cert["target"] != entry["polynomial"] or not verify_membership_json(cert):
             return False
-        total = total + poly * element ** int(entry["i"])
+        total = total + poly * element ** entry["i"]
     return total.is_zero()
 
 
@@ -259,7 +287,8 @@ def verify_localization_json(data: Mapping) -> bool:
     varsys = certificate_varsys(cert)
     numerator = varsys.parse(data["numerator"])
     localizing = varsys.parse(data["localizing"])
-    product = numerator * localizing ** int(data["power"])
+    _check_powers(localizing, [("power", data["power"])])
+    product = numerator * localizing ** data["power"]
     if varsys.parse(cert["target"]) != product:
         return False
     return verify_membership_json(cert)

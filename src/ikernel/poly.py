@@ -94,6 +94,8 @@ class VarSystem:
         return name in self._index
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, VarSystem):
             return NotImplemented
         return self.names == other.names and self.roles == other.roles

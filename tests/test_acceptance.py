@@ -120,7 +120,6 @@ def test_criterion_3_translation_branch_quasifinite_not_finite():
             vs,
             [Polynomial(vs, {mm: Fraction(1)}) for mm in zfree],
             frame=zfree,
-            track_sources=False,
         )
         ok = ok and kernel.dim == d + 1 and kernel.spans_same(expected)
     x1 = vs.variable("x1")
@@ -224,7 +223,7 @@ def _oracle_piece_dim(algebra, degree) -> int:
         products.append(algebra.varsys.one())
     else:
         extend(0, degree, algebra.varsys.one())
-    return SpanBasis.from_polynomials(algebra.varsys, products, track_sources=False).dim
+    return SpanBasis.from_polynomials(algebra.varsys, products).dim
 
 
 def test_criterion_8_engine_self_consistency(tmp_path):

@@ -41,7 +41,7 @@ def brute_force_piece(algebra, degree):
         products.append(algebra.varsys.one())
     else:
         extend(0, degree, algebra.varsys.one())
-    return SpanBasis.from_polynomials(algebra.varsys, products, track_sources=False)
+    return SpanBasis.from_polynomials(algebra.varsys, products)
 
 
 def test_homogeneity_enforced(inst11):
@@ -61,7 +61,6 @@ def test_graded_piece_low_degrees(inst11):
     expected = SpanBasis.from_polynomials(
         vs,
         [vs.parse(s) for s in ("y1^2", "y1*z", "z^2", "x1^2 + x1*z", "x1*y1")],
-        track_sources=False,
     )
     assert piece2.spans_same(expected)
 
@@ -124,9 +123,7 @@ def test_membership_json_round_trip(inst11):
 def test_intersect_with_subring_examples(inst11):
     vs = inst11.varsys
     meet = intersect_with_subring(inst11.algebra, ("x1", "y1"), 2)
-    expected = SpanBasis.from_polynomials(
-        vs, [vs.parse("x1*y1"), vs.parse("y1^2")], track_sources=False
-    )
+    expected = SpanBasis.from_polynomials(vs, [vs.parse("x1*y1"), vs.parse("y1^2")])
     assert meet.spans_same(expected)
     for d in range(1, 9):
         assert intersect_with_subring(inst11.algebra, ("x1",), d).dim == 0

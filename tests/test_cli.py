@@ -114,7 +114,32 @@ def test_verify_rejects_non_object_report(tmp_path, capsys, text):
 
 
 def _write_report(path, certificate):
-    path.write_text(json.dumps({"schema": 1, "details": {"certificate": certificate}}))
+    report = {"schema": 1, "verdict": "pass", "details": {"certificate": certificate}}
+    path.write_text(json.dumps(report))
+
+
+@pytest.mark.parametrize("verdict, code", [
+    ("pass", 0), ("fail", 1), ("none-up-to-bound", 2), ("maybe", 3), (None, 3), (["pass"], 3),
+])
+def test_verify_exits_with_the_report_verdict(tmp_path, capsys, verdict, code):
+    report = {"schema": 1, "details": {}}
+    if verdict is not None:
+        report["verdict"] = verdict
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == code
+    if code == 3:
+        assert "verdict" in capsys.readouterr().err
+
+
+def test_verify_failing_certificate_exits_1_whatever_the_verdict(tmp_path):
+    cert = {"cert_type": "membership", "variables": ["x"], "generators": [["a", "x"]],
+            "target": "x^2", "expression": "a^3"}
+    path = tmp_path / "report.json"
+    for verdict in ("pass", "none-up-to-bound"):
+        path.write_text(json.dumps(
+            {"schema": 1, "verdict": verdict, "details": {"certificate": cert}}))
+        assert main(["verify", str(path)]) == 1
 
 
 def test_verify_single_term_powers_are_fast(tmp_path, capsys):
@@ -189,3 +214,57 @@ def test_verify_rejects_malformed_generators(tmp_path, capsys, inst11, kind, val
     _write_report(path, cert)
     assert main(["verify", str(path)]) == 1
     assert "field 'generators'" in capsys.readouterr().err
+
+
+def _hostile_relation(**fields):
+    cert = {"cert_type": "relation", "variables": ["x", "y"], "element": "x + y",
+            "degree": 2, "monic": True, "coefficients": []}
+    cert.update(fields)
+    return cert
+
+
+def _hostile_localization(**fields):
+    cert = {"cert_type": "localization", "numerator": "x", "localizing": "x + y",
+            "power": 2, "certificate": {"cert_type": "membership", "variables": ["x", "y"],
+                                        "generators": [["a", "x"]], "target": "x",
+                                        "expression": "a"}}
+    cert.update(fields)
+    return cert
+
+
+@pytest.mark.parametrize("cert, field", [
+    (_hostile_relation(degree=200000), "degree"),
+    (_hostile_relation(degree=2000), "degree"),  # under the exponent cap, over the size cap
+    (_hostile_relation(coefficients=[{"i": 200000, "polynomial": "1", "certificate": {}}]), "i"),
+    (_hostile_localization(power=200000), "power"),
+    (_hostile_localization(localizing="y", power=200000), "power"),
+])
+def test_verify_rejects_huge_powers_quickly(tmp_path, capsys, cert, field):
+    path = tmp_path / "report.json"
+    _write_report(path, cert)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert f"field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.0, 2.9, True, -1, "2", None])
+def test_verify_rejects_non_integer_exponents(tmp_path, capsys, value):
+    path = tmp_path / "report.json"
+    for cert, field in ((_hostile_relation(degree=value), "degree"),
+                        (_hostile_localization(power=value), "power")):
+        _write_report(path, cert)
+        assert main(["verify", str(path)]) == 1
+        assert f"field {field!r} must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_verify_keeps_single_term_powers_cheap(tmp_path):
+    # y^100000 is under every cap: it is raised by scaling exponents.
+    member = {"cert_type": "membership", "variables": ["x", "y"],
+              "generators": [["a", "x*y^100000"]], "target": "x*y^100000", "expression": "a"}
+    cert = _hostile_localization(localizing="y", power=100000, certificate=member)
+    path = tmp_path / "report.json"
+    _write_report(path, cert)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: rref, nullspaces, span bases."""
+"""Exact rational linear algebra: the sparse echelon core, nullspaces,
+solves and span bases, checked against dense Gauss-Jordan."""
 
 import inspect
 import random
@@ -6,50 +7,55 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import dense_nullspace, dense_rref
 
 from ikernel import exactlin
-from ikernel.exactlin import (
-    Echelon,
-    RationalMatrix,
-    SpanBasis,
-    intersect_spans,
-    solve_columns,
-    solve_in_span,
-)
-from ikernel.poly import VarSystem
+from ikernel.exactlin import Echelon, SpanBasis, column_rows, kernel_span, nullspace, solve
+from ikernel.poly import Monomial, Polynomial, VarSystem, monomials_of_degree
 
 VS = VarSystem(("x1", "y1", "z"))
 X, Y, Z = (VS.variable(n) for n in ("x1", "y1", "z"))
 T1 = X * X + X * Z
 
 
+def _sparse_rows(rows):
+    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+
+
+def _rref(rows, width):
+    """Reduced nonzero rows and pivots of dense `rows`, through `Echelon`."""
+    ech = Echelon(width)
+    for row in _sparse_rows(rows):
+        ech.insert(row)
+    vectors, pivots, _ = ech.emit()
+    return vectors, pivots
+
+
+def _combination(coords, polys):
+    total = VS.zero()
+    for c, f in zip(coords, polys):
+        total = total + f * c
+    return total
+
+
 def test_rref_identity():
-    m = RationalMatrix.identity(3)
-    reduced, pivots = m.rref()
-    assert reduced == m
-    assert pivots == (0, 1, 2)
+    identity = tuple(tuple(Fraction(i == j) for j in range(3)) for i in range(3))
+    assert _rref(identity, 3) == (identity, (0, 1, 2))
 
 
 def test_rref_rank_one():
-    reduced, pivots = RationalMatrix([[2, 4], [1, 2]]).rref()
-    assert reduced == RationalMatrix([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    assert _rref([[2, 4], [1, 2]], 2) == (((1, 2),), (0,))
 
 
 def test_rref_of_polynomial_rows():
     # {t1, z*x1} over the frame (x1^2, x1*z) with a duplicated x1*z column.
-    reduced, pivots = RationalMatrix([[1, 1, 1], [0, 1, 1]]).rref()
-    assert len(pivots) == 2
-    assert reduced == RationalMatrix([[1, 0, 0], [0, 1, 1]])
+    assert _rref([[1, 1, 1], [0, 1, 1]], 3) == (((1, 0, 0), (0, 1, 1)), (0, 1))
 
 
 def test_rref_idempotent_and_rational():
-    m = RationalMatrix(
-        [[Fraction(1, 2), Fraction(2, 3), 1], [3, Fraction(-1, 5), 0], [1, 1, 1]]
-    )
-    reduced, _ = m.rref()
-    again, _ = reduced.rref()
-    assert again == reduced
+    m = [[Fraction(1, 2), Fraction(2, 3), 1], [3, Fraction(-1, 5), 0], [1, 1, 1]]
+    reduced, pivots = _rref(m, 3)
+    assert _rref(reduced, 3) == (reduced, pivots)
 
 
 def test_rank_nullity_randomized():
@@ -57,41 +63,40 @@ def test_rank_nullity_randomized():
     for _ in range(25):
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
-        m = RationalMatrix(
-            [
-                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
-        kernel = m.nullspace()
-        assert m.rank() + len(kernel) == cols
+        m = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        kernel = nullspace(_sparse_rows(m), cols)
+        assert len(dense_rref(m, cols)[1]) + len(kernel) == cols
         for vec in kernel:
-            for row in m.rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+            for row in m:
+                assert sum(row[j] * c for j, c in vec.items()) == 0
 
 
 def test_rank_nullity_forty_by_forty():
     rng = random.Random(7)
-    m = RationalMatrix(
-        [[Fraction(rng.randint(-2, 2)) for _ in range(40)] for _ in range(40)]
-    )
-    assert m.rank() + len(m.nullspace()) == 40
+    m = [[Fraction(rng.randint(-2, 2)) for _ in range(40)] for _ in range(40)]
+    assert len(dense_rref(m, 40)[1]) + len(nullspace(_sparse_rows(m), 40)) == 40
 
 
 def test_solve_columns():
-    columns = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    assert solve_columns(columns, [Fraction(2), Fraction(1)]) == (1, 1)
-    assert solve_columns([[Fraction(0), Fraction(0)]], [Fraction(1), Fraction(0)]) is None
+    one, two = Fraction(1), Fraction(2)
+    # c0*(1, 0) + c1*(1, 1) = (2, 1); the last column holds the target.
+    rows = column_rows([{0: one}, {0: one, 1: one}, {0: two, 1: one}], range(2))
+    assert solve(rows, 2) == {0: 1, 1: 1}
+    assert solve(column_rows([{}, {0: one}], range(2)), 1) is None
 
 
 def test_span_basis_coordinates():
     basis = SpanBasis.from_polynomials(VS, [T1, X * Z])
     assert basis.dim == 2
-    # Coordinates come back over the supplied spanning family: x1^2 = t1 - x1*z.
-    assert solve_in_span(basis, X * X) == (1, -1)
-    assert solve_in_span(basis, VS.zero()) == (0, 0)
-    assert solve_in_span(basis, T1) == (1, 0)
-    assert solve_in_span(basis, Y) is None
+    rows = basis.polynomials()
+    # Coordinates come back over the echelon rows: x1^2 = t1 - x1*z.
+    assert _combination(basis.coordinates_of(X * X), rows) == X * X
+    assert basis.coordinates_of(VS.zero()) == (0, 0)
+    assert _combination(basis.coordinates_of(T1), rows) == T1
+    assert basis.coordinates_of(Y) is None
 
 
 def test_span_reconstruction_property():
@@ -99,65 +104,50 @@ def test_span_reconstruction_property():
     family = [T1, X * Z, Y * Y - Z * Z, X * Y]
     basis = SpanBasis.from_polynomials(VS, family)
     for _ in range(20):
-        target = VS.zero()
         weights = [Fraction(rng.randint(-3, 3)) for _ in family]
-        for w, f in zip(weights, family):
-            target = target + f * w
-        coords = solve_in_span(basis, target)
+        target = _combination(weights, family)
+        coords = basis.coordinates_of(target)
         assert coords is not None
-        rebuilt = VS.zero()
-        for c, f in zip(coords, family):
-            rebuilt = rebuilt + f * c
-        assert rebuilt == target
+        assert _combination(coords, basis.polynomials()) == target
 
 
 def test_intersect_trivial_cases():
     v = SpanBasis.from_polynomials(VS, [X, Y + Z])
-    assert intersect_spans(v, v).spans_same(v)
+    assert v.intersect(v).spans_same(v)
     zero = SpanBasis.from_polynomials(VS, [])
-    assert intersect_spans(v, zero).dim == 0
+    assert v.intersect(zero).dim == 0
 
 
 def test_intersect_degree_two_example(inst11):
     # (A_{1,1})_2 meets k[x1, y1]_2 in span{x1*y1, y1^2}.
     from ikernel.algebra import graded_piece
-    from ikernel.poly import Polynomial, monomials_of_degree
 
     piece = graded_piece(inst11.algebra, 2)
     monos = monomials_of_degree(inst11.varsys, 2, ("x1", "y1"))
     subring = SpanBasis.from_polynomials(
-        inst11.varsys,
-        [Polynomial(inst11.varsys, {mm: Fraction(1)}) for mm in monos],
-        track_sources=False,
+        inst11.varsys, [Polynomial(inst11.varsys, {mm: Fraction(1)}) for mm in monos]
     )
-    meet = intersect_spans(piece, subring)
+    meet = piece.intersect(subring)
     vs = inst11.varsys
-    expected = SpanBasis.from_polynomials(
-        vs, [vs.parse("x1*y1"), vs.parse("y1^2")], track_sources=False
-    )
+    expected = SpanBasis.from_polynomials(vs, [vs.parse("x1*y1"), vs.parse("y1^2")])
     assert meet.spans_same(expected)
+
+
+def _random_poly(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = Monomial([rng.randint(0, 2) for _ in range(3)])
+        terms[mono] = Fraction(rng.randint(-3, 3))
+    return Polynomial(VS, terms)
 
 
 def test_grassmann_identity_randomized():
     rng = random.Random(4242)
-    from ikernel.poly import Monomial, Polynomial
-
-    def random_poly():
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            mono = Monomial([rng.randint(0, 2) for _ in range(3)])
-            terms[mono] = Fraction(rng.randint(-3, 3))
-        return Polynomial(VS, terms)
-
     for _ in range(15):
-        u = SpanBasis.from_polynomials(
-            VS, [random_poly() for _ in range(rng.randint(0, 4))], track_sources=False
-        )
-        v = SpanBasis.from_polynomials(
-            VS, [random_poly() for _ in range(rng.randint(0, 4))], track_sources=False
-        )
+        u = SpanBasis.from_polynomials(VS, [_random_poly(rng) for _ in range(rng.randint(0, 4))])
+        v = SpanBasis.from_polynomials(VS, [_random_poly(rng) for _ in range(rng.randint(0, 4))])
         meet = u.intersect(v)
-        join = u.plus(v)
+        join = SpanBasis.from_polynomials(VS, u.polynomials() + v.polynomials())
         assert meet.dim + join.dim == u.dim + v.dim
         for p in meet.polynomials():
             assert u.contains(p) and v.contains(p)
@@ -169,31 +159,60 @@ def test_spans_same_rejects_different_spaces():
     assert not u.spans_same(v)
 
 
-def test_ragged_matrix_rejected():
-    with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [1]])
+def test_from_polynomials_takes_any_iterable():
+    family = [T1, X * Z, T1 - X * Z]
+    frame = monomials_of_degree(VS, 2)
+    listed = SpanBasis.from_polynomials(VS, family, frame=frame)
+    streamed = SpanBasis.from_polynomials(VS, iter(family), frame=frame)
+    assert (streamed.vectors, streamed.pivots) == (listed.vectors, listed.pivots)
+    assert SpanBasis.from_polynomials(VS, iter(family)).spans_same(listed)
+
+
+# -- the kernel helper against a dense oracle ---------------------------------
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_span_matches_dense_rank(seed):
+    """Sources are the frame's monomials, so the kernel's dimension is the
+    frame width minus the rank of the image matrix."""
+    rng = random.Random(seed)
+    frame = monomials_of_degree(VS, rng.randint(0, 3))
+    width = len(frame)
+    sources = [Polynomial(VS, {m: Fraction(1)}) for m in frame]
+    height = rng.randint(0, 8)
+    shape = rng.random()
+    matrix = [
+        [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if shape > 0.2 and rng.random() < 0.3
+            else Fraction(0)
+            for _ in range(width)
+        ]
+        for _ in range(height)
+    ]
+    images = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(width)]
+    basis = kernel_span(VS, sources, images, range(height), frame)
+
+    assert basis.dim == width - len(dense_rref(matrix, width)[1])
+    index = {m: j for j, m in enumerate(frame)}
+    for p in basis.polynomials():
+        assert basis.contains(p)
+        for row in matrix:
+            assert sum(row[index[m]] * c for m, c in p.terms.items()) == 0
+    for vec in dense_nullspace(matrix, width):
+        assert basis.contains(_combination(vec, sources))
+
+
+def test_kernel_span_of_nothing():
+    frame = monomials_of_degree(VS, 1)
+    assert kernel_span(VS, [], [], [], frame).dim == 0
+    sources = [X, Y]
+    assert kernel_span(VS, sources, [{}, {}], ["r"], frame).spans_same(
+        SpanBasis.from_polynomials(VS, sources)
+    )
 
 
 # -- differential check of the sparse core against dense Gauss-Jordan --------
-
-
-def _dense_rref(rows, width):
-    """Textbook Gauss-Jordan over Fractions: reduced nonzero rows, pivots."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return tuple(tuple(row) for row in rows[: len(pivots)]), tuple(pivots)
 
 
 def _random_rows(rng, width, scale=1):
@@ -227,7 +246,7 @@ def _check_against_dense(rows, width):
         sparse = {j: v for j, v in enumerate(row) if v or k % 2}
         raised += ech.insert(sparse)
     vectors, pivots, exprs = ech.emit()
-    assert (vectors, pivots) == _dense_rref(rows, width)
+    assert (vectors, pivots) == dense_rref(rows, width)
     assert ech.dim == raised == len(pivots)
     for vec, expr in zip(vectors, exprs):
         rebuilt = [Fraction(0)] * width

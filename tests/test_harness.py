@@ -109,7 +109,7 @@ def test_verify_report_round_trip():
     )
     data = json.loads(report.to_json())
     result = verify_report(data)
-    assert result.ok and result.total >= 2
+    assert result.ok and result.total >= 2 and result.verdict == PASS
 
     # Tamper with one certificate; the verifier must notice.
     data["details"]["certificates"][0]["power"] = 3
