@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
@@ -243,16 +245,27 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     """Degree-d polynomials fixed by the substitution for all parameter
     values, as a nullspace over the monomial frame."""
     coords = substitution.coordinate_system
-    frame = monomials_of_degree(coords, degree)
-    sources = [Polynomial(coords, {mono: Fraction(1)}) for mono in frame]
+    varsys = substitution.varsys
+    domain = SpanBasis.of_monomials(coords, monomials_of_degree(coords, degree))
+    # Powers of every coordinate's image, built once: each monomial's image
+    # is then a product of at most one cached power per coordinate.
+    powers = []
+    for name in coords.names:
+        image = substitution.image_of(name)
+        powers.append([varsys.one(), image])
+        for _ in range(degree - 1):
+            powers[-1].append(powers[-1][-1] * image)
     deltas = []
     out_frame: set[Monomial] = set()
-    for mono_poly in sources:
-        delta = substitution.apply(mono_poly) - mono_poly.embed(substitution.varsys)
+    for mono_poly in domain.polynomials():
+        (mono,) = mono_poly.terms
+        factors = [row[e] for row, e in zip(powers, mono.exponents) if e]
+        image = reduce(mul, factors) if factors else varsys.one()
+        delta = image - mono_poly.embed(varsys)
         deltas.append(delta.terms)
         out_frame.update(delta.terms)
     keys = sorted(out_frame, key=Monomial.sort_key)
-    return kernel_span(coords, sources, deltas, keys, frame)
+    return kernel_span(domain, deltas, keys)
 
 
 @dataclass(frozen=True)

@@ -192,9 +192,6 @@ class GradedBasis:
         self._tracked[degree] = result
         return result
 
-    def dimensions(self, max_degree: int) -> list[int]:
-        return [self.piece(d).dim for d in range(max_degree + 1)]
-
 
 class MembershipCertificate:
     """A formal polynomial in generator labels that evaluates to the target.
@@ -295,13 +292,9 @@ def intersect_with_subring(
     algebra: SubalgebraSpec, names: Sequence[str], degree: int
 ) -> SpanBasis:
     """Basis of (A ∩ k[names])_d, computed as a span intersection."""
-    piece = graded_piece(algebra, degree)
     vs = algebra.varsys
-    monos = monomials_of_degree(vs, degree, names)
-    subring = SpanBasis.from_polynomials(
-        vs, [Polynomial(vs, {m: Fraction(1)}) for m in monos], frame=monos
-    )
-    return piece.intersect(subring)
+    subring = SpanBasis.of_monomials(vs, monomials_of_degree(vs, degree, names))
+    return graded_piece(algebra, degree).intersect(subring)
 
 
 def monomial_membership(algebra: SubalgebraSpec, mono: Monomial) -> bool:

@@ -88,19 +88,20 @@ def kernel_graded_basis(
 ) -> SpanBasis:
     """Basis of the joint kernel of a derivation family in one graded piece.
 
-    Over the full ring this is a nullspace over the monomial frame; inside a
-    subalgebra it is the full-ring kernel intersected with the subalgebra's
-    graded piece (legitimate whenever the family preserves the subalgebra).
+    The domain is the degree-d piece: every monomial of that degree over the
+    full ring, the basis of A_d inside a subalgebra A.  One nullspace over
+    the images of the domain's basis rows then gives exactly ker ∩ A_d,
+    whether or not the family preserves A.
     """
     if isinstance(ambient, SubalgebraSpec):
         varsys: VarSystem = ambient.varsys
+        domain = graded_piece(ambient, degree)
     else:
         varsys = ambient
-    frame = monomials_of_degree(varsys, degree)
-    sources = [Polynomial(varsys, {m: Fraction(1)}) for m in frame]
+        domain = SpanBasis.of_monomials(varsys, monomials_of_degree(varsys, degree))
 
     # Stack the derivations' images, each in its own block of rows.
-    images: list[dict[int, Fraction]] = [{} for _ in frame]
+    images: list[dict[int, Fraction]] = [{} for _ in domain.vectors]
     height = 0
     for drv in derivations:
         if drv.varsys != varsys:
@@ -111,14 +112,11 @@ def kernel_graded_basis(
         targets = monomials_of_degree(varsys, degree + shift)
         row = {m: height + r for r, m in enumerate(targets)}
         height += len(targets)
-        for image, mono_poly in zip(images, sources):
-            for m, c in drv.apply(mono_poly).terms.items():
+        for image, member in zip(images, domain.polynomials()):
+            for m, c in drv.apply(member).terms.items():
                 image[row[m]] = c
 
-    basis = kernel_span(varsys, sources, images, range(height), frame)
-    if isinstance(ambient, SubalgebraSpec):
-        basis = basis.intersect(graded_piece(ambient, degree))
-    return basis
+    return kernel_span(domain, images, range(height))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ The one elimination engine is `Echelon`: rows are sparse `{column: int}`
 maps holding only their nonzero entries, kept primitive and fraction-free,
 and elimination touches nonzero entries only.  `Fraction`s exist only at
 the edge: rows arrive as sparse rational maps (`sparse_row`,
-`column_rows`) and `Echelon.emit` returns reduced rational rows.  On top of
-it sit `nullspace` and `solve` over sparse rows, and `SpanBasis`, a span of
-polynomials over a monomial frame, built by `SpanBasis.from_polynomials`
-or, as the kernel of a linear map, by `kernel_span`.
+`column_rows`) and `Echelon.emit` returns the reduced rows as sparse
+`{column: Fraction}` maps, which `SpanBasis` keeps.  On top of it sit
+`nullspace` and `solve` over sparse rows, and `SpanBasis`, a span of
+polynomials over a monomial frame, built by `of_monomials`,
+`from_polynomials` or, as the kernel of a linear map on another span, by
+`kernel_span` with one elimination.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch
+from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -146,17 +147,15 @@ class Echelon:
 
     def emit(
         self,
-    ) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], tuple[dict[int, Fraction], ...] | None]:
-        """Reduced echelon rows (pivots normalized to 1), pivot columns, expressions."""
+    ) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...], tuple[dict[int, Fraction], ...] | None]:
+        """Reduced echelon rows as sparse `{column: Fraction}` maps (columns
+        ascending, pivots normalized to 1), pivot columns, expressions."""
         vectors = []
         exprs_out = [] if self._exprs is not None else None
         for p in self.pivots:
             row = self._rows[p]
             lead = row[p]
-            vec = [_ZERO] * self.width
-            for c, x in row.items():
-                vec[c] = Fraction(x, lead)
-            vectors.append(tuple(vec))
+            vectors.append({c: Fraction(row[c], lead) for c in sorted(row)})
             if exprs_out is not None:
                 exprs_out.append({j: c / lead for j, c in self._exprs[p].items()})
         return tuple(vectors), tuple(self.pivots), (
@@ -196,8 +195,8 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[i
     for p in pivots:
         del kernel[p]
     for vec, p in zip(reduced, pivots):
-        for j, v in enumerate(vec):
-            if v and j in kernel:
+        for j, v in vec.items():
+            if j != p:  # a reduced row is zero at every other pivot
                 kernel[j][p] = -v
     return list(kernel.values())
 
@@ -220,8 +219,10 @@ class SpanBasis:
     """A subspace of polynomials presented over an explicit monomial frame.
 
     `vectors` are the unique reduced-echelon basis rows over `ambient`
-    (canonical order), so representation of any member is unique.  Build
-    one with `from_polynomials` or `kernel_span`.
+    (canonical order), each a sparse `{column: Fraction}` map of its
+    nonzeros with ascending columns, and `pivots` ascend; so representation
+    of any member is unique.  Build one with `of_monomials`,
+    `from_polynomials` or `kernel_span`.
     """
 
     __slots__ = ("varsys", "ambient", "vectors", "pivots", "_polys")
@@ -230,14 +231,21 @@ class SpanBasis:
         self,
         varsys: VarSystem,
         ambient: Sequence[Monomial],
-        vectors: Sequence[Sequence[Fraction]],
+        vectors: Sequence[Mapping[int, Fraction]],
         pivots: Sequence[int],
     ):
         self.varsys = varsys
         self.ambient = tuple(ambient)
-        self.vectors = tuple(tuple(v) for v in vectors)
+        self.vectors = tuple(vectors)
         self.pivots = tuple(pivots)
         self._polys: tuple[Polynomial, ...] | None = None
+
+    @classmethod
+    def of_monomials(cls, varsys: VarSystem, monos: Sequence[Monomial]) -> SpanBasis:
+        """The span of distinct monomials, given in canonical order (as
+        `monomials_of_degree` lists them), over themselves as frame."""
+        monos = tuple(monos)
+        return cls(varsys, monos, [{i: _ONE} for i in range(len(monos))], range(len(monos)))
 
     @classmethod
     def from_polynomials(
@@ -271,11 +279,12 @@ class SpanBasis:
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         if self._polys is None:
-            out = []
-            for vec in self.vectors:
-                terms = {m: c for m, c in zip(self.ambient, vec) if c}
-                out.append(Polynomial(self.varsys, terms))
-            self._polys = tuple(out)
+            # Frame monomials are canonical and stored values nonzero Fractions.
+            ambient = self.ambient
+            self._polys = tuple(
+                Polynomial._trusted(self.varsys, {ambient[c]: v for c, v in vec.items()})
+                for vec in self.vectors
+            )
         return self._polys
 
     def coordinates_of(self, f: Polynomial) -> tuple[Fraction, ...] | None:
@@ -307,37 +316,51 @@ class SpanBasis:
         return all(self.contains(p) for p in other.polynomials())
 
     def intersect(self, other: SpanBasis) -> SpanBasis:
-        """Intersection: the members  sum_j c_j*mine[j]  with
-        sum_j c_j*mine[j] = sum_k c'_k*theirs[k]."""
+        """Intersection, over this basis's frame: the kernel of the map that
+        sends each member to its residual modulo `other`."""
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
-        frame = sorted(set(self.ambient) | set(other.ambient), key=Monomial.sort_key)
-        mine, theirs = self.polynomials(), other.polynomials()
-        sources = mine + (self.varsys.zero(),) * len(theirs)
-        images = [f.terms for f in mine] + [(-f).terms for f in theirs]
-        return kernel_span(self.varsys, sources, images, frame, frame)
+        theirs = {other.ambient[p]: g.terms for p, g in zip(other.pivots, other.polynomials())}
+        residuals = []
+        keys: dict[Monomial, None] = {}
+        for f in self.polynomials():
+            # `other` is reduced (zero at every other pivot of its own), so
+            # one pass over the pivots f starts with clears them all.
+            residual = dict(f.terms)
+            for q, a in f.terms.items():
+                _accumulate(residual, ((m, -a * w) for m, w in theirs.get(q, {}).items()))
+            residuals.append(residual)
+            keys.update(dict.fromkeys(residual))
+        return kernel_span(self, residuals, keys)
 
 
 def kernel_span(
-    varsys: VarSystem,
-    sources: Sequence[Polynomial],
+    domain: SpanBasis,
     images: Sequence[Mapping[Hashable, Fraction]],
     keys: Iterable[Hashable],
-    frame: Sequence[Monomial],
 ) -> SpanBasis:
-    """The span of  sum_j c_j*sources[j]  over every c with
-    sum_j c_j*images[j] = 0, as a `SpanBasis` over `frame`.
+    """The span of  sum_j c_j*domain[j]  over every c with
+    sum_j c_j*images[j] = 0, as a `SpanBasis` over the domain's frame.
 
     `images[j]` maps the keys of the image space to entries (a polynomial's
     `terms`, say); `keys` lists every key of that space, one matrix row each.
+
+    One elimination, with the unknowns in reverse order: the nullspace
+    vector of a free unknown f is then 1 at f and otherwise supported on
+    pivot unknowns after f, so through the domain's reduced rows (pivots
+    ascending) its member is 1 at domain[f]'s pivot and 0 at every other
+    free unknown's: already the reduced echelon basis of the kernel.
     """
+    n = len(images)
+    if n != domain.dim:
+        raise ValueError("need one image per domain row")
     # With no unknowns the kernel is zero: skip eliminating the empty rows.
-    kernel = nullspace(column_rows(images, keys), len(images)) if images else []
-    members = []
-    for vec in kernel:
-        terms: dict[Monomial, Fraction] = {}
-        for j, c in vec.items():
-            for m, t in sources[j].terms.items():
-                terms[m] = terms.get(m, _ZERO) + c * t
-        members.append(Polynomial(varsys, terms))
-    return SpanBasis.from_polynomials(varsys, members, frame=frame)
+    kernel = nullspace(column_rows(images[::-1], keys), n) if n else []
+    vectors = []
+    for vec in reversed(kernel):
+        member: dict[int, Fraction] = {}
+        for k, c in vec.items():
+            _accumulate(member, ((col, c * v) for col, v in domain.vectors[n - 1 - k].items()))
+        vectors.append({col: member[col] for col in sorted(member)})
+    pivots = [min(vec) for vec in vectors]
+    return SpanBasis(domain.varsys, domain.ambient, vectors, pivots)

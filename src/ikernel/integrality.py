@@ -56,7 +56,9 @@ class RelationCertificate:
         return total
 
     def verify(self) -> bool:
-        if not self.evaluate().is_zero():
+        if _relation_shape_error(self.degree, self.monic, [c.power for c in self.coefficients]):
+            return False
+        if self.leading_coefficient().is_zero() or not self.evaluate().is_zero():
             return False
         for coeff in self.coefficients:
             cert = coeff.membership
@@ -67,10 +69,8 @@ class RelationCertificate:
     def leading_coefficient(self) -> Polynomial:
         if self.monic:
             return self.element.varsys.one()
-        for coeff in self.coefficients:
-            if coeff.power == self.degree:
-                return coeff.polynomial
-        return self.element.varsys.zero()
+        top = (c.polynomial for c in self.coefficients if c.power == self.degree)
+        return sum(top, self.element.varsys.zero())
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,17 +115,35 @@ def _check_powers(base: Polynomial, exponents: Iterable[tuple[str, object]]) -> 
             raise ValueError(f"field {field!r}: power {k} of a {t}-term polynomial is over the cap")
 
 
+def _relation_shape_error(degree: int, monic: object, powers: Iterable[int]) -> str | None:
+    """What is wrong with a relation of this shape, or None: `monic` must
+    be a bool and every power at most `degree`, below it when monic (a
+    monic relation's x^degree term is implicit and must not cancel)."""
+    if type(monic) is not bool:
+        return "field 'monic' must be true or false"
+    if any(i > degree - monic for i in powers):
+        return "field 'i': every power must be at most the degree, below it when monic"
+    return None
+
+
 def verify_relation_json(data: Mapping) -> bool:
-    """Re-check a serialized relation certificate with poly arithmetic only."""
+    """Re-check a serialized relation certificate with poly arithmetic only;
+    a malformed or trivial one raises ValueError naming the field."""
     varsys = certificate_varsys(data)
     element = varsys.parse(data["element"])
     entries = data["coefficients"]
-    _check_powers(element, [("degree", data["degree"])] + [("i", e["i"]) for e in entries])
-    total = varsys.zero()
-    if data["monic"]:
-        total = total + element ** data["degree"]
-    for entry in entries:
-        poly = varsys.parse(entry["polynomial"])
+    degree, monic = data["degree"], data["monic"]
+    _check_powers(element, [("degree", degree)] + [("i", e["i"]) for e in entries])
+    error = _relation_shape_error(degree, monic, [e["i"] for e in entries])
+    if error:
+        raise ValueError(error)
+    polys = [varsys.parse(entry["polynomial"]) for entry in entries]
+    top = (p for p, e in zip(polys, entries) if e["i"] == degree)
+    if not monic and sum(top, varsys.zero()).is_zero():
+        raise ValueError("field 'coefficients': a non-monic relation needs a nonzero "
+                         "coefficient at i == degree")
+    total = element ** degree if monic else varsys.zero()
+    for entry, poly in zip(entries, polys):
         cert = entry["certificate"]
         if cert["target"] != entry["polynomial"] or not verify_membership_json(cert):
             return False

@@ -73,10 +73,6 @@ class VarSystem:
         return tuple(self.names[i] for i in self._coord_idx)
 
     @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in self._param_idx)
-
-    @property
     def coordinate_indices(self) -> tuple[int, ...]:
         return self._coord_idx
 
@@ -487,13 +483,15 @@ def _product(f: dict, g: dict) -> dict:
     )
 
 
-def _power(f: dict, k: int, unit: tuple[int, ...]) -> dict:
+def _power(f: dict, k: int, unit: tuple[int, ...], product=_product) -> dict:
+    if not f:
+        return {} if k else {unit: Fraction(1)}
     if len(f) == 1:  # a single term: scale its exponents, no repeated products
         ((exps, c),) = f.items()
         return {tuple(e * k for e in exps): c**k}
     result = {unit: Fraction(1)}
     for _ in range(k):
-        result = _product(result, f)
+        result = product(result, f)
     return result
 
 
@@ -597,15 +595,31 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# The work one text may ask of the parser, counted in term products: a
+# product of term maps f*g costs len(f)*len(g), and a power of a base with
+# two or more terms costs the products that multiply it out (powers of a
+# single term scale exponents and cost nothing).  Genuine reports stay far
+# below it; `(a+b+c+d+e)^40` or `(x+y)^3000` would need millions.
+MAX_PARSE_WORK = 1 << 18
+
+
 class _Parser:
     """Recursive descent over `{exponent tuple: Fraction}` term maps; the
-    caller wraps the final map once."""
+    caller wraps the final map once.  Products are charged against
+    `MAX_PARSE_WORK` before they run."""
 
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
         self.tokens = tokens
         self.pos = 0
         self.varsys = varsys
         self.unit = (0,) * varsys.nvars
+        self.work = 0
+
+    def product(self, f: dict, g: dict) -> dict:
+        self.work += len(f) * len(g)
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError(f"text needs more than {MAX_PARSE_WORK} term products")
+        return _product(f, g)
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -644,11 +658,9 @@ class _Parser:
                 break
             if tok == ("op", "*"):
                 self.take()
-                result = _product(result, self.parse_factor())
-            elif tok[0] in ("int", "name") or tok == ("op", "("):
-                result = _product(result, self.parse_factor())  # implicit product
-            else:
-                break
+            elif tok[0] not in ("int", "name") and tok != ("op", "("):
+                break  # otherwise an implicit product
+            result = self.product(result, self.parse_factor())
         return result
 
     def parse_factor(self) -> dict:
@@ -659,7 +671,7 @@ class _Parser:
             exp_tok = self.take()
             if exp_tok[0] != "int":
                 raise ParseError(f"expected integer exponent, found {exp_tok[1]!r}")
-            return _power(base, int(exp_tok[1]), self.unit)
+            return _power(base, int(exp_tok[1]), self.unit, self.product)
         return base
 
     def parse_primary(self) -> dict:

@@ -167,3 +167,38 @@ def test_substitution_rejects_bad_identity(inst11):
         ParametricSubstitution(
             vs, ("t",), {"z": vs.parse("z + y1 + t*y1")}, {"t": 0}
         )
+
+
+def _invariant_subspace_reference(substitution, degree):
+    """Substitute each monomial on its own; the dense oracle's nullspace
+    members, reduced over the monomial frame."""
+    from oracles import dense_nullspace
+
+    from ikernel.exactlin import SpanBasis
+    from ikernel.poly import monomials_of_degree
+
+    coords = substitution.coordinate_system
+    frame = monomials_of_degree(coords, degree)
+    units = [Polynomial(coords, {mono: Fraction(1)}) for mono in frame]
+    deltas = [substitution.apply(f) - f.embed(substitution.varsys) for f in units]
+    keys = sorted({m for delta in deltas for m in delta.terms}, key=Monomial.sort_key)
+    matrix = [[delta.coeff(key) for delta in deltas] for key in keys]
+    members = []
+    for vec in dense_nullspace(matrix, len(frame)):
+        members.append(Polynomial(coords, dict(zip(frame, vec))))
+    return SpanBasis.from_polynomials(coords, members, frame=frame)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
+def test_invariant_subspace_matches_per_monomial_substitution(n, m):
+    inst = build_instance(n, m)
+    for substitution in (inst.translation, inst.scaling_shear):
+        for degree in range(5):
+            got = invariant_subspace(substitution, degree)
+            want = _invariant_subspace_reference(substitution, degree)
+            assert (got.ambient, got.vectors, got.pivots) == (
+                want.ambient,
+                want.vectors,
+                want.pivots,
+            )
+

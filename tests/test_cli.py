@@ -268,3 +268,31 @@ def test_verify_keeps_single_term_powers_cheap(tmp_path):
     start = time.perf_counter()
     assert main(["verify", str(path)]) == 0
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("target", [
+    "(a+b+c+d+e)^40", "(x+y)^3000", "(a+b+c+d+e)^15*(a+b+c+d+e)^15",
+])
+def test_verify_rejects_texts_over_the_parse_budget_quickly(tmp_path, capsys, target):
+    cert = {"cert_type": "membership", "variables": ["a", "b", "c", "d", "e", "x", "y"],
+            "generators": [["g", "a"]], "target": target, "expression": "g"}
+    path = tmp_path / "report.json"
+    _write_report(path, cert)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert "term products" in capsys.readouterr().err
+
+
+def test_verify_rejects_trivial_relation(tmp_path, capsys):
+    member = {"cert_type": "membership", "variables": ["x"], "generators": [["a", "x"]],
+              "target": "0", "expression": "0"}
+    cert = {"cert_type": "relation", "variables": ["x"], "element": "x", "degree": 1,
+            "monic": False, "coefficients": [{"i": 0, "polynomial": "0", "certificate": member}]}
+    path = tmp_path / "report.json"
+    for fields, field in (({}, "coefficients"), ({"coefficients": []}, "coefficients"),
+                          ({"monic": "false"}, "monic")):
+        _write_report(path, dict(cert, **fields))
+        assert main(["verify", str(path)]) == 1
+        assert f"field {field!r}" in capsys.readouterr().err
+

@@ -141,3 +141,39 @@ def test_bounded_nilpotency(inst11):
         assert steps is not None and steps <= zdeg + 1
     # The scaling derivation is not locally nilpotent: y1 reproduces itself.
     assert inst11.scaling_derivation.power_annihilates(vs.variable("y1"), 10) is None
+
+
+def _row_for_row(a, b):
+    return (a.ambient, a.vectors, a.pivots) == (b.ambient, b.vectors, b.pivots)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_subalgebra_kernel_is_ring_kernel_meet_piece(n, m):
+    """Kernels over the piece basis equal the full-ring kernel intersected
+    with the graded piece, row for row."""
+    from ikernel.actions import build_instance
+    from ikernel.algebra import graded_piece
+
+    inst = build_instance(n, m)
+    families = [
+        [inst.translation_derivation],
+        [inst.scaling_derivation],
+        [inst.translation_derivation, inst.scaling_derivation],
+        [],
+    ]
+    for family in families:
+        for d in range(6):
+            direct = kernel_graded_basis(family, inst.algebra, d)
+            ring = kernel_graded_basis(family, inst.varsys, d)
+            assert _row_for_row(direct, ring.intersect(graded_piece(inst.algebra, d)))
+
+
+def test_subalgebra_kernel_cusp(cusp):
+    from ikernel.algebra import graded_piece
+
+    for d in range(7):
+        direct = kernel_graded_basis([cusp.derivation], cusp.algebra, d)
+        ring = kernel_graded_basis([cusp.derivation], cusp.varsys, d)
+        assert _row_for_row(direct, ring.intersect(graded_piece(cusp.algebra, d)))
+        assert direct.spans_same(graded_piece(cusp.kernel_subalgebra, d))
+

@@ -22,13 +22,20 @@ def _sparse_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
 
 
+def _dense(vec, width):
+    """A sparse emitted row as a dense tuple over `width` columns."""
+    assert list(vec) == sorted(vec) and all(vec.values())  # ascending nonzeros
+    return tuple(vec.get(j, Fraction(0)) for j in range(width))
+
+
 def _rref(rows, width):
-    """Reduced nonzero rows and pivots of dense `rows`, through `Echelon`."""
+    """Reduced nonzero rows and pivots of dense `rows`, through `Echelon`,
+    with the emitted sparse rows made dense."""
     ech = Echelon(width)
     for row in _sparse_rows(rows):
         ech.insert(row)
     vectors, pivots, _ = ech.emit()
-    return vectors, pivots
+    return tuple(_dense(vec, width) for vec in vectors), pivots
 
 
 def _combination(coords, polys):
@@ -149,6 +156,8 @@ def test_grassmann_identity_randomized():
         meet = u.intersect(v)
         join = SpanBasis.from_polynomials(VS, u.polynomials() + v.polynomials())
         assert meet.dim + join.dim == u.dim + v.dim
+        echelon = SpanBasis.from_polynomials(VS, meet.polynomials(), frame=u.ambient)
+        assert (meet.vectors, meet.pivots) == (echelon.vectors, echelon.pivots)
         for p in meet.polynomials():
             assert u.contains(p) and v.contains(p)
 
@@ -171,14 +180,30 @@ def test_from_polynomials_takes_any_iterable():
 # -- the kernel helper against a dense oracle ---------------------------------
 
 
+def _random_domain(rng, kind):
+    """A domain basis over a degree-d frame: empty, every monomial, or the
+    span of a few random degree-d polynomials."""
+    d = rng.randint(0, 3)
+    frame = monomials_of_degree(VS, d)
+    if kind == "empty":
+        return SpanBasis.from_polynomials(VS, [], frame=frame)
+    if kind == "full":
+        return SpanBasis.of_monomials(VS, frame)
+    family = []
+    for _ in range(rng.randint(1, len(frame) + 1)):
+        picked = rng.sample(frame, rng.randint(1, min(3, len(frame))))
+        terms = {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in picked}
+        family.append(Polynomial(VS, terms))
+    return SpanBasis.from_polynomials(VS, family, frame=frame)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_kernel_span_matches_dense_rank(seed):
-    """Sources are the frame's monomials, so the kernel's dimension is the
-    frame width minus the rank of the image matrix."""
+    """dim = domain dim - rank of the image matrix, and the basis is the
+    reduced echelon basis of the dense oracle's kernel members."""
     rng = random.Random(seed)
-    frame = monomials_of_degree(VS, rng.randint(0, 3))
-    width = len(frame)
-    sources = [Polynomial(VS, {m: Fraction(1)}) for m in frame]
+    domain = _random_domain(rng, ("empty", "full", "random")[seed % 3])
+    n = domain.dim
     height = rng.randint(0, 8)
     shape = rng.random()
     matrix = [
@@ -186,30 +211,42 @@ def test_kernel_span_matches_dense_rank(seed):
             Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if shape > 0.2 and rng.random() < 0.3
             else Fraction(0)
-            for _ in range(width)
+            for _ in range(n)
         ]
         for _ in range(height)
     ]
-    images = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(width)]
-    basis = kernel_span(VS, sources, images, range(height), frame)
+    images = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(n)]
+    basis = kernel_span(domain, images, range(height))
 
-    assert basis.dim == width - len(dense_rref(matrix, width)[1])
-    index = {m: j for j, m in enumerate(frame)}
-    for p in basis.polynomials():
-        assert basis.contains(p)
-        for row in matrix:
-            assert sum(row[index[m]] * c for m, c in p.terms.items()) == 0
-    for vec in dense_nullspace(matrix, width):
-        assert basis.contains(_combination(vec, sources))
+    assert basis.dim == n - len(dense_rref(matrix, n)[1])
+    members = [_combination(vec, domain.polynomials()) for vec in dense_nullspace(matrix, n)]
+    oracle = SpanBasis.from_polynomials(VS, members, frame=domain.ambient)
+    assert basis.ambient == domain.ambient
+    assert (basis.vectors, basis.pivots) == (oracle.vectors, oracle.pivots)
 
 
 def test_kernel_span_of_nothing():
     frame = monomials_of_degree(VS, 1)
-    assert kernel_span(VS, [], [], [], frame).dim == 0
-    sources = [X, Y]
-    assert kernel_span(VS, sources, [{}, {}], ["r"], frame).spans_same(
-        SpanBasis.from_polynomials(VS, sources)
+    empty = SpanBasis.from_polynomials(VS, [], frame=frame)
+    assert kernel_span(empty, [], []).dim == 0
+    domain = SpanBasis.from_polynomials(VS, [X, Y], frame=frame)
+    kernel = kernel_span(domain, [{}, {}], ["r"])
+    assert (kernel.vectors, kernel.pivots) == (domain.vectors, domain.pivots)
+    with pytest.raises(ValueError):
+        kernel_span(domain, [{}], ["r"])
+
+
+def test_of_monomials_is_the_echelon_basis_of_unit_polynomials():
+    frame = monomials_of_degree(VS, 2)
+    units = [Polynomial(VS, {m: Fraction(1)}) for m in frame]
+    direct = SpanBasis.of_monomials(VS, frame)
+    oracle = SpanBasis.from_polynomials(VS, units, frame=frame)
+    assert (direct.ambient, direct.vectors, direct.pivots) == (
+        oracle.ambient,
+        oracle.vectors,
+        oracle.pivots,
     )
+    assert direct.polynomials() == tuple(units)
 
 
 # -- differential check of the sparse core against dense Gauss-Jordan --------
@@ -246,6 +283,7 @@ def _check_against_dense(rows, width):
         sparse = {j: v for j, v in enumerate(row) if v or k % 2}
         raised += ech.insert(sparse)
     vectors, pivots, exprs = ech.emit()
+    vectors = tuple(_dense(vec, width) for vec in vectors)
     assert (vectors, pivots) == dense_rref(rows, width)
     assert ech.dim == raised == len(pivots)
     for vec, expr in zip(vectors, exprs):

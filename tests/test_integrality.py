@@ -136,5 +136,52 @@ def test_every_certificate_re_evaluates(inst11, mono11):
     for relation in searches:
         assert relation is not None
         assert relation.evaluate().is_zero()
+        assert relation.verify() and verify_relation_json(relation.to_json_dict())
         for coeff in relation.coefficients:
             assert coeff.membership.verify()
+
+
+def _zero_member(target="0"):
+    return {"cert_type": "membership", "variables": ["x"], "generators": [["a", "x"]],
+            "target": target, "expression": "0"}
+
+
+def _trivial_relation(**fields):
+    cert = {"cert_type": "relation", "variables": ["x"], "element": "x", "degree": 1,
+            "monic": False,
+            "coefficients": [{"i": 0, "polynomial": "0", "certificate": _zero_member()}]}
+    cert.update(fields)
+    return cert
+
+
+@pytest.mark.parametrize("cert, field", [
+    (_trivial_relation(), "coefficients"),  # 0 = 0
+    (_trivial_relation(coefficients=[]), "coefficients"),
+    (_trivial_relation(coefficients=[{"i": 1, "polynomial": "0",
+                                      "certificate": _zero_member()}]), "coefficients"),
+    (_trivial_relation(monic="false"), "monic"),
+    (_trivial_relation(monic=1), "monic"),
+    (_trivial_relation(monic=None), "monic"),
+    # x^1 - 1*x^1 = 0: a monic relation's top term must stay implicit
+    (_trivial_relation(monic=True, coefficients=[{"i": 1, "polynomial": "-1",
+                                                  "certificate": _zero_member("-1")}]), "i"),
+    (_trivial_relation(coefficients=[{"i": 2, "polynomial": "1",
+                                      "certificate": _zero_member("1")}]), "i"),
+])
+def test_relation_json_rejects_trivial_relations(cert, field):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        verify_relation_json(cert)
+
+
+def test_relation_certificate_rejects_trivial_relations(inst11):
+    from dataclasses import replace
+
+    relation = algebraic_relation_search(inst11.varsys.variable("z"), inst11.algebra, 3, 6)
+    assert relation.verify() and relation.leading_coefficient() == inst11.varsys.one()
+    lower = tuple(c for c in relation.coefficients if c.power < relation.degree)
+    for coefficients in ((), lower):
+        trivial = replace(relation, coefficients=coefficients)
+        assert trivial.leading_coefficient().is_zero() and not trivial.verify()
+    top = tuple(c for c in relation.coefficients if c.power == relation.degree)
+    assert not replace(relation, monic=True, coefficients=top).verify()
+

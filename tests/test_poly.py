@@ -124,6 +124,24 @@ def test_parse_examples():
     assert parse_polynomial("0", VS).is_zero()
 
 
+def test_parse_work_budget(monkeypatch):
+    from ikernel import poly
+
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 600)
+    # (x1+z)^k multiplies out in sum_{i<k} 2*(i+1) = k*(k+1) term products.
+    k = 24
+    assert k * (k + 1) <= 600 < (k + 1) * (k + 2)
+    assert len(parse_polynomial(f"(x1+z)^{k}", VS).terms) == k + 1
+    with pytest.raises(ParseError, match="term products"):
+        parse_polynomial(f"(x1+z)^{k + 1}", VS)
+    with pytest.raises(ParseError, match="term products"):
+        parse_polynomial("(x1+z)^16*(x1+z)^16", VS)  # 2*272 + 17*17 = 833
+    # Zero and single-term bases cost nothing, whatever the exponent.
+    assert parse_polynomial("(x1-x1)^1000000000", VS).is_zero()
+    assert parse_polynomial("(x1-x1)^0", VS) == VS.one()
+    assert parse_polynomial("(2*x1)^3000", VS) == (2 * X) ** 3000
+
+
 def test_parse_rejects_garbage():
     for text in ("x2", "x1^", "x1^-2", "1//2", "x1 +", "(x1", "x1$"):
         with pytest.raises(ParseError):
