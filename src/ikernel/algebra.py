@@ -10,8 +10,8 @@ algebra problem, with no truncation error.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactlin import Echelon, SpanBasis, sparse_row
 from .poly import (
@@ -19,6 +19,7 @@ from .poly import (
     Polynomial,
     VarSystem,
     VarSystemMismatch,
+    _check_budget,
     monomials_of_degree,
 )
 
@@ -86,9 +87,6 @@ class SubalgebraSpec:
                 return poly
         raise KeyError(label)
 
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({poly.degree() for _, poly in self.generators}))
-
     def graded_basis(self) -> GradedBasis:
         if self._graded is None:
             self._graded = GradedBasis(self)
@@ -98,99 +96,107 @@ class SubalgebraSpec:
         return f"<SubalgebraSpec {len(self.generators)} generators over {self.varsys!r}>"
 
 
+class _Piece(NamedTuple):
+    """One degree d: the basis of A_d, its rows' label expressions (None if
+    untracked), (A+ . A+)_d, and the generators that raise the rank past it."""
+
+    basis: SpanBasis
+    exprs: tuple[Polynomial, ...] | None
+    decomposable: SpanBasis
+    representatives: tuple[Polynomial, ...]
+
+
 class GradedBasis:
     """Memoized degreewise bases of a homogeneous subalgebra.
 
-    The degree-d piece is spanned by (lower piece) x (generator) products,
-    which is complete because positive homogeneous grading rules out
-    cancellation from higher products.  Tracked pieces additionally carry,
+    Each degree is one elimination over one product stream: every basis row
+    of A_{d-e} times every generator of degree e < d, then the lone degree-d
+    generators.  That spans A_d, since positive homogeneous grading rules
+    out cancellation from higher products.  The prefix before the lone
+    generators spans (A+ . A+)_d: a product of two positive-degree members
+    is a sum of generator monomials of two or more factors, each a member
+    of A_{d-e} times a generator of degree e < d.  So the lone generators
+    that raise the rank represent the indecomposables.
+
+    One cache entry per degree holds all of it.  Tracked entries also carry,
     for each basis row, a formal polynomial in the generator labels that
-    evaluates to it (the raw material for membership certificates).
+    evaluates to it (the raw material for membership certificates).  A
+    tracked request replaces an untracked entry and a plain one reads any
+    entry; entries are only added or upgraded, so concurrent callers may
+    build a degree twice, but always to equal values.
     """
 
     def __init__(self, algebra: SubalgebraSpec):
         if not algebra.homogeneous:
             raise NotHomogeneous("graded bases need the homogeneous flag")
         self.algebra = algebra
-        self._pieces: dict[int, SpanBasis] = {}
-        self._tracked: dict[int, tuple[SpanBasis, tuple[Polynomial, ...]]] = {}
+        self._pieces: dict[int, _Piece] = {}
+        self._by_degree: dict[int, list[tuple[str, Polynomial]]] = {}  # ascending degrees
+        for label, gen in sorted(algebra.generators, key=lambda g: g[1].degree()):
+            self._by_degree.setdefault(gen.degree(), []).append((label, gen))
 
-    def _check_degree(self, degree: int) -> None:
+    def _build(self, degree: int, tracked: bool) -> _Piece:
+        alg = self.algebra
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        cap = self.algebra.complete_through
-        if cap is not None and degree > cap:
+        if alg.complete_through is not None and degree > alg.complete_through:
             raise ValueError(
-                f"generator list is only faithful through degree {cap}; "
+                f"generator list is only faithful through degree {alg.complete_through}; "
                 f"degree {degree} requested"
             )
+        vs, labels = alg.varsys, alg.label_system
+        frame = monomials_of_degree(vs, degree)
+        index = {m: i for i, m in enumerate(frame)}
+        ech = Echelon(len(frame), track=tracked)
+        formals: list[Polynomial] = []
 
-    def _products(self, degree: int, tracked: bool):
-        """Yield (polynomial, label-expression) spanning the degree-d piece."""
-        alg = self.algebra
-        one_expr = alg.label_system.one() if tracked else None
-        for e in alg.generator_degrees():
-            if e > degree:
+        def insert(poly: Polynomial, expr: Polynomial | None) -> bool:
+            if tracked:
+                formals.append(expr)
+            return ech.insert(sparse_row(poly, index))
+
+        if degree == 0:
+            insert(vs.one(), labels.one())
+        for e, gens in self._by_degree.items():
+            if e >= degree:
                 break
-            if e == degree:
-                lower: Sequence[tuple[Polynomial, Polynomial | None]] = [
-                    (alg.varsys.one(), one_expr)
-                ]
-            elif tracked:
-                basis, exprs = self.tracked_piece(degree - e)
-                lower = list(zip(basis.polynomials(), exprs))
+            if tracked:
+                lower, lower_exprs = self.tracked_piece(degree - e)
             else:
-                lower = [(p, None) for p in self.piece(degree - e).polynomials()]
-            for label, gen in alg.generators:
-                if gen.degree() != e:
-                    continue
-                glabel = alg.label_system.variable(label) if tracked else None
-                for base_poly, base_expr in lower:
-                    expr = base_expr * glabel if tracked else None
-                    yield base_poly * gen, expr
+                lower, lower_exprs = self.piece(degree - e), repeat(None)
+            for label, gen in gens:
+                glabel = labels.variable(label) if tracked else None
+                for b, expr in zip(lower.polynomials(), lower_exprs):
+                    insert(b * gen, expr * glabel if tracked else None)
+        lone = self._by_degree.get(degree, [])
+        decomposable = SpanBasis(vs, frame, *ech.emit()[:2]) if lone else None
+        representatives = tuple(
+            g for label, g in lone if insert(g, labels.variable(label) if tracked else None)
+        )
+        vectors, pivots, combos = ech.emit()
+        basis = SpanBasis(vs, frame, vectors, pivots)
+        exprs = tuple(
+            sum((formals[j] * c for j, c in sorted(combo.items())), labels.zero())
+            for combo in combos
+        ) if tracked else None
+        return _Piece(basis, exprs, decomposable or basis, representatives)
+
+    def _entry(self, degree: int) -> _Piece:
+        if degree < 1:
+            raise ValueError("degree must be positive")
+        self.piece(degree)
+        return self._pieces[degree]
 
     def piece(self, degree: int) -> SpanBasis:
-        self._check_degree(degree)
-        if degree in self._pieces:
-            return self._pieces[degree]
-        vs = self.algebra.varsys
-        if degree == 0:
-            products = [vs.one()]
-        else:
-            products = (poly for poly, _ in self._products(degree, tracked=False))
-        basis = SpanBasis.from_polynomials(vs, products, frame=monomials_of_degree(vs, degree))
-        self._pieces[degree] = basis
-        return basis
+        if degree not in self._pieces:
+            self._pieces.setdefault(degree, self._build(degree, tracked=False))
+        return self._pieces[degree].basis
 
     def tracked_piece(self, degree: int) -> tuple[SpanBasis, tuple[Polynomial, ...]]:
-        self._check_degree(degree)
-        if degree in self._tracked:
-            return self._tracked[degree]
-        alg = self.algebra
-        vs = alg.varsys
-        frame = monomials_of_degree(vs, degree)
-        if degree == 0:
-            basis = SpanBasis.from_polynomials(vs, [vs.one()], frame=frame)
-            result = (basis, (alg.label_system.one(),))
-        else:
-            index = {m: i for i, m in enumerate(frame)}
-            ech = Echelon(len(frame), track=True)
-            formals: list[Polynomial] = []
-            for poly, expr in self._products(degree, tracked=True):
-                ech.insert(sparse_row(poly, index))
-                formals.append(expr)
-            vectors, pivots, exprs = ech.emit()
-            assert exprs is not None
-            row_exprs = []
-            for combo in exprs:
-                total = alg.label_system.zero()
-                for ordinal, c in sorted(combo.items()):
-                    total = total + formals[ordinal] * c
-                row_exprs.append(total)
-            basis = SpanBasis(vs, frame, vectors, pivots)
-            result = (basis, tuple(row_exprs))
-        self._tracked[degree] = result
-        return result
+        entry = self._pieces.get(degree)
+        if entry is None or entry.exprs is None:
+            entry = self._pieces[degree] = self._build(degree, tracked=True)
+        return entry.basis, entry.exprs
 
 
 class MembershipCertificate:
@@ -243,14 +249,15 @@ def certificate_varsys(data: Mapping) -> VarSystem:
 
 
 def verify_membership_json(data: Mapping) -> bool:
-    """Re-check a serialized membership certificate with poly arithmetic only."""
+    """Re-check a serialized membership certificate with poly arithmetic only,
+    within one `MAX_CHECK_WORK` budget."""
     varsys = certificate_varsys(data)
     generators = [(label, varsys.parse(text)) for label, text in data["generators"]]
     label_system = VarSystem(tuple(label for label, _ in generators))
     expression = label_system.parse(data["expression"])
     target = varsys.parse(data["target"])
-    evaluated = expression.substitute(dict(generators), target=varsys)
-    return evaluated == target
+    product = _check_budget("expression").product
+    return expression._substitute(dict(generators), varsys, product) == target
 
 
 def graded_piece(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
@@ -356,36 +363,15 @@ def y_positive_monomial_algebra(
 
 def decomposable_span(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
     """Basis of (A+ . A+)_d: products of two positive-degree members."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    vs = algebra.varsys
-    pieces = algebra.graded_basis().piece
-    products = (
-        b * c
-        for e in range(1, degree // 2 + 1)
-        for b, c in product(pieces(e).polynomials(), pieces(degree - e).polynomials())
-    )
-    return SpanBasis.from_polynomials(vs, products, frame=monomials_of_degree(vs, degree))
+    return algebra.graded_basis()._entry(degree).decomposable
 
 
 def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
-    """A basis of a complement of (A+ . A+)_d inside A_d.
+    """The span of the degree-d generators that raise the rank of A_d past
+    (A+ . A+)_d, taken in generator order.
 
-    Its dimension is the number of new generators the algebra needs in
-    degree d; representatives are chosen deterministically from the
-    canonical basis of A_d.
+    It is a complement of (A+ . A+)_d inside A_d, and its dimension is the
+    number of new generators the algebra needs in degree d.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    vs = algebra.varsys
-    frame = monomials_of_degree(vs, degree)
-    index = {m: i for i, m in enumerate(frame)}
-    decomposable = decomposable_span(algebra, degree)
-    ech = Echelon(len(frame))
-    for poly in decomposable.polynomials():
-        ech.insert(sparse_row(poly, index))
-    representatives = []
-    for poly in graded_piece(algebra, degree).polynomials():
-        if ech.insert(sparse_row(poly, index)):
-            representatives.append(poly)
-    return SpanBasis.from_polynomials(vs, representatives, frame=frame)
+    entry = algebra.graded_basis()._entry(degree)
+    return SpanBasis.from_polynomials(algebra.varsys, entry.representatives, entry.basis.ambient)

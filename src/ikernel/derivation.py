@@ -65,7 +65,10 @@ class Derivation:
         return shifts.pop()
 
     def power_annihilates(self, f: Polynomial, max_iterations: int) -> int | None:
-        """Least N <= max_iterations with d^N(f) = 0, or None if not reached."""
+        """Least N <= max_iterations with d^N(f) = 0, or None if not reached.
+
+        Public API: this is the local-nilpotence check behind the G_a
+        actions of the paper, which exist exactly for locally nilpotent d."""
         current = f
         for n in range(max_iterations + 1):
             if current.is_zero():

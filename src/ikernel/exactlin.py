@@ -22,6 +22,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -218,14 +219,16 @@ def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fract
 class SpanBasis:
     """A subspace of polynomials presented over an explicit monomial frame.
 
-    `vectors` are the unique reduced-echelon basis rows over `ambient`
-    (canonical order), each a sparse `{column: Fraction}` map of its
-    nonzeros with ascending columns, and `pivots` ascend; so representation
-    of any member is unique.  Build one with `of_monomials`,
-    `from_polynomials` or `kernel_span`.
+    `vectors` are the unique reduced-echelon basis rows over `ambient`,
+    each a sparse `{column: Fraction}` map of its nonzeros with ascending
+    columns, and `pivots` ascend; so representation of any member is
+    unique.  Every frame lists its monomials in canonical order (as
+    `monomials_of_degree` does), so over any two frames that hold a space,
+    its basis polynomials are the same, and `spans_same` compares them.
+    Build one with `of_monomials`, `from_polynomials` or `kernel_span`.
     """
 
-    __slots__ = ("varsys", "ambient", "vectors", "pivots", "_polys")
+    __slots__ = ("varsys", "ambient", "vectors", "pivots", "_polys", "_rows")
 
     def __init__(
         self,
@@ -239,6 +242,7 @@ class SpanBasis:
         self.vectors = tuple(vectors)
         self.pivots = tuple(pivots)
         self._polys: tuple[Polynomial, ...] | None = None
+        self._rows: dict[Monomial, int] | None = None  # row index by pivot monomial
 
     @classmethod
     def of_monomials(cls, varsys: VarSystem, monos: Sequence[Monomial]) -> SpanBasis:
@@ -287,51 +291,42 @@ class SpanBasis:
             )
         return self._polys
 
-    def coordinates_of(self, f: Polynomial) -> tuple[Fraction, ...] | None:
-        """Exact coordinates of f over the echelon basis rows, or None.
+    def _reduce(self, f: Polynomial) -> tuple[dict[int, Fraction], dict[Monomial, Fraction]]:
+        """f's nonzero coefficients at the pivot monomials, keyed by row, and
+        the residual of f less those multiples of the rows.  Every row is
+        zero at every other row's pivot, so f is a member iff the residual
+        is zero, and then the coefficients are its coordinates."""
+        if self._rows is None:
+            self._rows = {self.ambient[p]: i for i, p in enumerate(self.pivots)}
+        rows, ambient = self._rows, self.ambient
+        coords = {rows[m]: c for m, c in f.terms.items() if m in rows}
+        residual = _accumulate(dict(f.terms), (
+            (ambient[col], -c * v) for i, c in coords.items() for col, v in self.vectors[i].items()
+        ))
+        return coords, residual
 
-        Monomials of f outside the ambient frame behave as zero columns of
-        the basis, so they force a negative answer unless they cancel.
-        """
+    def coordinates_of(self, f: Polynomial) -> tuple[Fraction, ...] | None:
+        """Exact coordinates of f over the echelon basis rows, or None (also
+        when f has a monomial outside the ambient frame)."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("target over a different system")
-        residual = f
-        coords = []
-        basis = self.polynomials()
-        for row_poly, pivot in zip(basis, self.pivots):
-            c = residual.coeff(self.ambient[pivot])
-            coords.append(c)
-            if c:
-                residual = residual - row_poly * c
-        if residual.is_zero():
-            return tuple(coords)
-        return None
+        coords, residual = self._reduce(f)
+        return None if residual else tuple(coords.get(i, _ZERO) for i in range(self.dim))
 
     def contains(self, f: Polynomial) -> bool:
         return self.coordinates_of(f) is not None
 
     def spans_same(self, other: SpanBasis) -> bool:
-        if self.varsys != other.varsys or self.dim != other.dim:
-            return False
-        return all(self.contains(p) for p in other.polynomials())
+        # Reduced echelon bases over canonical frames are unique.
+        return self.varsys == other.varsys and self.polynomials() == other.polynomials()
 
     def intersect(self, other: SpanBasis) -> SpanBasis:
         """Intersection, over this basis's frame: the kernel of the map that
         sends each member to its residual modulo `other`."""
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
-        theirs = {other.ambient[p]: g.terms for p, g in zip(other.pivots, other.polynomials())}
-        residuals = []
-        keys: dict[Monomial, None] = {}
-        for f in self.polynomials():
-            # `other` is reduced (zero at every other pivot of its own), so
-            # one pass over the pivots f starts with clears them all.
-            residual = dict(f.terms)
-            for q, a in f.terms.items():
-                _accumulate(residual, ((m, -a * w) for m, w in theirs.get(q, {}).items()))
-            residuals.append(residual)
-            keys.update(dict.fromkeys(residual))
-        return kernel_span(self, residuals, keys)
+        residuals = [other._reduce(f)[1] for f in self.polynomials()]
+        return kernel_span(self, residuals, dict.fromkeys(m for r in residuals for m in r))
 
 
 def kernel_span(

@@ -25,7 +25,7 @@ from .algebra import (
     verify_membership_json,
 )
 from .exactlin import column_rows, nullspace, solve
-from .poly import Monomial, Polynomial, monomials_of_degree
+from .poly import Monomial, Polynomial, _check_budget, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,10 @@ def _relation_shape_error(degree: int, monic: object, powers: Iterable[int]) -> 
 
 
 def verify_relation_json(data: Mapping) -> bool:
-    """Re-check a serialized relation certificate with poly arithmetic only;
-    a malformed or trivial one raises ValueError naming the field."""
+    """Re-check a serialized relation certificate with poly arithmetic only,
+    within one `MAX_CHECK_WORK` budget (its nested membership certificates
+    have their own); a malformed or trivial one raises ValueError naming
+    the field."""
     varsys = certificate_varsys(data)
     element = varsys.parse(data["element"])
     entries = data["coefficients"]
@@ -142,12 +144,14 @@ def verify_relation_json(data: Mapping) -> bool:
     if not monic and sum(top, varsys.zero()).is_zero():
         raise ValueError("field 'coefficients': a non-monic relation needs a nonzero "
                          "coefficient at i == degree")
-    total = element ** degree if monic else varsys.zero()
+    budget = _check_budget("coefficients")
+    powers = {i: budget.power(element, i) for i in {e["i"] for e in entries}}
+    total = budget.power(element, degree) if monic else varsys.zero()
     for entry, poly in zip(entries, polys):
         cert = entry["certificate"]
         if cert["target"] != entry["polynomial"] or not verify_membership_json(cert):
             return False
-        total = total + poly * element ** entry["i"]
+        total = total + budget.multiply(poly, powers[entry["i"]])
     return total.is_zero()
 
 
@@ -306,7 +310,8 @@ def verify_localization_json(data: Mapping) -> bool:
     numerator = varsys.parse(data["numerator"])
     localizing = varsys.parse(data["localizing"])
     _check_powers(localizing, [("power", data["power"])])
-    product = numerator * localizing ** data["power"]
+    budget = _check_budget("power")
+    product = budget.multiply(numerator, budget.power(localizing, data["power"]))
     if varsys.parse(cert["target"]) != product:
         return False
     return verify_membership_json(cert)

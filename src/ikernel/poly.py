@@ -168,22 +168,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def mul(self, other: Monomial) -> Monomial:
-        if len(self.exponents) != len(other.exponents):
-            raise VarSystemMismatch("monomials over different systems")
-        return Monomial._trusted(tuple(map(add, self.exponents, other.exponents)))
-
-    def divides(self, other: Monomial) -> bool:
-        if len(self.exponents) != len(other.exponents):
-            return False
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def divide(self, other: Monomial) -> Monomial:
-        """Exact quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError("monomial does not divide")
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
-
     def sort_key(self) -> tuple:
         # Ascending sort under this key lists monomials in graded-lex
         # descending order (highest degree first, earlier variables heavier).
@@ -262,12 +246,6 @@ class Polynomial:
             return -1
         return max(self.varsys.degree_of(m) for m in self.terms)
 
-    def total_degree(self) -> int:
-        """Total degree counting every variable, parameters included."""
-        if not self.terms:
-            return -1
-        return max(m.degree() for m in self.terms)
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
             return True
@@ -275,12 +253,6 @@ class Polynomial:
         if len(degs) > 1:
             return False
         return degree is None or degs == {degree}
-
-    def homogeneous_component(self, degree: int) -> Polynomial:
-        vs = self.varsys
-        return Polynomial(
-            vs, {m: c for m, c in self.terms.items() if vs.degree_of(m) == degree}
-        )
 
     def homogeneous_components(self) -> dict[int, Polynomial]:
         vs = self.varsys
@@ -375,6 +347,12 @@ class Polynomial:
         system; a variable that has no image and is absent from the target
         is an error.
         """
+        return self._substitute(images, target, _product)
+
+    def _substitute(
+        self, images: Mapping[str, Polynomial], target: VarSystem | None, product
+    ) -> Polynomial:
+        """`substitute`, with every product of term maps run by `product`."""
         for name in images:
             self.varsys.index(name)
         if target is None:
@@ -405,7 +383,7 @@ class Polynomial:
                 return _power(base[i], e, unit)
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(_product(cache[-1], base[i]))
+                cache.append(product(cache[-1], base[i]))
             return cache[e]
 
         result: dict[tuple[int, ...], Fraction] = {}
@@ -413,7 +391,7 @@ class Polynomial:
             term = {unit: c}
             for i, e in enumerate(m.exponents):
                 if e:
-                    term = _product(term, power(i, e))
+                    term = product(term, power(i, e))
             _accumulate(result, term.items())
         return _from_exponent_map(target, result)
 
@@ -498,6 +476,41 @@ def _power(f: dict, k: int, unit: tuple[int, ...], product=_product) -> dict:
 def _from_exponent_map(varsys: VarSystem, terms: dict) -> Polynomial:
     trusted = Monomial._trusted
     return Polynomial._trusted(varsys, {trusted(e): c for e, c in terms.items()})
+
+
+class _Budget:
+    """Term products charged against `cap` before each runs: a product of
+    term maps f*g costs len(f)*len(g).  Past the cap, an `error` says that
+    `what` needs more."""
+
+    def __init__(self, cap: int, error: type[ValueError], what: str):
+        self.cap, self.error, self.what, self.work = cap, error, what, 0
+
+    def product(self, f: dict, g: dict) -> dict:
+        self.work += len(f) * len(g)
+        if self.work > self.cap:
+            raise self.error(f"{self.what} needs more than {self.cap} term products")
+        return _product(f, g)
+
+    def power(self, f: Polynomial, k: int) -> Polynomial:
+        unit = (0,) * f.varsys.nvars
+        return _from_exponent_map(f.varsys, _power(f._exponent_map(), k, unit, self.product))
+
+    def multiply(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        return _from_exponent_map(f.varsys, self.product(f._exponent_map(), g._exponent_map()))
+
+
+# The work one certificate check may spend multiplying out its fields, in
+# term products as the parser counts them: substituting the generators into
+# a membership expression, or a relation's coefficients times powers of its
+# element.  The largest genuine check in the tests and benchmark workloads
+# spends 68; the expression `g^40` for a five-term generator needs 5.4 million.
+MAX_CHECK_WORK = 1 << 18
+
+
+def _check_budget(field: str) -> _Budget:
+    """The budget of one certificate check, named by the field it expands."""
+    return _Budget(MAX_CHECK_WORK, ValueError, f"field {field!r}")
 
 
 def monomials_of_degree(
@@ -603,23 +616,17 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 MAX_PARSE_WORK = 1 << 18
 
 
-class _Parser:
+class _Parser(_Budget):
     """Recursive descent over `{exponent tuple: Fraction}` term maps; the
     caller wraps the final map once.  Products are charged against
     `MAX_PARSE_WORK` before they run."""
 
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
+        super().__init__(MAX_PARSE_WORK, ParseError, "text")
         self.tokens = tokens
         self.pos = 0
         self.varsys = varsys
         self.unit = (0,) * varsys.nvars
-        self.work = 0
-
-    def product(self, f: dict, g: dict) -> dict:
-        self.work += len(f) * len(g)
-        if self.work > MAX_PARSE_WORK:
-            raise ParseError(f"text needs more than {MAX_PARSE_WORK} term products")
-        return _product(f, g)
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

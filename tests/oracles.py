@@ -1,6 +1,7 @@
 """Independent reference implementations shared by the tests."""
 
 from fractions import Fraction
+from itertools import product
 
 
 def dense_rref(rows, width):
@@ -33,3 +34,21 @@ def dense_nullspace(rows, width):
             vec[p] = -row[free]
         kernel.append(vec)
     return kernel
+
+
+def pairwise_decomposable(algebra, degree):
+    """(A+ . A+)_d the direct way: the dense reduced rows and pivots of all
+    products b*c of basis rows of A_e and A_{d-e}, 1 <= e <= d/2, over the
+    degree-d monomials."""
+    from ikernel.algebra import graded_piece
+    from ikernel.poly import monomials_of_degree
+
+    frame = monomials_of_degree(algebra.varsys, degree)
+    rows = [
+        [(b * c).coeff(m) for m in frame]
+        for e in range(1, degree // 2 + 1)
+        for b, c in product(
+            graded_piece(algebra, e).polynomials(), graded_piece(algebra, degree - e).polynomials()
+        )
+    ]
+    return dense_rref(rows, len(frame))

@@ -2,10 +2,15 @@
 indecomposable generators, cross-checked against brute-force oracles."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from oracles import pairwise_decomposable
 
+from ikernel.actions import build_instance
 from ikernel.algebra import (
     NotHomogeneous,
     SubalgebraSpec,
@@ -194,12 +199,99 @@ def test_indecomposables_two_variable_case(inst21, mono21):
     assert not decomposable_span(mono21, 3).contains(cls)
 
 
-def test_tracked_and_untracked_pieces_agree(inst11):
-    basisdata = inst11.algebra.graded_basis()
-    for d in range(5):
-        plain = basisdata.piece(d)
-        tracked, exprs = basisdata.tracked_piece(d)
-        assert plain.spans_same(tracked)
-        images = dict(inst11.algebra.generators)
+def _dense_rows(basis):
+    return tuple(tuple(p.coeff(m) for m in basis.ambient) for p in basis.polynomials())
+
+
+@pytest.mark.parametrize("name", ["inst11", "inst21", "mono11", "mono21"])
+def test_decomposable_span_matches_the_pairwise_products(request, name):
+    algebra = request.getfixturevalue(name)
+    algebra = getattr(algebra, "algebra", algebra)
+    for d in range(1, 7):
+        span = decomposable_span(algebra, d)
+        rows, pivots = pairwise_decomposable(algebra, d)
+        assert span.pivots == pivots and _dense_rows(span) == rows
+
+
+def test_indecomposables_complement_the_decomposables():
+    algebra = build_instance(1, 1).algebra
+    generators = [poly for _, poly in algebra.generators]
+    for d in range(1, 7):
+        piece = graded_piece(algebra, d)
+        decomposable = decomposable_span(algebra, d)
+        indec = indecomposable_generators(algebra, d)
+        assert indec.dim == piece.dim - decomposable.dim
+        assert indec.intersect(decomposable).dim == 0
+        representatives = algebra.graded_basis()._entry(d).representatives
+        assert all(rep in generators for rep in representatives)
+        assert SpanBasis.from_polynomials(algebra.varsys, representatives).spans_same(indec)
+
+
+def test_tracked_and_untracked_pieces_agree():
+    # One cache entry serves both: a plain request reads a tracked entry,
+    # and a tracked request upgrades a plain one once.
+    tracked_first = build_instance(1, 1).algebra.graded_basis()
+    plain_first = build_instance(1, 1).algebra.graded_basis()
+    for d in range(6):
+        basis, _ = tracked_first.tracked_piece(d)
+        assert tracked_first.piece(d) is basis
+
+        plain = plain_first.piece(d)
+        tracked, exprs = plain_first.tracked_piece(d)
+        assert (tracked.vectors, tracked.pivots) == (plain.vectors, plain.pivots)
+        images = dict(plain_first.algebra.generators)
         for poly, expr in zip(tracked.polynomials(), exprs):
-            assert expr.substitute(images, target=inst11.varsys) == poly
+            assert expr.substitute(images, target=plain_first.algebra.varsys) == poly
+        assert plain_first.tracked_piece(d)[0] is tracked  # not rebuilt again
+
+
+def _query(algebra, kind, d):
+    """One lazily cached query, reduced to plain comparable values."""
+    graded = algebra.graded_basis()
+    if kind == "piece":
+        basis = graded.piece(d)
+    elif kind == "decomposable":
+        basis = decomposable_span(algebra, d)
+    elif kind == "tracked":
+        basis, exprs = graded.tracked_piece(d)
+        return basis.vectors, basis.pivots, tuple(map(str, exprs))
+    else:
+        vs = algebra.varsys
+        target = vs.parse(f"y1^{d} - 2*(x1^2 + x1*z)*z^{d}" if kind == "member" else f"x1^{d}")
+        cert = membership(algebra, target)
+        return cert and str(cert.expression)
+    return basis.vectors, basis.pivots
+
+
+def test_concurrent_queries_agree_with_a_serial_run():
+    kinds = ("piece", "tracked", "member", "non-member", "decomposable")
+    queries = [(kind, d) for d in range(1, 7) for kind in kinds]
+    serial_algebra = build_instance(2, 1).algebra
+    serial = {q: _query(serial_algebra, *q) for q in queries}
+    assert all((serial[q] is None) == (q[0] == "non-member") for q in queries)
+
+    def worker(shared, start, k):
+        # Every thread climbs the degrees together, each with its own mix
+        # of kinds, so plain and tracked requests meet on the same entry.
+        start.wait()
+        return [
+            ((kind, d), _query(shared, kind, d))
+            for d in range(1, 7)
+            for kind in kinds[k % 5:] + kinds[:k % 5]
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the cache fills
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(2):
+                shared = build_instance(2, 1).algebra  # fresh caches
+                start = threading.Barrier(8, timeout=60)
+                runs = list(pool.map(worker, [shared] * 8, [start] * 8, range(8), timeout=120))
+                assert len(runs) == 8
+                for results in runs:
+                    assert len(results) == len(queries)
+                    for q, value in results:
+                        assert value == serial[q], q
+    finally:
+        sys.setswitchinterval(interval)

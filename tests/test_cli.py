@@ -296,3 +296,25 @@ def test_verify_rejects_trivial_relation(tmp_path, capsys):
         assert main(["verify", str(path)]) == 1
         assert f"field {field!r}" in capsys.readouterr().err
 
+
+
+_BIG = "(x + 2*y + 3*z + 5*w + 7*v + 11)^5"  # 252 terms, cheap to parse
+
+
+@pytest.mark.parametrize("cert, field", [
+    ({"cert_type": "membership", "variables": ["a", "b", "c", "d", "e"],
+      "generators": [["g", "a+b+c+d+e"]], "target": "a", "expression": "g^40"}, "expression"),
+    ({"cert_type": "relation", "variables": ["x", "y", "z", "w", "v"], "element": _BIG,
+      "degree": 1, "monic": False, "coefficients": [
+          {"i": 1, "polynomial": _BIG, "certificate": {
+              "cert_type": "membership", "variables": ["x", "y", "z", "w", "v"],
+              "generators": [["g", _BIG]], "target": _BIG, "expression": "g"}}] * 10},
+     "coefficients"),
+])
+def test_verify_rejects_expansions_over_the_check_budget_quickly(tmp_path, capsys, cert, field):
+    path = tmp_path / "report.json"
+    _write_report(path, cert)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert f"field {field!r}" in capsys.readouterr().err

@@ -180,6 +180,16 @@ def test_from_polynomials_takes_any_iterable():
 # -- the kernel helper against a dense oracle ---------------------------------
 
 
+def _random_family(rng, frame, size):
+    """`size` random polynomials of up to three terms over `frame`."""
+    family = []
+    for _ in range(size):
+        picked = rng.sample(frame, rng.randint(1, min(3, len(frame))))
+        terms = {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in picked}
+        family.append(Polynomial(VS, terms))
+    return family
+
+
 def _random_domain(rng, kind):
     """A domain basis over a degree-d frame: empty, every monomial, or the
     span of a few random degree-d polynomials."""
@@ -189,11 +199,7 @@ def _random_domain(rng, kind):
         return SpanBasis.from_polynomials(VS, [], frame=frame)
     if kind == "full":
         return SpanBasis.of_monomials(VS, frame)
-    family = []
-    for _ in range(rng.randint(1, len(frame) + 1)):
-        picked = rng.sample(frame, rng.randint(1, min(3, len(frame))))
-        terms = {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in picked}
-        family.append(Polynomial(VS, terms))
+    family = _random_family(rng, frame, rng.randint(1, len(frame) + 1))
     return SpanBasis.from_polynomials(VS, family, frame=frame)
 
 
@@ -326,3 +332,70 @@ def test_sparse_echelon_strips_content_of_huge_rows(seed, monkeypatch):
     rows += _random_rows(rng, width, scale=big)
     _check_against_dense(rows, width)
     assert _strip_branch_line() in callers
+
+
+# -- span queries against the dense oracle -------------------------------------
+
+
+def _dense_poly(f, frame):
+    return [f.coeff(m) for m in frame]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_span_queries_match_dense_oracle(seed):
+    """Random spans: the basis is the dense reduced echelon form, a member's
+    coordinates rebuild it from the oracle's rows, and a member plus a
+    vector outside the span is refused."""
+    rng = random.Random(500 + seed)
+    frame = list(monomials_of_degree(VS, rng.randint(1, 3)))
+    width = len(frame)
+    family = _random_family(rng, frame, rng.randint(0, width))
+    basis = SpanBasis.from_polynomials(VS, family, frame=frame)
+    rows, pivots = dense_rref([_dense_poly(f, frame) for f in family], width)
+    assert basis.pivots == pivots
+    assert tuple(tuple(_dense_poly(f, frame)) for f in basis.polynomials()) == rows
+
+    weights = [Fraction(rng.randint(-3, 3)) for _ in family]
+    member = sum((f * w for f, w in zip(family, weights)), VS.zero())
+    coords = basis.coordinates_of(member)
+    rebuilt = [sum((c * row[j] for c, row in zip(coords, rows)), Fraction(0))
+               for j in range(width)]
+    assert rebuilt == _dense_poly(member, frame)
+
+    outside = [m for m in frame
+               if len(dense_rref(list(rows) + [_dense_poly(Polynomial(VS, {m: 1}), frame)],
+                                 width)[1]) > len(pivots)]
+    assert bool(outside) == (len(pivots) < width)
+    for m in outside:
+        assert basis.coordinates_of(member + Polynomial(VS, {m: Fraction(2)})) is None
+    off_frame = Polynomial(VS, {Monomial((0,) * 3): Fraction(1)})  # degree 0
+    assert not basis.contains(member + off_frame)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spans_same_over_different_canonical_frames(seed):
+    """One space over the subring frame of `of_monomials` and over the full
+    degree frame: the same basis polynomials, so `spans_same` holds both
+    ways, and fails against a larger space or one of the same dimension."""
+    rng = random.Random(700 + seed)
+    d = rng.randint(1, 3)
+    names = tuple(rng.sample(VS.names, rng.randint(1, 2)))
+    sub = list(monomials_of_degree(VS, d, names))
+    full = list(monomials_of_degree(VS, d))
+    family = _random_family(rng, sub, rng.randint(1, len(sub) + 1))
+    narrow = SpanBasis.from_polynomials(VS, family, frame=sub)
+    wide = SpanBasis.from_polynomials(VS, family, frame=full)
+    rows, _ = dense_rref([_dense_poly(f, full) for f in family], len(full))
+    assert tuple(tuple(_dense_poly(f, full)) for f in narrow.polynomials()) == rows
+    assert narrow.spans_same(wide) and wide.spans_same(narrow)
+    units = [Polynomial(VS, {m: Fraction(1)}) for m in sub]
+    assert SpanBasis.of_monomials(VS, sub).spans_same(
+        SpanBasis.from_polynomials(VS, units, frame=full))
+
+    extra = Polynomial(VS, {rng.choice([m for m in full if m not in sub]): Fraction(1)})
+    bigger = SpanBasis.from_polynomials(VS, family + [extra], frame=full)
+    assert not narrow.spans_same(bigger) and not bigger.spans_same(narrow)
+    if narrow.dim:
+        swapped = SpanBasis.from_polynomials(VS, narrow.polynomials()[1:] + (extra,), frame=full)
+        assert swapped.dim == narrow.dim
+        assert not narrow.spans_same(swapped) and not swapped.spans_same(narrow)
