@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import mul
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
@@ -23,6 +22,8 @@ from .poly import (
     Polynomial,
     VarSystem,
     VarSystemMismatch,
+    _accumulate,
+    _product,
     format_monomial,
     monomials_of_degree,
 )
@@ -247,24 +248,26 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     coords = substitution.coordinate_system
     varsys = substitution.varsys
     domain = SpanBasis.of_monomials(coords, monomials_of_degree(coords, degree))
-    # Powers of every coordinate's image, built once: each monomial's image
-    # is then a product of at most one cached power per coordinate.
+    # Powers of every coordinate's image, as term maps built once: each
+    # monomial's image is a product of at most one cached power per coordinate.
+    unit = (0,) * varsys.nvars
     powers = []
     for name in coords.names:
-        image = substitution.image_of(name)
-        powers.append([varsys.one(), image])
+        image = substitution.image_of(name)._exponent_map()
+        powers.append([{unit: Fraction(1)}, image])
         for _ in range(degree - 1):
-            powers[-1].append(powers[-1][-1] * image)
+            powers[-1].append(_product(powers[-1][-1], image))
     deltas = []
-    out_frame: set[Monomial] = set()
-    for mono_poly in domain.polynomials():
-        (mono,) = mono_poly.terms
+    out_frame: set[tuple[int, ...]] = set()
+    for mono in domain.ambient:
         factors = [row[e] for row, e in zip(powers, mono.exponents) if e]
-        image = reduce(mul, factors) if factors else varsys.one()
-        delta = image - mono_poly.embed(varsys)
-        deltas.append(delta.terms)
-        out_frame.update(delta.terms)
-    keys = sorted(out_frame, key=Monomial.sort_key)
+        image = reduce(_product, factors, {unit: Fraction(1)})
+        own = varsys.monomial(dict(zip(coords.names, mono.exponents))).exponents
+        delta = _accumulate(image, ((own, Fraction(-1)),))
+        deltas.append(delta)
+        out_frame.update(delta)
+    # Canonical order (`Monomial.sort_key`) of distinct exponent tuples.
+    keys = sorted(out_frame, key=lambda e: (sum(e), e), reverse=True)
     return kernel_span(domain, deltas, keys)
 
 

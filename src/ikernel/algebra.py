@@ -11,15 +11,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactlin import Echelon, SpanBasis, sparse_row
+from .exactlin import Echelon, SpanBasis
 from .poly import (
     Monomial,
     Polynomial,
     VarSystem,
     VarSystemMismatch,
+    _accumulate,
     _check_budget,
+    _from_exponent_map,
     monomials_of_degree,
 )
 
@@ -96,14 +100,22 @@ class SubalgebraSpec:
         return f"<SubalgebraSpec {len(self.generators)} generators over {self.varsys!r}>"
 
 
+def _integer_terms(terms: list[tuple[tuple[int, ...], Fraction]]) -> tuple[list, int]:
+    """Terms (exponents, c) as (exponents, c*s), s the lcm of their denominators; and s."""
+    s = lcm(*(c.denominator for _, c in terms))
+    return [(e, c.numerator * (s // c.denominator)) for e, c in terms], s
+
+
 class _Piece(NamedTuple):
     """One degree d: the basis of A_d, its rows' label expressions (None if
-    untracked), (A+ . A+)_d, and the generators that raise the rank past it."""
+    untracked), (A+ . A+)_d, the generators that raise the rank past it, and
+    the basis rows as `_integer_terms` for the products of higher degrees."""
 
     basis: SpanBasis
     exprs: tuple[Polynomial, ...] | None
     decomposable: SpanBasis
     representatives: tuple[Polynomial, ...]
+    rows: tuple[tuple[list, int], ...]
 
 
 class GradedBasis:
@@ -116,70 +128,89 @@ class GradedBasis:
     generators spans (A+ . A+)_d: a product of two positive-degree members
     is a sum of generator monomials of two or more factors, each a member
     of A_{d-e} times a generator of degree e < d.  So the lone generators
-    that raise the rank represent the indecomposables.
+    that raise the rank represent the indecomposables.  Rows b and
+    generators g are kept as integer terms scaled by the lcm s_b, s_g of
+    their denominators, so each product is the integer row s_b*s_g*b*g.
 
     One cache entry per degree holds all of it.  Tracked entries also carry,
     for each basis row, a formal polynomial in the generator labels that
-    evaluates to it (the raw material for membership certificates).  A
-    tracked request replaces an untracked entry and a plain one reads any
-    entry; entries are only added or upgraded, so concurrent callers may
-    build a degree twice, but always to equal values.
+    evaluates to it (the raw material for membership certificates): each
+    inserted integer row's formal, expr_b * label_g * s_b*s_g, evaluates to
+    exactly that row.  A tracked request replaces an untracked entry and a
+    plain one reads any entry; entries are only added or upgraded, so
+    concurrent callers may build a degree twice, but always to equal values.
     """
 
     def __init__(self, algebra: SubalgebraSpec):
         if not algebra.homogeneous:
             raise NotHomogeneous("graded bases need the homogeneous flag")
-        self.algebra = algebra
+        # Not the algebra itself: it caches this object, and a reference
+        # cycle would keep dropped algebras' pieces until a full collection.
+        self.varsys, self.labels = algebra.varsys, algebra.label_system
+        self.complete_through = algebra.complete_through
         self._pieces: dict[int, _Piece] = {}
-        self._by_degree: dict[int, list[tuple[str, Polynomial]]] = {}  # ascending degrees
-        for label, gen in sorted(algebra.generators, key=lambda g: g[1].degree()):
-            self._by_degree.setdefault(gen.degree(), []).append((label, gen))
+        # Ascending degrees; per generator: label index, polynomial, `_integer_terms`.
+        self._by_degree: dict[int, list[tuple]] = {}
+        for k, (_, gen) in sorted(enumerate(algebra.generators), key=lambda g: g[1][1].degree()):
+            terms, s = _integer_terms(list(gen._exponent_map().items()))
+            self._by_degree.setdefault(gen.degree(), []).append((k, gen, terms, s))
 
     def _build(self, degree: int, tracked: bool) -> _Piece:
-        alg = self.algebra
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if alg.complete_through is not None and degree > alg.complete_through:
+        if self.complete_through is not None and degree > self.complete_through:
             raise ValueError(
-                f"generator list is only faithful through degree {alg.complete_through}; "
+                f"generator list is only faithful through degree {self.complete_through}; "
                 f"degree {degree} requested"
             )
-        vs, labels = alg.varsys, alg.label_system
+        vs, labels = self.varsys, self.labels
         frame = monomials_of_degree(vs, degree)
-        index = {m: i for i, m in enumerate(frame)}
+        index = {m.exponents: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame), track=tracked)
-        formals: list[Polynomial] = []
+        # Per inserted row when tracked: label terms t, a label index k (None
+        # for none) and a scale s; the row's formal is t * label_k * s.
+        formals: list[tuple[dict, int | None, int]] = []
+        one = {labels.unit_monomial().exponents: Fraction(1)}
 
-        def insert(poly: Polynomial, expr: Polynomial | None) -> bool:
+        def insert(row: dict[int, int], formal: tuple) -> bool:
             if tracked:
-                formals.append(expr)
-            return ech.insert(sparse_row(poly, index))
+                formals.append(formal)
+            return ech.insert(row)
 
         if degree == 0:
-            insert(vs.one(), labels.one())
+            insert({0: 1}, (one, None, 1))
         for e, gens in self._by_degree.items():
             if e >= degree:
                 break
             if tracked:
-                lower, lower_exprs = self.tracked_piece(degree - e)
+                lower_terms = [x._exponent_map() for x in self.tracked_piece(degree - e)[1]]
             else:
-                lower, lower_exprs = self.piece(degree - e), repeat(None)
-            for label, gen in gens:
-                glabel = labels.variable(label) if tracked else None
-                for b, expr in zip(lower.polynomials(), lower_exprs):
-                    insert(b * gen, expr * glabel if tracked else None)
+                self.piece(degree - e)
+                lower_terms = repeat(None)
+            lower_rows = self._pieces[degree - e].rows
+            for k, _, gterms, sg in gens:
+                for (bterms, sb), t in zip(lower_rows, lower_terms):
+                    row = _accumulate({}, (
+                        (index[tuple(map(add, e1, e2))], c1 * c2)
+                        for e1, c1 in bterms for e2, c2 in gterms
+                    ))
+                    insert(row, (t, k, sb * sg))
         lone = self._by_degree.get(degree, [])
         decomposable = SpanBasis(vs, frame, *ech.emit()[:2]) if lone else None
         representatives = tuple(
-            g for label, g in lone if insert(g, labels.variable(label) if tracked else None)
+            gen for k, gen, gterms, sg in lone
+            if insert({index[x]: c for x, c in gterms}, (one, k, sg))
         )
         vectors, pivots, combos = ech.emit()
         basis = SpanBasis(vs, frame, vectors, pivots)
-        exprs = tuple(
-            sum((formals[j] * c for j, c in sorted(combo.items())), labels.zero())
-            for combo in combos
+        exprs = tuple(  # each basis row's combination of the formals t * label_k * s
+            _from_exponent_map(labels, _accumulate({}, (
+                (e if k is None else e[:k] + (e[k] + 1,) + e[k + 1:], c * (s * x))
+                for j, x in combo.items() for t, k, s in [formals[j]] for e, c in t.items()
+            ))) for combo in combos
         ) if tracked else None
-        return _Piece(basis, exprs, decomposable or basis, representatives)
+        rows = tuple(_integer_terms([(frame[c].exponents, v) for c, v in vec.items()]) for vec in vectors)
+        return _Piece(basis, exprs, decomposable or basis, representatives, rows)
 
     def _entry(self, degree: int) -> _Piece:
         if degree < 1:

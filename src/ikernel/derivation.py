@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, graded_piece, membership
 from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
+from .poly import _accumulate, _from_exponent_map
 
 
 class InhomogeneousDerivation(ValueError):
@@ -23,29 +25,36 @@ class InhomogeneousDerivation(ValueError):
 class Derivation:
     """A k-derivation given by its images on variables (missing image = 0)."""
 
-    __slots__ = ("varsys", "images")
+    __slots__ = ("varsys", "images", "_lowered")
 
     def __init__(self, varsys: VarSystem, images: Mapping[str, Polynomial]):
         clean: dict[str, Polynomial] = {}
+        # Per variable v with an image: v's index and the image's terms c*t
+        # as (t - v, c), so a term a*m of f maps to (m - v + t, a*m_v*c).
+        self._lowered = []
         for name, poly in images.items():
-            varsys.index(name)
+            i = varsys.index(name)
             if poly.varsys != varsys:
                 raise VarSystemMismatch(f"image of {name!r} over a different system")
             if not poly.is_zero():
                 clean[name] = poly
+                terms = poly._exponent_map().items()
+                self._lowered.append((i, [(t[:i] + (t[i] - 1,) + t[i + 1:], c) for t, c in terms]))
         self.varsys = varsys
         self.images = clean
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """d(f) = sum over variables of image * df/dvariable, exactly."""
+        """d(f) = sum over variables of image * df/dvariable, exactly, as one
+        accumulation of term products."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("polynomial over a different system")
-        result = self.varsys.zero()
-        for name, image in self.images.items():
-            part = f.partial(name)
-            if part:
-                result = result + image * part
-        return result
+        return _from_exponent_map(self.varsys, _accumulate({}, (
+            (tuple(map(add, m.exponents, t)), a * e * c)
+            for m, a in f.terms.items()
+            for i, lowered in self._lowered
+            if (e := m.exponents[i])
+            for t, c in lowered
+        )))
 
     def homogeneous_shift(self) -> int | None:
         """Degree shift of the induced graded map, or None for the zero map.

@@ -3,9 +3,9 @@
 The one elimination engine is `Echelon`: rows are sparse `{column: int}`
 maps holding only their nonzero entries, kept primitive and fraction-free,
 and elimination touches nonzero entries only.  `Fraction`s exist only at
-the edge: rows arrive as sparse rational maps (`sparse_row`,
-`column_rows`) and `Echelon.emit` returns the reduced rows as sparse
-`{column: Fraction}` maps, which `SpanBasis` keeps.  On top of it sit
+the edge: rows arrive as sparse rational or integer maps (`column_rows`,
+the graded-piece products) and `Echelon.emit` returns the reduced rows as
+sparse `{column: Fraction}` maps, which `SpanBasis` keeps.  On top of it sit
 `nullspace` and `solve` over sparse rows, and `SpanBasis`, a span of
 polynomials over a monomial frame, built by `of_monomials`,
 `from_polynomials` or, as the kernel of a linear map on another span, by
@@ -164,11 +164,6 @@ class Echelon:
         )
 
 
-def sparse_row(f: Polynomial, index: Mapping[Monomial, int]) -> dict[int, Fraction]:
-    """The terms of f as a sparse row over a frame's monomial index."""
-    return {index[m]: c for m, c in f.terms.items()}
-
-
 def column_rows(
     columns: Sequence[Mapping[Hashable, Fraction]], keys: Iterable[Hashable]
 ) -> list[dict[int, Fraction]]:
@@ -270,7 +265,7 @@ class SpanBasis:
             if f.varsys != varsys:
                 raise VarSystemMismatch("spanning polynomial over a different system")
             try:
-                row = sparse_row(f, index)
+                row = {index[m]: c for m, c in f.terms.items()}
             except KeyError:
                 raise ValueError("polynomial has a monomial outside the frame") from None
             ech.insert(row)

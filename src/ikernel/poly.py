@@ -519,14 +519,15 @@ def monomials_of_degree(
     """All monomials of the given grading degree in the chosen coordinates.
 
     Defaults to every coordinate of the system; parameters never appear.
-    The result is in canonical (graded-lex descending) order.
+    The result is in canonical (graded-lex descending) order, with no sort:
+    the recursion runs over the chosen indices ascending, exponents high first.
     """
     if degree < 0:
         return ()
     if names is None:
         idxs = list(varsys.coordinate_indices)
     else:
-        idxs = [varsys.index(nm) for nm in names]
+        idxs = sorted(varsys.index(nm) for nm in names)
         for i in idxs:
             if varsys.roles[i] != COORDINATE:
                 raise ValueError(f"{varsys.names[i]!r} is not a coordinate")
@@ -547,7 +548,6 @@ def monomials_of_degree(
     if not idxs:
         return (Monomial((0,) * nv),) if degree == 0 else ()
     descend(0, degree, [0] * nv)
-    out.sort(key=Monomial.sort_key)
     return tuple(out)
 
 

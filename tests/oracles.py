@@ -1,7 +1,7 @@
 """Independent reference implementations shared by the tests."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 
 def dense_rref(rows, width):
@@ -52,3 +52,40 @@ def pairwise_decomposable(algebra, degree):
         )
     ]
     return dense_rref(rows, len(frame))
+
+
+def product_stream_pieces(algebra, max_degree, tracked):
+    """Graded pieces A_0..A_max_degree from the `Polynomial` product stream:
+    per degree d, one `Echelon` over the rational rows of every product b*g
+    of a basis row of A_{d-e} and a generator of degree e < d, then of the
+    lone degree-d generators; each formal is expr_b * label_g.  Returns per
+    degree the basis and its label expressions (None when untracked)."""
+    from ikernel.exactlin import Echelon, SpanBasis
+    from ikernel.poly import monomials_of_degree
+
+    vs, labels = algebra.varsys, algebra.label_system
+    by_degree = {}
+    for label, gen in algebra.generators:
+        by_degree.setdefault(gen.degree(), []).append((labels.variable(label), gen))
+    pieces = []
+    for d in range(max_degree + 1):
+        stream = [(vs.one(), labels.one())] if d == 0 else []
+        for e in sorted(by_degree):
+            if e < d:
+                lower, lower_exprs = pieces[d - e]
+                for glabel, gen in by_degree[e]:
+                    for b, expr in zip(lower.polynomials(), lower_exprs or repeat(None)):
+                        stream.append((b * gen, expr * glabel if tracked else None))
+        stream += [(gen, glabel) for glabel, gen in by_degree.get(d, [])]
+        frame = monomials_of_degree(vs, d)
+        index = {m: i for i, m in enumerate(frame)}
+        ech = Echelon(len(frame), track=tracked)
+        for poly, _ in stream:
+            ech.insert({index[m]: c for m, c in poly.terms.items()})
+        vectors, pivots, combos = ech.emit()
+        exprs = tuple(
+            sum((stream[j][1] * c for j, c in sorted(combo.items())), labels.zero())
+            for combo in combos
+        ) if tracked else None
+        pieces.append((SpanBasis(vs, frame, vectors, pivots), exprs))
+    return pieces

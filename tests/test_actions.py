@@ -189,10 +189,20 @@ def _invariant_subspace_reference(substitution, degree):
     return SpanBasis.from_polynomials(coords, members, frame=frame)
 
 
+def _fractional_substitution():
+    """Non-integer coefficients, over a system with its parameter in the middle."""
+    from ikernel.actions import ParametricSubstitution
+    from ikernel.poly import PARAMETER, VarSystem
+
+    vs = VarSystem(("x", "s", "y", "z"), ("coordinate", PARAMETER, "coordinate", "coordinate"))
+    images = {"x": vs.parse("x + 1/2*s*y"), "z": vs.parse("z + 1/3*s*x + 1/12*s^2*y")}
+    return ParametricSubstitution(vs, ("s",), images, {"s": 0})
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
 def test_invariant_subspace_matches_per_monomial_substitution(n, m):
     inst = build_instance(n, m)
-    for substitution in (inst.translation, inst.scaling_shear):
+    for substitution in (inst.translation, inst.scaling_shear, _fractional_substitution()):
         for degree in range(5):
             got = invariant_subspace(substitution, degree)
             want = _invariant_subspace_reference(substitution, degree)

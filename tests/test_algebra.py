@@ -1,14 +1,16 @@
 """Graded pieces, membership certificates, subring intersections, and
 indecomposable generators, cross-checked against brute-force oracles."""
 
+import gc
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from oracles import pairwise_decomposable
+from oracles import pairwise_decomposable, product_stream_pieces
 
 from ikernel.actions import build_instance
 from ikernel.algebra import (
@@ -230,8 +232,9 @@ def test_indecomposables_complement_the_decomposables():
 def test_tracked_and_untracked_pieces_agree():
     # One cache entry serves both: a plain request reads a tracked entry,
     # and a tracked request upgrades a plain one once.
+    algebra = build_instance(1, 1).algebra
     tracked_first = build_instance(1, 1).algebra.graded_basis()
-    plain_first = build_instance(1, 1).algebra.graded_basis()
+    plain_first = algebra.graded_basis()
     for d in range(6):
         basis, _ = tracked_first.tracked_piece(d)
         assert tracked_first.piece(d) is basis
@@ -239,10 +242,71 @@ def test_tracked_and_untracked_pieces_agree():
         plain = plain_first.piece(d)
         tracked, exprs = plain_first.tracked_piece(d)
         assert (tracked.vectors, tracked.pivots) == (plain.vectors, plain.pivots)
-        images = dict(plain_first.algebra.generators)
+        images = dict(algebra.generators)
         for poly, expr in zip(tracked.polynomials(), exprs):
-            assert expr.substitute(images, target=plain_first.algebra.varsys) == poly
+            assert expr.substitute(images, target=algebra.varsys) == poly
         assert plain_first.tracked_piece(d)[0] is tracked  # not rebuilt again
+
+
+def _fractional_algebra():
+    vs = VarSystem(("x", "y", "z"))
+    texts = {"p": "1/2*x^2 + 3/4*y^2", "q": "x*y - 5/3*z^2", "r": "2/7*x^3 - y*z^2 + 1/5*z^3", "s": "3*z"}
+    return SubalgebraSpec(vs, [(label, vs.parse(text)) for label, text in texts.items()])
+
+
+def _monomial_algebra(n, m):
+    inst = build_instance(n, m)
+    return y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, 8)
+
+
+PRODUCT_STREAM_ALGEBRAS = {
+    "inst11": lambda: build_instance(1, 1).algebra,
+    "inst21": lambda: build_instance(2, 1).algebra,
+    "mono11": lambda: _monomial_algebra(1, 1),
+    "mono21": lambda: _monomial_algebra(2, 1),
+    "fractional": _fractional_algebra,  # the only one whose rows need scaling
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_STREAM_ALGEBRAS)
+def test_product_stream_matches_the_polynomial_reference(name):
+    make = PRODUCT_STREAM_ALGEBRAS[name]
+    plain_ref = product_stream_pieces(make(), 7, tracked=False)
+    tracked_ref = product_stream_pieces(make(), 7, tracked=True)
+    plain, tracked, algebra = make().graded_basis(), make().graded_basis(), make()
+    vs, labels = algebra.varsys, algebra.label_system
+    images = dict(algebra.generators)
+    rng = random.Random(7)
+    target, expression = vs.zero(), labels.zero()
+    for d in range(8):
+        want, want_exprs = tracked_ref[d]
+        basis, exprs = tracked.tracked_piece(d)
+        for got in (plain_ref[d][0], plain.piece(d), basis):
+            assert (got.pivots, got.vectors) == (want.pivots, want.vectors)
+        assert exprs == want_exprs
+        for poly, expr in zip(basis.polynomials(), exprs):
+            assert expr.substitute(images, target=vs) == poly
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in exprs]
+        part = sum((p * c for p, c in zip(want.polynomials(), coeffs)), vs.zero())
+        part_expression = sum((x * c for x, c in zip(want_exprs, coeffs)), labels.zero())
+        if part:
+            assert membership(algebra, part).expression == part_expression
+        target, expression = target + part, expression + part_expression
+    cert = membership(algebra, target)
+    assert cert.expression == expression and cert.verify()
+
+
+def test_a_dropped_algebra_frees_its_pieces_without_a_collection():
+    # The algebra caches its graded basis, which must not point back at it.
+    gc.disable()
+    try:
+        algebra = build_instance(1, 1).algebra
+        graded = weakref.ref(algebra.graded_basis())
+        membership(algebra, algebra.varsys.parse("x1^2*y1"))
+        del algebra
+        assert graded() is None
+    finally:
+        gc.enable()
 
 
 def _query(algebra, kind, d):

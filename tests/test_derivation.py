@@ -45,6 +45,29 @@ def test_leibniz_rule(f, g):
     assert D1.apply(f * g) == f * D1.apply(g) + g * D1.apply(f)
 
 
+PVS = VarSystem(("x", "t", "y", "z"), ("coordinate", "parameter", "coordinate", "coordinate"))
+
+
+def _parametric_polys(max_size=5):
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+    monos = st.tuples(*[st.integers(0, 3)] * 4).map(Monomial)
+    return st.dictionaries(monos, coeffs, max_size=max_size).map(lambda t: Polynomial(PVS, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(PVS.names), _parametric_polys(4), max_size=4),
+    _parametric_polys() | st.just(PVS.zero()),
+)
+def test_apply_matches_its_definition(images, f):
+    # d(f) = sum_v image_v * df/dv through `Polynomial` operations, over a
+    # system with a parameter, with fractional coefficients and zero images.
+    expected = PVS.zero()
+    for name, image in images.items():
+        expected = expected + image * f.partial(name)
+    assert Derivation(PVS, images).apply(f) == expected
+
+
 def test_kernel_examples(inst11):
     vs = inst11.varsys
     k1 = kernel_graded_basis([inst11.translation_derivation], vs, 1)

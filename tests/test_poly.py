@@ -1,6 +1,7 @@
 """Polynomial arithmetic, grading, substitution, and the text format."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,18 @@ def test_monomials_of_degree_counts_and_order():
     assert monos[-1] == VS.monomial({"z": 2})
     assert monomials_of_degree(VS, 0) == (VS.unit_monomial(),)
     assert [len(monomials_of_degree(VS, d, ("x1", "y1"))) for d in range(4)] == [1, 2, 3, 4]
+
+
+def test_monomials_of_degree_lists_canonical_order_without_sorting():
+    # A parameter in the middle and names given out of order.
+    vs = VarSystem(("a", "b", "t", "c", "d", "e"), ["coordinate"] * 2 + ["parameter"] + ["coordinate"] * 3)
+    for names in (None, ("e", "a"), ("d", "c", "b")):
+        k = 5 if names is None else len(names)
+        for d in range(7):
+            monos = monomials_of_degree(vs, d, names)
+            assert list(monos) == sorted(set(monos), key=Monomial.sort_key)
+            assert len(monos) == comb(d + k - 1, k - 1)
+            assert all(vs.degree_of(m) == d and not m.exponents[2] for m in monos)
 
 
 def test_coefficients_in_parameters():
