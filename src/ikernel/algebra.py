@@ -244,12 +244,25 @@ class MembershipCertificate:
         self.target = target
         self.expression = expression
 
-    def evaluate(self) -> Polynomial:
-        images = {label: poly for label, poly in self.algebra.generators}
-        return self.expression.substitute(images, target=self.algebra.varsys)
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> MembershipCertificate:
+        """Invert `to_json_dict`, parsing every text under the parser budget;
+        zero generators and repeated labels raise ValueError."""
+        varsys = certificate_varsys(data)
+        generators = [(label, varsys.parse(text)) for label, text in data["generators"]]
+        try:
+            algebra = SubalgebraSpec(varsys, generators, homogeneous=False)
+        except ValueError as exc:
+            raise ValueError(f"field 'generators': {exc}") from None
+        expression = algebra.label_system.parse(data["expression"])
+        return cls(algebra, varsys.parse(data["target"]), expression)
 
     def verify(self) -> bool:
-        return self.evaluate() == self.target
+        """Substitute the generators into the expression within one
+        `MAX_CHECK_WORK` budget and compare with the target."""
+        product = _check_budget("expression").product
+        images = dict(self.algebra.generators)
+        return self.expression._substitute(images, self.algebra.varsys, product) == self.target
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,15 +293,8 @@ def certificate_varsys(data: Mapping) -> VarSystem:
 
 
 def verify_membership_json(data: Mapping) -> bool:
-    """Re-check a serialized membership certificate with poly arithmetic only,
-    within one `MAX_CHECK_WORK` budget."""
-    varsys = certificate_varsys(data)
-    generators = [(label, varsys.parse(text)) for label, text in data["generators"]]
-    label_system = VarSystem(tuple(label for label, _ in generators))
-    expression = label_system.parse(data["expression"])
-    target = varsys.parse(data["target"])
-    product = _check_budget("expression").product
-    return expression._substitute(dict(generators), varsys, product) == target
+    """Re-check a serialized membership certificate: `verify` on the parsed object."""
+    return MembershipCertificate.from_json_dict(data).verify()
 
 
 def graded_piece(algebra: SubalgebraSpec, degree: int) -> SpanBasis:

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 pass / member, 1 fail / non-member, 2 none-up-to-bound,
-3 usage error.  `verify` exits 1 if a certificate fails to re-check,
-3 if the report is malformed (including a missing or unknown verdict),
-and otherwise with the code `run` gives the report's verdict.
+3 usage error.  `verify` exits 1 if a certificate fails to re-check, is
+malformed or has an unknown `cert_type`; 3 if the report cannot be read
+(missing, not UTF-8 JSON, or nested too deeply to parse), is not an
+object, or has a missing or unknown verdict; and otherwise with the code
+`run` gives the report's verdict.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise UsageError(f"cannot read report: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError("report is not a JSON object")

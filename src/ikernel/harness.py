@@ -523,18 +523,20 @@ _VERIFIERS = {
 }
 
 
-def _collect_certificates(obj) -> list[dict]:
-    found = []
-    if isinstance(obj, Mapping):
-        if obj.get("cert_type") in _VERIFIERS:
-            found.append(obj)
-            # nested membership certs are checked as part of their parent
-            return found
-        for value in obj.values():
-            found.extend(_collect_certificates(value))
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            found.extend(_collect_certificates(value))
+def _collect_certificates(obj) -> list[Mapping]:
+    """Every mapping with a `cert_type` key, in document order; the
+    membership certificates nested in one are checked as part of it.
+    Iterative, so no nesting depth that `json` accepts can overflow it."""
+    found, stack = [], [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Mapping):
+            if "cert_type" in item:
+                found.append(item)
+            else:
+                stack.extend(reversed(item.values()))
+        elif isinstance(item, (list, tuple)):
+            stack.extend(reversed(item))
     return found
 
 
@@ -559,6 +561,12 @@ def verify_report(data: Mapping) -> VerifyResult:
     certificates = _collect_certificates(data.get("details", {}))
     for k, cert in enumerate(certificates):
         kind = cert["cert_type"]
+        if not isinstance(kind, str):
+            failures.append(f"certificate {k}: cert_type is a {type(kind).__name__}, not a string")
+            continue
+        if kind not in _VERIFIERS:
+            failures.append(f"certificate {k}: unknown cert_type {kind!r}")
+            continue
         try:
             good = _VERIFIERS[kind](cert)
         except Exception as exc:  # malformed certificate

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
+    GradedBasis,
     MembershipCertificate,
     NotHomogeneous,
     SubalgebraSpec,
     certificate_varsys,
     membership,
-    verify_membership_json,
 )
 from .exactlin import column_rows, nullspace, solve
 from .poly import Monomial, Polynomial, _check_budget, monomials_of_degree
@@ -42,35 +44,55 @@ class RelationCertificate:
     carrying its own membership certificate."""
 
     element: Polynomial
-    algebra: SubalgebraSpec
     degree: int
     monic: bool
     coefficients: tuple[RelationCoefficient, ...]
 
-    def evaluate(self) -> Polynomial:
-        total = self.element.varsys.zero()
-        if self.monic:
-            total = total + self.element ** self.degree
-        for coeff in self.coefficients:
-            total = total + coeff.polynomial * self.element ** coeff.power
-        return total
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> RelationCertificate:
+        """Invert `to_json_dict`, parsing every text under the parser budget;
+        the exponents are checked first, so a hostile one fails quickly."""
+        varsys = certificate_varsys(data)
+        element = varsys.parse(data["element"])
+        entries = data["coefficients"]
+        _check_powers(element, [("degree", data["degree"])] + [("i", e["i"]) for e in entries])
+        coefficients = tuple(
+            RelationCoefficient(
+                entry["i"],
+                varsys.parse(entry["polynomial"]),
+                MembershipCertificate.from_json_dict(entry["certificate"]),
+            )
+            for entry in entries
+        )
+        return cls(element, data["degree"], data["monic"], coefficients)
 
     def verify(self) -> bool:
-        if _relation_shape_error(self.degree, self.monic, [c.power for c in self.coefficients]):
-            return False
-        if self.leading_coefficient().is_zero() or not self.evaluate().is_zero():
-            return False
+        """Re-check with poly arithmetic only, within one `MAX_CHECK_WORK`
+        budget (each coefficient's membership certificate has its own); a
+        malformed or trivial relation raises ValueError naming the field."""
+        element, degree, monic = self.element, self.degree, self.monic
+        varsys = element.varsys
+        powers = [c.power for c in self.coefficients]
+        _check_powers(element, [("degree", degree)] + [("i", i) for i in powers])
+        if type(monic) is not bool:
+            raise ValueError("field 'monic' must be true or false")
+        # A monic relation's x^degree term is implicit and must not cancel.
+        if any(i > degree - monic for i in powers):
+            raise ValueError("field 'i': every power must be at most the degree, "
+                             "below it when monic")
+        top = (c.polynomial for c in self.coefficients if c.power == degree)
+        if not monic and sum(top, varsys.zero()).is_zero():
+            raise ValueError("field 'coefficients': a non-monic relation needs a nonzero "
+                             "coefficient at i == degree")
+        budget = _check_budget("coefficients")
+        power_of = {i: budget.power(element, i) for i in set(powers)}
+        total = budget.power(element, degree) if monic else varsys.zero()
         for coeff in self.coefficients:
             cert = coeff.membership
             if cert.target != coeff.polynomial or not cert.verify():
                 return False
-        return True
-
-    def leading_coefficient(self) -> Polynomial:
-        if self.monic:
-            return self.element.varsys.one()
-        top = (c.polynomial for c in self.coefficients if c.power == self.degree)
-        return sum(top, self.element.varsys.zero())
+            total = total + budget.multiply(coeff.polynomial, power_of[coeff.power])
+        return total.is_zero()
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,44 +137,9 @@ def _check_powers(base: Polynomial, exponents: Iterable[tuple[str, object]]) -> 
             raise ValueError(f"field {field!r}: power {k} of a {t}-term polynomial is over the cap")
 
 
-def _relation_shape_error(degree: int, monic: object, powers: Iterable[int]) -> str | None:
-    """What is wrong with a relation of this shape, or None: `monic` must
-    be a bool and every power at most `degree`, below it when monic (a
-    monic relation's x^degree term is implicit and must not cancel)."""
-    if type(monic) is not bool:
-        return "field 'monic' must be true or false"
-    if any(i > degree - monic for i in powers):
-        return "field 'i': every power must be at most the degree, below it when monic"
-    return None
-
-
 def verify_relation_json(data: Mapping) -> bool:
-    """Re-check a serialized relation certificate with poly arithmetic only,
-    within one `MAX_CHECK_WORK` budget (its nested membership certificates
-    have their own); a malformed or trivial one raises ValueError naming
-    the field."""
-    varsys = certificate_varsys(data)
-    element = varsys.parse(data["element"])
-    entries = data["coefficients"]
-    degree, monic = data["degree"], data["monic"]
-    _check_powers(element, [("degree", degree)] + [("i", e["i"]) for e in entries])
-    error = _relation_shape_error(degree, monic, [e["i"] for e in entries])
-    if error:
-        raise ValueError(error)
-    polys = [varsys.parse(entry["polynomial"]) for entry in entries]
-    top = (p for p, e in zip(polys, entries) if e["i"] == degree)
-    if not monic and sum(top, varsys.zero()).is_zero():
-        raise ValueError("field 'coefficients': a non-monic relation needs a nonzero "
-                         "coefficient at i == degree")
-    budget = _check_budget("coefficients")
-    powers = {i: budget.power(element, i) for i in {e["i"] for e in entries}}
-    total = budget.power(element, degree) if monic else varsys.zero()
-    for entry, poly in zip(entries, polys):
-        cert = entry["certificate"]
-        if cert["target"] != entry["polynomial"] or not verify_membership_json(cert):
-            return False
-        total = total + budget.multiply(poly, powers[entry["i"]])
-    return total.is_zero()
+    """Re-check a serialized relation certificate: `verify` on the parsed object."""
+    return RelationCertificate.from_json_dict(data).verify()
 
 
 def _require_homogeneous(x: Polynomial, minimum_degree: int = 1) -> int:
@@ -162,6 +149,47 @@ def _require_homogeneous(x: Polynomial, minimum_degree: int = 1) -> int:
     if e < minimum_degree:
         raise NotHomogeneous(f"search input must have degree >= {minimum_degree}")
     return e
+
+
+def _columns(
+    basisdata: GradedBasis, powers: list[Polynomial], e: int, weight: int, top: int
+) -> tuple[list[dict[Monomial, Fraction]], list[tuple[int, Polynomial]]]:
+    """For i from `top` down to 0 and each basis row b of A_{weight - i*e}:
+    the terms of b * x^i as a column, and (i, b) as its owner."""
+    columns, owners = [], []
+    for i in range(top, -1, -1):
+        for basis_poly in basisdata.piece(weight - i * e).polynomials():
+            columns.append((basis_poly * powers[i]).terms)
+            owners.append((i, basis_poly))
+    return columns, owners
+
+
+def _relation(
+    x: Polynomial, algebra: SubalgebraSpec, n: int, monic: bool, owners: list, vec: Mapping
+) -> RelationCertificate | None:
+    """The relation whose coefficient of x^i sums value * b over the
+    owners (i, b) of `vec`, each certified.  A non-monic one is scaled so
+    its x^n coefficient has leading coefficient 1, or is None if that is 0."""
+    by_power: dict[int, Polynomial] = {}
+    for j, value in sorted(vec.items()):
+        i, basis_poly = owners[j]
+        by_power[i] = by_power.get(i, algebra.varsys.zero()) + basis_poly * value
+    if not monic:
+        top = by_power.get(n)
+        if top is None or top.is_zero():
+            return None
+        scale = 1 / top.terms[top.leading_monomial()]
+        by_power = {i: poly * scale for i, poly in by_power.items()}
+    coefficients = []
+    for i in sorted(by_power, reverse=True):
+        poly = by_power[i]
+        if poly.is_zero():
+            continue
+        cert = membership(algebra, poly)
+        if cert is None:
+            raise RuntimeError("internal error: solved coefficient not in algebra")
+        coefficients.append(RelationCoefficient(i, poly, cert))
+    return RelationCertificate(x, n, monic, tuple(coefficients))
 
 
 def integral_relation_search(
@@ -176,37 +204,15 @@ def integral_relation_search(
     """
     e = _require_homogeneous(x)
     basisdata = algebra.graded_basis()
-    powers = [algebra.varsys.one()]
-    for _ in range(max_degree):
-        powers.append(powers[-1] * x)
-
+    powers = list(accumulate(repeat(x, max_degree), mul, initial=algebra.varsys.one()))
     for n in range(1, max_degree + 1):
-        columns: list[dict[Monomial, Fraction]] = []
-        owners: list[tuple[int, Polynomial]] = []
-        for i in range(n - 1, -1, -1):
-            piece = basisdata.piece(e * (n - i))
-            for basis_poly in piece.polynomials():
-                columns.append((basis_poly * powers[i]).terms)
-                owners.append((i, basis_poly))
+        columns, owners = _columns(basisdata, powers, e, e * n, n - 1)
         columns.append((-powers[n]).terms)
         frame = monomials_of_degree(algebra.varsys, e * n)
         solution = solve(column_rows(columns, frame), len(owners))
         if solution is None:
             continue
-        by_power: dict[int, Polynomial] = {}
-        for j, value in sorted(solution.items()):
-            i, basis_poly = owners[j]
-            by_power[i] = by_power.get(i, algebra.varsys.zero()) + basis_poly * value
-        coefficients = []
-        for i in sorted(by_power, reverse=True):
-            poly = by_power[i]
-            if poly.is_zero():
-                continue
-            cert = membership(algebra, poly)
-            if cert is None:
-                raise RuntimeError("internal error: solved coefficient not in algebra")
-            coefficients.append(RelationCoefficient(i, poly, cert))
-        return RelationCertificate(x, algebra, n, True, tuple(coefficients))
+        return _relation(x, algebra, n, True, owners, solution)
     return None
 
 
@@ -232,52 +238,23 @@ def algebraic_relation_search(
             RelationCoefficient(1, algebra.varsys.one(), one_cert),
             RelationCoefficient(0, algebra.varsys.constant(-c), neg_cert),
         )
-        return RelationCertificate(x, algebra, 1, False, coefficients)
+        return RelationCertificate(x, 1, False, coefficients)
     e = _require_homogeneous(x)
     basisdata = algebra.graded_basis()
-    powers = [algebra.varsys.one()]
-    for _ in range(max_degree):
-        powers.append(powers[-1] * x)
-
+    powers = list(accumulate(repeat(x, max_degree), mul, initial=algebra.varsys.one()))
     for n in range(1, max_degree + 1):
         for weight in range(n * e, max_coeff_degree + 1):
             top_dim = basisdata.piece(weight - n * e).dim
             if top_dim == 0:
                 continue
-            columns: list[dict[Monomial, Fraction]] = []
-            owners: list[tuple[int, Polynomial]] = []
-            for i in range(n, -1, -1):
-                piece = basisdata.piece(weight - i * e)
-                for basis_poly in piece.polynomials():
-                    columns.append((basis_poly * powers[i]).terms)
-                    owners.append((i, basis_poly))
+            columns, owners = _columns(basisdata, powers, e, weight, n)
             frame = monomials_of_degree(algebra.varsys, weight)
             for vec in nullspace(column_rows(columns, frame), len(columns)):
                 if min(vec) >= top_dim:
                     continue
-                by_power: dict[int, Polynomial] = {}
-                for j, value in sorted(vec.items()):
-                    i, basis_poly = owners[j]
-                    by_power[i] = (
-                        by_power.get(i, algebra.varsys.zero()) + basis_poly * value
-                    )
-                top = by_power.get(n)
-                if top is None or top.is_zero():
-                    continue
-                # Normalize so the top coefficient has leading coefficient 1.
-                scale = 1 / top.terms[top.leading_monomial()]
-                coefficients = []
-                for i in sorted(by_power, reverse=True):
-                    poly = by_power[i] * scale
-                    if poly.is_zero():
-                        continue
-                    cert = membership(algebra, poly)
-                    if cert is None:
-                        raise RuntimeError(
-                            "internal error: solved coefficient not in algebra"
-                        )
-                    coefficients.append(RelationCoefficient(i, poly, cert))
-                return RelationCertificate(x, algebra, n, False, tuple(coefficients))
+                relation = _relation(x, algebra, n, False, owners, vec)
+                if relation is not None:
+                    return relation
     return None
 
 
@@ -290,8 +267,20 @@ class LocalizationCertificate:
     power: int
     membership: MembershipCertificate
 
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> LocalizationCertificate:
+        """Invert `to_json_dict`, parsing every text under the parser budget."""
+        membership = MembershipCertificate.from_json_dict(data["certificate"])
+        varsys = membership.algebra.varsys
+        numerator, localizing = varsys.parse(data["numerator"]), varsys.parse(data["localizing"])
+        return cls(numerator, localizing, data["power"], membership)
+
     def verify(self) -> bool:
-        product = self.numerator * self.localizing ** self.power
+        """Re-check f*g^k against the membership target within one
+        `MAX_CHECK_WORK` budget; a malformed power raises ValueError."""
+        _check_powers(self.localizing, [("power", self.power)])
+        budget = _check_budget("power")
+        product = budget.multiply(self.numerator, budget.power(self.localizing, self.power))
         return self.membership.target == product and self.membership.verify()
 
     def to_json_dict(self) -> dict:
@@ -305,16 +294,8 @@ class LocalizationCertificate:
 
 
 def verify_localization_json(data: Mapping) -> bool:
-    cert = data["certificate"]
-    varsys = certificate_varsys(cert)
-    numerator = varsys.parse(data["numerator"])
-    localizing = varsys.parse(data["localizing"])
-    _check_powers(localizing, [("power", data["power"])])
-    budget = _check_budget("power")
-    product = budget.multiply(numerator, budget.power(localizing, data["power"]))
-    if varsys.parse(cert["target"]) != product:
-        return False
-    return verify_membership_json(cert)
+    """Re-check a serialized localization certificate: `verify` on the parsed object."""
+    return LocalizationCertificate.from_json_dict(data).verify()
 
 
 def localization_contains(

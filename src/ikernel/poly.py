@@ -503,8 +503,10 @@ class _Budget:
 # The work one certificate check may spend multiplying out its fields, in
 # term products as the parser counts them: substituting the generators into
 # a membership expression, or a relation's coefficients times powers of its
-# element.  The largest genuine check in the tests and benchmark workloads
-# spends 68; the expression `g^40` for a five-term generator needs 5.4 million.
+# element.  `membership()` re-checks every certificate it returns under it.
+# The largest genuine check spends 68 in the benchmark workloads and 1,037
+# in the tests (a degree-7 member of `build_instance(2, 1)`); the
+# expression `g^40` for a five-term generator needs 5.4 million.
 MAX_CHECK_WORK = 1 << 18
 
 

@@ -318,3 +318,51 @@ def test_verify_rejects_expansions_over_the_check_budget_quickly(tmp_path, capsy
     assert main(["verify", str(path)]) == 1
     assert time.perf_counter() - start < 5.0
     assert f"field {field!r}" in capsys.readouterr().err
+
+
+_FALSE_MEMBER = {"cert_type": "membership", "variables": ["x"], "generators": [["g", "x"]],
+                 "target": "x", "expression": "g + 1"}
+
+
+@pytest.mark.parametrize("cert_type, named", [
+    ("Membership", "unknown cert_type 'Membership'"),
+    ("", "unknown cert_type ''"),
+    (["membership"], "cert_type is a list, not a string"),
+    ({"membership": 1}, "cert_type is a dict, not a string"),
+    (None, "cert_type is a NoneType, not a string"),
+])
+def test_verify_fails_an_unknown_cert_type(tmp_path, capsys, cert_type, named):
+    path = tmp_path / "report.json"
+    _write_report(path, dict(_FALSE_MEMBER, cert_type=cert_type))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "verified 1 certificate(s): 1 failure(s)" in captured.out
+
+
+def test_verify_checks_every_certificate_beside_an_unknown_one(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": 1, "verdict": "pass", "details": {
+        "a": dict(_FALSE_MEMBER, cert_type="Membership"), "b": [_FALSE_MEMBER]}}))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "certificate 0: unknown cert_type" in err
+    assert "certificate 1 (membership): re-evaluation failed" in err
+
+
+@pytest.mark.parametrize("where", ["details", "certificate"])
+def test_verify_reports_a_too_deep_report_as_unreadable(tmp_path, capsys, where):
+    depth = 100_000
+    nested = "[" * depth + "]" * depth
+    if where == "certificate":
+        nested = '{"c": {"cert_type": "membership", "target": %s}}' % nested
+    path = tmp_path / "report.json"
+    path.write_text('{"schema": 1, "verdict": "pass", "details": %s}' % nested)
+    assert main(["verify", str(path)]) == 3
+    assert "cannot read report" in capsys.readouterr().err
+
+
+def test_verify_reports_a_non_utf8_report_as_unreadable(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"schema": 1, "verdict": "\xff"}')
+    assert main(["verify", str(path)]) == 3
+    assert "cannot read report" in capsys.readouterr().err

@@ -4,13 +4,16 @@ import json
 
 import pytest
 
+from ikernel.algebra import MembershipCertificate
 from ikernel.harness import (
     PASS,
     ScenarioConfig,
+    _collect_certificates,
     list_scenarios,
     run_scenario,
     verify_report,
 )
+from ikernel.integrality import LocalizationCertificate, RelationCertificate
 
 CATALOGUE = [
     "lemma-infini",
@@ -114,6 +117,34 @@ def test_verify_report_round_trip():
     # Tamper with one certificate; the verifier must notice.
     data["details"]["certificates"][0]["power"] = 3
     assert not verify_report(data).ok
+
+
+CERTIFICATE_CLASSES = {
+    "membership": MembershipCertificate,
+    "relation": RelationCertificate,
+    "localization": LocalizationCertificate,
+}
+
+
+@pytest.mark.parametrize("name", [
+    "theorem1-cusp", "g1-integrality-dichotomy", "action-stability", "localization-smoothness",
+])
+def test_report_certificates_round_trip_through_their_objects(name):
+    report = run_scenario(ScenarioConfig(scenario=name, n=1, m=1, max_degree=4))
+    certificates = _collect_certificates(json.loads(report.to_json()))
+    assert certificates
+    for data in certificates:
+        cert = CERTIFICATE_CLASSES[data["cert_type"]].from_json_dict(data)
+        assert cert.to_json_dict() == data
+        assert cert.verify()
+
+
+def test_collect_certificates_keeps_document_order_and_any_cert_type():
+    nested = {"cert_type": "membership"}
+    report = {"b": [{"cert_type": 1}, {"x": {"cert_type": "relation", "c": [nested]}}],
+              "a": {"cert_type": "Membership"}, "c": [[{"cert_type": None}]]}
+    assert [c["cert_type"] for c in _collect_certificates(report)] == [
+        1, "relation", "Membership", None]
 
 
 def test_verify_rejects_wrong_schema():

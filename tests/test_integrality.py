@@ -3,7 +3,13 @@ non-integrality arguments."""
 
 import pytest
 
-from ikernel.algebra import NotHomogeneous, SubalgebraSpec, membership
+from ikernel.algebra import (
+    MembershipCertificate,
+    NotHomogeneous,
+    SubalgebraSpec,
+    membership,
+    verify_membership_json,
+)
 from ikernel.integrality import (
     algebraic_relation_search,
     integral_relation_search,
@@ -135,7 +141,9 @@ def test_every_certificate_re_evaluates(inst11, mono11):
     ]
     for relation in searches:
         assert relation is not None
-        assert relation.evaluate().is_zero()
+        x = relation.element
+        lead = x ** relation.degree if relation.monic else vs.zero()
+        assert sum((c.polynomial * x ** c.power for c in relation.coefficients), lead).is_zero()
         assert relation.verify() and verify_relation_json(relation.to_json_dict())
         for coeff in relation.coefficients:
             assert coeff.membership.verify()
@@ -177,11 +185,57 @@ def test_relation_certificate_rejects_trivial_relations(inst11):
     from dataclasses import replace
 
     relation = algebraic_relation_search(inst11.varsys.variable("z"), inst11.algebra, 3, 6)
-    assert relation.verify() and relation.leading_coefficient() == inst11.varsys.one()
+    top = tuple(c for c in relation.coefficients if c.power == relation.degree)
+    assert relation.verify() and [c.polynomial for c in top] == [inst11.varsys.one()]
     lower = tuple(c for c in relation.coefficients if c.power < relation.degree)
     for coefficients in ((), lower):
-        trivial = replace(relation, coefficients=coefficients)
-        assert trivial.leading_coefficient().is_zero() and not trivial.verify()
-    top = tuple(c for c in relation.coefficients if c.power == relation.degree)
-    assert not replace(relation, monic=True, coefficients=top).verify()
+        with pytest.raises(ValueError, match="field 'coefficients'"):
+            replace(relation, coefficients=coefficients).verify()
+    with pytest.raises(ValueError, match="field 'i'"):
+        replace(relation, monic=True, coefficients=top).verify()
 
+
+def _tampered(inst11):
+    """Certificates with one field changed, each with its JSON verifier."""
+    from dataclasses import replace
+
+    vs = inst11.varsys
+    x1, y1 = vs.variable("x1"), vs.variable("y1")
+    member = membership(inst11.algebra, vs.parse("x1^2*y1"))
+    relation = integral_relation_search(x1, inst11.algebra, 3)
+    local = localization_contains(x1, inst11.algebra, y1, 4)
+    return [
+        (MembershipCertificate(member.algebra, vs.parse("x1^3"), member.expression),
+         verify_membership_json, None),
+        (MembershipCertificate(member.algebra, member.target, member.expression * 2),
+         verify_membership_json, None),
+        (replace(relation, degree=3), verify_relation_json, None),
+        (replace(relation, element=y1), verify_relation_json, None),
+        (replace(relation, monic=False), verify_relation_json, "field 'coefficients'"),
+        (replace(relation, degree=-1), verify_relation_json, "field 'degree'"),
+        (replace(local, power=2), verify_localization_json, None),
+        (replace(local, numerator=y1), verify_localization_json, None),
+        (replace(local, power=200_000), verify_localization_json, "field 'power'"),
+    ]
+
+
+def test_tampered_certificates_fail_the_object_and_json_paths_alike(inst11):
+    for cert, verify_json, error in _tampered(inst11):
+        data = cert.to_json_dict()
+        if error is None:
+            assert not cert.verify() and not verify_json(data)
+            continue
+        for check in (cert.verify, lambda: verify_json(data)):
+            with pytest.raises(ValueError, match=error):
+                check()
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([["a", "x"], ["b", "0"]], "'b' is zero"),
+    ([["a", "x"], ["a", "x^2"]], "labels must be distinct"),
+])
+def test_membership_json_rejects_zero_and_repeated_generators(generators, message):
+    data = {"cert_type": "membership", "variables": ["x"], "generators": generators,
+            "target": "x", "expression": "a"}
+    with pytest.raises(ValueError, match=f"field 'generators': .*{message}"):
+        verify_membership_json(data)
