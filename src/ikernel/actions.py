@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
@@ -23,6 +24,7 @@ from .poly import (
     VarSystem,
     VarSystemMismatch,
     _accumulate,
+    _integer_terms,
     _product,
     format_monomial,
     monomials_of_degree,
@@ -248,27 +250,34 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     coords = substitution.coordinate_system
     varsys = substitution.varsys
     domain = SpanBasis.of_monomials(coords, monomials_of_degree(coords, degree))
-    # Powers of every coordinate's image, as term maps built once: each
-    # monomial's image is a product of at most one cached power per coordinate.
+    # Powers of every coordinate's image scaled by s, the lcm of its
+    # denominators, as integer term maps built once: each monomial's image,
+    # scaled by the product of the s^e, is a product of at most one cached
+    # power per coordinate.
     unit = (0,) * varsys.nvars
-    powers = []
+    powers, image_scales = [], []
     for name in coords.names:
-        image = substitution.image_of(name)._exponent_map()
-        powers.append([{unit: Fraction(1)}, image])
+        terms, s = _integer_terms(substitution.image_of(name)._exponent_map().items())
+        image = dict(terms)
+        powers.append([{unit: 1}, image])
+        image_scales.append(s)
         for _ in range(degree - 1):
             powers[-1].append(_product(powers[-1][-1], image))
-    deltas = []
+    deltas, scales = [], {}
     out_frame: set[tuple[int, ...]] = set()
-    for mono in domain.ambient:
+    for j, mono in enumerate(domain.ambient):
         factors = [row[e] for row, e in zip(powers, mono.exponents) if e]
-        image = reduce(_product, factors, {unit: Fraction(1)})
+        image = reduce(_product, factors, {unit: 1})
+        scale = prod(s**e for s, e in zip(image_scales, mono.exponents))
         own = varsys.monomial(dict(zip(coords.names, mono.exponents))).exponents
-        delta = _accumulate(image, ((own, Fraction(-1)),))
+        delta = _accumulate(image, ((own, -scale),))
         deltas.append(delta)
         out_frame.update(delta)
+        if scale != 1:
+            scales[j] = scale
     # Canonical order (`Monomial.sort_key`) of distinct exponent tuples.
     keys = sorted(out_frame, key=lambda e: (sum(e), e), reverse=True)
-    return kernel_span(domain, deltas, keys)
+    return kernel_span(domain, deltas, keys, scales)
 
 
 @dataclass(frozen=True)

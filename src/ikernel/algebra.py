@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -24,6 +23,7 @@ from .poly import (
     _accumulate,
     _check_budget,
     _from_exponent_map,
+    _integer_terms,
     monomials_of_degree,
 )
 
@@ -100,12 +100,6 @@ class SubalgebraSpec:
         return f"<SubalgebraSpec {len(self.generators)} generators over {self.varsys!r}>"
 
 
-def _integer_terms(terms: list[tuple[tuple[int, ...], Fraction]]) -> tuple[list, int]:
-    """Terms (exponents, c) as (exponents, c*s), s the lcm of their denominators; and s."""
-    s = lcm(*(c.denominator for _, c in terms))
-    return [(e, c.numerator * (s // c.denominator)) for e, c in terms], s
-
-
 class _Piece(NamedTuple):
     """One degree d: the basis of A_d, its rows' label expressions (None if
     untracked), (A+ . A+)_d, the generators that raise the rank past it, and
@@ -152,7 +146,7 @@ class GradedBasis:
         # Ascending degrees; per generator: label index, polynomial, `_integer_terms`.
         self._by_degree: dict[int, list[tuple]] = {}
         for k, (_, gen) in sorted(enumerate(algebra.generators), key=lambda g: g[1][1].degree()):
-            terms, s = _integer_terms(list(gen._exponent_map().items()))
+            terms, s = _integer_terms(gen._exponent_map().items())
             self._by_degree.setdefault(gen.degree(), []).append((k, gen, terms, s))
 
     def _build(self, degree: int, tracked: bool) -> _Piece:
@@ -209,7 +203,7 @@ class GradedBasis:
                 for j, x in combo.items() for t, k, s in [formals[j]] for e, c in t.items()
             ))) for combo in combos
         ) if tracked else None
-        rows = tuple(_integer_terms([(frame[c].exponents, v) for c, v in vec.items()]) for vec in vectors)
+        rows = tuple(_integer_terms((frame[c].exponents, v) for c, v in vec.items()) for vec in vectors)
         return _Piece(basis, exprs, decomposable or basis, representatives, rows)
 
     def _entry(self, degree: int) -> _Piece:
@@ -249,13 +243,14 @@ class MembershipCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget;
         zero generators and repeated labels raise ValueError."""
         varsys = certificate_varsys(data)
-        generators = [(label, varsys.parse(text)) for label, text in data["generators"]]
+        texts = certificate_field(data, "generators")
         try:
+            generators = [(label, varsys.parse(text)) for label, text in texts]
             algebra = SubalgebraSpec(varsys, generators, homogeneous=False)
         except ValueError as exc:
             raise ValueError(f"field 'generators': {exc}") from None
-        expression = algebra.label_system.parse(data["expression"])
-        return cls(algebra, varsys.parse(data["target"]), expression)
+        expression = certificate_field(data, "expression", algebra.label_system)
+        return cls(algebra, certificate_field(data, "target", varsys), expression)
 
     def verify(self) -> bool:
         """Substitute the generators into the expression within one
@@ -277,10 +272,27 @@ class MembershipCertificate:
         return f"<MembershipCertificate {self.target} = {self.expression}>"
 
 
+def certificate_field(data: Mapping, field: str, varsys: VarSystem | None = None):
+    """A serialized certificate's field, or ValueError if it is missing;
+    given a system, the field's text parsed over it, every parse error
+    named by the field."""
+    if field not in data:
+        raise ValueError(f"field {field!r} is missing")
+    value = data[field]
+    if varsys is None:
+        return value
+    if not isinstance(value, str):
+        raise ValueError(f"field {field!r} must be a string")
+    try:
+        return varsys.parse(value)
+    except ValueError as exc:
+        raise ValueError(f"field {field!r}: {exc}") from None
+
+
 def certificate_varsys(data: Mapping) -> VarSystem:
     """The variable system of a serialized certificate, after checking the
     shape of its `variables` field and of any `generators` field."""
-    names = data["variables"]
+    names = certificate_field(data, "variables")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError("field 'variables' must be a list of strings")
     generators = data.get("generators", [])
@@ -289,7 +301,10 @@ def certificate_varsys(data: Mapping) -> VarSystem:
         for g in generators
     ):
         raise ValueError("field 'generators' must be a list of [label, text] string pairs")
-    return VarSystem(names)
+    try:
+        return VarSystem(names)
+    except ValueError as exc:  # repeated or malformed names
+        raise ValueError(f"field 'variables': {exc}") from None
 
 
 def verify_membership_json(data: Mapping) -> bool:

@@ -26,7 +26,6 @@ from .harness import (
     run_scenario,
     verify_report,
 )
-from .poly import ParseError
 
 _VERDICT_CODES = {PASS: 0, FAIL: 1, NONE_UP_TO_BOUND: 2}
 
@@ -146,7 +145,7 @@ def _cmd_membership(args) -> int:
     inst = build_instance(args.n, args.m)
     try:
         candidate = inst.varsys.parse(args.poly)
-    except ParseError as exc:
+    except ValueError as exc:  # a ParseError, or an integer too long to convert
         raise UsageError(str(exc)) from None
     if args.algebra == "anm":
         algebra = inst.algebra

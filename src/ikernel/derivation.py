@@ -8,11 +8,11 @@ degreewise linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import MembershipCertificate, SubalgebraSpec, graded_piece, membership
+from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
 from .poly import _accumulate, _from_exponent_map
@@ -23,38 +23,54 @@ class InhomogeneousDerivation(ValueError):
 
 
 class Derivation:
-    """A k-derivation given by its images on variables (missing image = 0)."""
+    """A k-derivation given by its images on variables (missing image = 0).
 
-    __slots__ = ("varsys", "images", "_lowered")
+    The images are kept once, lowered and scaled to integers by s, the lcm
+    of their denominators: per variable v with an image, v's index and the
+    image's terms c*t as (t - v, s*c), so a term a*m of f maps to
+    (m - v + t, a*m_v*s*c) in s*d(f).
+    """
+
+    __slots__ = ("varsys", "images", "_scale", "_lowered")
 
     def __init__(self, varsys: VarSystem, images: Mapping[str, Polynomial]):
         clean: dict[str, Polynomial] = {}
-        # Per variable v with an image: v's index and the image's terms c*t
-        # as (t - v, c), so a term a*m of f maps to (m - v + t, a*m_v*c).
-        self._lowered = []
         for name, poly in images.items():
-            i = varsys.index(name)
+            varsys.index(name)
             if poly.varsys != varsys:
                 raise VarSystemMismatch(f"image of {name!r} over a different system")
             if not poly.is_zero():
                 clean[name] = poly
-                terms = poly._exponent_map().items()
-                self._lowered.append((i, [(t[:i] + (t[i] - 1,) + t[i + 1:], c) for t, c in terms]))
         self.varsys = varsys
         self.images = clean
+        self._scale = s = lcm(*(c.denominator for p in clean.values() for c in p.terms.values()))
+        self._lowered = []
+        for name, poly in clean.items():
+            i, terms = varsys.index(name), poly._exponent_map().items()
+            self._lowered.append((i, [
+                (t[:i] + (t[i] - 1,) + t[i + 1:], c.numerator * (s // c.denominator)) for t, c in terms
+            ]))
+
+    def _scaled_terms(self, terms: Iterable[tuple[tuple[int, ...], object]]) -> Iterator[tuple]:
+        """The terms, not yet added up, of s*d(f) for f given by its
+        (exponents, coefficient) terms."""
+        return (
+            (tuple(map(add, m, t)), a * e * c)
+            for m, a in terms
+            for i, lowered in self._lowered
+            if (e := m[i])
+            for t, c in lowered
+        )
 
     def apply(self, f: Polynomial) -> Polynomial:
         """d(f) = sum over variables of image * df/dvariable, exactly, as one
         accumulation of term products."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("polynomial over a different system")
-        return _from_exponent_map(self.varsys, _accumulate({}, (
-            (tuple(map(add, m.exponents, t)), a * e * c)
-            for m, a in f.terms.items()
-            for i, lowered in self._lowered
-            if (e := m.exponents[i])
-            for t, c in lowered
-        )))
+        image = _accumulate({}, self._scaled_terms(f._exponent_map().items()))
+        if self._scale != 1:
+            image = {t: c / self._scale for t, c in image.items()}
+        return _from_exponent_map(self.varsys, image)
 
     def homogeneous_shift(self) -> int | None:
         """Degree shift of the induced graded map, or None for the zero map.
@@ -105,15 +121,20 @@ def kernel_graded_basis(
     the images of the domain's basis rows then gives exactly ker ∩ A_d,
     whether or not the family preserves A.
     """
+    # Domain rows as integer terms with their scales: s_j * domain[j].
     if isinstance(ambient, SubalgebraSpec):
         varsys: VarSystem = ambient.varsys
-        domain = graded_piece(ambient, degree)
+        graded = ambient.graded_basis()
+        domain = graded.piece(degree)
+        rows = graded._pieces[degree].rows
     else:
         varsys = ambient
         domain = SpanBasis.of_monomials(varsys, monomials_of_degree(varsys, degree))
+        rows = [([(m.exponents, 1)], 1) for m in domain.ambient]
 
-    # Stack the derivations' images, each in its own block of rows.
-    images: list[dict[int, Fraction]] = [{} for _ in domain.vectors]
+    # Stack the derivations' scaled images, each in its own block of rows:
+    # scaling a block leaves the kernel alone.
+    images: list[dict[int, int]] = [{} for _ in rows]
     height = 0
     for drv in derivations:
         if drv.varsys != varsys:
@@ -122,13 +143,13 @@ def kernel_graded_basis(
         if shift is None:
             continue
         targets = monomials_of_degree(varsys, degree + shift)
-        row = {m: height + r for r, m in enumerate(targets)}
+        row = {m.exponents: height + r for r, m in enumerate(targets)}
         height += len(targets)
-        for image, member in zip(images, domain.polynomials()):
-            for m, c in drv.apply(member).terms.items():
-                image[row[m]] = c
+        for image, (terms, _) in zip(images, rows):
+            _accumulate(image, ((row[t], c) for t, c in drv._scaled_terms(terms)))
 
-    return kernel_span(domain, images, range(height))
+    scales = {j: s for j, (_, s) in enumerate(rows) if s != 1}
+    return kernel_span(domain, images, range(height), scales)
 
 
 @dataclass(frozen=True)

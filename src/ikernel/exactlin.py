@@ -4,12 +4,12 @@ The one elimination engine is `Echelon`: rows are sparse `{column: int}`
 maps holding only their nonzero entries, kept primitive and fraction-free,
 and elimination touches nonzero entries only.  `Fraction`s exist only at
 the edge: rows arrive as sparse rational or integer maps (`column_rows`,
-the graded-piece products) and `Echelon.emit` returns the reduced rows as
-sparse `{column: Fraction}` maps, which `SpanBasis` keeps.  On top of it sit
-`nullspace` and `solve` over sparse rows, and `SpanBasis`, a span of
-polynomials over a monomial frame, built by `of_monomials`,
-`from_polynomials` or, as the kernel of a linear map on another span, by
-`kernel_span` with one elimination.
+the graded-piece products, the scaled kernel images) and `Echelon.emit`
+returns the reduced rows as sparse `{column: Fraction}` maps, which
+`SpanBasis` keeps.  On top of it sit `nullspace` and `solve` over sparse
+rows, and `SpanBasis`, a span of polynomials over a monomial frame, built
+by `of_monomials`, `from_polynomials` or, as the kernel of a linear map on
+another span, by `kernel_span` with one elimination.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulat
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT = frozenset({int})
 
 
 def _content(values: Iterable[int]) -> int:
@@ -88,11 +89,12 @@ class Echelon:
         ordinal = self.inserted
         self.inserted += 1
 
-        scale = 1
-        for v in vec.values():
-            if v.denominator != 1:
-                scale = lcm(scale, v.denominator)
-        row = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
+        if set(map(type, vec.values())) <= _INT:  # integer rows need no rescale
+            scale = 1
+            row = {c: v for c, v in vec.items() if v} if 0 in vec.values() else dict(vec)
+        else:
+            scale = lcm(*(v.denominator for v in vec.values()))
+            row = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
         expr: dict[int, Fraction] | None = None
         if self._exprs is not None:
             expr = {ordinal: Fraction(scale)}
@@ -326,20 +328,25 @@ class SpanBasis:
 
 def kernel_span(
     domain: SpanBasis,
-    images: Sequence[Mapping[Hashable, Fraction]],
+    images: Sequence[Mapping[Hashable, Fraction | int]],
     keys: Iterable[Hashable],
+    scales: Mapping[int, int] | None = None,
 ) -> SpanBasis:
     """The span of  sum_j c_j*domain[j]  over every c with
     sum_j c_j*images[j] = 0, as a `SpanBasis` over the domain's frame.
 
     `images[j]` maps the keys of the image space to entries (a polynomial's
     `terms`, say); `keys` lists every key of that space, one matrix row each.
+    With `scales` (sparse: absent rows have scale 1), images[j] is the image
+    of scales[j]*domain[j], so a kernel vector c' has coordinates
+    c_j = scales[j]*c'_j.
 
     One elimination, with the unknowns in reverse order: the nullspace
     vector of a free unknown f is then 1 at f and otherwise supported on
     pivot unknowns after f, so through the domain's reduced rows (pivots
-    ascending) its member is 1 at domain[f]'s pivot and 0 at every other
-    free unknown's: already the reduced echelon basis of the kernel.
+    ascending) its member, divided by f's scale, is 1 at domain[f]'s pivot
+    and 0 at every other free unknown's: already the reduced echelon basis
+    of the kernel.
     """
     n = len(images)
     if n != domain.dim:
@@ -348,6 +355,9 @@ def kernel_span(
     kernel = nullspace(column_rows(images[::-1], keys), n) if n else []
     vectors = []
     for vec in reversed(kernel):
+        if scales:  # true coordinates, normalized at the free unknown max(vec)
+            free = scales.get(n - 1 - max(vec), 1)
+            vec = {k: c * scales.get(n - 1 - k, 1) / free for k, c in vec.items()}
         member: dict[int, Fraction] = {}
         for k, c in vec.items():
             _accumulate(member, ((col, c * v) for col, v in domain.vectors[n - 1 - k].items()))

@@ -23,6 +23,7 @@ from .algebra import (
     MembershipCertificate,
     NotHomogeneous,
     SubalgebraSpec,
+    certificate_field,
     certificate_varsys,
     membership,
 )
@@ -53,18 +54,20 @@ class RelationCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget;
         the exponents are checked first, so a hostile one fails quickly."""
         varsys = certificate_varsys(data)
-        element = varsys.parse(data["element"])
-        entries = data["coefficients"]
-        _check_powers(element, [("degree", data["degree"])] + [("i", e["i"]) for e in entries])
+        element = certificate_field(data, "element", varsys)
+        entries = certificate_field(data, "coefficients")
+        degree = certificate_field(data, "degree")
+        powers = [certificate_field(entry, "i") for entry in entries]
+        _check_powers(element, [("degree", degree)] + [("i", i) for i in powers])
         coefficients = tuple(
             RelationCoefficient(
-                entry["i"],
-                varsys.parse(entry["polynomial"]),
-                MembershipCertificate.from_json_dict(entry["certificate"]),
+                i,
+                certificate_field(entry, "polynomial", varsys),
+                MembershipCertificate.from_json_dict(certificate_field(entry, "certificate")),
             )
-            for entry in entries
+            for i, entry in zip(powers, entries)
         )
-        return cls(element, data["degree"], data["monic"], coefficients)
+        return cls(element, degree, certificate_field(data, "monic"), coefficients)
 
     def verify(self) -> bool:
         """Re-check with poly arithmetic only, within one `MAX_CHECK_WORK`
@@ -270,10 +273,11 @@ class LocalizationCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> LocalizationCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget."""
-        membership = MembershipCertificate.from_json_dict(data["certificate"])
+        membership = MembershipCertificate.from_json_dict(certificate_field(data, "certificate"))
         varsys = membership.algebra.varsys
-        numerator, localizing = varsys.parse(data["numerator"]), varsys.parse(data["localizing"])
-        return cls(numerator, localizing, data["power"], membership)
+        numerator = certificate_field(data, "numerator", varsys)
+        localizing = certificate_field(data, "localizing", varsys)
+        return cls(numerator, localizing, certificate_field(data, "power"), membership)
 
     def verify(self) -> bool:
         """Re-check f*g^k against the membership target within one

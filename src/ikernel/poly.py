@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -473,6 +475,13 @@ def _power(f: dict, k: int, unit: tuple[int, ...], product=_product) -> dict:
     return result
 
 
+def _integer_terms(terms: Iterable[tuple[object, Fraction]]) -> tuple[list, int]:
+    """Terms (key, c) as (key, c*s), s the lcm of their denominators; and s."""
+    terms = list(terms)
+    s = lcm(*(c.denominator for _, c in terms))
+    return [(e, c.numerator * (s // c.denominator)) for e, c in terms], s
+
+
 def _from_exponent_map(varsys: VarSystem, terms: dict) -> Polynomial:
     trusted = Monomial._trusted
     return Polynomial._trusted(varsys, {trusted(e): c for e, c in terms.items()})
@@ -523,7 +532,16 @@ def monomials_of_degree(
     Defaults to every coordinate of the system; parameters never appear.
     The result is in canonical (graded-lex descending) order, with no sort:
     the recursion runs over the chosen indices ascending, exponents high first.
+    Frames are memoized per (system, degree, names) in a bounded cache; the
+    tuples are immutable, so callers may share them across threads.
     """
+    return _frame(varsys, degree, None if names is None else tuple(names))
+
+
+# One pass of the nine scenarios uses 31 distinct frames at (2,2,5) and 52 at
+# (1,1,11); the bound keeps a long session from holding every frame it saw.
+@lru_cache(maxsize=128)
+def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tuple[Monomial, ...]:
     if degree < 0:
         return ()
     if names is None:
@@ -590,8 +608,13 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|\Z)"
 )
+
+
+def _excerpt(text: str, limit: int = 24) -> str:
+    """`text` quoted for an error message, cut after `limit` characters."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -600,13 +623,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
-        if match.lastgroup is None:
+            raise ParseError(f"unexpected character at position {pos}: {_excerpt(text[pos:])}")
+        if match.lastgroup is None:  # only whitespace is left
             break
         tokens.append((match.lastgroup, match.group(match.lastgroup)))
         pos = match.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected trailing text: {text[pos:]!r}")
     return tokens
 
 
@@ -617,16 +638,22 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 # below it; `(a+b+c+d+e)^40` or `(x+y)^3000` would need millions.
 MAX_PARSE_WORK = 1 << 18
 
+# How deep parentheses may nest in one text.  Each level costs the parser a
+# few stack frames, so this keeps it well inside Python's recursion limit.
+MAX_PARSE_DEPTH = 100
+
 
 class _Parser(_Budget):
     """Recursive descent over `{exponent tuple: Fraction}` term maps; the
     caller wraps the final map once.  Products are charged against
-    `MAX_PARSE_WORK` before they run."""
+    `MAX_PARSE_WORK` before they run, and parentheses may nest at most
+    `MAX_PARSE_DEPTH` deep."""
 
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
         super().__init__(MAX_PARSE_WORK, ParseError, "text")
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.varsys = varsys
         self.unit = (0,) * varsys.nvars
 
@@ -679,7 +706,7 @@ class _Parser(_Budget):
             self.take()
             exp_tok = self.take()
             if exp_tok[0] != "int":
-                raise ParseError(f"expected integer exponent, found {exp_tok[1]!r}")
+                raise ParseError(f"expected integer exponent, found {_excerpt(exp_tok[1])}")
             return _power(base, int(exp_tok[1]), self.unit, self.product)
         return base
 
@@ -696,12 +723,16 @@ class _Parser(_Budget):
             return {self.unit: coeff} if coeff else {}
         if kind == "name":
             if value not in self.varsys:
-                raise ParseError(f"unknown variable {value!r}")
+                raise ParseError(f"unknown variable {_excerpt(value)}")
             i = self.varsys.index(value)
             return {self.unit[:i] + (1,) + self.unit[i + 1:]: Fraction(1)}
         if (kind, value) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_PARSE_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_PARSE_DEPTH}")
             inner = self.parse_expression()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {value!r}")
 

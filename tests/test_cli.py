@@ -191,7 +191,7 @@ def test_verify_rejects_string_variables(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["membership", "relation", "localization"])
-@pytest.mark.parametrize("value", ["x1", ["x1", 2], None, {"x1": 1}])
+@pytest.mark.parametrize("value", ["x1", ["x1", 2], None, {"x1": 1}, ["x1", "x1"], ["x 1"]])
 def test_verify_rejects_malformed_variables(tmp_path, capsys, inst11, kind, value):
     cert = _certificates(inst11)[kind]
     path = tmp_path / "report.json"
@@ -366,3 +366,61 @@ def test_verify_reports_a_non_utf8_report_as_unreadable(tmp_path, capsys):
     path.write_bytes(b'{"schema": 1, "verdict": "\xff"}')
     assert main(["verify", str(path)]) == 3
     assert "cannot read report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("(" * 3000 + "x1" + ")" * 3000, "nest deeper than"),
+    ("1" * 5000 + "*q", "usage error"),  # Python 3.11+ caps int() at 4300 digits
+])
+def test_membership_rejects_hostile_text(capsys, text, named):
+    assert main(["membership", "--poly", text]) == 3
+    assert named in capsys.readouterr().err
+
+
+def test_verify_names_the_field_of_deeply_nested_text(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    _write_report(path, dict(_FALSE_MEMBER, target="(" * 3000 + "x" + ")" * 3000))
+    assert main(["verify", str(path)]) == 1
+    assert "field 'target': parentheses nest deeper than" in capsys.readouterr().err
+
+
+def test_verify_quotes_a_bounded_excerpt_of_a_malformed_text(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    _write_report(path, dict(_FALSE_MEMBER, target="x#" + "x" * 1_000_000))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "field 'target': unexpected character at position 1" in err
+    assert len(err.encode()) < 4096
+
+
+def _drop(cert, path):
+    """`cert` with the field at a dotted path (list indices as digits) removed."""
+    *parents, last = path.split(".")
+    holder = cert
+    for key in parents:
+        holder = holder[int(key)] if key.isdigit() else holder[key]
+    del holder[last]
+    return cert
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("membership", "variables"), ("membership", "generators"), ("membership", "target"),
+    ("membership", "expression"),
+    ("relation", "variables"), ("relation", "element"), ("relation", "degree"),
+    ("relation", "monic"), ("relation", "coefficients"), ("relation", "coefficients.0.i"),
+    ("relation", "coefficients.0.polynomial"), ("relation", "coefficients.0.certificate"),
+    ("relation", "coefficients.0.certificate.target"),
+    ("localization", "numerator"), ("localization", "localizing"), ("localization", "power"),
+    ("localization", "certificate"), ("localization", "certificate.target"),
+])
+def test_verify_names_a_missing_field(tmp_path, capsys, inst11, kind, path):
+    from ikernel.harness import _VERIFIERS
+
+    field = path.rsplit(".", 1)[-1]
+    cert = _drop(_certificates(inst11)[kind], path)
+    with pytest.raises(ValueError, match=f"^field '{field}' is missing$"):
+        _VERIFIERS[kind](cert)
+    report = tmp_path / "report.json"
+    _write_report(report, cert)
+    assert main(["verify", str(report)]) == 1
+    assert f"field '{field}' is missing" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_rref
+from oracles import dense_nullspace, dense_rref
 
 from ikernel.derivation import (
     Derivation,
@@ -15,6 +15,7 @@ from ikernel.derivation import (
     preserves_subalgebra,
 )
 from ikernel.exactlin import SpanBasis
+from ikernel.algebra import SubalgebraSpec
 from ikernel.poly import Monomial, Polynomial, VarSystem, monomials_of_degree
 
 VS = VarSystem(("x1", "y1", "z"))
@@ -200,3 +201,71 @@ def test_subalgebra_kernel_cusp(cusp):
         assert _row_for_row(direct, ring.intersect(graded_piece(cusp.algebra, d)))
         assert direct.spans_same(graded_piece(cusp.kernel_subalgebra, d))
 
+
+
+# -- scaled integer rows against the dense oracle --------------------------------
+
+XYZ = VarSystem(("x", "y", "z"))
+
+
+def _dense_kernel(family, domain):
+    """ker ∩ span(domain) from the dense oracle: images by the definition
+    sum_v image_v * d/dv through `Polynomial` arithmetic, one dense row per
+    (derivation, image monomial), members through `Polynomial` sums, and
+    the reduced echelon basis of the members over the domain's frame."""
+    basis, zero = domain.polynomials(), XYZ.zero()
+    rows = []
+    for drv in family:
+        images = [sum((img * b.partial(v) for v, img in drv.images.items()), zero) for b in basis]
+        monos = sorted({m for img in images for m in img.terms}, key=Monomial.sort_key)
+        rows += [[img.coeff(m) for img in images] for m in monos]
+    members = [
+        sum((b * c for b, c in zip(basis, vec) if c), zero)
+        for vec in dense_nullspace(rows, len(basis))
+    ]
+    oracle = SpanBasis.from_polynomials(XYZ, members, frame=domain.ambient)
+    return oracle.ambient, oracle.vectors, oracle.pivots
+
+
+_FRACTIONAL = [
+    Derivation(XYZ, {"x": XYZ.parse("1/2*y")}),
+    Derivation(XYZ, {"z": XYZ.parse("2/3*y^2")}),
+]
+_FAMILIES = [
+    _FRACTIONAL,
+    _FRACTIONAL[:1],
+    _FRACTIONAL[1:],
+    [Derivation(XYZ, {"x": XYZ.parse("3/4*y - 1/6*z"), "y": XYZ.parse("5/2*z")})],
+    [Derivation(XYZ, {}), Derivation(XYZ, {"y": XYZ.zero()}), _FRACTIONAL[0]],
+]
+# Generators whose pieces span proper subspaces, so the reduced piece rows
+# carry denominators, and different ones from row to row.
+_SUBALGEBRAS = [
+    SubalgebraSpec(XYZ, [("g", XYZ.parse("x + 1/2*y")), ("h", XYZ.parse("y + 1/3*z"))]),
+    SubalgebraSpec(XYZ, [("g", XYZ.parse("2/3*x - 5/7*z")), ("h", XYZ.parse("y^2 + 3/4*x*z")),
+                         ("k", XYZ.parse("1/5*y*z"))]),
+]
+
+
+@pytest.mark.parametrize("family", range(len(_FAMILIES)))
+@pytest.mark.parametrize("ambient", [None, 0, 1])
+def test_kernel_matches_dense_oracle_with_fractional_rows(family, ambient):
+    family = _FAMILIES[family]
+    algebra = XYZ if ambient is None else _SUBALGEBRAS[ambient]
+    for d in range(5):
+        basis = kernel_graded_basis(family, algebra, d)
+        domain = (
+            SpanBasis.of_monomials(XYZ, monomials_of_degree(XYZ, d))
+            if ambient is None else algebra.graded_basis().piece(d)
+        )
+        assert (basis.ambient, basis.vectors, basis.pivots) == _dense_kernel(family, domain)
+
+
+def test_derivation_keeps_one_integer_table():
+    drv = Derivation(XYZ, {"x": XYZ.parse("1/2*y"), "z": XYZ.parse("2/3*x - 3/4*y")})
+    assert not hasattr(drv, "__dict__")
+    assert all(type(c) is int for _, lowered in drv._lowered for _, c in lowered)
+    f = XYZ.parse("x^2*z - 5/3*y*z^2 + x")
+    assert drv.apply(f) == XYZ.parse("1/2*y") * f.partial("x") + XYZ.parse(
+        "2/3*x - 3/4*y"
+    ) * f.partial("z")

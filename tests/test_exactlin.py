@@ -309,6 +309,22 @@ def test_sparse_echelon_matches_dense_gauss_jordan(seed):
     _check_against_dense(_random_rows(rng, width), width)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_echelon_emits_the_same_from_int_and_equal_fraction_rows(seed):
+    rng = random.Random(500 + seed)
+    width = rng.randint(1, 40)
+    rows = [[int(v * 12) for v in row] for row in _random_rows(rng, width)]
+    emitted = []
+    for wrap in (int, Fraction):
+        ech = Echelon(width, track=True)
+        # Zeros are omitted from every other row and passed explicitly in the rest.
+        raised = [ech.insert({j: wrap(v) for j, v in enumerate(row) if v or k % 2})
+                  for k, row in enumerate(rows)]
+        emitted.append((raised, ech.emit(), tuple(map(tuple, ech.rows))))
+    assert emitted[0] == emitted[1]
+    assert all(type(x) is int for row in emitted[0][2] for x in row)
+
+
 def _strip_branch_line():
     lines, start = inspect.getsourcelines(Echelon.insert)
     at = next(i for i, text in enumerate(lines) if "> _STRIP_LIMIT" in text)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ikernel import poly
 from ikernel.poly import (
+    MAX_PARSE_DEPTH,
     Monomial,
     ParseError,
     Polynomial,
@@ -398,7 +400,7 @@ def test_parser_matches_reference(text):
 
 def test_parser_matches_reference_on_fixed_texts():
     for text in ("2x1", "x1 y1", "2x1 y1^2z", "-(x1 + z)^3", "(x1 - y1)^0", "((x1+1)^2)^2",
-                 "3/6*x1 - 1/2 x1", "x1*z - z x1", "-1/3(y1 + 2/5)^2 - 0"):
+                 "3/6*x1 - 1/2 x1", "x1*z - z x1", "-1/3(y1 + 2/5)^2 - 0", " x1 + z \n"):
         assert parse_polynomial(text, VS) == _reference_parse(text, VS), text
 
 
@@ -409,3 +411,34 @@ def test_malformed_texts_raise_in_both_parsers(text):
         _reference_parse(text, VS)
     with pytest.raises(ParseError):
         parse_polynomial(text, VS)
+
+
+def test_parser_caps_parenthesis_nesting():
+    deepest = "(" * MAX_PARSE_DEPTH + "x1 + 1" + ")" * MAX_PARSE_DEPTH
+    assert parse_polynomial(deepest, VS) == X + 1
+    for depth in (MAX_PARSE_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match=f"nest deeper than {MAX_PARSE_DEPTH}"):
+            parse_polynomial("(" * depth + "x1" + ")" * depth, VS)
+    # Sibling groups do not add up: only the nesting depth counts.
+    assert parse_polynomial("+".join(["(x1)"] * 3000), VS) == 3000 * X
+
+
+@pytest.mark.parametrize("text, named", [
+    ("x1#" + "z" * 1_000_000, "unexpected character at position 2"),
+    ("x1 " + "q" * 1_000_000, "unknown variable"),
+    ("x1^" + "y1" * 300_000, "expected integer exponent"),
+])
+def test_parse_errors_quote_a_bounded_excerpt(text, named):
+    with pytest.raises(ParseError, match=named) as caught:
+        parse_polynomial(text, VS)
+    assert len(str(caught.value)) < 200
+
+
+def test_monomial_frames_are_memoized_and_bounded():
+    frame = monomials_of_degree(VS, 6)
+    assert monomials_of_degree(VarSystem(("x1", "y1", "z")), 6) is frame
+    assert monomials_of_degree(VS, 6, ["z", "x1"]) is monomials_of_degree(VS, 6, ("z", "x1"))
+    assert monomials_of_degree(VS, 6, ("x1", "z")) == monomials_of_degree(VS, 6, ("z", "x1"))
+    assert poly._frame.cache_info().maxsize is not None
+    with pytest.raises(ValueError):  # errors are raised every time, not cached
+        monomials_of_degree(VS.extend(("t",)), 1, ("t",))
