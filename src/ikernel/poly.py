@@ -539,7 +539,7 @@ def monomials_of_degree(
 
 
 # One pass of the nine scenarios uses 31 distinct frames at (2,2,5) and 52 at
-# (1,1,11); the bound keeps a long session from holding every frame it saw.
+# (1,1,11); the bound keeps a long-lived process from holding every frame it saw.
 @lru_cache(maxsize=128)
 def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tuple[Monomial, ...]:
     if degree < 0:
