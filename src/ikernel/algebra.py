@@ -10,7 +10,6 @@ algebra problem, with no truncation error.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -101,38 +100,53 @@ class SubalgebraSpec:
 
 
 class _Piece(NamedTuple):
-    """One degree d: the basis of A_d, its rows' label expressions (None if
-    untracked), (A+ . A+)_d, the generators that raise the rank past it, and
-    the basis rows as `_integer_terms` for the products of higher degrees."""
+    """One degree d: the basis of A_d, its rows' label expressions (None
+    until `tracked_piece` adds them), (A+ . A+)_d, the basis rows as
+    `_integer_terms` for the products of higher degrees, and the products
+    that raised the rank, each as (lower degree, lower row index, generator
+    entry); the lone generators among them have lower degree 0."""
 
     basis: SpanBasis
     exprs: tuple[Polynomial, ...] | None
     decomposable: SpanBasis
-    representatives: tuple[Polynomial, ...]
     rows: tuple[tuple[list, int], ...]
+    sources: tuple[tuple[int, int, tuple], ...]
+
+    @property
+    def representatives(self) -> tuple[Polynomial, ...]:
+        """The degree-d generators that raise the rank past (A+ . A+)_d."""
+        return tuple(gen for lower, _, (_, gen, _, _) in self.sources if lower == 0)
+
+
+def _product_row(index: Mapping[tuple, int], bterms: list, gterms: list) -> dict[int, int]:
+    """The integer row of the product of two integer term lists, over the
+    frame whose column of each exponent tuple `index` gives."""
+    return _accumulate({}, (
+        (index[tuple(map(add, e1, e2))], c1 * c2) for e1, c1 in bterms for e2, c2 in gterms
+    ))
 
 
 class GradedBasis:
     """Memoized degreewise bases of a homogeneous subalgebra.
 
     Each degree is one elimination over one product stream: every basis row
-    of A_{d-e} times every generator of degree e < d, then the lone degree-d
-    generators.  That spans A_d, since positive homogeneous grading rules
-    out cancellation from higher products.  The prefix before the lone
-    generators spans (A+ . A+)_d: a product of two positive-degree members
-    is a sum of generator monomials of two or more factors, each a member
-    of A_{d-e} times a generator of degree e < d.  So the lone generators
-    that raise the rank represent the indecomposables.  Rows b and
-    generators g are kept as integer terms scaled by the lcm s_b, s_g of
-    their denominators, so each product is the integer row s_b*s_g*b*g.
+    of A_{d-e} times every generator of degree e <= d, the lone degree-d
+    generators (times the basis row 1 of A_0) last.  That spans A_d, since
+    positive homogeneous grading rules out cancellation from higher
+    products.  The prefix before the lone generators spans (A+ . A+)_d: a
+    product of two positive-degree members is a sum of generator monomials
+    of two or more factors, each a member of A_{d-e} times a generator of
+    degree e < d.  So the lone generators that raise the rank represent the
+    indecomposables.  Rows b and generators g are kept as integer terms
+    scaled by the lcm s_b, s_g of their denominators, so each product is the
+    integer row s_b*s_g*b*g.
 
-    One cache entry per degree holds all of it.  Tracked entries also carry,
-    for each basis row, a formal polynomial in the generator labels that
-    evaluates to it (the raw material for membership certificates): each
-    inserted integer row's formal, expr_b * label_g * s_b*s_g, evaluates to
-    exactly that row.  A tracked request replaces an untracked entry and a
-    plain one reads any entry; entries are only added or upgraded, so
-    concurrent callers may build a degree twice, but always to equal values.
+    One cache entry per degree holds all of it, built once.  The products
+    that raised the rank are recorded as where they came from, not as rows,
+    and `tracked_piece` derives the label expressions from them on first
+    request (the raw material for membership certificates).  Entries are
+    only added or given expressions, so concurrent callers may compute
+    either twice, but always to equal values.
     """
 
     def __init__(self, algebra: SubalgebraSpec):
@@ -149,7 +163,7 @@ class GradedBasis:
             terms, s = _integer_terms(gen._exponent_map().items())
             self._by_degree.setdefault(gen.degree(), []).append((k, gen, terms, s))
 
-    def _build(self, degree: int, tracked: bool) -> _Piece:
+    def _build(self, degree: int) -> _Piece:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.complete_through is not None and degree > self.complete_through:
@@ -157,54 +171,61 @@ class GradedBasis:
                 f"generator list is only faithful through degree {self.complete_through}; "
                 f"degree {degree} requested"
             )
-        vs, labels = self.varsys, self.labels
+        vs = self.varsys
         frame = monomials_of_degree(vs, degree)
         index = {m.exponents: i for i, m in enumerate(frame)}
-        ech = Echelon(len(frame), track=tracked)
-        # Per inserted row when tracked: label terms t, a label index k (None
-        # for none) and a scale s; the row's formal is t * label_k * s.
-        formals: list[tuple[dict, int | None, int]] = []
-        one = {labels.unit_monomial().exponents: Fraction(1)}
-
-        def insert(row: dict[int, int], formal: tuple) -> bool:
-            if tracked:
-                formals.append(formal)
-            return ech.insert(row)
-
+        ech = Echelon(len(frame))
+        sources = []
+        decomposable = None
         if degree == 0:
-            insert({0: 1}, (one, None, 1))
+            ech.insert({0: 1})
         for e, gens in self._by_degree.items():
-            if e >= degree:
+            if e > degree:
                 break
-            if tracked:
-                lower_terms = [x._exponent_map() for x in self.tracked_piece(degree - e)[1]]
-            else:
-                self.piece(degree - e)
-                lower_terms = repeat(None)
+            if e == degree:
+                decomposable = SpanBasis(vs, frame, *ech.emit())
+            self.piece(degree - e)
             lower_rows = self._pieces[degree - e].rows
-            for k, _, gterms, sg in gens:
-                for (bterms, sb), t in zip(lower_rows, lower_terms):
-                    row = _accumulate({}, (
-                        (index[tuple(map(add, e1, e2))], c1 * c2)
-                        for e1, c1 in bterms for e2, c2 in gterms
-                    ))
-                    insert(row, (t, k, sb * sg))
-        lone = self._by_degree.get(degree, [])
-        decomposable = SpanBasis(vs, frame, *ech.emit()[:2]) if lone else None
-        representatives = tuple(
-            gen for k, gen, gterms, sg in lone
-            if insert({index[x]: c for x, c in gterms}, (one, k, sg))
+            for gen in gens:
+                for i, (bterms, _) in enumerate(lower_rows):
+                    if ech.insert(_product_row(index, bterms, gen[2])):
+                        sources.append((degree - e, i, gen))
+        basis = SpanBasis(vs, frame, *ech.emit())
+        rows = tuple(
+            _integer_terms((frame[c].exponents, v) for c, v in vec.items()) for vec in basis.vectors
         )
-        vectors, pivots, combos = ech.emit()
-        basis = SpanBasis(vs, frame, vectors, pivots)
-        exprs = tuple(  # each basis row's combination of the formals t * label_k * s
-            _from_exponent_map(labels, _accumulate({}, (
-                (e if k is None else e[:k] + (e[k] + 1,) + e[k + 1:], c * (s * x))
-                for j, x in combo.items() for t, k, s in [formals[j]] for e, c in t.items()
-            ))) for combo in combos
-        ) if tracked else None
-        rows = tuple(_integer_terms((frame[c].exponents, v) for c, v in vec.items()) for vec in vectors)
-        return _Piece(basis, exprs, decomposable or basis, representatives, rows)
+        return _Piece(basis, None, decomposable or basis, rows, tuple(sources))
+
+    def _expressions(self, degree: int, entry: _Piece) -> tuple[Polynomial, ...]:
+        """Each basis row's label expression, from the products that raised
+        the rank.  Those r products P are independent and span A_d, so
+        P = N*B for the basis rows B, with N the products' entries at the
+        basis pivots, and B = N^-1 * P uniquely.  Eliminating the rows
+        [N | I] gives [I | N^-1], so basis row i's expression is the
+        combination sum_j (N^-1)_ij of the products' formals
+        expr_b * label_g * s_b*s_g, each of which evaluates to its row."""
+        if degree == 0:
+            return (self.labels.one(),)
+        basis = entry.basis
+        index = {m.exponents: i for i, m in enumerate(basis.ambient)}
+        r = basis.dim
+        ech = Echelon(2 * r)
+        formals = []
+        lower_exprs = {d: self.tracked_piece(d)[1] for d in {s[0] for s in entry.sources}}
+        for j, (lower, i, (k, _, gterms, sg)) in enumerate(entry.sources):
+            bterms, sb = self._pieces[lower].rows[i]
+            product = _product_row(index, bterms, gterms)
+            row = {col: product[p] for col, p in enumerate(basis.pivots) if p in product}
+            row[r + j] = 1
+            ech.insert(row)
+            formals.append((lower_exprs[lower][i]._exponent_map(), k, sb * sg))
+        return tuple(
+            _from_exponent_map(self.labels, _accumulate({}, (
+                (e[:k] + (e[k] + 1,) + e[k + 1:], c * (s * x))
+                for j, x in vec.items() if j >= r
+                for t, k, s in [formals[j - r]] for e, c in t.items()
+            ))) for vec in ech.emit()[0]
+        )
 
     def _entry(self, degree: int) -> _Piece:
         if degree < 1:
@@ -214,13 +235,16 @@ class GradedBasis:
 
     def piece(self, degree: int) -> SpanBasis:
         if degree not in self._pieces:
-            self._pieces.setdefault(degree, self._build(degree, tracked=False))
+            self._pieces.setdefault(degree, self._build(degree))
         return self._pieces[degree].basis
 
     def tracked_piece(self, degree: int) -> tuple[SpanBasis, tuple[Polynomial, ...]]:
-        entry = self._pieces.get(degree)
-        if entry is None or entry.exprs is None:
-            entry = self._pieces[degree] = self._build(degree, tracked=True)
+        """`piece(degree)` and, per basis row, a formal polynomial in the
+        generator labels that evaluates to it."""
+        self.piece(degree)
+        entry = self._pieces[degree]
+        if entry.exprs is None:
+            entry = self._pieces[degree] = entry._replace(exprs=self._expressions(degree, entry))
         return entry.basis, entry.exprs
 
 
@@ -255,9 +279,9 @@ class MembershipCertificate:
     def verify(self) -> bool:
         """Substitute the generators into the expression within one
         `MAX_CHECK_WORK` budget and compare with the target."""
-        product = _check_budget("expression").product
         images = dict(self.algebra.generators)
-        return self.expression._substitute(images, self.algebra.varsys, product) == self.target
+        budget = _check_budget("expression")
+        return self.expression._substitute(images, self.algebra.varsys, budget) == self.target
 
     def to_json_dict(self) -> dict:
         return {

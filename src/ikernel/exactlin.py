@@ -58,20 +58,16 @@ class Echelon:
     yields the unique reduced row echelon basis of the span.  New rows are
     reduced with the integer-preserving update `lead*x - a*y` over their
     nonzero entries, and their content is stripped once entries pass
-    `_STRIP_LIMIT`.  With `track=True` every stored row also carries its
-    expression as an exact linear combination of the inserted vectors,
-    keyed by insertion ordinal.  `rows` views each stored row's nonzero
-    values in pivot order.
+    `_STRIP_LIMIT`.  `rows` views each stored row's nonzero values in pivot
+    order.
     """
 
-    __slots__ = ("width", "pivots", "inserted", "_rows", "_exprs")
+    __slots__ = ("width", "pivots", "_rows")
 
-    def __init__(self, width: int, track: bool = False):
+    def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
-        self.inserted = 0
         self._rows: dict[int, dict[int, int]] = {}
-        self._exprs: dict[int, dict[int, Fraction]] | None = {} if track else None
 
     @property
     def dim(self) -> int:
@@ -86,33 +82,20 @@ class Echelon:
         rank grew.  Zero entries may be present or omitted."""
         if vec and (min(vec) < 0 or max(vec) >= self.width):
             raise ValueError("vector has a column outside the frame")
-        ordinal = self.inserted
-        self.inserted += 1
-
         if set(map(type, vec.values())) <= _INT:  # integer rows need no rescale
-            scale = 1
             row = {c: v for c, v in vec.items() if v} if 0 in vec.values() else dict(vec)
         else:
             scale = lcm(*(v.denominator for v in vec.values()))
             row = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
-        expr: dict[int, Fraction] | None = None
-        if self._exprs is not None:
-            expr = {ordinal: Fraction(scale)}
 
         # Reducing by a stored row never creates entries in other pivot
         # columns, so the pivots to clear are those the row starts with.
         for p in sorted(c for c in row if c in self._rows):
-            a = row[p]
-            lead = self._rows[p][p]
-            _eliminate(row, lead, a, self._rows[p])
-            if expr is not None:
-                _eliminate(expr, lead, a, self._exprs[p])
+            _eliminate(row, self._rows[p][p], row[p], self._rows[p])
             if max(map(abs, row.values()), default=0) > _STRIP_LIMIT:
                 g = _content(row.values())
                 if g > 1:
                     row = {c: x // g for c, x in row.items()}
-                    if expr is not None:
-                        expr = {j: c / g for j, c in expr.items()}
 
         if not row:
             return False
@@ -123,12 +106,10 @@ class Echelon:
             g = -g
         if g != 1:
             row = {c: x // g for c, x in row.items()}
-            if expr is not None:
-                expr = {j: c / g for j, c in expr.items()}
 
         # Clear the new pivot column from the stored rows.
         lead = row[pivot]
-        for q, other in self._rows.items():
+        for other in self._rows.values():
             b = other.get(pivot)
             if not b:
                 continue
@@ -137,33 +118,20 @@ class Echelon:
             if gk > 1:
                 for c in other:
                     other[c] //= gk
-            if expr is not None:
-                _eliminate(self._exprs[q], lead, b, expr)
-                if gk > 1:
-                    self._exprs[q] = {j: c / gk for j, c in self._exprs[q].items()}
 
         self._rows[pivot] = row
         insort(self.pivots, pivot)
-        if expr is not None:
-            self._exprs[pivot] = expr
         return True
 
-    def emit(
-        self,
-    ) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...], tuple[dict[int, Fraction], ...] | None]:
+    def emit(self) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
         """Reduced echelon rows as sparse `{column: Fraction}` maps (columns
-        ascending, pivots normalized to 1), pivot columns, expressions."""
+        ascending, pivots normalized to 1), and pivot columns."""
         vectors = []
-        exprs_out = [] if self._exprs is not None else None
         for p in self.pivots:
             row = self._rows[p]
             lead = row[p]
             vectors.append({c: Fraction(row[c], lead) for c in sorted(row)})
-            if exprs_out is not None:
-                exprs_out.append({j: c / lead for j, c in self._exprs[p].items()})
-        return tuple(vectors), tuple(self.pivots), (
-            tuple(exprs_out) if exprs_out is not None else None
-        )
+        return tuple(vectors), tuple(self.pivots)
 
 
 def column_rows(
@@ -188,7 +156,7 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[i
     ech = Echelon(width)
     for row in rows:
         ech.insert(row)
-    reduced, pivots, _ = ech.emit()
+    reduced, pivots = ech.emit()
     kernel = {j: {j: _ONE} for j in range(width)}
     for p in pivots:
         del kernel[p]
@@ -271,7 +239,7 @@ class SpanBasis:
             except KeyError:
                 raise ValueError("polynomial has a monomial outside the frame") from None
             ech.insert(row)
-        vectors, pivots, _ = ech.emit()
+        vectors, pivots = ech.emit()
         return cls(varsys, frame, vectors, pivots)
 
     @property

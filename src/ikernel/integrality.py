@@ -330,14 +330,18 @@ def non_integrality_by_specialization(
     specialize to a monic polynomial identity over the constants for a
     nonconstant element of a polynomial ring, which is impossible.  True
     means x is certainly not integral over the algebra (no degree bound
-    involved).
+    involved).  Specialization keeps exactly the terms free of the listed
+    variables, and distinct terms cannot cancel, so only exponents are read.
     """
     vs = algebra.varsys
-    images = {name: vs.constant(0) for name in vanishing}
-    for _, generator in algebra.generators:
-        if not generator.substitute(images, target=vs).is_zero():
-            return False
-    return x.substitute(images, target=vs).degree() >= 1
+    zeroed = [vs.index(name) for name in vanishing]
+
+    def kept(f: Polynomial) -> list[Monomial]:
+        return [m for m in f.terms if not any(m.exponents[i] for i in zeroed)]
+
+    if any(kept(generator) for _, generator in algebra.generators):
+        return False
+    return any(vs.degree_of(m) >= 1 for m in kept(x.embed(vs)))
 
 
 def transcendental_over_constants(x: Polynomial, algebra: SubalgebraSpec) -> bool:

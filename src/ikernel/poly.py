@@ -349,12 +349,13 @@ class Polynomial:
         system; a variable that has no image and is absent from the target
         is an error.
         """
-        return self._substitute(images, target, _product)
+        return self._substitute(images, target)
 
     def _substitute(
-        self, images: Mapping[str, Polynomial], target: VarSystem | None, product
+        self, images: Mapping[str, Polynomial], target: VarSystem | None, budget=None
     ) -> Polynomial:
-        """`substitute`, with every product of term maps run by `product`."""
+        """`substitute`, with every product and power of term maps charged
+        against `budget` if one is given."""
         for name in images:
             self.varsys.index(name)
         if target is None:
@@ -378,11 +379,12 @@ class Polynomial:
             else:
                 raise VarSystemMismatch(f"variable {name!r} absent from the target system")
 
+        product, power_of = (budget.product, budget.power_terms) if budget else (_product, _power)
         unit = (0,) * target.nvars
         powers = {i: [{unit: Fraction(1)}] for i in base}
         def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
             if len(base[i]) == 1:
-                return _power(base[i], e, unit)
+                return power_of(base[i], e, unit)
             cache = powers[i]
             while len(cache) <= e:
                 cache.append(product(cache[-1], base[i]))
@@ -488,29 +490,40 @@ def _from_exponent_map(varsys: VarSystem, terms: dict) -> Polynomial:
 
 
 class _Budget:
-    """Term products charged against `cap` before each runs: a product of
-    term maps f*g costs len(f)*len(g).  Past the cap, an `error` says that
-    `what` needs more."""
+    """Work charged against `cap` before it runs: a product of term maps f*g
+    costs len(f)*len(g), and a power c**k of a single term (which scales
+    exponents) k times the bit length of |numerator|*denominator less one,
+    a bound on its bits as `MAX_CERT_POWER_BITS` counts them (0 for c = +-1).
+    Past the cap, an `error` says that `what` needs more."""
 
     def __init__(self, cap: int, error: type[ValueError], what: str):
         self.cap, self.error, self.what, self.work = cap, error, what, 0
 
-    def product(self, f: dict, g: dict) -> dict:
-        self.work += len(f) * len(g)
+    def _charge(self, work: int) -> None:
+        self.work += work
         if self.work > self.cap:
-            raise self.error(f"{self.what} needs more than {self.cap} term products")
+            raise self.error(f"{self.what} needs over {self.cap} term products or coefficient bits")
+
+    def product(self, f: dict, g: dict) -> dict:
+        self._charge(len(f) * len(g))
         return _product(f, g)
+
+    def power_terms(self, f: dict, k: int, unit: tuple[int, ...]) -> dict:
+        if len(f) == 1:
+            (c,) = f.values()
+            self._charge(k * (abs(c.numerator) * c.denominator - 1).bit_length())
+        return _power(f, k, unit, self.product)
 
     def power(self, f: Polynomial, k: int) -> Polynomial:
         unit = (0,) * f.varsys.nvars
-        return _from_exponent_map(f.varsys, _power(f._exponent_map(), k, unit, self.product))
+        return _from_exponent_map(f.varsys, self.power_terms(f._exponent_map(), k, unit))
 
     def multiply(self, f: Polynomial, g: Polynomial) -> Polynomial:
         return _from_exponent_map(f.varsys, self.product(f._exponent_map(), g._exponent_map()))
 
 
-# The work one certificate check may spend multiplying out its fields, in
-# term products as the parser counts them: substituting the generators into
+# The work one certificate check may spend multiplying out its fields,
+# counted as the parser counts it: substituting the generators into
 # a membership expression, or a relation's coefficients times powers of its
 # element.  `membership()` re-checks every certificate it returns under it.
 # The largest genuine check spends 68 in the benchmark workloads and 1,037
@@ -631,11 +644,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-# The work one text may ask of the parser, counted in term products: a
-# product of term maps f*g costs len(f)*len(g), and a power of a base with
-# two or more terms costs the products that multiply it out (powers of a
-# single term scale exponents and cost nothing).  Genuine reports stay far
-# below it; `(a+b+c+d+e)^40` or `(x+y)^3000` would need millions.
+# The work one text may ask of the parser, counted as `_Budget` counts it:
+# a product of term maps f*g costs len(f)*len(g), a power of a base with
+# two or more terms costs the products that multiply it out, and a power of
+# a single term costs the bits of its coefficient's power.  Genuine reports
+# stay far below it; `(a+b+c+d+e)^40`, `(x+y)^3000` or `(3/7*x)^1000000`
+# would need millions.
 MAX_PARSE_WORK = 1 << 18
 
 # How deep parentheses may nest in one text.  Each level costs the parser a
@@ -707,7 +721,7 @@ class _Parser(_Budget):
             exp_tok = self.take()
             if exp_tok[0] != "int":
                 raise ParseError(f"expected integer exponent, found {_excerpt(exp_tok[1])}")
-            return _power(base, int(exp_tok[1]), self.unit, self.product)
+            return self.power_terms(base, int(exp_tok[1]), self.unit)
         return base
 
     def parse_primary(self) -> dict:

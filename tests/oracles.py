@@ -1,7 +1,7 @@
 """Independent reference implementations shared by the tests."""
 
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 
 
 def dense_rref(rows, width):
@@ -54,12 +54,15 @@ def pairwise_decomposable(algebra, degree):
     return dense_rref(rows, len(frame))
 
 
-def product_stream_pieces(algebra, max_degree, tracked):
+def product_stream_pieces(algebra, max_degree):
     """Graded pieces A_0..A_max_degree from the `Polynomial` product stream:
     per degree d, one `Echelon` over the rational rows of every product b*g
     of a basis row of A_{d-e} and a generator of degree e < d, then of the
-    lone degree-d generators; each formal is expr_b * label_g.  Returns per
-    degree the basis and its label expressions (None when untracked)."""
+    lone degree-d generators; each formal is expr_b * label_g.  With P the
+    rows of the products that raise the rank, the textbook reduced form of
+    [P | I] is [B | M] with M*P = B, so basis row i's label expression is
+    the sum of M_ij times product j's formal.  Returns per degree the basis
+    and its label expressions."""
     from ikernel.exactlin import Echelon, SpanBasis
     from ikernel.poly import monomials_of_degree
 
@@ -74,18 +77,24 @@ def product_stream_pieces(algebra, max_degree, tracked):
             if e < d:
                 lower, lower_exprs = pieces[d - e]
                 for glabel, gen in by_degree[e]:
-                    for b, expr in zip(lower.polynomials(), lower_exprs or repeat(None)):
-                        stream.append((b * gen, expr * glabel if tracked else None))
+                    for b, expr in zip(lower.polynomials(), lower_exprs):
+                        stream.append((b * gen, expr * glabel))
         stream += [(gen, glabel) for glabel, gen in by_degree.get(d, [])]
         frame = monomials_of_degree(vs, d)
         index = {m: i for i, m in enumerate(frame)}
-        ech = Echelon(len(frame), track=tracked)
-        for poly, _ in stream:
-            ech.insert({index[m]: c for m, c in poly.terms.items()})
-        vectors, pivots, combos = ech.emit()
+        width = len(frame)
+        ech = Echelon(width)
+        raised = [(poly, formal) for poly, formal in stream
+                  if ech.insert({index[m]: c for m, c in poly.terms.items()})]
+        r = len(raised)
+        reduced, _ = dense_rref(
+            [[poly.coeff(m) for m in frame] + [int(i == j) for j in range(r)]
+             for i, (poly, _) in enumerate(raised)],
+            width + r,
+        )
         exprs = tuple(
-            sum((stream[j][1] * c for j, c in sorted(combo.items())), labels.zero())
-            for combo in combos
-        ) if tracked else None
-        pieces.append((SpanBasis(vs, frame, vectors, pivots), exprs))
+            sum((raised[j][1] * c for j, c in enumerate(row[width:]) if c), labels.zero())
+            for row in reduced
+        )
+        pieces.append((SpanBasis(vs, frame, *ech.emit()), exprs))
     return pieces

@@ -25,7 +25,7 @@ from ikernel.algebra import (
     verify_membership_json,
     y_positive_monomial_algebra,
 )
-from ikernel.exactlin import SpanBasis
+from ikernel.exactlin import Echelon, SpanBasis
 from ikernel.poly import Polynomial, VarSystem
 
 
@@ -229,19 +229,27 @@ def test_indecomposables_complement_the_decomposables():
         assert SpanBasis.from_polynomials(algebra.varsys, representatives).spans_same(indec)
 
 
-def test_tracked_and_untracked_pieces_agree():
+def test_tracked_and_untracked_pieces_agree(monkeypatch):
     # One cache entry serves both: a plain request reads a tracked entry,
-    # and a tracked request upgrades a plain one once.
+    # and a tracked request adds expressions to a plain one without
+    # rebuilding it, eliminating one row per basis row.
     algebra = build_instance(1, 1).algebra
     tracked_first = build_instance(1, 1).algebra.graded_basis()
     plain_first = algebra.graded_basis()
+    inserts = []
+    real_insert = Echelon.insert
+    monkeypatch.setattr(
+        Echelon, "insert", lambda ech, vec: inserts.append(vec) or real_insert(ech, vec)
+    )
     for d in range(6):
         basis, _ = tracked_first.tracked_piece(d)
         assert tracked_first.piece(d) is basis
 
         plain = plain_first.piece(d)
+        inserts.clear()
         tracked, exprs = plain_first.tracked_piece(d)
-        assert (tracked.vectors, tracked.pivots) == (plain.vectors, plain.pivots)
+        assert tracked is plain
+        assert len(inserts) == (plain.dim if d else 0)  # degree 0 needs no elimination
         images = dict(algebra.generators)
         for poly, expr in zip(tracked.polynomials(), exprs):
             assert expr.substitute(images, target=algebra.varsys) == poly
@@ -271,17 +279,16 @@ PRODUCT_STREAM_ALGEBRAS = {
 @pytest.mark.parametrize("name", PRODUCT_STREAM_ALGEBRAS)
 def test_product_stream_matches_the_polynomial_reference(name):
     make = PRODUCT_STREAM_ALGEBRAS[name]
-    plain_ref = product_stream_pieces(make(), 7, tracked=False)
-    tracked_ref = product_stream_pieces(make(), 7, tracked=True)
+    ref = product_stream_pieces(make(), 7)
     plain, tracked, algebra = make().graded_basis(), make().graded_basis(), make()
     vs, labels = algebra.varsys, algebra.label_system
     images = dict(algebra.generators)
     rng = random.Random(7)
     target, expression = vs.zero(), labels.zero()
     for d in range(8):
-        want, want_exprs = tracked_ref[d]
+        want, want_exprs = ref[d]
         basis, exprs = tracked.tracked_piece(d)
-        for got in (plain_ref[d][0], plain.piece(d), basis):
+        for got in (plain.piece(d), basis):
             assert (got.pivots, got.vectors) == (want.pivots, want.vectors)
         assert exprs == want_exprs
         for poly, expr in zip(basis.polynomials(), exprs):

@@ -157,6 +157,29 @@ def test_verify_single_term_powers_are_fast(tmp_path, capsys):
     assert "verified 1 certificate(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, fields", [
+    ("target", {"target": "(3/7*x)^10000000"}),
+    ("expression", {"generators": [["a", "3/7*x"]], "expression": "a^3000000"}),
+])
+def test_verify_rejects_huge_single_term_coefficient_powers(tmp_path, capsys, field, fields):
+    # Scaling exponents is free, but (3/7)^k is not: its bits are charged.
+    cert = {"cert_type": "membership", "variables": ["x"], "generators": [["a", "x"]],
+            "target": "x", "expression": "a"}
+    path = tmp_path / "report.json"
+    _write_report(path, dict(cert, **fields))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f"field {field!r}" in capsys.readouterr().err
+
+
+def test_membership_rejects_a_huge_single_term_coefficient_power(capsys):
+    start = time.perf_counter()
+    assert main(["membership", "--poly", "(3/7*x1)^10000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "coefficient bits" in capsys.readouterr().err
+
+
 def _certificates(inst):
     from ikernel import integral_relation_search, localization_contains, membership
 

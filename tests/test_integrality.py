@@ -1,6 +1,8 @@
 """Integral/algebraic relation searches, localization, and the conclusive
 non-integrality arguments."""
 
+import random
+
 import pytest
 
 from ikernel.algebra import (
@@ -19,6 +21,7 @@ from ikernel.integrality import (
     verify_localization_json,
     verify_relation_json,
 )
+from ikernel.poly import Monomial, Polynomial, VarSystem, VarSystemMismatch
 
 
 def test_integral_relation_for_x1(inst11):
@@ -60,6 +63,36 @@ def test_no_integral_relation_over_monomial_algebra(inst11, mono11):
     assert non_integrality_by_specialization(x1, mono11, inst11.y_names)
     # The same argument does not apply over the full subalgebra: z survives.
     assert not non_integrality_by_specialization(x1, inst11.algebra, inst11.y_names)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_specialization_matches_the_substitution_definition(seed):
+    # Send the listed variables to zero by substitution: non-integral iff
+    # every generator dies and x keeps a term of positive degree.
+    rng = random.Random(seed)
+    vs = VarSystem(("a", "b", "c", "d"), ("coordinate",) * 3 + ("parameter",))
+    vanishing = rng.sample(vs.names[:3], rng.randint(1, 2))
+
+    def random_poly(nvars):  # in the first nvars variables
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [rng.randint(0, 1) if i < nvars else 0 for i in range(vs.nvars)]
+            if rng.random() < 0.5:  # killed by the specialization
+                exps[vs.index(rng.choice(vanishing))] += 1
+            terms[Monomial(exps)] = rng.randint(-2, 2) or 1
+        return Polynomial(vs, terms)
+
+    # Generators may not involve the parameter d, which has degree 0 and
+    # which x may involve.
+    generators = [(f"g{k}", random_poly(3)) for k in range(rng.randint(0, 3))]
+    algebra = SubalgebraSpec(vs, generators, homogeneous=False)
+    x = random_poly(4) + vs.variable("d") ** rng.randint(0, 2)
+    images = {name: vs.zero() for name in vanishing}
+    want = all(g.substitute(images, target=vs).is_zero() for _, g in generators) and (
+        x.substitute(images, target=vs).degree() >= 1)
+    assert non_integrality_by_specialization(x, algebra, vanishing) == want
+    with pytest.raises(VarSystemMismatch):
+        non_integrality_by_specialization(x, algebra, vanishing + ["w"])
 
 
 def test_algebraic_relation_over_monomial_algebra(inst11, mono11):

@@ -153,10 +153,17 @@ def test_parse_work_budget(monkeypatch):
         parse_polynomial(f"(x1+z)^{k + 1}", VS)
     with pytest.raises(ParseError, match="term products"):
         parse_polynomial("(x1+z)^16*(x1+z)^16", VS)  # 2*272 + 17*17 = 833
-    # Zero and single-term bases cost nothing, whatever the exponent.
+    # Zero bases and single terms with coefficient +-1 cost nothing, whatever
+    # the exponent; c^k costs k*ceil(log2(|numerator|*denominator)) bits.
     assert parse_polynomial("(x1-x1)^1000000000", VS).is_zero()
     assert parse_polynomial("(x1-x1)^0", VS) == VS.one()
-    assert parse_polynomial("(2*x1)^3000", VS) == (2 * X) ** 3000
+    assert parse_polynomial("(-x1)^1000000000", VS) == X ** 1000000000
+    assert parse_polynomial("2^600", VS) == VS.constant(2**600)
+    assert parse_polynomial("(2*x1)^599", VS) == (2 * X) ** 599  # and 1 product
+    with pytest.raises(ParseError, match="coefficient bits"):
+        parse_polynomial("2^601", VS)
+    with pytest.raises(ParseError, match="coefficient bits"):
+        parse_polynomial("(3/7)^121", VS)  # 5 bits per power: 605
 
 
 def test_parse_rejects_garbage():
