@@ -208,6 +208,7 @@ class GradedBasis:
             return (self.labels.one(),)
         basis = entry.basis
         index = {m.exponents: i for i, m in enumerate(basis.ambient)}
+        position = {p: col for col, p in enumerate(basis.pivots)}
         r = basis.dim
         ech = Echelon(2 * r)
         formals = []
@@ -215,7 +216,7 @@ class GradedBasis:
         for j, (lower, i, (k, _, gterms, sg)) in enumerate(entry.sources):
             bterms, sb = self._pieces[lower].rows[i]
             product = _product_row(index, bterms, gterms)
-            row = {col: product[p] for col, p in enumerate(basis.pivots) if p in product}
+            row = {position[p]: v for p, v in product.items() if p in position}
             row[r + j] = 1
             ech.insert(row)
             formals.append((lower_exprs[lower][i]._exponent_map(), k, sb * sg))
@@ -280,7 +281,7 @@ class MembershipCertificate:
         """Substitute the generators into the expression within one
         `MAX_CHECK_WORK` budget and compare with the target."""
         images = dict(self.algebra.generators)
-        budget = _check_budget("expression")
+        budget = _check_budget("expression", self.algebra.varsys)
         return self.expression._substitute(images, self.algebra.varsys, budget) == self.target
 
     def to_json_dict(self) -> dict:

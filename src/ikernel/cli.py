@@ -95,7 +95,6 @@ def _cmd_run(args) -> int:
         m=args.m,
         max_degree=args.max_degree,
         bounds=_parse_bounds(args.bound),
-        output=args.output,
     )
     try:
         cfg.validate()

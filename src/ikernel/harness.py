@@ -67,7 +67,6 @@ class ScenarioConfig:
     m: int = 1
     max_degree: int = DEFAULT_MAX_DEGREE
     bounds: dict[str, int] = field(default_factory=dict)
-    output: str = "text"
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -82,8 +81,6 @@ class ScenarioConfig:
                 raise ValueError(f"unknown bound {key!r}")
             if value < 1:
                 raise ValueError(f"bound {key!r} must be positive")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be 'text' or 'json'")
 
     def bound(self, key: str) -> int:
         return self.bounds.get(key, DEFAULT_BOUNDS[key])

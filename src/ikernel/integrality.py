@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -52,13 +51,14 @@ class RelationCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> RelationCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget;
-        the exponents are checked first, so a hostile one fails quickly."""
+        the exponent fields are checked first, so one that is malformed is
+        named before any nested certificate is parsed."""
         varsys = certificate_varsys(data)
         element = certificate_field(data, "element", varsys)
         entries = certificate_field(data, "coefficients")
         degree = certificate_field(data, "degree")
         powers = [certificate_field(entry, "i") for entry in entries]
-        _check_powers(element, [("degree", degree)] + [("i", i) for i in powers])
+        _check_exponents([("degree", degree)] + [("i", i) for i in powers])
         coefficients = tuple(
             RelationCoefficient(
                 i,
@@ -72,11 +72,12 @@ class RelationCertificate:
     def verify(self) -> bool:
         """Re-check with poly arithmetic only, within one `MAX_CHECK_WORK`
         budget (each coefficient's membership certificate has its own); a
-        malformed or trivial relation raises ValueError naming the field."""
+        malformed or trivial relation, or an expansion over the budget,
+        raises ValueError naming the field."""
         element, degree, monic = self.element, self.degree, self.monic
         varsys = element.varsys
         powers = [c.power for c in self.coefficients]
-        _check_powers(element, [("degree", degree)] + [("i", i) for i in powers])
+        _check_exponents([("degree", degree)] + [("i", i) for i in powers])
         if type(monic) is not bool:
             raise ValueError("field 'monic' must be true or false")
         # A monic relation's x^degree term is implicit and must not cancel.
@@ -87,9 +88,11 @@ class RelationCertificate:
         if not monic and sum(top, varsys.zero()).is_zero():
             raise ValueError("field 'coefficients': a non-monic relation needs a nonzero "
                              "coefficient at i == degree")
-        budget = _check_budget("coefficients")
-        power_of = {i: budget.power(element, i) for i in set(powers)}
+        budget = _check_budget("degree", varsys)
         total = budget.power(element, degree) if monic else varsys.zero()
+        budget.what = "field 'i'"
+        power_of = {i: budget.power(element, i) for i in set(powers)}
+        budget.what = "field 'coefficients'"
         for coeff in self.coefficients:
             cert = coeff.membership
             if cert.target != coeff.polynomial or not cert.verify():
@@ -115,29 +118,19 @@ class RelationCertificate:
         }
 
 
-# Caps on the powers `base**k` that the `degree`, `i` and `power` fields of a
-# serialized certificate ask for.  For a t-term base, base**k has at most
-# C(k+t-1, t-1) terms with coefficients about k times as wide as base's;
-# their product estimates its size and, since a multi-term base is multiplied
-# out k times, its cost.  The estimates of one certificate are summed.
+# The largest exponent a `degree`, `i` or `power` field may hold.  What the
+# power costs to expand is charged against `MAX_CHECK_WORK` as it runs.
 MAX_CERT_EXPONENT = 100_000
-MAX_CERT_POWER_BITS = 1 << 18
 
 
-def _check_powers(base: Polynomial, exponents: Iterable[tuple[str, object]]) -> None:
-    """Before any arithmetic: every exponent a JSON integer >= 0 and the
-    powers of `base` within the caps, or ValueError naming the field."""
-    t = max(len(base.terms), 1)
-    bits = max(((c.numerator * c.denominator).bit_length() for c in base.terms.values()), default=0)
-    size = 0
+def _check_exponents(exponents: Iterable[tuple[str, object]]) -> None:
+    """Before any arithmetic: every exponent a JSON integer >= 0 and at most
+    `MAX_CERT_EXPONENT`, or ValueError naming the field."""
     for field, k in exponents:
         if type(k) is not int or k < 0:  # JSON true is a Python int
             raise ValueError(f"field {field!r} must be a nonnegative integer")
         if k > MAX_CERT_EXPONENT:
             raise ValueError(f"field {field!r}: exponent {k} is over the cap {MAX_CERT_EXPONENT}")
-        size += k * bits * comb(k + t - 1, t - 1)
-        if size > MAX_CERT_POWER_BITS:
-            raise ValueError(f"field {field!r}: power {k} of a {t}-term polynomial is over the cap")
 
 
 def verify_relation_json(data: Mapping) -> bool:
@@ -282,8 +275,8 @@ class LocalizationCertificate:
     def verify(self) -> bool:
         """Re-check f*g^k against the membership target within one
         `MAX_CHECK_WORK` budget; a malformed power raises ValueError."""
-        _check_powers(self.localizing, [("power", self.power)])
-        budget = _check_budget("power")
+        _check_exponents([("power", self.power)])
+        budget = _check_budget("power", self.numerator.varsys)
         product = budget.multiply(self.numerator, budget.power(self.localizing, self.power))
         return self.membership.target == product and self.membership.verify()
 

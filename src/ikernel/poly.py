@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -349,17 +349,16 @@ class Polynomial:
         system; a variable that has no image and is absent from the target
         is an error.
         """
-        return self._substitute(images, target)
-
-    def _substitute(
-        self, images: Mapping[str, Polynomial], target: VarSystem | None, budget=None
-    ) -> Polynomial:
-        """`substitute`, with every product and power of term maps charged
-        against `budget` if one is given."""
-        for name in images:
-            self.varsys.index(name)
         if target is None:
             target = next(iter(images.values())).varsys if images else self.varsys
+        return self._substitute(images, target, _Budget(inf, ValueError, "substitution", target))
+
+    def _substitute(
+        self, images: Mapping[str, Polynomial], target: VarSystem, budget: _Budget
+    ) -> Polynomial:
+        """`substitute`, every product and power of term maps charged to `budget`."""
+        for name in images:
+            self.varsys.index(name)
         for name, img in images.items():
             if img.varsys != target:
                 raise VarSystemMismatch(f"image of {name!r} is not over the target system")
@@ -379,12 +378,12 @@ class Polynomial:
             else:
                 raise VarSystemMismatch(f"variable {name!r} absent from the target system")
 
-        product, power_of = (budget.product, budget.power_terms) if budget else (_product, _power)
+        product = budget.product
         unit = (0,) * target.nvars
         powers = {i: [{unit: Fraction(1)}] for i in base}
         def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
             if len(base[i]) == 1:
-                return power_of(base[i], e, unit)
+                return budget.power_terms(base[i], e, unit)
             cache = powers[i]
             while len(cache) <= e:
                 cache.append(product(cache[-1], base[i]))
@@ -489,15 +488,31 @@ def _from_exponent_map(varsys: VarSystem, terms: dict) -> Polynomial:
     return Polynomial._trusted(varsys, {trusted(e): c for e, c in terms.items()})
 
 
-class _Budget:
-    """Work charged against `cap` before it runs: a product of term maps f*g
-    costs len(f)*len(g), and a power c**k of a single term (which scales
-    exponents) k times the bit length of |numerator|*denominator less one,
-    a bound on its bits as `MAX_CERT_POWER_BITS` counts them (0 for c = +-1).
-    Past the cap, an `error` says that `what` needs more."""
+def _words(f: dict) -> int:
+    """64-bit words in f's widest coefficient, numerator and denominator, at
+    least 1.  It runs on every charged product, so it reads `Fraction`'s
+    slots, as `_Budget.power_terms` does: the public properties are Python
+    calls that cost twice as much."""
+    bits = 0
+    for c in f.values():
+        b = c._numerator.bit_length() + c._denominator.bit_length()
+        if b > bits:
+            bits = b
+    return (bits + 63) // 64 or 1
 
-    def __init__(self, cap: int, error: type[ValueError], what: str):
+
+class _Budget:
+    """Work charged against `cap` before it runs, in units that follow its
+    time, for term maps over `varsys`.  A product of term maps f*g costs
+    len(f) * len(g) times the 64-bit words of an exponent tuple and of f's
+    and g's widest coefficients (each at least 1).  A power c**k of a single
+    term (which scales exponents) costs k times the bit length of
+    |numerator|*denominator less one (0 for c = +-1).  Past the cap, an
+    `error` says that `what` needs more."""
+
+    def __init__(self, cap: float, error: type[ValueError], what: str, varsys: VarSystem):
         self.cap, self.error, self.what, self.work = cap, error, what, 0
+        self.n_words = (varsys.nvars + 63) // 64 or 1
 
     def _charge(self, work: int) -> None:
         self.work += work
@@ -505,13 +520,13 @@ class _Budget:
             raise self.error(f"{self.what} needs over {self.cap} term products or coefficient bits")
 
     def product(self, f: dict, g: dict) -> dict:
-        self._charge(len(f) * len(g))
+        self._charge(len(f) * len(g) * self.n_words * _words(f) * _words(g))
         return _product(f, g)
 
     def power_terms(self, f: dict, k: int, unit: tuple[int, ...]) -> dict:
         if len(f) == 1:
             (c,) = f.values()
-            self._charge(k * (abs(c.numerator) * c.denominator - 1).bit_length())
+            self._charge(k * (abs(c._numerator) * c._denominator - 1).bit_length())
         return _power(f, k, unit, self.product)
 
     def power(self, f: Polynomial, k: int) -> Polynomial:
@@ -522,19 +537,18 @@ class _Budget:
         return _from_exponent_map(f.varsys, self.product(f._exponent_map(), g._exponent_map()))
 
 
-# The work one certificate check may spend multiplying out its fields,
-# counted as the parser counts it: substituting the generators into
-# a membership expression, or a relation's coefficients times powers of its
-# element.  `membership()` re-checks every certificate it returns under it.
-# The largest genuine check spends 68 in the benchmark workloads and 1,037
-# in the tests (a degree-7 member of `build_instance(2, 1)`); the
-# expression `g^40` for a five-term generator needs 5.4 million.
+# The `_Budget` work of one certificate check: substituting the generators
+# into a membership expression, or a relation's coefficients times powers of
+# its element.  `membership()` re-checks every certificate it returns under
+# it.  Genuine checks spend at most 1,037 in the tests (a degree-7 member of
+# `build_instance(2, 1)`); `g^40` for a five-term generator needs millions.
 MAX_CHECK_WORK = 1 << 18
 
 
-def _check_budget(field: str) -> _Budget:
-    """The budget of one certificate check, named by the field it expands."""
-    return _Budget(MAX_CHECK_WORK, ValueError, f"field {field!r}")
+def _check_budget(field: str, varsys: VarSystem) -> _Budget:
+    """The budget of one certificate check over `varsys`, named by the field
+    it expands."""
+    return _Budget(MAX_CHECK_WORK, ValueError, f"field {field!r}", varsys)
 
 
 def monomials_of_degree(
@@ -644,12 +658,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-# The work one text may ask of the parser, counted as `_Budget` counts it:
-# a product of term maps f*g costs len(f)*len(g), a power of a base with
-# two or more terms costs the products that multiply it out, and a power of
-# a single term costs the bits of its coefficient's power.  Genuine reports
-# stay far below it; `(a+b+c+d+e)^40`, `(x+y)^3000` or `(3/7*x)^1000000`
-# would need millions.
+# The `_Budget` work one text may ask of the parser.  Genuine reports stay
+# far below it; `(a+b+c+d+e)^40`, `(x+y)^3000` or `(3/7*x)^1000000` would
+# need millions.
 MAX_PARSE_WORK = 1 << 18
 
 # How deep parentheses may nest in one text.  Each level costs the parser a
@@ -658,13 +669,11 @@ MAX_PARSE_DEPTH = 100
 
 
 class _Parser(_Budget):
-    """Recursive descent over `{exponent tuple: Fraction}` term maps; the
-    caller wraps the final map once.  Products are charged against
-    `MAX_PARSE_WORK` before they run, and parentheses may nest at most
-    `MAX_PARSE_DEPTH` deep."""
+    """Recursive descent over `{exponent tuple: Fraction}` term maps, charged
+    against `MAX_PARSE_WORK`; the caller wraps the final map once."""
 
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
-        super().__init__(MAX_PARSE_WORK, ParseError, "text")
+        super().__init__(MAX_PARSE_WORK, ParseError, "text", varsys)
         self.tokens = tokens
         self.pos = 0
         self.depth = 0

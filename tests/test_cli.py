@@ -293,11 +293,20 @@ def test_verify_keeps_single_term_powers_cheap(tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize("target", [
-    "(a+b+c+d+e)^40", "(x+y)^3000", "(a+b+c+d+e)^15*(a+b+c+d+e)^15",
+_SEVEN = ["a", "b", "c", "d", "e", "x", "y"]
+_WIDE = "9" * 900  # a 900-digit coefficient numerator
+
+
+@pytest.mark.parametrize("target, variables", [
+    *(pytest.param(target, _SEVEN, id=target) for target in (
+        "(a+b+c+d+e)^40", "(x+y)^3000", "(a+b+c+d+e)^15*(a+b+c+d+e)^15", "(x+y)^500")),
+    pytest.param(f"({_WIDE}/7*x + {_WIDE}/11*y)^200", _SEVEN, id="900-digit-coefficients"),
+    pytest.param("(v0+v1)^200", ["a"] + [f"v{i}" for i in range(19_999)],
+                 id="20000-variables"),
+    pytest.param("3/7*" * 40_000 + "x", _SEVEN, id="40000-rational-factors"),
 ])
-def test_verify_rejects_texts_over_the_parse_budget_quickly(tmp_path, capsys, target):
-    cert = {"cert_type": "membership", "variables": ["a", "b", "c", "d", "e", "x", "y"],
+def test_verify_rejects_texts_over_the_parse_budget_quickly(tmp_path, capsys, target, variables):
+    cert = {"cert_type": "membership", "variables": variables,
             "generators": [["g", "a"]], "target": target, "expression": "g"}
     path = tmp_path / "report.json"
     _write_report(path, cert)
@@ -333,6 +342,9 @@ _BIG = "(x + 2*y + 3*z + 5*w + 7*v + 11)^5"  # 252 terms, cheap to parse
               "cert_type": "membership", "variables": ["x", "y", "z", "w", "v"],
               "generators": [["g", _BIG]], "target": _BIG, "expression": "g"}}] * 10},
      "coefficients"),
+    ({"cert_type": "membership", "variables": ["x", "y"],
+      "generators": [["g", f"{_WIDE}/7*x + {_WIDE}/11*y"]], "target": "x",
+      "expression": "g^200"}, "expression"),
 ])
 def test_verify_rejects_expansions_over_the_check_budget_quickly(tmp_path, capsys, cert, field):
     path = tmp_path / "report.json"

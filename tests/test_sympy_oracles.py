@@ -1,0 +1,129 @@
+"""Graded pieces, derivation kernels and membership against sympy.
+
+The oracles rebuild each instance from its definition in sympy, expand
+products there and take ranks with `DomainMatrix.rank` over QQ, or decide
+membership with a Groebner basis; nothing from ikernel goes into them.
+"""
+
+from itertools import combinations, combinations_with_replacement
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy import QQ, Poly, diff, expand, groebner, symbols
+from sympy.polys.matrices import DomainMatrix
+
+from ikernel.actions import build_cusp_instance, build_instance
+from ikernel.algebra import graded_piece, membership
+from ikernel.derivation import kernel_graded_basis
+
+
+def _instance(n, m):
+    """The variables, generators, translation derivation y1*d/dz and scaling
+    derivation sum_j y_j*d/dy_j of `build_instance(n, m)`, per its definition."""
+    xs = symbols(" ".join(f"x{i}" for i in range(1, n + 1)) + ",")
+    ys = symbols(" ".join(f"y{j}" for j in range(1, m + 1)) + ",")
+    z = symbols("z")
+    gens = [*ys, z]
+    for x in xs:
+        gens += [x**2 + x * z, x**3 + x**2 * z]
+    for y in ys:
+        for k in range(1, n + 1):
+            gens += [sympy.Mul(*chosen) * y for chosen in combinations(xs, k)]
+    variables = (*xs, *ys, z)
+    translation = {z: ys[0]}
+    scaling = {y: y for y in ys}
+    return variables, gens, translation, scaling
+
+
+def _degree(expr, variables):
+    return Poly(expr, *variables).total_degree()
+
+
+def _rank(exprs, variables):
+    rows = [Poly(expand(e), *variables).as_dict() for e in exprs]
+    columns = sorted({mono for row in rows for mono in row})
+    if not rows or not columns:
+        return 0
+    matrix = [[QQ.from_sympy(row.get(c, sympy.S.Zero)) for c in columns] for row in rows]
+    return DomainMatrix.from_list(matrix, QQ).rank()
+
+
+def _piece(gens, variables, degree):
+    """Every product of generators of total degree `degree`."""
+    weights = [(g, _degree(g, variables)) for g in gens]
+    found = []
+
+    def grow(start, left, product):
+        if left == 0:
+            found.append(product)
+        for k in range(start, len(weights)):
+            g, w = weights[k]
+            if w <= left:
+                grow(k, left - w, product * g)
+
+    grow(0, degree, sympy.Integer(1))
+    return found
+
+
+def _image_rank(family, space, variables):
+    """The rank of a derivation family on a space: each derivation's images
+    of `space` go into their own fresh variable, so the ranks add up."""
+    tags = symbols(f"s0:{len(family)}")
+    images = [expand(sum(t * diff(f, v) * image for t, d in zip(tags, family)
+                         for v, image in d.items())) for f in space]
+    return _rank(images, (*variables, *tags))
+
+
+def _monomials(variables, degree):
+    return [sympy.Mul(*c) for c in combinations_with_replacement(variables, degree)]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_graded_pieces_and_kernels_match_sympy_ranks(n, m):
+    inst = build_instance(n, m)
+    variables, gens, translation, scaling = _instance(n, m)
+    families = {"translation": [translation], "scaling": [scaling],
+                "both": [translation, scaling]}
+    ours = {"translation": [inst.translation_derivation],
+            "scaling": [inst.scaling_derivation],
+            "both": [inst.translation_derivation, inst.scaling_derivation]}
+    for degree in range(0, 6):
+        piece = _piece(gens, variables, degree)
+        dim = _rank(piece, variables)
+        assert graded_piece(inst.algebra, degree).dim == dim, degree
+        monomials = _monomials(variables, degree)
+        for name, family in families.items():
+            # The kernel on a space V has dimension dim V - rank on V.
+            full = len(monomials) - _image_rank(family, monomials, variables)
+            assert kernel_graded_basis(ours[name], inst.varsys, degree).dim == full, (name, degree)
+            inside = dim - _image_rank(family, piece, variables)
+            assert kernel_graded_basis(ours[name], inst.algebra, degree).dim == inside, (
+                name, degree)
+
+
+def _groebner_member(f, gens, variables):
+    """f in k[gens] iff its normal form modulo the tag ideal (t_i - g_i),
+    under lex with the variables above the tags, is free of the variables."""
+    tags = symbols(f"t0:{len(gens)}")
+    basis = groebner([t - g for t, g in zip(tags, gens)], *variables, *tags, order="lex")
+    _, remainder = basis.reduce(expand(f))
+    return not (remainder.free_symbols & set(variables))
+
+
+@pytest.mark.parametrize("which", ["algebra", "kernel_subalgebra"])
+def test_cusp_membership_matches_a_tag_variable_groebner_basis(which):
+    inst = build_cusp_instance()
+    u, w = symbols("u w")
+    gens = [u**2, u**3] + ([w] if which == "algebra" else [])
+    algebra = getattr(inst, which)
+    candidates = [u**a * w**b for a in range(7) for b in range(4)]
+    candidates += [u**2 + u, u**5 + w**3, u**4 * w - u**3, (u**2 + w) ** 3, u * w + u**2,
+                   u**3 - 2 * u**2 * w + w**3, u**6 + u**7]
+    verdicts = set()
+    for f in candidates:
+        want = _groebner_member(f, gens, (u, w))
+        ours = membership(algebra, inst.varsys.parse(str(expand(f)).replace("**", "^")))
+        assert (ours is not None) == want, f
+        verdicts.add(want)
+    assert verdicts == {True, False}
