@@ -546,8 +546,7 @@ MAX_CHECK_WORK = 1 << 18
 
 
 def _check_budget(field: str, varsys: VarSystem) -> _Budget:
-    """The budget of one certificate check over `varsys`, named by the field
-    it expands."""
+    """One certificate check's budget over `varsys`, named by the field it expands."""
     return _Budget(MAX_CHECK_WORK, ValueError, f"field {field!r}", varsys)
 
 
@@ -670,7 +669,8 @@ MAX_PARSE_DEPTH = 100
 
 class _Parser(_Budget):
     """Recursive descent over `{exponent tuple: Fraction}` term maps, charged
-    against `MAX_PARSE_WORK`; the caller wraps the final map once."""
+    against `MAX_PARSE_WORK` and nested at most `MAX_PARSE_DEPTH` deep; the
+    caller wraps the final map once."""
 
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
         super().__init__(MAX_PARSE_WORK, ParseError, "text", varsys)
