@@ -57,17 +57,23 @@ class Echelon:
     rows are mutually reduced, so emitting (rows divided by their pivots)
     yields the unique reduced row echelon basis of the span.  New rows are
     reduced with the integer-preserving update `lead*x - a*y` over their
-    nonzero entries, and their content is stripped once entries pass
-    `_STRIP_LIMIT`.  `rows` views each stored row's nonzero values in pivot
-    order.
+    nonzero entries; after a step that can multiply entries (`lead != 1`
+    or `|a| > 1`) their content is stripped once entries pass
+    `_STRIP_LIMIT`.  The column index `_cols` maps each column to the
+    pivots of the stored rows that are nonzero there, so a new pivot is
+    cleared from those rows only.  Zero entries are dropped wherever they
+    are; a nonzero entry outside `range(width)` can never cancel, so such
+    a row raises `ValueError` before anything is stored.  `rows` views
+    each stored row's nonzero values in pivot order.
     """
 
-    __slots__ = ("width", "pivots", "_rows")
+    __slots__ = ("width", "pivots", "_rows", "_cols")
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
         self._rows: dict[int, dict[int, int]] = {}
+        self._cols: dict[int, set[int]] = {}
 
     @property
     def dim(self) -> int:
@@ -79,9 +85,8 @@ class Echelon:
 
     def insert(self, vec: Mapping[int, Fraction | int]) -> bool:
         """Add one sparse vector `{column: value}` to the span; True iff the
-        rank grew.  Zero entries may be present or omitted."""
-        if vec and (min(vec) < 0 or max(vec) >= self.width):
-            raise ValueError("vector has a column outside the frame")
+        rank grew.  Zero entries may be present, at any column, or omitted;
+        a nonzero entry outside `range(width)` raises `ValueError`."""
         if set(map(type, vec.values())) <= _INT:  # integer rows need no rescale
             row = {c: v for c, v in vec.items() if v} if 0 in vec.values() else dict(vec)
         else:
@@ -90,9 +95,11 @@ class Echelon:
 
         # Reducing by a stored row never creates entries in other pivot
         # columns, so the pivots to clear are those the row starts with.
-        for p in sorted(c for c in row if c in self._rows):
-            _eliminate(row, self._rows[p][p], row[p], self._rows[p])
-            if max(map(abs, row.values()), default=0) > _STRIP_LIMIT:
+        rows = self._rows
+        for p in sorted(c for c in row if c in rows):
+            lead, a = rows[p][p], row[p]
+            _eliminate(row, lead, a, rows[p])
+            if (lead != 1 or abs(a) != 1) and max(map(abs, row.values()), default=0) > _STRIP_LIMIT:
                 g = _content(row.values())
                 if g > 1:
                     row = {c: x // g for c, x in row.items()}
@@ -100,6 +107,8 @@ class Echelon:
         if not row:
             return False
         pivot = min(row)
+        if pivot < 0 or max(row) >= self.width:
+            raise ValueError("vector has a column outside the frame")
 
         g = _content(row.values())
         if row[pivot] < 0:
@@ -107,19 +116,23 @@ class Echelon:
         if g != 1:
             row = {c: x // g for c, x in row.items()}
 
-        # Clear the new pivot column from the stored rows.
-        lead = row[pivot]
-        for other in self._rows.values():
-            b = other.get(pivot)
-            if not b:
-                continue
-            _eliminate(other, lead, b, row)
+        # Store the row, then clear its pivot from the stored rows that hold
+        # it; their supports change only in the new row's columns.
+        cols, lead = self._cols, row[pivot]
+        holders = cols.pop(pivot, ())
+        rows[pivot] = row
+        for c in row:
+            cols.setdefault(c, set()).add(pivot)
+        for q in holders:
+            other = rows[q]
+            _eliminate(other, lead, other[pivot], row)
+            for c in row:
+                (cols[c].add if c in other else cols[c].discard)(q)
             gk = _content(other.values())
             if gk > 1:
                 for c in other:
                     other[c] //= gk
 
-        self._rows[pivot] = row
         insort(self.pivots, pivot)
         return True
 

@@ -54,16 +54,38 @@ def pairwise_decomposable(algebra, degree):
     return dense_rref(rows, len(frame))
 
 
+def _raises_rank(reduced, row):
+    """Gauss-Jordan step over Fractions: reduce dense `row` by `reduced`, a
+    `{pivot: row}` map of mutually reduced rows equal to 1 at their pivots;
+    if anything is left, add it (normalized, its pivot cleared from the
+    other rows) and return True."""
+    for p, other in reduced.items():
+        if row[p]:
+            f = row[p]
+            row = [a - f * b for a, b in zip(row, other)]
+    pivot = next((j for j, v in enumerate(row) if v), None)
+    if pivot is None:
+        return False
+    row = [v / row[pivot] for v in row]
+    for p, other in reduced.items():
+        if other[pivot]:
+            f = other[pivot]
+            reduced[p] = [a - f * b for a, b in zip(other, row)]
+    reduced[pivot] = row
+    return True
+
+
 def product_stream_pieces(algebra, max_degree):
     """Graded pieces A_0..A_max_degree from the `Polynomial` product stream:
-    per degree d, one `Echelon` over the rational rows of every product b*g
-    of a basis row of A_{d-e} and a generator of degree e < d, then of the
-    lone degree-d generators; each formal is expr_b * label_g.  With P the
-    rows of the products that raise the rank, the textbook reduced form of
-    [P | I] is [B | M] with M*P = B, so basis row i's label expression is
-    the sum of M_ij times product j's formal.  Returns per degree the basis
-    and its label expressions."""
-    from ikernel.exactlin import Echelon, SpanBasis
+    per degree d, the dense rows over the degree-d monomials of every
+    product b*g of a basis row of A_{d-e} and a generator of degree e < d,
+    then of the lone degree-d generators; each formal is expr_b * label_g.
+    A product is kept iff it raises the rank of the kept ones, decided by
+    dense Gauss-Jordan.  With P the kept rows (independent), the textbook
+    reduced form of [P | I] is [B | M], B the reduced basis and M*P = B,
+    so basis row i's label expression is the sum of M_ij times product
+    j's formal.  Returns per degree the basis and its label expressions."""
+    from ikernel.exactlin import SpanBasis
     from ikernel.poly import monomials_of_degree
 
     vs, labels = algebra.varsys, algebra.label_system
@@ -81,20 +103,19 @@ def product_stream_pieces(algebra, max_degree):
                         stream.append((b * gen, expr * glabel))
         stream += [(gen, glabel) for glabel, gen in by_degree.get(d, [])]
         frame = monomials_of_degree(vs, d)
-        index = {m: i for i, m in enumerate(frame)}
         width = len(frame)
-        ech = Echelon(width)
-        raised = [(poly, formal) for poly, formal in stream
-                  if ech.insert({index[m]: c for m, c in poly.terms.items()})]
+        reduced = {}
+        dense = [([poly.coeff(m) for m in frame], formal) for poly, formal in stream]
+        raised = [(row, formal) for row, formal in dense if _raises_rank(reduced, row)]
         r = len(raised)
-        reduced, _ = dense_rref(
-            [[poly.coeff(m) for m in frame] + [int(i == j) for j in range(r)]
-             for i, (poly, _) in enumerate(raised)],
+        rows, pivots = dense_rref(
+            [row + [int(i == j) for j in range(r)] for i, (row, _) in enumerate(raised)],
             width + r,
         )
         exprs = tuple(
             sum((raised[j][1] * c for j, c in enumerate(row[width:]) if c), labels.zero())
-            for row in reduced
+            for row in rows
         )
-        pieces.append((SpanBasis(vs, frame, *ech.emit()), exprs))
+        vectors = [{j: v for j, v in enumerate(row[:width]) if v} for row in rows]
+        pieces.append((SpanBasis(vs, frame, vectors, pivots), exprs))
     return pieces

@@ -5,6 +5,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from oracles import dense_nullspace, dense_rref
@@ -342,6 +343,71 @@ def test_sparse_echelon_strips_content_of_huge_rows(seed, monkeypatch):
     rows += _random_rows(rng, width, scale=big)
     _check_against_dense(rows, width)
     assert _strip_branch_line() in callers
+
+
+def _stepwise_rows(rng, width):
+    """Random rows, about a third of them combinations of earlier rows plus
+    one new column (so back-reduction cancels entries); for half the seeds
+    the rest are integer rows of ~70-bit entries, stored with leads not 1."""
+    huge = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(1, width + 5)):
+        if rows and rng.random() < 0.35:
+            picked = rng.sample(rows, min(len(rows), 3))
+            row = [sum((rng.choice([-2, -1, 1, 2]) * old[j] for old in picked), Fraction(0))
+                   for j in range(width)]
+            row[rng.randrange(width)] += rng.choice([-2, -1, 1, 3])
+        elif huge:
+            row = [rng.randint(-5, 5) * (1 << 70) + rng.randint(-3, 3)
+                   if rng.random() < 0.4 else 0 for _ in range(width)]
+        else:
+            row = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.3 else 0
+                   for _ in range(width)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_echelon_matches_dense_gauss_jordan_after_every_insert(seed):
+    """After each insert: the emitted rows are the dense reduced form of the
+    prefix, stored rows are primitive with a positive lead, and `_cols` is
+    the column -> pivots support map of the stored rows."""
+    rng = random.Random(2000 + seed)
+    width = rng.randint(1, 20)
+    rows = _stepwise_rows(rng, width)
+    ech = Echelon(width)
+    for k, row in enumerate(rows):
+        ech.insert({j: v for j, v in enumerate(row) if v})
+        vectors, pivots = ech.emit()
+        assert (tuple(_dense(vec, width) for vec in vectors), pivots) == dense_rref(
+            rows[: k + 1], width)
+        support = {}
+        for p, stored in ech._rows.items():
+            assert min(stored) == p and stored[p] > 0 and gcd(*stored.values()) == 1
+            assert all(type(x) is int and x for x in stored.values())
+            for c in stored:
+                support.setdefault(c, set()).add(p)
+        assert ech._cols == support
+
+
+@pytest.mark.parametrize("column", [-1, 5, 6])
+def test_insert_refuses_a_nonzero_entry_outside_the_frame(column):
+    """A nonzero entry outside `range(width)` raises `ValueError`, whether
+    the row is independent or first reduces against stored rows, and leaves
+    the accumulator as it was; a zero entry there is dropped like any zero."""
+    ech = Echelon(5)
+    ech.insert({0: 2, 2: 3, 4: 1})
+    ech.insert({1: 1, 2: Fraction(1, 2)})
+    state = (ech.dim, list(ech.pivots), [list(row) for row in ech.rows],
+             {c: set(pivots) for c, pivots in ech._cols.items()})
+    for vec in ({column: 1}, {3: 1, column: -2}, {0: 2, 2: 3, 4: 1, column: 5},
+                {0: 4, 1: Fraction(1, 3), 2: 6, 4: 2, column: Fraction(-1, 7)}):
+        with pytest.raises(ValueError, match="outside the frame"):
+            ech.insert(vec)
+        assert (ech.dim, ech.pivots, [list(row) for row in ech.rows], ech._cols) == state
+    assert ech.insert({column: 0, 0: 2, 2: 3, 4: 1}) is False
+    assert ech.insert({column: Fraction(0), 3: Fraction(1, 2)}) is True
+    assert ech.pivots == [0, 1, 3]
 
 
 # -- span queries against the dense oracle -------------------------------------

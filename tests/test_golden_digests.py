@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of `to_json(include_wall_time=False)`, recorded
 before the elimination core was rewritten over sparse integer rows.  A
 changed digest means a report's content changed; update an entry only when
-that change is intended.
+that change is intended.  The (3,3,6) entries, 7-variable frames of up to
+924 columns, were recorded before `Echelon` indexed its rows by column.
 """
 
 import hashlib
@@ -31,6 +32,15 @@ GOLDEN = {
     ("theorem1-cusp", (2, 1, 3)): "50e0be3bab28d3a52e3cb1839307dd3be49c2bc743c00920f68d0d28db26a960",
     ("action-stability", (2, 1, 3)): "b053e55521cce630949937b1b806fe6c9f7d316ffe7987942704bdf8ac0039fc",
     ("localization-smoothness", (2, 1, 3)): "84f42dee51d09fc9d8cb5d998f379f1f6619fa164f17a784efca58bec68c7ed7",
+    ("lemma-infini", (3, 3, 6)): "a12c86c82d80e2d5d89439184fe3e82b2c528f7c177beb0f481cd866f090a5b7",
+    ("lemma-infini2", (3, 3, 6)): "cac14e50138517a12633aaa8e7b3214a6d8817cd5d37ef9ad5b52ff4a71b03c0",
+    ("g1-invariants", (3, 3, 6)): "41285d94ffd267a4040eaf0be3bc5e35273b5e62d89323f2bfb835caac7cc53b",
+    ("g1-integrality-dichotomy", (3, 3, 6)): "285102839a04bf19d419a160660e93d3a6189b98647735d84fcde299f21132ac",
+    ("g2-invariants-A", (3, 3, 6)): "80161fe764e8cf9e8e4361d6275c323d39cae44484c9d5f44b387e23d2d27dc1",
+    ("g2-invariants-B", (3, 3, 6)): "399085d5b8eb73e7ebd019164c2c80ab9b620c62f011d0f240371603a0b77f83",
+    ("theorem1-cusp", (3, 3, 6)): "05a0027e468b928f3ca385220524fed1181bc7513b215cdf0ba63b7b38d3bd75",
+    ("action-stability", (3, 3, 6)): "baf947438825121e493bb407b8909df71a30f79e7611c9e7435db5f272f7970b",
+    ("localization-smoothness", (3, 3, 6)): "2a1273a27e6380a751406260804cbc2480114fb854a7e0d8162fdbdd66390b5e",
 }
 
 
