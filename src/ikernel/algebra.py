@@ -10,6 +10,7 @@ algebra problem, with no truncation error.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -266,16 +267,15 @@ class MembershipCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> MembershipCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget;
-        zero generators and repeated labels raise ValueError."""
-        varsys = certificate_varsys(data)
-        texts = certificate_field(data, "generators")
-        try:
-            generators = [(label, varsys.parse(text)) for label, text in texts]
-            algebra = SubalgebraSpec(varsys, generators, homogeneous=False)
-        except ValueError as exc:
-            raise ValueError(f"field 'generators': {exc}") from None
+        zero generators and repeated labels raise ValueError.  The algebra
+        comes from a bounded memo keyed by the `variables` and `generators`
+        texts, so the certificates of one report share one parsed
+        generator list; its shape is checked on every call, and a list
+        that fails is parsed (and fails) again on the next."""
+        algebra = _certificate_algebra(*_certificate_key(data))
+        certificate_field(data, "generators")  # missing: named after a bad `variables` field
         expression = certificate_field(data, "expression", algebra.label_system)
-        return cls(algebra, certificate_field(data, "target", varsys), expression)
+        return cls(algebra, certificate_field(data, "target", algebra.varsys), expression)
 
     def verify(self) -> bool:
         """Substitute the generators into the expression within one
@@ -314,9 +314,9 @@ def certificate_field(data: Mapping, field: str, varsys: VarSystem | None = None
         raise ValueError(f"field {field!r}: {exc}") from None
 
 
-def certificate_varsys(data: Mapping) -> VarSystem:
-    """The variable system of a serialized certificate, after checking the
-    shape of its `variables` field and of any `generators` field."""
+def _certificate_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """A serialized certificate's `variables` and any `generators` field,
+    shape-checked, as the key of `_certificate_algebra`."""
     names = certificate_field(data, "variables")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError("field 'variables' must be a list of strings")
@@ -326,10 +326,33 @@ def certificate_varsys(data: Mapping) -> VarSystem:
         for g in generators
     ):
         raise ValueError("field 'generators' must be a list of [label, text] string pairs")
+    return tuple(names), tuple(map(tuple, generators))
+
+
+# A report's certificates share one generator list (each of the nine
+# scenario reports holds one).  `lru_cache` never stores a call that raised,
+# so a bad list is parsed and rejected again on every call.
+@lru_cache(maxsize=8)
+def _certificate_algebra(
+    names: tuple[str, ...], texts: tuple[tuple[str, str], ...]
+) -> SubalgebraSpec:
+    """The (non-homogeneous) algebra of the labeled generator `texts`,
+    parsed over the system of `names`."""
     try:
-        return VarSystem(names)
+        varsys = VarSystem(names)
     except ValueError as exc:  # repeated or malformed names
         raise ValueError(f"field 'variables': {exc}") from None
+    try:
+        generators = [(label, varsys.parse(text)) for label, text in texts]
+        return SubalgebraSpec(varsys, generators, homogeneous=False)
+    except ValueError as exc:
+        raise ValueError(f"field 'generators': {exc}") from None
+
+
+def certificate_varsys(data: Mapping) -> VarSystem:
+    """The variable system of a serialized certificate, after checking the
+    shape of its `variables` field and of any `generators` field."""
+    return _certificate_algebra(_certificate_key(data)[0], ()).varsys
 
 
 def verify_membership_json(data: Mapping) -> bool:

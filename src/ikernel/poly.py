@@ -459,6 +459,11 @@ def _accumulate(acc: dict, terms: Iterable[tuple[object, Fraction]]) -> dict:
 
 
 def _product(f: dict, g: dict) -> dict:
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:  # one term shifts the other's exponents injectively: nothing cancels
+        ((e2, c2),) = g.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in f.items()}
     return _accumulate(
         {}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in f.items() for e2, c2 in g.items())
     )

@@ -1,9 +1,7 @@
 """Exact rational linear algebra: the sparse echelon core, nullspaces,
 solves and span bases, checked against dense Gauss-Jordan."""
 
-import inspect
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -320,29 +318,43 @@ def test_echelon_emits_the_same_from_int_and_equal_fraction_rows(seed):
     assert all(type(x) is int for row in emitted[0][2] for x in row)
 
 
-def _strip_branch_line():
-    lines, start = inspect.getsourcelines(Echelon.insert)
-    at = next(i for i, text in enumerate(lines) if "> _STRIP_LIMIT" in text)
-    return start + at + 1  # the content computation that opens the branch
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_sparse_echelon_strips_content_of_huge_rows(seed, monkeypatch):
-    callers = []
-    real_content = exactlin._content
-
-    def spy(values):
-        callers.append(sys._getframe(1).f_lineno)
-        return real_content(values)
-
-    monkeypatch.setattr(exactlin, "_content", spy)
+    """Between two elimination steps of one insert, a row that a step able
+    to multiply entries (lead != 1 or |a| > 1) left past `_STRIP_LIMIT` is
+    divided by its content; every other row goes on as the step left it."""
     rng = random.Random(1000 + seed)
-    width = rng.randint(2, 30)
+    width = rng.randint(3, 30)
     big = (1 << 70) + rng.randint(0, 1 << 20)
-    rows = [[1, 1] + [0] * (width - 2), [3 * big, 5 * big] + [0] * (width - 2)]
+    pad = [0] * (width - 3)
+    # The third row's first step leaves big*(5, -3) for its second step.
+    rows = [[1, 0, 1] + pad, [0, 1, 1] + pad, [3 * big, 5 * big, 0] + pad]
     rows += _random_rows(rng, width, scale=big)
     _check_against_dense(rows, width)
-    assert _strip_branch_line() in callers
+
+    ech = Echelon(width)
+    steps = []  # (row before, row after, could multiply) per step on the new row
+    real_eliminate = exactlin._eliminate
+
+    def spy(row, lead, a, other):
+        before = dict(row)
+        real_eliminate(row, lead, a, other)
+        if not any(row is stored for stored in ech._rows.values()):  # not a back-reduction
+            steps.append((before, dict(row), lead != 1 or abs(a) != 1))
+
+    monkeypatch.setattr(exactlin, "_eliminate", spy)
+    stripped = 0
+    for row in _sparse_rows(rows):
+        steps.clear()
+        ech.insert(row)
+        for (_, left, multiplied), (handed, _, _) in zip(steps, steps[1:]):
+            g = gcd(*left.values())
+            if multiplied and max(map(abs, left.values()), default=0) > exactlin._STRIP_LIMIT:
+                stripped += g > 1
+                assert handed == {c: x // g for c, x in left.items()}
+            else:
+                assert handed == left
+    assert stripped
 
 
 def _stepwise_rows(rng, width):

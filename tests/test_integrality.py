@@ -1,7 +1,11 @@
 """Integral/algebraic relation searches, localization, and the conclusive
 non-integrality arguments."""
 
+import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -9,9 +13,11 @@ from ikernel.algebra import (
     MembershipCertificate,
     NotHomogeneous,
     SubalgebraSpec,
+    _certificate_algebra,
     membership,
     verify_membership_json,
 )
+from ikernel.harness import ScenarioConfig, _collect_certificates, run_scenario, verify_report
 from ikernel.integrality import (
     algebraic_relation_search,
     integral_relation_search,
@@ -272,3 +278,132 @@ def test_membership_json_rejects_zero_and_repeated_generators(generators, messag
             "target": "x", "expression": "a"}
     with pytest.raises(ValueError, match=f"field 'generators': .*{message}"):
         verify_membership_json(data)
+
+
+# -- the parsed-algebra memo of `MembershipCertificate.from_json_dict` ----------
+
+MEMBER = {"cert_type": "membership", "variables": ["x", "y"],
+          "generators": [["a", "x"], ["b", "x*y + y^2"]],
+          "target": "x^2*y + x*y^2", "expression": "a*b"}
+
+
+def _parsed(**fields):
+    # A JSON round trip, so equal lists never share their Python objects.
+    return MembershipCertificate.from_json_dict(json.loads(json.dumps(dict(MEMBER, **fields))))
+
+
+def test_equal_generator_lists_share_one_parsed_algebra():
+    first, second = _parsed(), _parsed(target="x^2", expression="a^2")
+    assert second.algebra is first.algebra
+    assert second.algebra.varsys is first.algebra.varsys
+    assert first.verify() and _parsed(expression="a*b + 1").verify() is False
+
+
+@pytest.mark.parametrize("fields", [
+    {"generators": [["a", "x"], ["c", "x*y + y^2"]], "expression": "a*c"},  # one label
+    {"generators": [["a", "x"], ["b", "x*y - y^2"]]},  # one text
+    {"variables": ["y", "x"]},  # the order of the variables
+])
+def test_generator_lists_that_differ_get_their_own_algebra(fields):
+    own = _parsed(**fields).algebra
+    shared = _parsed().algebra
+    assert own is not shared
+    assert (own.varsys.names, [(k, str(g)) for k, g in own.generators]) != (
+        shared.varsys.names, [(k, str(g)) for k, g in shared.generators])
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([["a", "x"], ["b", "0"]], "generator 'b' is zero"),
+    ([["a", "x"], ["a", "y"]], "generator labels must be distinct"),
+    ([["a", "x"], ["b", "x +* y"]], "unexpected"),
+])
+def test_a_generator_list_that_fails_is_not_cached(generators, message):
+    _certificate_algebra.cache_clear()
+    _parsed()
+    errors = []
+    for _ in range(2):
+        misses = _certificate_algebra.cache_info().misses
+        with pytest.raises(ValueError, match=f"field 'generators': {message}") as caught:
+            _parsed(generators=generators)
+        errors.append(str(caught.value))
+        assert _certificate_algebra.cache_info().misses == misses + 1  # parsed again
+    assert errors[0] == errors[1]
+
+
+def test_the_memo_is_bounded():
+    assert _certificate_algebra.cache_info().maxsize is not None
+
+
+def _last_membership(obj):
+    """The last membership certificate in document order, nested ones included."""
+    found = None
+    if isinstance(obj, dict):
+        if obj.get("cert_type") == "membership":
+            found = obj
+        values = obj.values()
+    else:
+        values = obj if isinstance(obj, list) else ()
+    for value in values:
+        found = _last_membership(value) or found
+    return found
+
+
+def _reports(name):
+    """The genuine report of `name` at (2,2,3), and a copy whose last
+    membership certificate's expression is shifted by the constant 1."""
+    genuine = run_scenario(ScenarioConfig(name, n=2, m=2, max_degree=3)).to_dict()
+    tampered = json.loads(json.dumps(genuine))
+    cert = _last_membership(tampered["details"])
+    cert["expression"] += " + 1"
+    return genuine, tampered
+
+
+CERTIFYING = ("g1-integrality-dichotomy", "theorem1-cusp", "action-stability",
+              "localization-smoothness")
+
+
+@pytest.mark.parametrize("name", CERTIFYING)
+def test_verify_report_is_the_same_from_a_cold_and_a_warm_memo(name):
+    for report, good in zip(_reports(name), (True, False)):
+        _certificate_algebra.cache_clear()
+        cold = verify_report(report)
+        warm = verify_report(report)
+        assert _certificate_algebra.cache_info().hits > 0
+        assert (cold.total, cold.failures, cold.verdict) == (
+            warm.total, warm.failures, warm.verdict)
+        assert cold.total == len(_collect_certificates(report["details"])) > 0
+        assert (not cold.failures) == good
+
+
+def test_a_shared_algebra_still_fails_the_one_tampered_certificate():
+    genuine, tampered = _reports("action-stability")
+    certificates = _collect_certificates(tampered["details"])
+    assert len(certificates) == 36 and _last_membership(tampered["details"]) is certificates[-1]
+    assert verify_report(genuine).failures == []
+    assert verify_report(tampered).failures == ["certificate 35 (membership): re-evaluation failed"]
+
+
+def test_concurrent_verify_reports_agree_with_a_serial_run():
+    reports = _reports("action-stability")
+    serial = [verify_report(report) for report in reports]
+    assert serial[0].failures == []
+    assert serial[1].failures == ["certificate 35 (membership): re-evaluation failed"]
+
+    def worker(start, k):
+        start.wait()
+        return [verify_report(reports[(k + j) % 2]) for j in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the memo fills
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(2):
+                _certificate_algebra.cache_clear()
+                start = threading.Barrier(8, timeout=60)
+                runs = list(pool.map(worker, [start] * 8, range(8), timeout=120))
+                assert len(runs) == 8
+                for k, results in enumerate(runs):
+                    for j, result in enumerate(results):
+                        assert result == serial[(k + j) % 2]
+    finally:
+        sys.setswitchinterval(interval)
