@@ -51,6 +51,7 @@ class SubalgebraSpec:
         "complete_through",
         "label_system",
         "_graded",
+        "_texts",
     )
 
     def __init__(
@@ -84,12 +85,20 @@ class SubalgebraSpec:
         self.complete_through = complete_through
         self.label_system = VarSystem(tuple(labels))
         self._graded: GradedBasis | None = None
+        self._texts: tuple[tuple[str, str], ...] | None = None
 
     def generator(self, label: str) -> Polynomial:
         for name, poly in self.generators:
             if name == label:
                 return poly
         raise KeyError(label)
+
+    def generator_texts(self) -> list[list[str]]:
+        """Fresh `[label, text]` pairs of the generators, each text printed
+        once per algebra (every certificate over it carries them all)."""
+        if self._texts is None:
+            self._texts = tuple((label, str(poly)) for label, poly in self.generators)
+        return [[label, text] for label, text in self._texts]
 
     def graded_basis(self) -> GradedBasis:
         if self._graded is None:
@@ -122,6 +131,11 @@ class _Piece(NamedTuple):
 def _product_row(index: Mapping[tuple, int], bterms: list, gterms: list) -> dict[int, int]:
     """The integer row of the product of two integer term lists, over the
     frame whose column of each exponent tuple `index` gives."""
+    if len(bterms) == 1:
+        bterms, gterms = gterms, bterms
+    if len(gterms) == 1:  # one term shifts the other's exponents injectively: nothing cancels
+        ((e2, c2),) = gterms
+        return {index[tuple(map(add, e1, e2))]: c1 * c2 for e1, c1 in bterms}
     return _accumulate({}, (
         (index[tuple(map(add, e1, e2))], c1 * c2) for e1, c1 in bterms for e2, c2 in gterms
     ))
@@ -288,7 +302,7 @@ class MembershipCertificate:
         return {
             "cert_type": "membership",
             "variables": list(self.algebra.varsys.names),
-            "generators": [[label, str(poly)] for label, poly in self.algebra.generators],
+            "generators": self.algebra.generator_texts(),
             "target": str(self.target),
             "expression": str(self.expression),
         }

@@ -63,8 +63,12 @@ class Echelon:
     pivots of the stored rows that are nonzero there, so a new pivot is
     cleared from those rows only.  Zero entries are dropped wherever they
     are; a nonzero entry outside `range(width)` can never cancel, so such
-    a row raises `ValueError` before anything is stored.  `rows` views
-    each stored row's nonzero values in pivot order.
+    a row raises `ValueError` before anything is stored.  A row of one
+    nonzero entry in the frame is decided in O(1) when its column is the
+    pivot of a stored unit row (dependent) or held by no stored row (a
+    new unit row, nothing to back-reduce); a stored unit row is emitted
+    without division.  `rows` views each stored row's nonzero values in
+    pivot order.
     """
 
     __slots__ = ("width", "pivots", "_rows", "_cols")
@@ -87,6 +91,17 @@ class Echelon:
         """Add one sparse vector `{column: value}` to the span; True iff the
         rank grew.  Zero entries may be present, at any column, or omitted;
         a nonzero entry outside `range(width)` raises `ValueError`."""
+        if len(vec) == 1:  # one entry: most such rows are decided without eliminating
+            ((c, v),) = vec.items()
+            if v and 0 <= c < self.width:
+                rows, cols = self._rows, self._cols
+                if c not in cols:  # no stored row holds c, so none has pivot c
+                    rows[c] = {c: 1}
+                    cols[c] = {c}
+                    insort(self.pivots, c)
+                    return True
+                if len(rows.get(c, ())) == 1:  # the stored unit row {c: 1}
+                    return False
         if set(map(type, vec.values())) <= _INT:  # integer rows need no rescale
             row = {c: v for c, v in vec.items() if v} if 0 in vec.values() else dict(vec)
         else:
@@ -142,8 +157,11 @@ class Echelon:
         vectors = []
         for p in self.pivots:
             row = self._rows[p]
-            lead = row[p]
-            vectors.append({c: Fraction(row[c], lead) for c in sorted(row)})
+            if len(row) == 1:
+                vectors.append({p: _ONE})
+            else:
+                lead = row[p]
+                vectors.append({c: Fraction(row[c], lead) for c in sorted(row)})
         return tuple(vectors), tuple(self.pivots)
 
 

@@ -127,6 +127,21 @@ def test_membership_json_round_trip(inst11):
     assert not verify_membership_json(tampered)
 
 
+def test_certificates_share_generator_texts_but_not_their_lists():
+    """Every certificate over an algebra carries `str` of each generator,
+    printed once; editing one certificate's JSON leaves the next intact."""
+    algebra = _fractional_algebra()
+    texts = [[label, str(poly)] for label, poly in algebra.generators]
+    vs = algebra.varsys
+    first = membership(algebra, vs.parse("3*z")).to_json_dict()
+    assert first["generators"] == texts
+    first["generators"][0][1] = "x"
+    first["generators"].append(["t", "y"])
+    second = membership(algebra, vs.parse("9*z^2")).to_json_dict()
+    assert second["generators"] == texts == algebra.generator_texts()
+    assert verify_membership_json(second)
+
+
 def test_intersect_with_subring_examples(inst11):
     vs = inst11.varsys
     meet = intersect_with_subring(inst11.algebra, ("x1", "y1"), 2)
@@ -262,6 +277,14 @@ def _fractional_algebra():
     return SubalgebraSpec(vs, [(label, vs.parse(text)) for label, text in texts.items()])
 
 
+def _scaled_monomial_algebra():
+    """Single-term generators with non-unit coefficients, one monomial under
+    two labels: every product row has one entry, and most are not 1."""
+    vs = VarSystem(("x", "y", "z"))
+    texts = {"a": "3*x", "b": "1/2*x", "c": "x*y", "d": "-2/3*y^2", "e": "z^2"}
+    return SubalgebraSpec(vs, [(label, vs.parse(text)) for label, text in texts.items()])
+
+
 def _monomial_algebra(n, m):
     inst = build_instance(n, m)
     return y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, 8)
@@ -272,7 +295,8 @@ PRODUCT_STREAM_ALGEBRAS = {
     "inst21": lambda: build_instance(2, 1).algebra,
     "mono11": lambda: _monomial_algebra(1, 1),
     "mono21": lambda: _monomial_algebra(2, 1),
-    "fractional": _fractional_algebra,  # the only one whose rows need scaling
+    "fractional": _fractional_algebra,  # these two are the ones whose rows need scaling
+    "scaled-monomial": _scaled_monomial_algebra,
 }
 
 

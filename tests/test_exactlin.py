@@ -357,14 +357,33 @@ def test_sparse_echelon_strips_content_of_huge_rows(seed, monkeypatch):
     assert stripped
 
 
+def _one_entry_row(rng, rows, width):
+    """A dense row with one nonzero entry, negative or a `Fraction` as often
+    as not, at a column picked by what the reduced form of `rows` holds
+    there: the pivot of a unit row, the pivot of a longer row, a non-pivot
+    column some row holds, or a column no row holds."""
+    reduced, pivots = dense_rref(rows, width)
+    held = {j for row in reduced for j in range(width) if row[j]}
+    unit = [p for row, p in zip(reduced, pivots) if sum(map(bool, row)) == 1]
+    cases = (unit, [p for p in pivots if p not in unit], sorted(held - set(pivots)),
+             [j for j in range(width) if j not in held])
+    row = [0] * width
+    row[rng.choice(rng.choice([case for case in cases if case]))] = rng.choice(
+        [1, 3, -1, -2, Fraction(2, 3), Fraction(-5, 7)])
+    return row
+
+
 def _stepwise_rows(rng, width):
-    """Random rows, about a third of them combinations of earlier rows plus
-    one new column (so back-reduction cancels entries); for half the seeds
-    the rest are integer rows of ~70-bit entries, stored with leads not 1."""
+    """Random rows: about a quarter of them one-entry rows (`_one_entry_row`),
+    a quarter combinations of earlier rows plus one new column (so
+    back-reduction cancels entries); for half the seeds the rest are
+    integer rows of ~70-bit entries, stored with leads not 1."""
     huge = rng.random() < 0.5
     rows = []
     for _ in range(rng.randint(1, width + 5)):
-        if rows and rng.random() < 0.35:
+        if rng.random() < 0.25:
+            row = _one_entry_row(rng, rows, width)
+        elif rows and rng.random() < 0.35:
             picked = rng.sample(rows, min(len(rows), 3))
             row = [sum((rng.choice([-2, -1, 1, 2]) * old[j] for old in picked), Fraction(0))
                    for j in range(width)]
@@ -381,18 +400,23 @@ def _stepwise_rows(rng, width):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_echelon_matches_dense_gauss_jordan_after_every_insert(seed):
-    """After each insert: the emitted rows are the dense reduced form of the
-    prefix, stored rows are primitive with a positive lead, and `_cols` is
-    the column -> pivots support map of the stored rows."""
+    """After each insert: it answered whether the rank grew, the emitted
+    rows are the dense reduced form of the prefix, stored rows are
+    primitive with a positive lead, and `_cols` is the column -> pivots
+    support map of the stored rows.  Over the seeds, the one-entry rows
+    hit every case of `_one_entry_row`, with every kind of scalar."""
     rng = random.Random(2000 + seed)
     width = rng.randint(1, 20)
     rows = _stepwise_rows(rng, width)
     ech = Echelon(width)
+    rank = 0
     for k, row in enumerate(rows):
-        ech.insert({j: v for j, v in enumerate(row) if v})
+        raised = ech.insert({j: v for j, v in enumerate(row) if v})
         vectors, pivots = ech.emit()
         assert (tuple(_dense(vec, width) for vec in vectors), pivots) == dense_rref(
             rows[: k + 1], width)
+        assert raised == (len(pivots) > rank)
+        rank = len(pivots)
         support = {}
         for p, stored in ech._rows.items():
             assert min(stored) == p and stored[p] > 0 and gcd(*stored.values()) == 1
@@ -416,6 +440,9 @@ def test_insert_refuses_a_nonzero_entry_outside_the_frame(column):
                 {0: 4, 1: Fraction(1, 3), 2: 6, 4: 2, column: Fraction(-1, 7)}):
         with pytest.raises(ValueError, match="outside the frame"):
             ech.insert(vec)
+        assert (ech.dim, ech.pivots, [list(row) for row in ech.rows], ech._cols) == state
+    for zero in ({column: 0}, {3: Fraction(0)}):  # lone zeros, outside and at a fresh column
+        assert ech.insert(zero) is False
         assert (ech.dim, ech.pivots, [list(row) for row in ech.rows], ech._cols) == state
     assert ech.insert({column: 0, 0: 2, 2: 3, 4: 1}) is False
     assert ech.insert({column: Fraction(0), 3: Fraction(1, 2)}) is True
