@@ -152,9 +152,7 @@ def check_group_law(
     composed, doubled, _ = _composed_images(substitution)
     if set(rule) != set(substitution.params):
         raise ValueError("rule must assign every parameter")
-    rule_images = {}
-    for p, poly in rule.items():
-        rule_images[p] = poly if poly.varsys == doubled else poly.embed(doubled)
+    rule_images = {p: poly.embed(doubled) for p, poly in rule.items()}
     for name in substitution.varsys.coordinate_names:
         expected = substitution.image_of(name).substitute(rule_images, target=doubled)
         if expected != composed[name]:
@@ -165,80 +163,46 @@ def check_group_law(
 def derive_composition_rule(
     substitution: ParametricSubstitution,
 ) -> dict[str, Polynomial] | None:
-    """Solve for the composition rule by comparing the composed substitution
-    with a parameter ansatz; None if no polynomial rule exists.
+    """Solve for the composition rule; None if no polynomial rule exists.
 
-    Requires the images to be affine in the parameters (true for the
-    actions built here).
+    With images x -> c_x + sum_p p*L_px, a rule r satisfies
+    c_x + sum_p r_p*L_px = composed(x).  At each monomial mu in both
+    parameter copies, the mu-coefficients of the r_p solve one linear
+    system: its columns are the L_px and its right-hand side is the
+    mu-coefficient of composed(x) - c_x, both read at every coordinate
+    monomial of every x.  Requires the images to be affine in the
+    parameters (true for the actions built here).
     """
     params = substitution.params
     composed, doubled, copies = _composed_images(substitution)
-
-    constant_part: dict[str, Polynomial] = {}
-    linear_part: dict[str, dict[str, Polynomial]] = {p: {} for p in params}
+    columns: list[dict[tuple[str, Monomial], Fraction]] = [{} for _ in params]
+    targets: dict[tuple[int, ...], dict[tuple[str, Monomial], Fraction]] = {}
     for name in substitution.varsys.coordinate_names:
-        pieces = substitution.image_of(name).coefficients_in(params)
-        for exps, coeff in pieces.items():
-            total = sum(exps)
-            if total == 0:
-                constant_part[name] = coeff
-            elif total == 1:
-                p = params[exps.index(1)]
-                linear_part[p][name] = coeff
+        residue = composed[name]
+        for exps, coeff in substitution.image_of(name).coefficients_in(params).items():
+            if sum(exps) == 0:
+                residue = residue - coeff.embed(doubled)
+            elif sum(exps) == 1:
+                column = columns[exps.index(1)]
+                column.update(((name, k), v) for k, v in coeff.terms.items())
             else:
                 raise ValueError("images are not affine in the parameters")
-
-    ansatz_degree = max(
-        (
-            sum(exps)
-            for img in composed.values()
-            for exps in img.coefficients_in(tuple(params) + copies)
-        ),
-        default=1,
-    )
-    param_system = VarSystem(tuple(params) + copies)
-    ansatz: list[Monomial] = []
-    for d in range(ansatz_degree + 1):
-        ansatz.extend(monomials_of_degree(param_system, d))
-
-    # One stacked exact linear system over all coordinates at once; column
-    # entries and the target are keyed by (coordinate, monomial) rows.
-    column_keys = [(p, mono) for p in params for mono in ansatz]
-    columns: dict[tuple[str, Monomial], dict] = {key: {} for key in column_keys}
-    target: dict[tuple[str, Monomial], Fraction] = {}
-    row_keys: list[tuple[str, Monomial]] = []
-    coord_only = substitution.coordinate_system
-    for name in substitution.varsys.coordinate_names:
-        base = constant_part.get(name, coord_only.zero()).embed(doubled)
-        residue = composed[name] - base
-        frame: set[Monomial] = set(residue.terms)
-        for p, mono in column_keys:
-            coeff = linear_part[p].get(name)
-            if coeff is None:
-                continue
-            mono_poly = Polynomial(
-                param_system, {mono: Fraction(1)}
-            ).embed(doubled)
-            contribution = coeff.embed(doubled) * mono_poly
-            for m, c in contribution.terms.items():
-                columns[(p, mono)][(name, m)] = c
-            frame.update(contribution.terms)
-        for m, c in residue.terms.items():
-            target[(name, m)] = c
-        row_keys.extend((name, m) for m in sorted(frame, key=Monomial.sort_key))
-
-    rows = column_rows([columns[key] for key in column_keys] + [target], row_keys)
-    solution = solve(rows, len(column_keys))
-    if solution is None:
-        return None
-    rule: dict[str, Polynomial] = {}
-    for p in params:
-        terms: dict[Monomial, Fraction] = {}
+        for mu, coeff in residue.coefficients_in(params + copies).items():
+            target = targets.setdefault(mu, {})
+            target.update(((name, k), v) for k, v in coeff.terms.items())
+    keys = dict.fromkeys(k for col in [*columns, *targets.values()] for k in col)
+    rule_terms: list[dict[Monomial, Fraction]] = [{} for _ in params]
+    for mu, target in targets.items():
+        solution = solve(column_rows([*columns, target], keys), len(params))
+        if solution is None:
+            return None
         for j, value in solution.items():
-            q, mono = column_keys[j]
-            if q == p:
-                terms[mono] = value
-        rule[p] = Polynomial(param_system, terms).embed(doubled)
+            rule_terms[j][Monomial(mu)] = value
+    param_system = VarSystem(params + copies)
+    rule = {
+        p: Polynomial(param_system, terms).embed(doubled)
+        for p, terms in zip(params, rule_terms)
+    }
     if not check_group_law(substitution, rule):
         return None
     return rule
@@ -343,8 +307,8 @@ def build_instance(n: int, m: int) -> Instance:
     """Construct the standard instance for given positive n, m.
 
     The subalgebra's generators are: every y_j and z; x_i^2 + x_i*z and
-    x_i^3 + x_i^2*z for each i; and every squarefree x-monomial times one
-    y_j.  Duplicates (the empty x-monomial gives y_j again) are removed.
+    x_i^3 + x_i^2*z for each i; and every nonempty squarefree x-monomial
+    times one y_j (the empty one would give y_j again).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
@@ -362,16 +326,12 @@ def build_instance(n: int, m: int) -> Instance:
         x = varsys.variable(name)
         generators.append((f"t{i}", x * x + x * zvar))
         generators.append((f"u{i}", x * x * x + x * x * zvar))
-    seen = {str(poly) for _, poly in generators}
     for yname in y_names:
-        for mask in range(1 << n):
+        for mask in range(1, 1 << n):
             mono = varsys.monomial(
                 {yname: 1, **{x_names[i]: 1 for i in range(n) if mask >> i & 1}}
             )
             poly = Polynomial(varsys, {mono: Fraction(1)})
-            if str(poly) in seen:
-                continue
-            seen.add(str(poly))
             label = "".join(x_names[i] for i in range(n) if mask >> i & 1) + yname
             generators.append((label, poly))
     algebra = SubalgebraSpec(varsys, generators, homogeneous=True)

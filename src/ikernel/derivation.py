@@ -161,25 +161,15 @@ class PreservationResult:
     failure: tuple[str, Polynomial] | None = None
 
 
-def preserves_subalgebra(
-    derivation: Derivation,
-    algebra: SubalgebraSpec,
-    max_image_degree: int | None = None,
-) -> PreservationResult:
+def preserves_subalgebra(derivation: Derivation, algebra: SubalgebraSpec) -> PreservationResult:
     """Decide d(A) ⊆ A exactly, generator by generator.
 
     Returns a membership certificate per generator, or the first failing
-    generator together with its image as a witness.  `max_image_degree`
-    optionally caps the degrees this check is allowed to touch; exceeding
-    it is an error rather than a silent truncation.
+    generator together with its image as a witness.
     """
     certificates: dict[str, MembershipCertificate] = {}
     for label, generator in algebra.generators:
         image = derivation.apply(generator)
-        if max_image_degree is not None and image.degree() > max_image_degree:
-            raise ValueError(
-                f"image of generator {label!r} exceeds the declared degree cap"
-            )
         certificate = membership(algebra, image)
         if certificate is None:
             return PreservationResult(False, certificates, (label, image))

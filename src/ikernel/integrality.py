@@ -162,25 +162,25 @@ def _columns(
 
 def _relation(
     x: Polynomial, algebra: SubalgebraSpec, n: int, monic: bool, owners: list, vec: Mapping
-) -> RelationCertificate | None:
+) -> RelationCertificate:
     """The relation whose coefficient of x^i sums value * b over the
     owners (i, b) of `vec`, each certified.  A non-monic one is scaled so
-    its x^n coefficient has leading coefficient 1, or is None if that is 0."""
+    its x^n coefficient has leading coefficient 1.
+
+    Every entry of `vec` is nonzero and one power's basis rows b are
+    independent, so no coefficient is zero; a non-monic `vec` holds an
+    x^n column."""
     by_power: dict[int, Polynomial] = {}
     for j, value in sorted(vec.items()):
         i, basis_poly = owners[j]
         by_power[i] = by_power.get(i, algebra.varsys.zero()) + basis_poly * value
     if not monic:
-        top = by_power.get(n)
-        if top is None or top.is_zero():
-            return None
+        top = by_power[n]
         scale = 1 / top.terms[top.leading_monomial()]
         by_power = {i: poly * scale for i, poly in by_power.items()}
     coefficients = []
     for i in sorted(by_power, reverse=True):
         poly = by_power[i]
-        if poly.is_zero():
-            continue
         cert = membership(algebra, poly)
         if cert is None:
             raise RuntimeError("internal error: solved coefficient not in algebra")
@@ -246,11 +246,8 @@ def algebraic_relation_search(
             columns, owners = _columns(basisdata, powers, e, weight, n)
             frame = monomials_of_degree(algebra.varsys, weight)
             for vec in nullspace(column_rows(columns, frame), len(columns)):
-                if min(vec) >= top_dim:
-                    continue
-                relation = _relation(x, algebra, n, False, owners, vec)
-                if relation is not None:
-                    return relation
+                if min(vec) < top_dim:
+                    return _relation(x, algebra, n, False, owners, vec)
     return None
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ikernel.actions import (
+    ParametricSubstitution,
     build_instance,
     check_group_law,
     derive_composition_rule,
@@ -15,7 +16,7 @@ from ikernel.actions import (
     substitution_stabilizes,
 )
 from ikernel.derivation import kernel_graded_basis
-from ikernel.poly import Monomial, Polynomial
+from ikernel.poly import PARAMETER, Monomial, Polynomial, VarSystem
 
 
 def test_builder_rejects_degenerate_sizes():
@@ -105,6 +106,45 @@ def test_derived_composition_rule(inst11):
     assert check_group_law(inst11.scaling_shear, rule)
     t_rule = derive_composition_rule(inst11.translation)
     assert t_rule is not None and str(t_rule["t"]) == "t + t_2"
+
+
+def _xyz_substitution(params, images):
+    """Images over k[x, y1, z] and the given parameters, identity at 0."""
+    vs = VarSystem(("x", "y1", "z")).extend(params, PARAMETER)
+    parsed = {name: vs.parse(text) for name, text in images.items()}
+    return ParametricSubstitution(vs, params, parsed, {p: 0 for p in params})
+
+
+@pytest.mark.parametrize(
+    "image, want",
+    [
+        # Dependent columns: the free unknown t is set to zero.
+        ("z + s*y1 + t*y1", {"s": "s + t + s_2 + t_2", "t": "0"}),
+        ("z + 2/3*s*y1 + t*y1", {"s": "s + 3/2*t + s_2 + 3/2*t_2", "t": "0"}),
+    ],
+)
+def test_composition_rule_with_dependent_parameters(image, want):
+    sub = _xyz_substitution(("s", "t"), {"z": image})
+    rule = derive_composition_rule(sub)
+    assert rule is not None
+    assert {p: str(poly) for p, poly in rule.items()} == want
+    assert check_group_law(sub, rule)
+
+
+@pytest.mark.parametrize(
+    "params, images",
+    [
+        (("a",), {"x": "x + a*x^2"}),
+        (("s", "t"), {"z": "z + s*y1 + t*x", "x": "x + s*y1"}),
+    ],
+)
+def test_composition_rule_none_without_a_polynomial_law(params, images):
+    assert derive_composition_rule(_xyz_substitution(params, images)) is None
+
+
+def test_composition_rule_needs_affine_images():
+    with pytest.raises(ValueError, match="not affine"):
+        derive_composition_rule(_xyz_substitution(("t",), {"z": "z + t^2*y1"}))
 
 
 def test_infinitesimal_generators(inst11):
