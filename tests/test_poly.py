@@ -1,5 +1,6 @@
 """Polynomial arithmetic, grading, substitution, and the text format."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -366,6 +367,18 @@ def _reference_parse(text, varsys):
     return result
 
 
+def _juxtapose(parts):
+    """Join (joiner, factor) pairs into one term, dropping the first joiner.
+    An empty joiner after an exponent becomes a space: "^1" then "12" would
+    otherwise read as "^112", far outside the 0..3 exponents drawn here."""
+    text = parts[0][1]
+    for joiner, factor in parts[1:]:
+        if not joiner and re.search(r"\^\d+$", text) and factor[0].isdigit():
+            joiner = " "
+        text += joiner + factor
+    return text
+
+
 def _texts():
     atom = st.one_of(
         st.sampled_from(("x1", "y1", "z")),
@@ -379,9 +392,7 @@ def _texts():
             lambda fk: fk[0] if fk[1] is None else f"{fk[0]}^{fk[1]}"
         )
         joiner = st.sampled_from(("*", " * ", " ", ""))
-        term = st.lists(st.tuples(joiner, powered), min_size=1, max_size=3).map(
-            lambda parts: "".join(j + p for j, p in parts)[len(parts[0][0]):]
-        )
+        term = st.lists(st.tuples(joiner, powered), min_size=1, max_size=3).map(_juxtapose)
         sign = st.sampled_from(("", "-", "+", "- "))
         plus = st.sampled_from((" + ", " - ", "+", "-"))
         expression = st.tuples(sign, st.lists(st.tuples(plus, term), min_size=1, max_size=3)).map(
