@@ -213,11 +213,12 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     values, as a nullspace over the monomial frame."""
     coords = substitution.coordinate_system
     varsys = substitution.varsys
-    domain = SpanBasis.of_monomials(coords, monomials_of_degree(coords, degree))
+    frame = monomials_of_degree(coords, degree)
     # Powers of every coordinate's image scaled by s, the lcm of its
-    # denominators, as integer term maps built once: each monomial's image,
-    # scaled by the product of the s^e, is a product of at most one cached
-    # power per coordinate.
+    # denominators, as integer term maps built once: the image of each
+    # monomial scaled by s_j, the product of the s^e, is a product of at
+    # most one cached power per coordinate, and s_j*monomial is its domain
+    # row.
     unit = (0,) * varsys.nvars
     powers, image_scales = [], []
     for name in coords.names:
@@ -227,9 +228,9 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
         image_scales.append(s)
         for _ in range(degree - 1):
             powers[-1].append(_product(powers[-1][-1], image))
-    deltas, scales = [], {}
+    rows, deltas = [], []
     out_frame: set[tuple[int, ...]] = set()
-    for j, mono in enumerate(domain.ambient):
+    for j, mono in enumerate(frame):
         factors = [row[e] for row, e in zip(powers, mono.exponents) if e]
         image = reduce(_product, factors, {unit: 1})
         scale = prod(s**e for s, e in zip(image_scales, mono.exponents))
@@ -237,11 +238,11 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
         delta = _accumulate(image, ((own, -scale),))
         deltas.append(delta)
         out_frame.update(delta)
-        if scale != 1:
-            scales[j] = scale
+        rows.append({j: scale})
+    domain = SpanBasis(coords, frame, rows, range(len(frame)))
     # Canonical order (`Monomial.sort_key`) of distinct exponent tuples.
     keys = sorted(out_frame, key=lambda e: (sum(e), e), reverse=True)
-    return kernel_span(domain, deltas, keys, scales)
+    return kernel_span(domain, deltas, keys)
 
 
 @dataclass(frozen=True)

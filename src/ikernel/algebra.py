@@ -111,21 +111,25 @@ class SubalgebraSpec:
 
 class _Piece(NamedTuple):
     """One degree d: the basis of A_d, its rows' label expressions (None
-    until `tracked_piece` adds them), (A+ . A+)_d, the basis rows as
-    `_integer_terms` for the products of higher degrees, and the products
-    that raised the rank, each as (lower degree, lower row index, generator
+    until `tracked_piece` adds them), (A+ . A+)_d, and the products that
+    raised the rank, each as (lower degree, lower row index, generator
     entry); the lone generators among them have lower degree 0."""
 
     basis: SpanBasis
     exprs: tuple[Polynomial, ...] | None
     decomposable: SpanBasis
-    rows: tuple[tuple[list, int], ...]
     sources: tuple[tuple[int, int, tuple], ...]
 
     @property
     def representatives(self) -> tuple[Polynomial, ...]:
         """The degree-d generators that raise the rank past (A+ . A+)_d."""
         return tuple(gen for lower, _, (_, gen, _, _) in self.sources if lower == 0)
+
+
+def _row_terms(basis: SpanBasis, i: int) -> list:
+    """Basis row i as integer terms: (exponent tuple, entry) pairs."""
+    ambient = basis.ambient
+    return [(ambient[c].exponents, v) for c, v in basis.rows[i].items()]
 
 
 def _product_row(index: Mapping[tuple, int], bterms: list, gterms: list) -> dict[int, int]:
@@ -152,9 +156,10 @@ class GradedBasis:
     product of two positive-degree members is a sum of generator monomials
     of two or more factors, each a member of A_{d-e} times a generator of
     degree e < d.  So the lone generators that raise the rank represent the
-    indecomposables.  Rows b and generators g are kept as integer terms
-    scaled by the lcm s_b, s_g of their denominators, so each product is the
-    integer row s_b*s_g*b*g.
+    indecomposables.  Each product multiplies a basis row b of A_{d-e}, an
+    integer multiple s_b*b of the reduced row with s_b its pivot entry, by
+    the generator g scaled to integer terms by the lcm s_g of its
+    denominators: the integer row s_b*s_g*b*g.
 
     One cache entry per degree holds all of it, built once.  The products
     that raised the rank are recorded as where they came from, not as rows,
@@ -172,7 +177,7 @@ class GradedBasis:
         self.varsys, self.labels = algebra.varsys, algebra.label_system
         self.complete_through = algebra.complete_through
         self._pieces: dict[int, _Piece] = {}
-        # Ascending degrees; per generator: label index, polynomial, `_integer_terms`.
+        # Ascending degrees; per generator: label index, polynomial, integer terms, scale.
         self._by_degree: dict[int, list[tuple]] = {}
         for k, (_, gen) in sorted(enumerate(algebra.generators), key=lambda g: g[1][1].degree()):
             terms, s = _integer_terms(gen._exponent_map().items())
@@ -199,26 +204,24 @@ class GradedBasis:
                 break
             if e == degree:
                 decomposable = SpanBasis(vs, frame, *ech.emit())
-            self.piece(degree - e)
-            lower_rows = self._pieces[degree - e].rows
+            lower = self.piece(degree - e)
+            lower_rows = [_row_terms(lower, i) for i in range(lower.dim)]
             for gen in gens:
-                for i, (bterms, _) in enumerate(lower_rows):
+                for i, bterms in enumerate(lower_rows):
                     if ech.insert(_product_row(index, bterms, gen[2])):
                         sources.append((degree - e, i, gen))
         basis = SpanBasis(vs, frame, *ech.emit())
-        rows = tuple(
-            _integer_terms((frame[c].exponents, v) for c, v in vec.items()) for vec in basis.vectors
-        )
-        return _Piece(basis, None, decomposable or basis, rows, tuple(sources))
+        return _Piece(basis, None, decomposable or basis, tuple(sources))
 
     def _expressions(self, degree: int, entry: _Piece) -> tuple[Polynomial, ...]:
         """Each basis row's label expression, from the products that raised
         the rank.  Those r products P are independent and span A_d, so
         P = N*B for the basis rows B, with N the products' entries at the
         basis pivots, and B = N^-1 * P uniquely.  Eliminating the rows
-        [N | I] gives [I | N^-1], so basis row i's expression is the
-        combination sum_j (N^-1)_ij of the products' formals
-        expr_b * label_g * s_b*s_g, each of which evaluates to its row."""
+        [N | I] gives rows that are multiples of [I | N^-1], so basis row
+        i's expression is the combination sum_j (N^-1)_ij of the products'
+        formals expr_b * label_g * s_b*s_g, each of which evaluates to its
+        row."""
         if degree == 0:
             return (self.labels.one(),)
         basis = entry.basis
@@ -229,18 +232,19 @@ class GradedBasis:
         formals = []
         lower_exprs = {d: self.tracked_piece(d)[1] for d in {s[0] for s in entry.sources}}
         for j, (lower, i, (k, _, gterms, sg)) in enumerate(entry.sources):
-            bterms, sb = self._pieces[lower].rows[i]
-            product = _product_row(index, bterms, gterms)
+            lower_basis = self._pieces[lower].basis
+            sb = lower_basis.rows[i][lower_basis.pivots[i]]
+            product = _product_row(index, _row_terms(lower_basis, i), gterms)
             row = {position[p]: v for p, v in product.items() if p in position}
             row[r + j] = 1
             ech.insert(row)
             formals.append((lower_exprs[lower][i]._exponent_map(), k, sb * sg))
         return tuple(
             _from_exponent_map(self.labels, _accumulate({}, (
-                (e[:k] + (e[k] + 1,) + e[k + 1:], c * (s * x))
-                for j, x in vec.items() if j >= r
+                (e[:k] + (e[k] + 1,) + e[k + 1:], c * Fraction(s * x, row[i]))
+                for j, x in row.items() if j >= r
                 for t, k, s in [formals[j - r]] for e, c in t.items()
-            ))) for vec in ech.emit()[0]
+            ))) for i, row in enumerate(ech.emit()[0])
         )
 
     def _entry(self, degree: int) -> _Piece:

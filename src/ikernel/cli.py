@@ -2,10 +2,12 @@
 
 Exit codes: 0 pass / member, 1 fail / non-member, 2 none-up-to-bound,
 3 usage error.  `verify` exits 1 if a certificate fails to re-check, is
-malformed or has an unknown `cert_type`; 3 if the report cannot be read
-(missing, not UTF-8 JSON, or nested too deeply to parse), is not an
-object, or has a missing or unknown verdict; and otherwise with the code
-`run` gives the report's verdict.
+malformed or has an unknown `cert_type`, or if a path where the report's
+scenario puts a certificate holds anything but null or a certificate of the
+declared `cert_type`; 3 if the report cannot be read (missing, not UTF-8
+JSON, or nested too deeply to parse), is not an object, or has a missing
+or unknown verdict or scenario; and otherwise with the code `run` gives
+the report's verdict.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .harness import (
     FAIL,
     NONE_UP_TO_BOUND,
     PASS,
+    SCENARIOS,
     ScenarioConfig,
     list_scenarios,
     run_scenario,
@@ -129,6 +132,8 @@ def _cmd_verify(args) -> int:
     result = verify_report(data)
     if not isinstance(result.verdict, str) or result.verdict not in _VERDICT_CODES:
         raise UsageError(f"report verdict {result.verdict!r} is not one of {list(_VERDICT_CODES)}")
+    if not isinstance(result.scenario, str) or result.scenario not in SCENARIOS:
+        raise UsageError(f"report scenario {result.scenario!r:.80} is not in the catalogue")
     if result.ok:
         print(f"verified {result.total} certificate(s): all re-evaluate exactly ({result.verdict})")
         return _VERDICT_CODES[result.verdict]
@@ -164,19 +169,14 @@ def _cmd_membership(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "list": _cmd_list, "verify": _cmd_verify, "membership": _cmd_membership}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "membership":
-            return _cmd_membership(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import MembershipCertificate, SubalgebraSpec, membership
+from .algebra import MembershipCertificate, SubalgebraSpec, _row_terms, membership
 from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
 from .poly import _accumulate, _from_exponent_map
@@ -121,16 +121,13 @@ def kernel_graded_basis(
     the images of the domain's basis rows then gives exactly ker ∩ A_d,
     whether or not the family preserves A.
     """
-    # Domain rows as integer terms with their scales: s_j * domain[j].
     if isinstance(ambient, SubalgebraSpec):
         varsys: VarSystem = ambient.varsys
-        graded = ambient.graded_basis()
-        domain = graded.piece(degree)
-        rows = graded._pieces[degree].rows
+        domain = ambient.graded_basis().piece(degree)
     else:
         varsys = ambient
         domain = SpanBasis.of_monomials(varsys, monomials_of_degree(varsys, degree))
-        rows = [([(m.exponents, 1)], 1) for m in domain.ambient]
+    rows = [_row_terms(domain, j) for j in range(domain.dim)]
 
     # Stack the derivations' scaled images, each in its own block of rows:
     # scaling a block leaves the kernel alone.
@@ -145,11 +142,9 @@ def kernel_graded_basis(
         targets = monomials_of_degree(varsys, degree + shift)
         row = {m.exponents: height + r for r, m in enumerate(targets)}
         height += len(targets)
-        for image, (terms, _) in zip(images, rows):
+        for image, terms in zip(images, rows):
             _accumulate(image, ((row[t], c) for t, c in drv._scaled_terms(terms)))
-
-    scales = {j: s for j, (_, s) in enumerate(rows) if s != 1}
-    return kernel_span(domain, images, range(height), scales)
+    return kernel_span(domain, images, range(height))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,12 @@
 """Exact rational linear algebra over bases of monomials.
 
-The one elimination engine is `Echelon`: rows are sparse `{column: int}`
-maps holding only their nonzero entries, kept primitive and fraction-free,
-and elimination touches nonzero entries only.  `Fraction`s exist only at
-the edge: rows arrive as sparse rational or integer maps (`column_rows`,
-the graded-piece products, the scaled kernel images) and `Echelon.emit`
-returns the reduced rows as sparse `{column: Fraction}` maps, which
-`SpanBasis` keeps.  On top of it sit `nullspace` and `solve` over sparse
-rows, and `SpanBasis`, a span of polynomials over a monomial frame, built
-by `of_monomials`, `from_polynomials` or, as the kernel of a linear map on
-another span, by `kernel_span` with one elimination.
+One row format runs from elimination to every caller: a sparse
+`{column: int}` map of nonzero entries, columns ascending, an integer
+multiple of its reduced echelon row with a positive pivot entry.  `Echelon`
+keeps such rows primitive and `emit` copies them out; `SpanBasis` keeps
+them too.  `Fraction`s exist only at the edges: in rational input rows,
+and where a row is divided by its pivot entry (`nullspace`,
+`polynomials()`, coordinates).
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate
+from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate, _integer_terms
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
 _ZERO = Fraction(0)
@@ -54,8 +51,8 @@ class Echelon:
 
     Each stored row is a `{column: int}` map of its nonzero entries, kept
     primitive with positive leading entry; pivot columns are distinct and
-    rows are mutually reduced, so emitting (rows divided by their pivots)
-    yields the unique reduced row echelon basis of the span.  New rows are
+    rows are mutually reduced, so dividing each by its pivot entry gives
+    the unique reduced row echelon basis of the span.  New rows are
     reduced with the integer-preserving update `lead*x - a*y` over their
     nonzero entries; after a step that can multiply entries (`lead != 1`
     or `|a| > 1`) their content is stripped once entries pass
@@ -66,9 +63,8 @@ class Echelon:
     a row raises `ValueError` before anything is stored.  A row of one
     nonzero entry in the frame is decided in O(1) when its column is the
     pivot of a stored unit row (dependent) or held by no stored row (a
-    new unit row, nothing to back-reduce); a stored unit row is emitted
-    without division.  `rows` views each stored row's nonzero values in
-    pivot order.
+    new unit row, nothing to back-reduce).  `rows` views each stored row's
+    nonzero values in pivot order.
     """
 
     __slots__ = ("width", "pivots", "_rows", "_cols")
@@ -151,18 +147,10 @@ class Echelon:
         insort(self.pivots, pivot)
         return True
 
-    def emit(self) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
-        """Reduced echelon rows as sparse `{column: Fraction}` maps (columns
-        ascending, pivots normalized to 1), and pivot columns."""
-        vectors = []
-        for p in self.pivots:
-            row = self._rows[p]
-            if len(row) == 1:
-                vectors.append({p: _ONE})
-            else:
-                lead = row[p]
-                vectors.append({c: Fraction(row[c], lead) for c in sorted(row)})
-        return tuple(vectors), tuple(self.pivots)
+    def emit(self) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
+        """Copies of the stored rows, columns ascending, and the pivots."""
+        rows = self._rows
+        return tuple({c: rows[p][c] for c in sorted(rows[p])} for p in self.pivots), tuple(self.pivots)
 
 
 def column_rows(
@@ -187,14 +175,15 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[i
     ech = Echelon(width)
     for row in rows:
         ech.insert(row)
-    reduced, pivots = ech.emit()
+    rows, pivots = ech.emit()
     kernel = {j: {j: _ONE} for j in range(width)}
     for p in pivots:
         del kernel[p]
-    for vec, p in zip(reduced, pivots):
-        for j, v in vec.items():
-            if j != p:  # a reduced row is zero at every other pivot
-                kernel[j][p] = -v
+    for row, p in zip(rows, pivots):
+        lead = row[p]
+        for j, v in row.items():
+            if j != p:  # a stored row is zero at every other pivot
+                kernel[j][p] = Fraction(-v, lead)
     return list(kernel.values())
 
 
@@ -215,37 +204,37 @@ def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fract
 class SpanBasis:
     """A subspace of polynomials presented over an explicit monomial frame.
 
-    `vectors` are the unique reduced-echelon basis rows over `ambient`,
-    each a sparse `{column: Fraction}` map of its nonzeros with ascending
-    columns, and `pivots` ascend; so representation of any member is
-    unique.  Every frame lists its monomials in canonical order (as
-    `monomials_of_degree` does), so over any two frames that hold a space,
-    its basis polynomials are the same, and `spans_same` compares them.
-    Build one with `of_monomials`, `from_polynomials` or `kernel_span`.
+    `rows` over `ambient` are in the module's row format, `pivots` ascend,
+    and `polynomials()` is the reduced echelon basis, so representation of
+    any member is unique.  Every frame lists its monomials in canonical
+    order (as `monomials_of_degree` does), so over any two frames that hold
+    a space, its basis polynomials are the same, and `spans_same` compares
+    them.  Build one with `of_monomials`, `from_polynomials` or
+    `kernel_span`.
     """
 
-    __slots__ = ("varsys", "ambient", "vectors", "pivots", "_polys", "_rows")
+    __slots__ = ("varsys", "ambient", "rows", "pivots", "_polys", "_at_pivot")
 
     def __init__(
         self,
         varsys: VarSystem,
         ambient: Sequence[Monomial],
-        vectors: Sequence[Mapping[int, Fraction]],
+        rows: Sequence[Mapping[int, int]],
         pivots: Sequence[int],
     ):
         self.varsys = varsys
         self.ambient = tuple(ambient)
-        self.vectors = tuple(vectors)
+        self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self._polys: tuple[Polynomial, ...] | None = None
-        self._rows: dict[Monomial, int] | None = None  # row index by pivot monomial
+        self._at_pivot: dict[Monomial, int] | None = None  # row index by pivot monomial
 
     @classmethod
     def of_monomials(cls, varsys: VarSystem, monos: Sequence[Monomial]) -> SpanBasis:
         """The span of distinct monomials, given in canonical order (as
         `monomials_of_degree` lists them), over themselves as frame."""
         monos = tuple(monos)
-        return cls(varsys, monos, [{i: _ONE} for i in range(len(monos))], range(len(monos)))
+        return cls(varsys, monos, [{i: 1} for i in range(len(monos))], range(len(monos)))
 
     @classmethod
     def from_polynomials(
@@ -270,35 +259,37 @@ class SpanBasis:
             except KeyError:
                 raise ValueError("polynomial has a monomial outside the frame") from None
             ech.insert(row)
-        vectors, pivots = ech.emit()
-        return cls(varsys, frame, vectors, pivots)
+        return cls(varsys, frame, *ech.emit())
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         if self._polys is None:
-            # Frame monomials are canonical and stored values nonzero Fractions.
-            ambient = self.ambient
+            # Frame monomials are canonical and stored entries nonzero.
+            ambient, vs = self.ambient, self.varsys
             self._polys = tuple(
-                Polynomial._trusted(self.varsys, {ambient[c]: v for c, v in vec.items()})
-                for vec in self.vectors
+                Polynomial._trusted(vs, {ambient[c]: Fraction(v, row[p]) for c, v in row.items()})
+                for row, p in zip(self.rows, self.pivots)
             )
         return self._polys
 
-    def _reduce(self, f: Polynomial) -> tuple[dict[int, Fraction], dict[Monomial, Fraction]]:
-        """f's nonzero coefficients at the pivot monomials, keyed by row, and
-        the residual of f less those multiples of the rows.  Every row is
-        zero at every other row's pivot, so f is a member iff the residual
+    def _reduce(self, terms: Mapping[Monomial, Fraction | int]) -> tuple[dict, dict]:
+        """The coefficients of `terms` at the pivot monomials, keyed by row,
+        and the residual less those multiples of `polynomials()`.  Those are
+        zero at every other pivot, so `terms` is a member iff the residual
         is zero, and then the coefficients are its coordinates."""
-        if self._rows is None:
-            self._rows = {self.ambient[p]: i for i, p in enumerate(self.pivots)}
-        rows, ambient = self._rows, self.ambient
-        coords = {rows[m]: c for m, c in f.terms.items() if m in rows}
-        residual = _accumulate(dict(f.terms), (
-            (ambient[col], -c * v) for i, c in coords.items() for col, v in self.vectors[i].items()
-        ))
+        if self._at_pivot is None:
+            self._at_pivot = {self.ambient[p]: i for i, p in enumerate(self.pivots)}
+        at_pivot, ambient = self._at_pivot, self.ambient
+        coords = {at_pivot[m]: c for m, c in terms.items() if m in at_pivot}
+        residual = dict(terms)
+        for i, c in coords.items():
+            row = self.rows[i]
+            lead = row[self.pivots[i]]
+            x = c if lead == 1 else Fraction(c, lead)
+            _accumulate(residual, ((ambient[col], -x * v) for col, v in row.items()))
         return coords, residual
 
     def coordinates_of(self, f: Polynomial) -> tuple[Fraction, ...] | None:
@@ -306,7 +297,7 @@ class SpanBasis:
         when f has a monomial outside the ambient frame)."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("target over a different system")
-        coords, residual = self._reduce(f)
+        coords, residual = self._reduce(f.terms)
         return None if residual else tuple(coords.get(i, _ZERO) for i in range(self.dim))
 
     def contains(self, f: Polynomial) -> bool:
@@ -321,7 +312,8 @@ class SpanBasis:
         sends each member to its residual modulo `other`."""
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
-        residuals = [other._reduce(f)[1] for f in self.polynomials()]
+        ambient = self.ambient
+        residuals = [other._reduce({ambient[c]: v for c, v in row.items()})[1] for row in self.rows]
         return kernel_span(self, residuals, dict.fromkeys(m for r in residuals for m in r))
 
 
@@ -329,37 +321,31 @@ def kernel_span(
     domain: SpanBasis,
     images: Sequence[Mapping[Hashable, Fraction | int]],
     keys: Iterable[Hashable],
-    scales: Mapping[int, int] | None = None,
 ) -> SpanBasis:
-    """The span of  sum_j c_j*domain[j]  over every c with
+    """The span of  sum_j c_j*domain.rows[j]  over every c with
     sum_j c_j*images[j] = 0, as a `SpanBasis` over the domain's frame.
 
-    `images[j]` maps the keys of the image space to entries (a polynomial's
-    `terms`, say); `keys` lists every key of that space, one matrix row each.
-    With `scales` (sparse: absent rows have scale 1), images[j] is the image
-    of scales[j]*domain[j], so a kernel vector c' has coordinates
-    c_j = scales[j]*c'_j.
+    `images[j]` is the image of `domain.rows[j]`, mapping the keys of the
+    image space to entries (a polynomial's `terms`, say); `keys` lists
+    every key of that space, one matrix row each.
 
     One elimination, with the unknowns in reverse order: the nullspace
     vector of a free unknown f is then 1 at f and otherwise supported on
-    pivot unknowns after f, so through the domain's reduced rows (pivots
-    ascending) its member, divided by f's scale, is 1 at domain[f]'s pivot
-    and 0 at every other free unknown's: already the reduced echelon basis
-    of the kernel.
+    pivot unknowns after f.  Scaled to integers by the lcm of its
+    denominators, it combines the domain's rows (pivots ascending) into a
+    member that is positive at row f's pivot and 0 at every other free
+    unknown's: a positive multiple of a reduced echelon row of the kernel.
     """
     n = len(images)
     if n != domain.dim:
         raise ValueError("need one image per domain row")
     # With no unknowns the kernel is zero: skip eliminating the empty rows.
     kernel = nullspace(column_rows(images[::-1], keys), n) if n else []
-    vectors = []
+    rows = []
     for vec in reversed(kernel):
-        if scales:  # true coordinates, normalized at the free unknown max(vec)
-            free = scales.get(n - 1 - max(vec), 1)
-            vec = {k: c * scales.get(n - 1 - k, 1) / free for k, c in vec.items()}
-        member: dict[int, Fraction] = {}
-        for k, c in vec.items():
-            _accumulate(member, ((col, c * v) for col, v in domain.vectors[n - 1 - k].items()))
-        vectors.append({col: member[col] for col in sorted(member)})
-    pivots = [min(vec) for vec in vectors]
-    return SpanBasis(domain.varsys, domain.ambient, vectors, pivots)
+        member: dict[int, int] = {}
+        for k, x in _integer_terms(vec.items())[0]:
+            _accumulate(member, ((col, x * v) for col, v in domain.rows[n - 1 - k].items()))
+        rows.append({col: member[col] for col in sorted(member)})
+    pivots = [min(row) for row in rows]
+    return SpanBasis(domain.varsys, domain.ambient, rows, pivots)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .actions import (
     Instance,
@@ -149,15 +149,8 @@ def _scenario_lemma_infini(cfg: ScenarioConfig) -> tuple[str, dict]:
         right = graded_piece(mono, d)
         equal = left.spans_same(right)
         all_equal = all_equal and equal
-        per_degree.append(
-            {
-                "degree": d,
-                "dim": left.dim,
-                "monomial_algebra_dim": right.dim,
-                "equal": equal,
-                "basis": _basis_strings(right),
-            }
-        )
+        per_degree.append({"degree": d, "dim": left.dim, "monomial_algebra_dim": right.dim,
+                           "equal": equal, "basis": _basis_strings(right)})
     details = {
         "dims": [entry["dim"] for entry in per_degree],
         "per_degree": per_degree,
@@ -183,17 +176,10 @@ def _scenario_lemma_infini2(cfg: ScenarioConfig) -> tuple[str, dict]:
         fresh = not decomposable_span(mono, d).contains(witness)
         good = indec.dim == expected and in_algebra and fresh
         ok = ok and good
-        per_degree.append(
-            {
-                "degree": d,
-                "dim": indec.dim,
-                "expected_dim": expected,
-                "witness": str(witness),
-                "witness_in_algebra": in_algebra,
-                "witness_indecomposable": fresh,
-                "generator_classes": _basis_strings(indec),
-            }
-        )
+        per_degree.append({"degree": d, "dim": indec.dim, "expected_dim": expected,
+                           "witness": str(witness), "witness_in_algebra": in_algebra,
+                           "witness_indecomposable": fresh,
+                           "generator_classes": _basis_strings(indec)})
     details = {
         "dims": [entry["dim"] for entry in per_degree],
         "per_degree": per_degree,
@@ -213,21 +199,13 @@ def _scenario_g1_invariants(cfg: ScenarioConfig) -> tuple[str, dict]:
         zfree = monomials_of_degree(inst.varsys, d, xy)
         expected_ring = SpanBasis.of_monomials(inst.varsys, zfree)
         ring_equal = ring_kernel.spans_same(expected_ring)
-        sub_kernel = kernel_graded_basis(
-            [inst.translation_derivation], inst.algebra, d
-        )
+        sub_kernel = kernel_graded_basis([inst.translation_derivation], inst.algebra, d)
         sub_equal = sub_kernel.spans_same(graded_piece(mono, d))
         ok = ok and ring_equal and sub_equal
-        per_degree.append(
-            {
-                "degree": d,
-                "ring_dim": ring_kernel.dim,
-                "expected_ring_dim": comb(d + cfg.n + cfg.m - 1, cfg.n + cfg.m - 1),
-                "ring_equal": ring_equal,
-                "subalgebra_dim": sub_kernel.dim,
-                "subalgebra_matches_monomial_algebra": sub_equal,
-            }
-        )
+        per_degree.append({"degree": d, "ring_dim": ring_kernel.dim,
+                           "expected_ring_dim": comb(d + cfg.n + cfg.m - 1, cfg.n + cfg.m - 1),
+                           "ring_equal": ring_equal, "subalgebra_dim": sub_kernel.dim,
+                           "subalgebra_matches_monomial_algebra": sub_equal})
     details = {
         "ring_dims": [e["ring_dim"] for e in per_degree],
         "subalgebra_dims": [e["subalgebra_dim"] for e in per_degree],
@@ -296,14 +274,9 @@ def _scenario_g2_invariants_B(cfg: ScenarioConfig) -> tuple[str, dict]:
         expected = SpanBasis.of_monomials(inst.varsys, xonly)
         equal = kernel.spans_same(expected)
         ok = ok and equal and kernel.dim == comb(d + cfg.n - 1, cfg.n - 1)
-        per_degree.append(
-            {
-                "degree": d,
-                "dim": kernel.dim,
-                "expected_dim": comb(d + cfg.n - 1, cfg.n - 1),
-                "equal_to_x_monomials": equal,
-            }
-        )
+        per_degree.append({"degree": d, "dim": kernel.dim,
+                           "expected_dim": comb(d + cfg.n - 1, cfg.n - 1),
+                           "equal_to_x_monomials": equal})
     trivial = SubalgebraSpec(inst.varsys, [], homogeneous=True)
     witnesses = list(inst.x_names)
     witness_checks = []
@@ -389,14 +362,8 @@ def _scenario_action_stability(cfg: ScenarioConfig) -> tuple[str, dict]:
 
     ok = ga.stable and aut.stable and ga_law and aut_law and consistent
     def entries(result):
-        return [
-            {
-                "generator": entry.generator,
-                "parameters": entry.parameter_exponents,
-                "certificate": entry.certificate.to_json_dict(),
-            }
-            for entry in result.entries
-        ]
+        return [{"generator": entry.generator, "parameters": entry.parameter_exponents,
+                 "certificate": entry.certificate.to_json_dict()} for entry in result.entries]
 
     details = {
         "translation_stable": ga.stable,
@@ -437,70 +404,83 @@ def _scenario_localization_smoothness(cfg: ScenarioConfig) -> tuple[str, dict]:
     return PASS, details
 
 
-SCENARIOS: dict[str, tuple[Callable[[ScenarioConfig], tuple[str, dict]], str]] = {
-    "lemma-infini": (
+class Scenario(NamedTuple):
+    """A catalogue entry: the runner, its claim, and the report paths that
+    hold its certificates, each with the `cert_type` found there (`[*]`
+    stands for every element of a list)."""
+
+    run: Callable[[ScenarioConfig], tuple[str, dict]]
+    description: str
+    certificates: tuple[tuple[str, str], ...] = ()
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "lemma-infini": Scenario(
         _scenario_lemma_infini,
         "The subalgebra's intersection with the z-free coordinate subring equals "
         "the y-positive monomial algebra, degree by degree.",
     ),
-    "lemma-infini2": (
+    "lemma-infini2": Scenario(
         _scenario_lemma_infini2,
         "The y-positive monomial algebra needs a fresh generator in every degree: "
         "degreewise evidence that it is not finitely generated.",
     ),
-    "g1-invariants": (
+    "g1-invariants": Scenario(
         _scenario_g1_invariants,
         "Translation invariants: z-free polynomials in the full ring; the "
         "y-positive monomial algebra inside the subalgebra.",
     ),
-    "g1-integrality-dichotomy": (
+    "g1-integrality-dichotomy": Scenario(
         _scenario_g1_integrality_dichotomy,
         "x1 is algebraic but not integral over the translation-invariant "
         "subalgebra: explicit relation plus a conclusive specialization argument.",
+        (("details.algebraic", "relation"), ("details.y_generator_integral", "relation")),
     ),
-    "g2-invariants-A": (
+    "g2-invariants-A": Scenario(
         _scenario_g2_invariants_A,
         "The subalgebra has no nonconstant joint invariants of the translation "
         "and scaling actions in the scanned degrees.",
     ),
-    "g2-invariants-B": (
+    "g2-invariants-B": Scenario(
         _scenario_g2_invariants_B,
         "Joint invariants of the full ring are exactly the polynomials in the x "
         "variables; the surviving coordinates witness transcendence over the "
         "constants.",
     ),
-    "theorem1-cusp": (
+    "theorem1-cusp": Scenario(
         _scenario_theorem1_cusp,
         "Cusp instance: derivation invariants of k[u,w] are integral of degree "
         "at most 2 over the invariants of k[u^2,u^3,w].",
+        (("details.per_degree[*].relation", "relation"),),
     ),
-    "action-stability": (
+    "action-stability": Scenario(
         _scenario_action_stability,
         "Both actions stabilize the subalgebra with certified parameter "
         "coefficients, satisfy their composition laws, and match their "
         "infinitesimal kernels.",
+        (
+            ("details.translation_certificates[*].certificate", "membership"),
+            ("details.scaling_shear_certificates[*].certificate", "membership"),
+        ),
     ),
-    "localization-smoothness": (
+    "localization-smoothness": Scenario(
         _scenario_localization_smoothness,
         "Each coordinate x_i enters the subalgebra after one multiplication by "
         "any y_j, certifying that localizing at y_j is harmless.",
+        (("details.certificates[*]", "localization"),),
     ),
 }
 
 
 def list_scenarios() -> list[dict[str, str]]:
     """The fixed scenario catalogue, in a stable order."""
-    return [
-        {"name": name, "description": description}
-        for name, (_, description) in SCENARIOS.items()
-    ]
+    return [{"name": name, "description": entry.description} for name, entry in SCENARIOS.items()]
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     cfg.validate()
-    runner, _ = SCENARIOS[cfg.scenario]
     start = time.perf_counter()
-    verdict, details = runner(cfg)
+    verdict, details = SCENARIOS[cfg.scenario].run(cfg)
     elapsed = time.perf_counter() - start
     parameters = {
         "n": cfg.n,
@@ -537,11 +517,24 @@ def _collect_certificates(obj) -> list[Mapping]:
     return found
 
 
+def _at_path(data, path: str) -> list[tuple[str, object]]:
+    """(where, value) for each value at a declared path, `[*]` standing for
+    every element of a list; a missing key or a non-list finds nothing."""
+    at = [("", data)]
+    for step in path.replace("[*]", ".*").split("."):
+        if step == "*":
+            at = [(f"{w}[{k}]", x) for w, v in at if isinstance(v, list) for k, x in enumerate(v)]
+        else:
+            at = [(f"{w}.{step}", v[step]) for w, v in at if isinstance(v, Mapping) and step in v]
+    return [(w[1:], v) for w, v in at]
+
+
 @dataclass
 class VerifyResult:
     total: int
     failures: list[str]
-    verdict: object = None  # the report's field as found; `ok` is about certificates only
+    verdict: object = None  # the report's fields as found; `ok` is about certificates only
+    scenario: object = None
 
     @property
     def ok(self) -> bool:
@@ -549,12 +542,21 @@ class VerifyResult:
 
 
 def verify_report(data: Mapping) -> VerifyResult:
-    """Re-check every certificate embedded in a report dictionary."""
+    """Re-check every certificate embedded in a report dictionary, and that
+    each path its scenario declares holds a certificate of the declared
+    `cert_type` or null."""
     failures: list[str] = []
-    verdict = data.get("verdict")
+    verdict, scenario = data.get("verdict"), data.get("scenario")
     if data.get("schema") != SCHEMA_VERSION:
         failures.append(f"unsupported schema: {data.get('schema')!r}")
-        return VerifyResult(0, failures, verdict)
+        return VerifyResult(0, failures, verdict, scenario)
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
+        failures.append(f"unknown scenario: {scenario!r:.80}")
+        return VerifyResult(0, failures, verdict, scenario)
+    for path, kind in SCENARIOS[scenario].certificates:
+        for where, value in _at_path(data, path):
+            if value is not None and (not isinstance(value, Mapping) or value.get("cert_type") != kind):
+                failures.append(f"{where}: not a {kind} certificate")
     certificates = _collect_certificates(data.get("details", {}))
     for k, cert in enumerate(certificates):
         kind = cert["cert_type"]
@@ -567,9 +569,8 @@ def verify_report(data: Mapping) -> VerifyResult:
         try:
             good = _VERIFIERS[kind](cert)
         except Exception as exc:  # malformed certificate
-            good = False
             failures.append(f"certificate {k} ({kind}): {exc}")
             continue
         if not good:
             failures.append(f"certificate {k} ({kind}): re-evaluation failed")
-    return VerifyResult(len(certificates), failures, verdict)
+    return VerifyResult(len(certificates), failures, verdict, scenario)

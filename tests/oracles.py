@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 
 def dense_rref(rows, width):
@@ -116,6 +117,9 @@ def product_stream_pieces(algebra, max_degree):
             sum((raised[j][1] * c for j, c in enumerate(row[width:]) if c), labels.zero())
             for row in rows
         )
-        vectors = [{j: v for j, v in enumerate(row[:width]) if v} for row in rows]
-        pieces.append((SpanBasis(vs, frame, vectors, pivots), exprs))
+        scales = [lcm(*(v.denominator for v in row[:width])) for row in rows]
+        integer_rows = [
+            {j: int(v * s) for j, v in enumerate(row[:width]) if v} for row, s in zip(rows, scales)
+        ]
+        pieces.append((SpanBasis(vs, frame, integer_rows, pivots), exprs))
     return pieces

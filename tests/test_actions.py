@@ -246,9 +246,9 @@ def test_invariant_subspace_matches_per_monomial_substitution(n, m):
         for degree in range(5):
             got = invariant_subspace(substitution, degree)
             want = _invariant_subspace_reference(substitution, degree)
-            assert (got.ambient, got.vectors, got.pivots) == (
+            assert (got.ambient, got.polynomials(), got.pivots) == (
                 want.ambient,
-                want.vectors,
+                want.polynomials(),
                 want.pivots,
             )
 

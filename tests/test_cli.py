@@ -81,7 +81,7 @@ def test_none_up_to_bound_exit_code(monkeypatch, capsys):
         return harness.NONE_UP_TO_BOUND, {"power_bound": cfg.bound("max_power")}
 
     monkeypatch.setitem(
-        harness.SCENARIOS, "localization-smoothness", (stub, "stubbed")
+        harness.SCENARIOS, "localization-smoothness", harness.Scenario(stub, "stubbed")
     )
     code = main(["run", "--scenario", "localization-smoothness", "--bound", "max_power=1"])
     assert code == 2
@@ -113,8 +113,13 @@ def test_verify_rejects_non_object_report(tmp_path, capsys, text):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+# Hand-made reports name a scenario that declares no `details.certificate` path.
+SCENARIO = "action-stability"
+
+
 def _write_report(path, certificate):
-    report = {"schema": 1, "verdict": "pass", "details": {"certificate": certificate}}
+    report = {"schema": 1, "scenario": SCENARIO, "verdict": "pass",
+              "details": {"certificate": certificate}}
     path.write_text(json.dumps(report))
 
 
@@ -122,7 +127,7 @@ def _write_report(path, certificate):
     ("pass", 0), ("fail", 1), ("none-up-to-bound", 2), ("maybe", 3), (None, 3), (["pass"], 3),
 ])
 def test_verify_exits_with_the_report_verdict(tmp_path, capsys, verdict, code):
-    report = {"schema": 1, "details": {}}
+    report = {"schema": 1, "scenario": SCENARIO, "details": {}}
     if verdict is not None:
         report["verdict"] = verdict
     path = tmp_path / "report.json"
@@ -132,13 +137,39 @@ def test_verify_exits_with_the_report_verdict(tmp_path, capsys, verdict, code):
         assert "verdict" in capsys.readouterr().err
 
 
+def test_verify_fails_a_relation_stripped_of_its_cert_type(tmp_path, capsys):
+    """Without its `cert_type`, a false relation would be skipped and only
+    its nested membership certificates checked; its declared path fails it."""
+    path = tmp_path / "report.json"
+    assert main(["run", "--scenario", "g1-integrality-dichotomy", "--max-degree", "3",
+                 "--output", "json", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["details"]["algebraic"]["cert_type"]
+    data["details"]["algebraic"]["element"] = "y1"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "details.algebraic: not a relation certificate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", [None, "nope", "", ["action-stability"], 3])
+def test_verify_needs_a_known_scenario(tmp_path, capsys, scenario):
+    report = {"schema": 1, "verdict": "pass", "details": {}}
+    if scenario is not None:
+        report["scenario"] = scenario
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 3
+    assert "scenario" in capsys.readouterr().err
+
+
 def test_verify_failing_certificate_exits_1_whatever_the_verdict(tmp_path):
     cert = {"cert_type": "membership", "variables": ["x"], "generators": [["a", "x"]],
             "target": "x^2", "expression": "a^3"}
     path = tmp_path / "report.json"
     for verdict in ("pass", "none-up-to-bound"):
         path.write_text(json.dumps(
-            {"schema": 1, "verdict": verdict, "details": {"certificate": cert}}))
+            {"schema": 1, "scenario": SCENARIO, "verdict": verdict, "details": {"certificate": cert}}))
         assert main(["verify", str(path)]) == 1
 
 
@@ -376,7 +407,7 @@ def test_verify_fails_an_unknown_cert_type(tmp_path, capsys, cert_type, named):
 
 def test_verify_checks_every_certificate_beside_an_unknown_one(tmp_path, capsys):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps({"schema": 1, "verdict": "pass", "details": {
+    path.write_text(json.dumps({"schema": 1, "scenario": SCENARIO, "verdict": "pass", "details": {
         "a": dict(_FALSE_MEMBER, cert_type="Membership"), "b": [_FALSE_MEMBER]}}))
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
@@ -391,7 +422,8 @@ def test_verify_reports_a_too_deep_report_as_unreadable(tmp_path, capsys, where)
     if where == "certificate":
         nested = '{"c": {"cert_type": "membership", "target": %s}}' % nested
     path = tmp_path / "report.json"
-    path.write_text('{"schema": 1, "verdict": "pass", "details": %s}' % nested)
+    path.write_text('{"schema": 1, "scenario": "%s", "verdict": "pass", "details": %s}'
+                    % (SCENARIO, nested))
     assert main(["verify", str(path)]) == 3
     assert "cannot read report" in capsys.readouterr().err
 

@@ -21,20 +21,42 @@ def _sparse_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
 
 
-def _dense(vec, width):
-    """A sparse emitted row as a dense tuple over `width` columns."""
-    assert list(vec) == sorted(vec) and all(vec.values())  # ascending nonzeros
-    return tuple(vec.get(j, Fraction(0)) for j in range(width))
+def _assert_integer_rows(rows, pivots):
+    """Rows in the one row format: ascending nonzero `int` entries, each
+    row's first column its pivot, with a positive entry there."""
+    for row, p in zip(rows, pivots):
+        assert list(row) == sorted(row) and min(row) == p and row[p] > 0
+        assert all(type(v) is int and v for v in row.values())
+
+
+def _dense(row, pivot, width):
+    """A sparse integer row divided by its pivot entry, as a dense tuple
+    over `width` columns."""
+    _assert_integer_rows([row], [pivot])
+    return tuple(Fraction(row.get(j, 0), row[pivot]) for j in range(width))
+
+
+def _emitted(ech):
+    """The emitted rows divided by their pivot entries, made dense, and
+    the pivots."""
+    rows, pivots = ech.emit()
+    return tuple(_dense(row, p, ech.width) for row, p in zip(rows, pivots)), pivots
 
 
 def _rref(rows, width):
-    """Reduced nonzero rows and pivots of dense `rows`, through `Echelon`,
-    with the emitted sparse rows made dense."""
+    """Reduced nonzero rows and pivots of dense `rows`, through `Echelon`."""
     ech = Echelon(width)
     for row in _sparse_rows(rows):
         ech.insert(row)
-    vectors, pivots = ech.emit()
-    return tuple(_dense(vec, width) for vec in vectors), pivots
+    return _emitted(ech)
+
+
+def _row_polynomials(basis):
+    """A span's integer rows as polynomials, not divided by their pivots."""
+    return [
+        Polynomial(basis.varsys, {basis.ambient[c]: Fraction(v) for c, v in row.items()})
+        for row in basis.rows
+    ]
 
 
 def _combination(coords, polys):
@@ -156,7 +178,11 @@ def test_grassmann_identity_randomized():
         join = SpanBasis.from_polynomials(VS, u.polynomials() + v.polynomials())
         assert meet.dim + join.dim == u.dim + v.dim
         echelon = SpanBasis.from_polynomials(VS, meet.polynomials(), frame=u.ambient)
-        assert (meet.vectors, meet.pivots) == (echelon.vectors, echelon.pivots)
+        assert (meet.polynomials(), meet.pivots) == (echelon.polynomials(), echelon.pivots)
+        for basis in (u, v, meet):
+            _assert_integer_rows(basis.rows, basis.pivots)
+        for basis in (u, v, join, echelon):  # Echelon's rows are primitive
+            assert all(gcd(*row.values()) == 1 for row in basis.rows)
         for p in meet.polynomials():
             assert u.contains(p) and v.contains(p)
 
@@ -172,7 +198,7 @@ def test_from_polynomials_takes_any_iterable():
     frame = monomials_of_degree(VS, 2)
     listed = SpanBasis.from_polynomials(VS, family, frame=frame)
     streamed = SpanBasis.from_polynomials(VS, iter(family), frame=frame)
-    assert (streamed.vectors, streamed.pivots) == (listed.vectors, listed.pivots)
+    assert (streamed.polynomials(), streamed.pivots) == (listed.polynomials(), listed.pivots)
     assert SpanBasis.from_polynomials(VS, iter(family)).spans_same(listed)
 
 
@@ -224,10 +250,41 @@ def test_kernel_span_matches_dense_rank(seed):
     basis = kernel_span(domain, images, range(height))
 
     assert basis.dim == n - len(dense_rref(matrix, n)[1])
-    members = [_combination(vec, domain.polynomials()) for vec in dense_nullspace(matrix, n)]
+    members = [_combination(vec, _row_polynomials(domain)) for vec in dense_nullspace(matrix, n)]
     oracle = SpanBasis.from_polynomials(VS, members, frame=domain.ambient)
     assert basis.ambient == domain.ambient
-    assert (basis.vectors, basis.pivots) == (oracle.vectors, oracle.pivots)
+    assert (basis.polynomials(), basis.pivots) == (oracle.polynomials(), oracle.pivots)
+    _assert_integer_rows(basis.rows, basis.pivots)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_span_over_non_unit_rows_matches_dense_nullspace(seed):
+    """`images[j]` is the image of the integer row `domain.rows[j]`, whatever
+    its pivot entry: rows {j: s_j}, as `invariant_subspace` builds them, and
+    Echelon rows with a pivot entry above 1."""
+    rng = random.Random(100 + seed)
+    frame = monomials_of_degree(VS, rng.randint(1, 3))
+    if seed % 2:
+        rows = [{j: rng.randint(2, 6)} for j in range(len(frame))]
+        domain = SpanBasis(VS, frame, rows, range(len(frame)))
+    else:  # 1/2*m0 + 1/3*m1 is the row 3*m0 + 2*m1; the others reduce nothing at m0
+        head = Polynomial(VS, {frame[0]: Fraction(1, 2), frame[1]: Fraction(1, 3)})
+        family = _random_family(rng, frame[2:], rng.randint(0, len(frame)))
+        domain = SpanBasis.from_polynomials(VS, [head] + family, frame=frame)
+        assert domain.rows[0] == {0: 3, 1: 2}
+    n = domain.dim
+    matrix = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4 else 0
+         for _ in range(n)]
+        for _ in range(rng.randint(0, n + 1))
+    ]
+    images = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(n)]
+    basis = kernel_span(domain, images, range(len(matrix)))
+
+    members = [_combination(vec, _row_polynomials(domain)) for vec in dense_nullspace(matrix, n)]
+    oracle = SpanBasis.from_polynomials(VS, members, frame=frame)
+    assert (basis.polynomials(), basis.pivots) == (oracle.polynomials(), oracle.pivots)
+    _assert_integer_rows(basis.rows, basis.pivots)
 
 
 def test_kernel_span_of_nothing():
@@ -236,7 +293,7 @@ def test_kernel_span_of_nothing():
     assert kernel_span(empty, [], []).dim == 0
     domain = SpanBasis.from_polynomials(VS, [X, Y], frame=frame)
     kernel = kernel_span(domain, [{}, {}], ["r"])
-    assert (kernel.vectors, kernel.pivots) == (domain.vectors, domain.pivots)
+    assert (kernel.polynomials(), kernel.pivots) == (domain.polynomials(), domain.pivots)
     with pytest.raises(ValueError):
         kernel_span(domain, [{}], ["r"])
 
@@ -246,9 +303,9 @@ def test_of_monomials_is_the_echelon_basis_of_unit_polynomials():
     units = [Polynomial(VS, {m: Fraction(1)}) for m in frame]
     direct = SpanBasis.of_monomials(VS, frame)
     oracle = SpanBasis.from_polynomials(VS, units, frame=frame)
-    assert (direct.ambient, direct.vectors, direct.pivots) == (
+    assert (direct.ambient, direct.rows, direct.pivots) == (
         oracle.ambient,
-        oracle.vectors,
+        oracle.rows,
         oracle.pivots,
     )
     assert direct.polynomials() == tuple(units)
@@ -287,9 +344,8 @@ def _check_against_dense(rows, width):
         # Alternate between omitting zeros and passing them explicitly.
         sparse = {j: v for j, v in enumerate(row) if v or k % 2}
         raised += ech.insert(sparse)
-    vectors, pivots = ech.emit()
-    vectors = tuple(_dense(vec, width) for vec in vectors)
-    assert (vectors, pivots) == dense_rref(rows, width)
+    assert _emitted(ech) == dense_rref(rows, width)
+    pivots = ech.pivots
     assert ech.dim == raised == len(pivots)
     assert ech.width == width
     assert all(type(x) is int and x for row in ech.rows for x in row)
@@ -412,8 +468,8 @@ def test_echelon_matches_dense_gauss_jordan_after_every_insert(seed):
     rank = 0
     for k, row in enumerate(rows):
         raised = ech.insert({j: v for j, v in enumerate(row) if v})
-        vectors, pivots = ech.emit()
-        assert (tuple(_dense(vec, width) for vec in vectors), pivots) == dense_rref(
+        emitted, pivots = _emitted(ech)
+        assert (emitted, pivots) == dense_rref(
             rows[: k + 1], width)
         assert raised == (len(pivots) > rank)
         rank = len(pivots)

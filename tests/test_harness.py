@@ -6,8 +6,11 @@ import pytest
 
 from ikernel.algebra import MembershipCertificate
 from ikernel.harness import (
+    _VERIFIERS,
     PASS,
+    SCENARIOS,
     ScenarioConfig,
+    _at_path,
     _collect_certificates,
     list_scenarios,
     run_scenario,
@@ -150,6 +153,49 @@ def test_collect_certificates_keeps_document_order_and_any_cert_type():
 def test_verify_rejects_wrong_schema():
     result = verify_report({"schema": 99, "details": {}})
     assert not result.ok
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    """Genuine reports of every scenario at (1,1,3) and (2,1,3)."""
+    return [
+        run_scenario(ScenarioConfig(scenario=name, n=n, m=1, max_degree=3)).to_dict()
+        for name in CATALOGUE for n in (1, 2)
+    ]
+
+
+def test_declared_certificates_sit_where_their_scenario_says(small_reports):
+    declared = set()
+    for report in small_reports:
+        assert verify_report(report).ok
+        for path, kind in SCENARIOS[report["scenario"]].certificates:
+            found = [value for _, value in _at_path(report, path) if value is not None]
+            assert all(value["cert_type"] == kind for value in found)
+            declared.update((report["scenario"], path) for _ in found)
+    assert declared == {
+        (name, path) for name in CATALOGUE for path, _ in SCENARIOS[name].certificates
+    }
+
+
+def test_a_declared_certificate_without_its_cert_type_never_passes(small_reports):
+    """Deleting `cert_type` at a declared path, or changing it to another
+    kind, hides no false claim: each such report fails."""
+    cases = 0
+    for report in small_reports:
+        for path, kind in SCENARIOS[report["scenario"]].certificates:
+            for where, cert in _at_path(report, path):
+                if cert is None:
+                    continue
+                for other in [None, *(k for k in _VERIFIERS if k != kind)]:
+                    if other is None:
+                        del cert["cert_type"]
+                    else:
+                        cert["cert_type"] = other
+                    result = verify_report(report)
+                    cert["cert_type"] = kind
+                    assert f"{where}: not a {kind} certificate" in result.failures
+                    cases += 1
+    assert cases > 0 and all(verify_report(report).ok for report in small_reports)
 
 
 def test_report_text_rendering():
