@@ -13,6 +13,7 @@ the report's verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args keeps no state in the parser, so calls may share it
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ikernel",

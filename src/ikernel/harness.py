@@ -280,9 +280,9 @@ def _scenario_g2_invariants_B(cfg: ScenarioConfig) -> tuple[str, dict]:
     trivial = SubalgebraSpec(inst.varsys, [], homogeneous=True)
     witnesses = list(inst.x_names)
     witness_checks = []
+    degree_one = kernel_graded_basis(family, inst.varsys, 1)
     for name in witnesses:
         xvar = inst.varsys.variable(name)
-        degree_one = kernel_graded_basis(family, inst.varsys, 1)
         witness_checks.append(
             degree_one.contains(xvar) and transcendental_over_constants(xvar, trivial)
         )

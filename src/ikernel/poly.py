@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -506,6 +506,11 @@ def _words(f: dict) -> int:
     return (bits + 63) // 64 or 1
 
 
+def _fraction_words(num: int, den: int) -> int:
+    """`_words` of a one-term map whose coefficient is num/den, reduced."""
+    return (num.bit_length() + den.bit_length() + 63) // 64 or 1
+
+
 class _Budget:
     """Work charged against `cap` before it runs, in units that follow its
     time, for term maps over `varsys`.  A product of term maps f*g costs
@@ -675,21 +680,29 @@ MAX_PARSE_DEPTH = 100
 class _Parser(_Budget):
     """Recursive descent over `{exponent tuple: Fraction}` term maps, charged
     against `MAX_PARSE_WORK` and nested at most `MAX_PARSE_DEPTH` deep; the
-    caller wraps the final map once."""
+    caller wraps the final map once.
+
+    An atom is an integer, a `p/q` or a variable, each with an optional `^k`.
+    While a term's product has at most one term, `parse_term` folds each atom
+    into it as a reduced integer numerator and denominator and an exponent
+    list, and charges each fold what the term-map arithmetic would: the
+    atom's power as `power_terms` and its multiplication as `product`.  So
+    `work` always equals the charge of multiplying every factor in as a term
+    map, and the same texts cross the cap at the same point."""
 
     def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
         super().__init__(MAX_PARSE_WORK, ParseError, "text", varsys)
-        self.tokens = tokens
+        self.tokens = tokens + [None]  # `None` ends the input: no bounds checks
         self.pos = 0
         self.depth = 0
-        self.varsys = varsys
+        self.index = varsys._index
         self.unit = (0,) * varsys.nvars
 
     def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self) -> tuple[str, str]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ParseError("unexpected end of input")
         self.pos += 1
@@ -699,6 +712,16 @@ class _Parser(_Budget):
         tok = self.take()
         if tok != ("op", op):
             raise ParseError(f"expected {op!r}, found {tok[1]!r}")
+
+    def exponent(self) -> int | None:
+        """The k of a `^k` that comes next, if one does."""
+        if self.tokens[self.pos] != ("op", "^"):
+            return None
+        self.pos += 1
+        exp_tok = self.take()
+        if exp_tok[0] != "int":
+            raise ParseError(f"expected integer exponent, found {_excerpt(exp_tok[1])}")
+        return int(exp_tok[1])
 
     def parse_expression(self) -> dict:
         result: dict = {}
@@ -715,54 +738,96 @@ class _Parser(_Budget):
             sign = self.take()[1]
 
     def parse_term(self) -> dict:
-        result = self.parse_factor()
+        tokens = self.tokens
+        num, den, exps = 1, 1, list(self.unit)  # the product while it has at most one term
+        terms = None  # the product as a term map once a parenthesised factor lengthens it
+        first = True
         while True:
-            tok = self.peek()
-            if tok is None:
-                break
+            if tokens[self.pos] == ("op", "("):
+                factor = self.parse_factor()
+                if first:
+                    terms = factor
+                else:
+                    if terms is None:
+                        terms = {tuple(exps): Fraction(num, den)} if num else {}
+                    terms = self.product(terms, factor)
+                if len(terms) <= 1:  # fold again
+                    num, den = 0, 1
+                    if terms:
+                        ((e, c),) = terms.items()
+                        num, den, exps = c.numerator, c.denominator, list(e)
+                    terms = None
+            else:
+                a, b, i, k = self.parse_atom()
+                if terms is not None:
+                    e = self.unit if i < 0 else self.unit[:i] + (k,) + self.unit[i + 1:]
+                    terms = self.product(terms, {e: Fraction(a, b)} if a else {})
+                else:
+                    if num and a and not first:
+                        self._charge(self.n_words * _fraction_words(num, den) * _fraction_words(a, b))
+                    if i >= 0:
+                        exps[i] += k
+                    elif b == 1 and den == 1:
+                        num *= a
+                    else:  # both fractions are reduced, so only across them can a factor cancel
+                        g, h = gcd(num, b), gcd(a, den)
+                        num, den = (num // g) * (a // h), (den // h) * (b // g)
+            first = False
+            tok = tokens[self.pos]
             if tok == ("op", "*"):
-                self.take()
-            elif tok[0] not in ("int", "name") and tok != ("op", "("):
+                self.pos += 1
+            elif tok is None or (tok[0] != "int" and tok[0] != "name" and tok != ("op", "(")):
                 break  # otherwise an implicit product
-            result = self.product(result, self.parse_factor())
-        return result
+        if terms is not None:
+            return terms
+        return {tuple(exps): Fraction(num, den)} if num else {}
 
-    def parse_factor(self) -> dict:
-        base = self.parse_primary()
-        tok = self.peek()
-        if tok == ("op", "^"):
-            self.take()
-            exp_tok = self.take()
-            if exp_tok[0] != "int":
-                raise ParseError(f"expected integer exponent, found {_excerpt(exp_tok[1])}")
-            return self.power_terms(base, int(exp_tok[1]), self.unit)
-        return base
-
-    def parse_primary(self) -> dict:
+    def parse_atom(self) -> tuple[int, int, int, int]:
+        """The next atom as (a, b, i, k): the reduced coefficient a/b, raised
+        to its power if it is a number, and the variable index i (-1 for a
+        number) with its exponent k.  A number's power is charged here."""
         kind, value = self.take()
         if kind == "int":
-            coeff = Fraction(int(value))
-            if self.peek() == ("op", "/"):
-                self.take()
+            a, b = int(value), 1
+            if self.tokens[self.pos] == ("op", "/"):
+                self.pos += 1
                 den_tok = self.take()
-                if den_tok[0] != "int" or int(den_tok[1]) == 0:
+                b = int(den_tok[1]) if den_tok[0] == "int" else 0
+                if not b:
                     raise ParseError("malformed rational coefficient")
-                coeff /= int(den_tok[1])
-            return {self.unit: coeff} if coeff else {}
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            k = self.exponent()
+            if k is None:
+                return a, b, -1, 1
+            if not a:  # 0^0 = 1
+                return (0 if k else 1), 1, -1, k
+            self._charge(k * (a * b - 1).bit_length())  # a > 0: tokens carry no sign
+            return a**k, b**k, -1, k
         if kind == "name":
-            if value not in self.varsys:
+            i = self.index.get(value)
+            if i is None:
                 raise ParseError(f"unknown variable {_excerpt(value)}")
-            i = self.varsys.index(value)
-            return {self.unit[:i] + (1,) + self.unit[i + 1:]: Fraction(1)}
-        if (kind, value) == ("op", "("):
-            self.depth += 1
-            if self.depth > MAX_PARSE_DEPTH:
-                raise ParseError(f"parentheses nest deeper than {MAX_PARSE_DEPTH}")
-            inner = self.parse_expression()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
+            k = self.exponent()
+            return 1, 1, i, (1 if k is None else k)
         raise ParseError(f"unexpected token {value!r}")
+
+    def parse_factor(self) -> dict:
+        """A parenthesised expression with an optional `^k`."""
+        base = self.parse_primary()
+        k = self.exponent()
+        return base if k is None else self.power_terms(base, k, self.unit)
+
+    def parse_primary(self) -> dict:
+        """A parenthesised expression."""
+        self.expect_op("(")
+        self.depth += 1
+        if self.depth > MAX_PARSE_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_PARSE_DEPTH}")
+        inner = self.parse_expression()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
 
 
 def parse_polynomial(text: str, varsys: VarSystem) -> Polynomial:

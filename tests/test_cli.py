@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, report files."""
 
 import json
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ikernel import cli
 from ikernel.cli import main
 
 
@@ -102,6 +105,61 @@ def test_usage_errors(capsys):
     assert main(["membership", "--poly", "q + 1"]) == 3
     assert main(["run", "--scenario", "lemma-infini", "--bound", "relation_degree"]) == 3
     assert main(["verify", "/no/such/file.json"]) == 3
+    capsys.readouterr()
+
+
+# One argparse parser serves every `main` call in a process.
+
+def test_the_argument_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_run_bounds_do_not_carry_over_between_calls(monkeypatch, capsys):
+    from ikernel import harness
+
+    seen = []
+
+    def stub(cfg):
+        seen.append(dict(cfg.bounds))
+        return harness.PASS, {}
+
+    monkeypatch.setitem(
+        harness.SCENARIOS, "localization-smoothness", harness.Scenario(stub, "stubbed")
+    )
+    for bounds in (["--bound", "relation_degree=2"], ["--bound", "coeff_degree=3"], []):
+        assert main(["run", "--scenario", "localization-smoothness", *bounds]) == 0
+    assert seen == [{"relation_degree": 2}, {"coeff_degree": 3}, {}]
+    capsys.readouterr()
+
+
+def test_a_usage_error_does_not_affect_the_next_call(capsys):
+    for bad in (["run", "--scenario"], ["frobnicate"], ["verify"]):
+        assert main(bad) == 3
+        assert main(["list"]) == 0
+    capsys.readouterr()
+
+
+def test_concurrent_verify_calls_give_the_serial_exit_codes(tmp_path, capsys):
+    genuine = tmp_path / "genuine.json"
+    assert main(["run", "--scenario", "g1-integrality-dichotomy", "--max-degree", "3",
+                 "--output", "json", "--out", str(genuine)]) == 0
+    data = json.loads(genuine.read_text())
+    data["details"]["algebraic"]["coefficients"][0]["polynomial"] = "y1^2"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text("[]")
+    paths = [str(genuine), str(tampered), str(unreadable)] * 8
+    serial = [main(["verify", path]) for path in paths]
+    assert serial[:3] == [0, 1, 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            codes = list(pool.map(lambda path: main(["verify", path]), paths, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == serial
     capsys.readouterr()
 
 

@@ -452,6 +452,132 @@ def test_parse_errors_quote_a_bounded_excerpt(text, named):
     assert len(str(caught.value)) < 200
 
 
+# -- golden parse table ---------------------------------------------------------
+#
+# `_Parser.work` and the result of each text, and the exact message of each
+# malformed one, as recorded from the parser that multiplied every factor in as
+# a term map.  `W` stands for a 30-digit (97-bit, two-word) integer.
+
+_W = "123456789012345678901234567890"
+_WIDE = VarSystem(tuple(f"v{i}" for i in range(70)))  # two-word exponent tuples
+
+_PARSE_WORK_TABLE = [
+    ("x1", "x1", 0),
+    ("x1*y1*z", "x1*y1*z", 2),
+    ("4/3*x1*y1^3*z^2", "4/3*x1*y1^3*z^2", 3),
+    ("-2*x1^2", "-2*x1^2", 1),
+    ("-3/7*x1 y1", "-3/7*x1*y1", 2),
+    ("2^60", "1152921504606846976", 60),
+    ("1/2^3", "1/8", 3),
+    ("(3/7)^5", "243/16807", 25),
+    ("x1^0", "1", 0),
+    ("x1^0*y1^0*7^0", "1", 2),
+    ("0*x1", "0", 0),
+    ("x1*0*y1^3", "0", 0),
+    ("0^0", "1", 0),
+    ("0^5 x1", "0", 0),
+    ("0/7^1000000000", "0", 0),
+    ("2x1 y1^2z", "2*x1*y1^2*z", 3),
+    ("2 3 4", "24", 2),
+    ("00012*x1", "12*x1", 1),
+    ("7/1*x1", "7*x1", 1),
+    ("6/4*2/3*x1", "x1", 2),
+    ("W*x1*y1", "123456789012345678901234567890*x1*y1", 4),
+    ("W/7*x1^2*y1", "17636684144620811271604938270*x1^2*y1", 4),
+    ("x1*W^2*y1", "15241578753238836750495351562536198787501905199875019052100*x1*y1", 202),
+    ("W*W*x1", "15241578753238836750495351562536198787501905199875019052100*x1", 8),
+    ("(W/7*x1)^2", "311052627617119117357047991072167322193916432650510592900*x1^2", 190),
+    ("(-x1)^1000000000", "x1^1000000000", 0),
+    ("(x1+y1)*z", "x1*z + y1*z", 2),
+    ("z*(x1+y1)*z", "x1*z^2 + y1*z^2", 4),
+    ("x1*y1*(x1+z)", "x1^2*y1 + x1*y1*z", 3),
+    ("x1 (y1+z) x1 y1", "x1^2*y1^2 + x1^2*y1*z", 6),
+    ("(x1+y1)^3", "x1^3 + 3*x1^2*y1 + 3*x1*y1^2 + y1^3", 12),
+    ("(x1 + y1)^0", "1", 0),
+    ("(x1+1)^2 (y1+1)^2", "x1^2*y1^2 + 2*x1^2*y1 + 2*x1*y1^2 + x1^2 + 4*x1*y1 + y1^2 + 2*x1 + 2*y1 + 1", 21),
+    ("((x1))^2*y1", "x1^2*y1", 1),
+    ("0*(x1+y1)^3", "0", 12),
+    ("1/3*(y1+2/5)^2*0", "0", 9),
+    ("-(x1 + z)^3", "-x1^3 - 3*x1^2*z - 3*x1*z^2 - z^3", 12),
+    ("3/6*x1 - 1/2 x1", "0", 2),
+    ("(x1-x1)^1000000000", "0", 0),
+    ("-3/4 x1^2 y1 + 5/6 z^3 - 1", "-3/4*x1^2*y1 + 5/6*z^3 - 1", 3),
+    ("2/3*x1*(x1-y1)*3/2*y1^2", "x1^2*y1^2 - x1*y1^3", 7),
+]
+
+_WIDE_PARSE_WORK_TABLE = [
+    ("v0*v1^2*v69", "v0*v1^2*v69", 4),
+    ("3/5*v0*(v1+v2)*v69^2", "3/5*v0*v1*v69^2 + 3/5*v0*v2*v69^2", 10),
+    ("(v0+v69)^2*2/3", "2/3*v0^2 + 4/3*v0*v69 + 2/3*v69^2", 18),
+]
+
+_PARSE_ERROR_TABLE = [
+    ("x1/2", "unexpected token '/'"),
+    ("2/0", "malformed rational coefficient"),
+    ("2/x1", "malformed rational coefficient"),
+    ("2/", "unexpected end of input"),
+    ("x1^y1", "expected integer exponent, found 'y1'"),
+    ("x1^", "unexpected end of input"),
+    ("x1^-2", "expected integer exponent, found '-'"),
+    ("w", "unknown variable 'w'"),
+    ("x1*qqqqqqqqqqqqqqqqqqqqqqqqqqqqqq", "unknown variable 'qqqqqqqqqqqqqqqqqqqqqqqq'... (30 characters)"),
+    ("", "unexpected end of input"),
+    ("x1*", "unexpected end of input"),
+    ("x1 *", "unexpected end of input"),
+    ("1//2", "malformed rational coefficient"),
+    ("(x1", "unexpected end of input"),
+    ("x1)", "unexpected token ')'"),
+    ("x1 $", "unexpected character at position 2: ' $'"),
+    ("2^3^2", "unexpected token '^'"),
+    ("x1 (y1 + )", "unexpected token ')'"),
+    ("2^601", "text needs over 600 term products or coefficient bits"),
+    ("0*2^601", "text needs over 600 term products or coefficient bits"),
+    ("x1*(3/7)^121", "text needs over 600 term products or coefficient bits"),
+    ("2^599*2 x1^", "text needs over 600 term products or coefficient bits"),
+    ("2^599*x1^", "unexpected end of input"),
+    ("(x1+y1)^24*x1", "text needs over 600 term products or coefficient bits"),
+    ("x1*(x1+z)^24", "text needs over 600 term products or coefficient bits"),
+    ("W^3*W^3*x1", "text needs over 600 term products or coefficient bits"),
+]
+
+
+def _parse_work(text, varsys):
+    parser = poly._Parser(_tokenize(text.replace("W", _W)), varsys)
+    result = parser.parse_expression()
+    assert parser.peek() is None
+    return format_polynomial(poly._from_exponent_map(varsys, result)), parser.work
+
+
+@pytest.mark.parametrize("text, printed, work", _PARSE_WORK_TABLE)
+def test_parse_work_matches_the_golden_table(text, printed, work):
+    assert _parse_work(text, VS) == (printed, work)
+    assert format_polynomial(parse_polynomial(text.replace("W", _W), VS)) == printed
+
+
+@pytest.mark.parametrize("text, printed, work", _WIDE_PARSE_WORK_TABLE)
+def test_parse_work_over_two_word_exponents_matches_the_golden_table(text, printed, work):
+    assert _parse_work(text, _WIDE) == (printed, work)
+
+
+@pytest.mark.parametrize("text, message", _PARSE_ERROR_TABLE)
+def test_parse_errors_match_the_golden_table(monkeypatch, text, message):
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 600)
+    with pytest.raises(ParseError) as caught:
+        parse_polynomial(text.replace("W", _W), VS)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("at_cap, over_cap", [
+    ("x1*" * 600 + "x1", "x1*" * 601 + "x1"),  # one unit per product
+    ("2^590*x1", "2^590*x1*y1"),  # 590 bits, then ten words of 2^590 per product
+])
+def test_parse_work_cap_is_inclusive_for_atom_only_terms(monkeypatch, at_cap, over_cap):
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 600)
+    assert _parse_work(at_cap, VS)[1] == 600
+    with pytest.raises(ParseError, match="text needs over 600 term products"):
+        parse_polynomial(over_cap, VS)
+
+
 def test_monomial_frames_are_memoized_and_bounded():
     frame = monomials_of_degree(VS, 6)
     assert monomials_of_degree(VarSystem(("x1", "y1", "z")), 6) is frame
