@@ -683,7 +683,7 @@ class _Parser(_Budget):
     caller wraps the final map once.
 
     An atom is an integer, a `p/q` or a variable, each with an optional `^k`.
-    While a term's product has at most one term, `parse_term` folds each atom
+    Until a term meets a parenthesised factor, `parse_term` folds each atom
     into it as a reduced integer numerator and denominator and an exponent
     list, and charges each fold what the term-map arithmetic would: the
     atom's power as `power_terms` and its multiplication as `product`.  So
@@ -739,8 +739,8 @@ class _Parser(_Budget):
 
     def parse_term(self) -> dict:
         tokens = self.tokens
-        num, den, exps = 1, 1, list(self.unit)  # the product while it has at most one term
-        terms = None  # the product as a term map once a parenthesised factor lengthens it
+        num, den, exps = 1, 1, list(self.unit)  # the product until a parenthesised factor comes
+        terms = None  # the product as a term map from its first parenthesised factor on
         first = True
         while True:
             if tokens[self.pos] == ("op", "("):
@@ -751,12 +751,6 @@ class _Parser(_Budget):
                     if terms is None:
                         terms = {tuple(exps): Fraction(num, den)} if num else {}
                     terms = self.product(terms, factor)
-                if len(terms) <= 1:  # fold again
-                    num, den = 0, 1
-                    if terms:
-                        ((e, c),) = terms.items()
-                        num, den, exps = c.numerator, c.denominator, list(e)
-                    terms = None
             else:
                 a, b, i, k = self.parse_atom()
                 if terms is not None:
@@ -767,8 +761,6 @@ class _Parser(_Budget):
                         self._charge(self.n_words * _fraction_words(num, den) * _fraction_words(a, b))
                     if i >= 0:
                         exps[i] += k
-                    elif b == 1 and den == 1:
-                        num *= a
                     else:  # both fractions are reduced, so only across them can a factor cancel
                         g, h = gcd(num, b), gcd(a, den)
                         num, den = (num // g) * (a // h), (den // h) * (b // g)
