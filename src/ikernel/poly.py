@@ -643,9 +643,9 @@ def format_polynomial(f: Polynomial) -> str:
     return " ".join(chunks)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|\Z)"
-)
+_OPERATORS = frozenset("+-*^()/")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_+*^()/-]")  # neither whitespace nor in any token
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/])")
 
 
 def _excerpt(text: str, limit: int = 24) -> str:
@@ -653,18 +653,18 @@ def _excerpt(text: str, limit: int = 24) -> str:
     return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character at position {pos}: {_excerpt(text[pos:])}")
-        if match.lastgroup is None:  # only whitespace is left
-            break
-        tokens.append((match.lastgroup, match.group(match.lastgroup)))
-        pos = match.end()
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text` as plain strings, from two scans in C: an
+    operator is in `_OPERATORS`, an integer starts with a decimal digit and a
+    name with an ASCII letter or `_`.  A bad character is reported where a
+    scan token by token would stop, at the end of the last token before it:
+    only whitespace lies between, and `\\s` matches exactly the characters
+    `str.isspace` accepts, so `rstrip` removes just that whitespace."""
+    bad = _BAD_RE.search(text)
+    if bad is not None:
+        pos = len(text[: bad.start()].rstrip())
+        raise ParseError(f"unexpected character at position {pos}: {_excerpt(text[pos:])}")
+    return _TOKEN_RE.findall(text)
 
 
 # The `_Budget` work one text may ask of the parser.  Genuine reports stay
@@ -680,7 +680,7 @@ MAX_PARSE_DEPTH = 100
 class _Parser(_Budget):
     """Recursive descent over `{exponent tuple: Fraction}` term maps, charged
     against `MAX_PARSE_WORK` and nested at most `MAX_PARSE_DEPTH` deep; the
-    caller wraps the final map once.
+    caller wraps the final map once.  Its tokens are `_tokenize`'s strings.
 
     An atom is an integer, a `p/q` or a variable, each with an optional `^k`.
     Until a term meets a parenthesised factor, `parse_term` folds each atom
@@ -690,7 +690,7 @@ class _Parser(_Budget):
     `work` always equals the charge of multiplying every factor in as a term
     map, and the same texts cross the cap at the same point."""
 
-    def __init__(self, tokens: list[tuple[str, str]], varsys: VarSystem):
+    def __init__(self, tokens: list[str], varsys: VarSystem):
         super().__init__(MAX_PARSE_WORK, ParseError, "text", varsys)
         self.tokens = tokens + [None]  # `None` ends the input: no bounds checks
         self.pos = 0
@@ -698,44 +698,35 @@ class _Parser(_Budget):
         self.index = varsys._index
         self.unit = (0,) * varsys.nvars
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str]:
+    def take(self) -> str:
         tok = self.tokens[self.pos]
         if tok is None:
             raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ParseError(f"expected {op!r}, found {tok[1]!r}")
-
     def exponent(self) -> int | None:
         """The k of a `^k` that comes next, if one does."""
-        if self.tokens[self.pos] != ("op", "^"):
+        if self.tokens[self.pos] != "^":
             return None
         self.pos += 1
-        exp_tok = self.take()
-        if exp_tok[0] != "int":
-            raise ParseError(f"expected integer exponent, found {_excerpt(exp_tok[1])}")
-        return int(exp_tok[1])
+        tok = self.take()
+        if not tok.isdecimal():
+            raise ParseError(f"expected integer exponent, found {_excerpt(tok)}")
+        return int(tok)
 
     def parse_expression(self) -> dict:
         result: dict = {}
-        sign = "+"
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            sign = self.take()[1]
+        sign = self.tokens[self.pos]
+        if sign == "+" or sign == "-":
+            self.pos += 1
         while True:
             term = self.parse_term().items()
-            _accumulate(result, term if sign == "+" else ((e, -c) for e, c in term))
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+            _accumulate(result, term if sign != "-" else ((e, -c) for e, c in term))
+            sign = self.tokens[self.pos]
+            if sign != "+" and sign != "-":
                 return result
-            sign = self.take()[1]
+            self.pos += 1
 
     def parse_term(self) -> dict:
         tokens = self.tokens
@@ -743,7 +734,7 @@ class _Parser(_Budget):
         terms = None  # the product as a term map from its first parenthesised factor on
         first = True
         while True:
-            if tokens[self.pos] == ("op", "("):
+            if tokens[self.pos] == "(":
                 factor = self.parse_factor()
                 if first:
                     terms = factor
@@ -766,10 +757,10 @@ class _Parser(_Budget):
                         num, den = (num // g) * (a // h), (den // h) * (b // g)
             first = False
             tok = tokens[self.pos]
-            if tok == ("op", "*"):
+            if tok == "*":
                 self.pos += 1
-            elif tok is None or (tok[0] != "int" and tok[0] != "name" and tok != ("op", "(")):
-                break  # otherwise an implicit product
+            elif tok is None or (tok in _OPERATORS and tok != "("):
+                break  # otherwise an integer, a name or `(`: an implicit product
         if terms is not None:
             return terms
         return {tuple(exps): Fraction(num, den)} if num else {}
@@ -778,53 +769,51 @@ class _Parser(_Budget):
         """The next atom as (a, b, i, k): the reduced coefficient a/b, raised
         to its power if it is a number, and the variable index i (-1 for a
         number) with its exponent k.  A number's power is charged here."""
-        kind, value = self.take()
-        if kind == "int":
-            a, b = int(value), 1
-            if self.tokens[self.pos] == ("op", "/"):
-                self.pos += 1
-                den_tok = self.take()
-                b = int(den_tok[1]) if den_tok[0] == "int" else 0
-                if not b:
-                    raise ParseError("malformed rational coefficient")
-                g = gcd(a, b)
-                a, b = a // g, b // g
-            k = self.exponent()
-            if k is None:
-                return a, b, -1, 1
-            if not a:  # 0^0 = 1
-                return (0 if k else 1), 1, -1, k
-            self._charge(k * (a * b - 1).bit_length())  # a > 0: tokens carry no sign
-            return a**k, b**k, -1, k
-        if kind == "name":
-            i = self.index.get(value)
-            if i is None:
-                raise ParseError(f"unknown variable {_excerpt(value)}")
+        tok = self.take()
+        i = self.index.get(tok)
+        if i is not None:
             k = self.exponent()
             return 1, 1, i, (1 if k is None else k)
-        raise ParseError(f"unexpected token {value!r}")
+        if tok in _OPERATORS:
+            raise ParseError(f"unexpected token {tok!r}")
+        if not tok.isdecimal():
+            raise ParseError(f"unknown variable {_excerpt(tok)}")
+        a, b = int(tok), 1
+        if self.tokens[self.pos] == "/":
+            self.pos += 1
+            tok = self.take()
+            b = int(tok) if tok.isdecimal() else 0
+            if not b:
+                raise ParseError("malformed rational coefficient")
+            g = gcd(a, b)
+            a, b = a // g, b // g
+        k = self.exponent()
+        if k is None:
+            return a, b, -1, 1
+        if not a:  # 0^0 = 1
+            return (0 if k else 1), 1, -1, k
+        self._charge(k * (a * b - 1).bit_length())  # a > 0: tokens carry no sign
+        return a**k, b**k, -1, k
 
     def parse_factor(self) -> dict:
-        """A parenthesised expression with an optional `^k`."""
-        base = self.parse_primary()
-        k = self.exponent()
-        return base if k is None else self.power_terms(base, k, self.unit)
-
-    def parse_primary(self) -> dict:
-        """A parenthesised expression."""
-        self.expect_op("(")
+        """A parenthesised expression, its `(` next, with an optional `^k`."""
+        self.pos += 1
         self.depth += 1
         if self.depth > MAX_PARSE_DEPTH:
             raise ParseError(f"parentheses nest deeper than {MAX_PARSE_DEPTH}")
         inner = self.parse_expression()
-        self.expect_op(")")
+        tok = self.take()
+        if tok != ")":
+            raise ParseError(f"expected ')', found {tok!r}")
         self.depth -= 1
-        return inner
+        k = self.exponent()
+        return inner if k is None else self.power_terms(inner, k, self.unit)
 
 
 def parse_polynomial(text: str, varsys: VarSystem) -> Polynomial:
     parser = _Parser(_tokenize(text), varsys)
     result = parser.parse_expression()
-    if parser.peek() is not None:
-        raise ParseError(f"unexpected token {parser.peek()[1]!r}")
+    tok = parser.tokens[parser.pos]
+    if tok is not None:
+        raise ParseError(f"unexpected token {tok!r}")
     return _from_exponent_map(varsys, result)

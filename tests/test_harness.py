@@ -1,8 +1,12 @@
 """Scenario catalogue, reports, determinism, and certificate re-checking."""
 
+import copy
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikernel.algebra import MembershipCertificate
 from ikernel.harness import (
@@ -17,6 +21,7 @@ from ikernel.harness import (
     verify_report,
 )
 from ikernel.integrality import LocalizationCertificate, RelationCertificate
+from ikernel.poly import VarSystem, parse_polynomial
 
 CATALOGUE = [
     "lemma-infini",
@@ -196,6 +201,72 @@ def test_a_declared_certificate_without_its_cert_type_never_passes(small_reports
                     assert f"{where}: not a {kind} certificate" in result.failures
                     cases += 1
     assert cases > 0 and all(verify_report(report).ok for report in small_reports)
+
+
+def _text_fields(obj, path=(), varsys=None):
+    """(path, system) for every certificate text field under `obj`: the keys
+    that lead to it and the variable system its text is parsed over."""
+    if isinstance(obj, list):
+        return [f for k, x in enumerate(obj) for f in _text_fields(x, path + (k,), varsys)]
+    if not isinstance(obj, dict):
+        return []
+    if "variables" in obj:
+        varsys = VarSystem(obj["variables"])
+    elif obj.get("cert_type") == "localization":
+        varsys = VarSystem(obj["certificate"]["variables"])
+    found = []
+    for key, value in obj.items():
+        if key == "expression":
+            found.append((path + (key,), VarSystem([label for label, _ in obj["generators"]])))
+        elif key in ("target", "element", "polynomial", "numerator", "localizing"):
+            found.append((path + (key,), varsys))
+        else:
+            found.extend(_text_fields(value, path + (key,), varsys))
+    return found
+
+
+@st.composite
+def _hostile_texts(draw, original):
+    """A text that is malformed, over a cap, or a valid text around `original`."""
+    bad = draw(st.sampled_from(["#", "\u00e9", "\x00", "\u00b2", "$"]))
+    digits = "9" * 5000
+    return draw(st.sampled_from([
+        " * ".join([f"({original})"] * draw(st.integers(1, 5000))) + " " + bad,
+        original + bad + original,
+        "(" * draw(st.integers(1, 3)) + original,
+        original + ")" * draw(st.integers(1, 3)),
+        "(" * 100 + original + ")" * 100,
+        "(" * 101 + original + ")" * 101,
+        f"({original})^" + draw(st.sampled_from(["0", "1", "2", "1000000000", "9" * 30, digits])),
+        f"({original} - 1/3)^" + draw(st.sampled_from(["1000", "1000000000"])),
+        f"{original} + {digits}",
+        f"1{digits}/1{digits}*({original})",
+    ]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hostile_certificate_texts_fail_and_never_raise(small_reports, data):
+    """Splice a hostile text into one text field of a genuine report: the
+    report passes exactly when the text still parses to the field's
+    polynomial, and `verify_report` neither raises nor runs long."""
+    seeds = [r for r in small_reports if r["parameters"]["n"] == 1]
+    fields = [(r, path, varsys) for r in seeds for path, varsys in _text_fields(r["details"])]
+    report, path, varsys = data.draw(st.sampled_from(fields))
+    report = copy.deepcopy(report)
+    holder = report["details"]
+    for key in path[:-1]:
+        holder = holder[key]
+    original = holder[path[-1]]
+    text = holder[path[-1]] = data.draw(_hostile_texts(original))
+    start = time.perf_counter()
+    result = verify_report(report)
+    assert time.perf_counter() - start < 20
+    try:
+        same = parse_polynomial(text, varsys) == parse_polynomial(original, varsys)
+    except ValueError:  # a ParseError, or an integer too long to convert
+        same = False
+    assert result.ok == same
 
 
 def test_report_text_rendering():

@@ -268,8 +268,31 @@ def test_public_constructors_still_validate():
 
 # -- differential parser test --------------------------------------------------
 #
-# The parser as it was when every intermediate value was a `Polynomial`; the
-# term-map parser in `ikernel.poly` must agree with it on every text.
+# The front end as it was when every token was a (kind, text) pair and every
+# intermediate value a `Polynomial`; the plain-text tokenizer and term-map
+# parser in `ikernel.poly` must agree with it on every text.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|\Z)"
+)
+
+
+def _reference_tokenize(text):
+    """One `re.match` and one (kind, text) pair per token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            rest = text[pos:]
+            excerpt = repr(rest) if len(rest) <= 24 else f"{rest[:24]!r}... ({len(rest)} characters)"
+            raise ParseError(f"unexpected character at position {pos}: {excerpt}")
+        if match.lastgroup is None:  # only whitespace is left
+            break
+        tokens.append((match.lastgroup, match.group(match.lastgroup)))
+        pos = match.end()
+    return tokens
+
 
 class _ReferenceParser:
     def __init__(self, tokens, varsys):
@@ -360,7 +383,7 @@ class _ReferenceParser:
 
 
 def _reference_parse(text, varsys):
-    parser = _ReferenceParser(_tokenize(text), varsys)
+    parser = _ReferenceParser(_reference_tokenize(text), varsys)
     result = parser.parse_expression()
     if parser.peek() is not None:
         raise ParseError(f"unexpected token {parser.peek()[1]!r}")
@@ -429,6 +452,36 @@ def test_malformed_texts_raise_in_both_parsers(text):
         _reference_parse(text, VS)
     with pytest.raises(ParseError):
         parse_polynomial(text, VS)
+
+
+_TOKEN_PIECES = (
+    "x1", "y1", "z", "_w9", "12", "0", "+", "-", "*", "^", "(", ")", "/",  # ASCII tokens
+    " ", "\t", "\n", "\u00a0", "\u2003", "\x1c",  # whitespace, ASCII and not
+    "\u0663", "\u00b2",  # a decimal digit, and a digit that is not decimal
+    "#", "\u00e9", "\x00",  # characters no token holds
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=20).map("".join))
+def test_tokenizer_matches_the_reference(text):
+    try:
+        expected = [value for _, value in _reference_tokenize(text)]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as caught:
+            _tokenize(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert _tokenize(text) == expected
+
+
+def test_regex_classes_match_the_str_predicates():
+    """`_tokenize` places a bad character's error with `str.rstrip`, which
+    must strip exactly the whitespace `\\s` matches; and every `\\d+` match
+    must be decimal digits, which `int` and `str.isdecimal` read."""
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+    assert re.findall(r"\d", every) == list(filter(str.isdecimal, every))
 
 
 def test_parser_caps_parenthesis_nesting():
@@ -544,7 +597,7 @@ _PARSE_ERROR_TABLE = [
 def _parse_work(text, varsys):
     parser = poly._Parser(_tokenize(text.replace("W", _W)), varsys)
     result = parser.parse_expression()
-    assert parser.peek() is None
+    assert parser.tokens[parser.pos] is None
     return format_polynomial(poly._from_exponent_map(varsys, result)), parser.work
 
 
