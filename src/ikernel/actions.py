@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import prod
+from operator import add
 from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
@@ -23,7 +22,6 @@ from .poly import (
     Polynomial,
     VarSystem,
     VarSystemMismatch,
-    _accumulate,
     _integer_terms,
     _product,
     format_monomial,
@@ -80,7 +78,7 @@ class ParametricSubstitution:
         return self._coords
 
     def image_of(self, name: str) -> Polynomial:
-        return self.images.get(name, self.varsys.variable(name))
+        return self.images[name] if name in self.images else self.varsys.variable(name)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Pullback of f along the substitution, over the extended system."""
@@ -214,35 +212,55 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     coords = substitution.coordinate_system
     varsys = substitution.varsys
     frame = monomials_of_degree(coords, degree)
-    # Powers of every coordinate's image scaled by s, the lcm of its
-    # denominators, as integer term maps built once: the image of each
-    # monomial scaled by s_j, the product of the s^e, is a product of at
-    # most one cached power per coordinate, and s_j*monomial is its domain
-    # row.
+    # Each coordinate's image scaled to integer terms by s, the lcm of its
+    # denominators: a one-term image c*t folds into an exponent shift t and
+    # a factor c, a multi-term one is a cached power.  The image of monomial
+    # j scaled by s_j, the product of the s^e, is the product of its cached
+    # powers, shifted and scaled by its folds; s_j*monomial is its domain row.
     unit = (0,) * varsys.nvars
-    powers, image_scales = [], []
+    place = [varsys.index(name) for name in coords.names]
+    folds, powers, image_scales = [], [], []
     for name in coords.names:
         terms, s = _integer_terms(substitution.image_of(name)._exponent_map().items())
-        image = dict(terms)
-        powers.append([{unit: 1}, image])
         image_scales.append(s)
-        for _ in range(degree - 1):
-            powers[-1].append(_product(powers[-1][-1], image))
+        if len(terms) == 1:
+            ((t, c),) = terms
+            folds.append(([(i, x) for i, x in enumerate(t) if x], c))
+            powers.append(None)
+        else:
+            folds.append(None)
+            powers.append([{unit: 1}, dict(terms)])
+            for _ in range(degree - 1):
+                powers[-1].append(_product(powers[-1][-1], powers[-1][1]))
     rows, deltas = [], []
     out_frame: set[tuple[int, ...]] = set()
     for j, mono in enumerate(frame):
-        factors = [row[e] for row, e in zip(powers, mono.exponents) if e]
-        image = reduce(_product, factors, {unit: 1})
-        scale = prod(s**e for s, e in zip(image_scales, mono.exponents))
-        own = varsys.monomial(dict(zip(coords.names, mono.exponents))).exponents
-        delta = _accumulate(image, ((own, -scale),))
-        deltas.append(delta)
-        out_frame.update(delta)
+        image, shift, own, factor, scale = None, list(unit), list(unit), 1, 1
+        for k, e, fold, row, s in zip(place, mono.exponents, folds, powers, image_scales):
+            if not e:
+                continue
+            own[k] = e
+            scale *= s**e
+            if fold is None:
+                image = row[e] if image is None else _product(image, row[e])
+            else:
+                factor *= fold[1] ** e
+                for i, x in fold[0]:
+                    shift[i] += e * x
+        if image is None:
+            image = {tuple(shift): factor}
+        else:  # a fresh map: cached powers stay as they are
+            image = {tuple(map(add, t, shift)): c * factor for t, c in image.items()}
+        own = tuple(own)
+        if delta := image.pop(own, 0) - scale:
+            image[own] = delta
+        deltas.append(image)
+        out_frame.update(image)
         rows.append({j: scale})
     domain = SpanBasis(coords, frame, rows, range(len(frame)))
-    # Canonical order (`Monomial.sort_key`) of distinct exponent tuples.
-    keys = sorted(out_frame, key=lambda e: (sum(e), e), reverse=True)
-    return kernel_span(domain, deltas, keys)
+    # The reduced echelon form of a row space is unique, so the order of
+    # the keys (the matrix rows) leaves the kernel alone.
+    return kernel_span(domain, deltas, out_frame)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -336,13 +337,12 @@ def _certificate_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, s
     """A serialized certificate's `variables` and any `generators` field,
     shape-checked, as the key of `_certificate_algebra`."""
     names = certificate_field(data, "variables")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not isinstance(names, list) or not all(map(isinstance, names, repeat(str))):
         raise ValueError("field 'variables' must be a list of strings")
     generators = data.get("generators", [])
-    if not isinstance(generators, list) or not all(
-        isinstance(g, list) and len(g) == 2 and all(isinstance(s, str) for s in g)
-        for g in generators
-    ):
+    if not (isinstance(generators, list) and all(map(isinstance, generators, repeat(list)))
+            and set(map(len, generators)) <= {2}
+            and all(map(isinstance, chain.from_iterable(generators), repeat(str)))):
         raise ValueError("field 'generators' must be a list of [label, text] string pairs")
     return tuple(names), tuple(map(tuple, generators))
 
@@ -394,11 +394,12 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
         raise NotHomogeneous("membership needs homogeneous generators")
     if f.varsys != algebra.varsys:
         raise VarSystemMismatch("candidate over a different system")
-    expression = algebra.label_system.zero()
+    labels = algebra.label_system
+    terms: dict[tuple[int, ...], Fraction] = {}
     basisdata = algebra.graded_basis()
     for degree, component in f.homogeneous_components().items():
         if degree == 0:
-            expression = expression + component.constant_coefficient()
+            _accumulate(terms, (((0,) * labels.nvars, component.constant_coefficient()),))
             continue
         basis, exprs = basisdata.tracked_piece(degree)
         coords = basis.coordinates_of(component)
@@ -406,8 +407,8 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
             return None
         for c, expr in zip(coords, exprs):
             if c:
-                expression = expression + expr * c
-    certificate = MembershipCertificate(algebra, f, expression)
+                _accumulate(terms, ((m.exponents, v * c) for m, v in expr.terms.items()))
+    certificate = MembershipCertificate(algebra, f, _from_exponent_map(labels, terms))
     if not certificate.verify():
         raise RuntimeError("internal error: certificate failed to re-evaluate")
     return certificate

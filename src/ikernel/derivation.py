@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, _row_terms, membership
 from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
-from .poly import _accumulate, _from_exponent_map
+from .poly import _from_exponent_map
 
 
 class InhomogeneousDerivation(ValueError):
@@ -51,23 +51,29 @@ class Derivation:
                 (t[:i] + (t[i] - 1,) + t[i + 1:], c.numerator * (s // c.denominator)) for t, c in terms
             ]))
 
-    def _scaled_terms(self, terms: Iterable[tuple[tuple[int, ...], object]]) -> Iterator[tuple]:
-        """The terms, not yet added up, of s*d(f) for f given by its
-        (exponents, coefficient) terms."""
-        return (
-            (tuple(map(add, m, t)), a * e * c)
-            for m, a in terms
-            for i, lowered in self._lowered
-            if (e := m[i])
-            for t, c in lowered
-        )
+    def _leibniz(self, acc: dict, terms: Iterable[tuple], at: Mapping | None = None) -> dict:
+        """Add s*d(f), for f given by its (exponents, coefficient) terms, into
+        `acc` in place, keyed by exponent tuple or, given `at`, by
+        `at[exponent tuple]`; any entry that cancels is dropped."""
+        get = acc.get
+        for m, a in terms:
+            for i, image in self._lowered:
+                if e := m[i]:
+                    ae = a * e
+                    for t, c in image:
+                        key = tuple(map(add, m, t)) if at is None else at[tuple(map(add, m, t))]
+                        if v := get(key, 0) + ae * c:
+                            acc[key] = v
+                        else:
+                            del acc[key]
+        return acc
 
     def apply(self, f: Polynomial) -> Polynomial:
         """d(f) = sum over variables of image * df/dvariable, exactly, as one
         accumulation of term products."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("polynomial over a different system")
-        image = _accumulate({}, self._scaled_terms(f._exponent_map().items()))
+        image = self._leibniz({}, f._exponent_map().items())
         if self._scale != 1:
             image = {t: c / self._scale for t, c in image.items()}
         return _from_exponent_map(self.varsys, image)
@@ -143,7 +149,7 @@ def kernel_graded_basis(
         row = {m.exponents: height + r for r, m in enumerate(targets)}
         height += len(targets)
         for image, terms in zip(images, rows):
-            _accumulate(image, ((row[t], c) for t, c in drv._scaled_terms(terms)))
+            drv._leibniz(image, terms, row)
     return kernel_span(domain, images, range(height))
 
 

@@ -3,10 +3,11 @@
 One row format runs from elimination to every caller: a sparse
 `{column: int}` map of nonzero entries, columns ascending, an integer
 multiple of its reduced echelon row with a positive pivot entry.  `Echelon`
-keeps such rows primitive and `emit` copies them out; `SpanBasis` keeps
-them too.  `Fraction`s exist only at the edges: in rational input rows,
-and where a row is divided by its pivot entry (`nullspace`,
-`polynomials()`, coordinates).
+keeps such rows primitive, `emit` copies them out and `integer_kernel`
+reads the integer nullspace vectors off them; `SpanBasis` keeps them too.
+`Fraction`s exist only at the edges: in rational input rows, where a row
+is divided by its pivot entry (`polynomials()`, coordinates), and where
+`nullspace` divides a kernel vector by its entry at the free column.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate, _integer_terms
+from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _INT = frozenset({int})
 
 
@@ -156,35 +156,42 @@ class Echelon:
 def column_rows(
     columns: Sequence[Mapping[Hashable, Fraction]], keys: Iterable[Hashable]
 ) -> list[dict[int, Fraction]]:
-    """Sparse rows, one per key in order, of the matrix whose j-th column
-    maps row keys to entries (a polynomial's `terms`, say)."""
-    index: dict[Hashable, int] = {}
-    rows: list[dict[int, Fraction]] = []
-    for key in keys:
-        index[key] = len(rows)
-        rows.append({})
+    """Sparse rows, one per distinct key in order, of the matrix whose j-th
+    column maps row keys to entries (a polynomial's `terms`, say)."""
+    rows: dict[Hashable, dict[int, Fraction]] = {key: {} for key in keys}
     for j, col in enumerate(columns):
         for key, v in col.items():
-            rows[index[key]][j] = v
-    return rows
+            rows[key][j] = v
+    return list(rows.values())
+
+
+def integer_kernel(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[int, int]]:
+    """The nullspace of sparse rows over `width` columns, read straight off
+    `Echelon`'s stored rows: per free column f, ascending, the primitive
+    integer vector with s at f and -v*s/lead at each pivot whose row holds
+    v at f (pivots ascending), s the lcm of the lead/gcd(v, lead)."""
+    ech = Echelon(width)
+    for row in rows:
+        ech.insert(row)
+    stored = ech._rows
+    held: dict[int, list] = {j: [] for j in range(width) if j not in stored}
+    for p in ech.pivots:
+        for j, v in stored[p].items():
+            if j != p:  # a stored row is zero at every other pivot
+                held[j].append((p, v, stored[p][p]))
+    kernel = []
+    for f, entries in held.items():
+        s = lcm(*(lead // gcd(v, lead) for _, v, lead in entries))
+        kernel.append({f: s} | {p: -v * s // lead for p, v, lead in entries})
+    return kernel
 
 
 def nullspace(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[int, Fraction]]:
     """Canonical nullspace basis of sparse rows over `width` columns: one
-    sparse vector per free column, ascending, equal to 1 there."""
-    ech = Echelon(width)
-    for row in rows:
-        ech.insert(row)
-    rows, pivots = ech.emit()
-    kernel = {j: {j: _ONE} for j in range(width)}
-    for p in pivots:
-        del kernel[p]
-    for row, p in zip(rows, pivots):
-        lead = row[p]
-        for j, v in row.items():
-            if j != p:  # a stored row is zero at every other pivot
-                kernel[j][p] = Fraction(-v, lead)
-    return list(kernel.values())
+    sparse vector per free column, ascending, equal to 1 there: each
+    `integer_kernel` vector divided by its entry s at the free column."""
+    return [{j: Fraction(x, s) for j, x in vec.items()}
+            for vec in integer_kernel(rows, width) for s in [next(iter(vec.values()))]]
 
 
 def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fraction] | None:
@@ -329,22 +336,22 @@ def kernel_span(
     image space to entries (a polynomial's `terms`, say); `keys` lists
     every key of that space, one matrix row each.
 
-    One elimination, with the unknowns in reverse order: the nullspace
-    vector of a free unknown f is then 1 at f and otherwise supported on
-    pivot unknowns after f.  Scaled to integers by the lcm of its
-    denominators, it combines the domain's rows (pivots ascending) into a
-    member that is positive at row f's pivot and 0 at every other free
-    unknown's: a positive multiple of a reduced echelon row of the kernel.
+    One elimination, with the unknowns in reverse order: the kernel vector
+    of a free unknown f (`integer_kernel`) is then primitive, positive at f
+    and otherwise supported on pivot unknowns after f.  It combines the
+    domain's rows (pivots ascending) into a member that is positive at row
+    f's pivot and 0 at every other free unknown's: a positive multiple of a
+    reduced echelon row of the kernel.
     """
     n = len(images)
     if n != domain.dim:
         raise ValueError("need one image per domain row")
     # With no unknowns the kernel is zero: skip eliminating the empty rows.
-    kernel = nullspace(column_rows(images[::-1], keys), n) if n else []
+    kernel = integer_kernel(column_rows(images[::-1], keys), n) if n else []
     rows = []
     for vec in reversed(kernel):
         member: dict[int, int] = {}
-        for k, x in _integer_terms(vec.items())[0]:
+        for k, x in vec.items():
             _accumulate(member, ((col, x * v) for col, v in domain.rows[n - 1 - k].items()))
         rows.append({col: member[col] for col in sorted(member)})
     pivots = [min(row) for row in rows]

@@ -544,7 +544,8 @@ class VerifyResult:
 def verify_report(data: Mapping) -> VerifyResult:
     """Re-check every certificate embedded in a report dictionary, and that
     each path its scenario declares holds a certificate of the declared
-    `cert_type` or null."""
+    `cert_type` or null; under a `pass` verdict, a path without `[*]` must
+    hold one."""
     failures: list[str] = []
     verdict, scenario = data.get("verdict"), data.get("scenario")
     if data.get("schema") != SCHEMA_VERSION:
@@ -554,9 +555,12 @@ def verify_report(data: Mapping) -> VerifyResult:
         failures.append(f"unknown scenario: {scenario!r:.80}")
         return VerifyResult(0, failures, verdict, scenario)
     for path, kind in SCENARIOS[scenario].certificates:
-        for where, value in _at_path(data, path):
+        found = _at_path(data, path)
+        for where, value in found:
             if value is not None and (not isinstance(value, Mapping) or value.get("cert_type") != kind):
                 failures.append(f"{where}: not a {kind} certificate")
+        if verdict == PASS and "[*]" not in path and all(value is None for _, value in found):
+            failures.append(f"{path}: a pass needs a {kind} certificate here")
     certificates = _collect_certificates(data.get("details", {}))
     for k, cert in enumerate(certificates):
         kind = cert["cert_type"]

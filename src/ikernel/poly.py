@@ -356,30 +356,40 @@ class Polynomial:
     def _substitute(
         self, images: Mapping[str, Polynomial], target: VarSystem, budget: _Budget
     ) -> Polynomial:
-        """`substitute`, every product and power of term maps charged to `budget`."""
+        """`substitute`, every product and power of term maps charged to `budget`.
+
+        As in `_Parser.parse_term`, while a term is one term each power of a
+        one-term image (a variable without an image included) folds into a
+        reduced integer numerator and denominator and an exponent list,
+        charged what `power_terms` and `product` would charge; from its first
+        multi-term image on, the term is a term map.  So `work` is the same
+        as multiplying every factor in as a term map, at every point."""
         for name in images:
             self.varsys.index(name)
         for name, img in images.items():
             if img.varsys != target:
                 raise VarSystemMismatch(f"image of {name!r} is not over the target system")
 
-        occurring: set[int] = set()
-        for m in self.terms:
-            for i, e in enumerate(m.exponents):
-                if e:
-                    occurring.add(i)
+        occurring = {i for m in self.terms for i, e in enumerate(m.exponents) if e}
+        unit = (0,) * target.nvars
         base: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        folds: dict[int, tuple] = {}  # one-term images: a, b, bits of |a|*b - 1, nonzero exponents
         for i in occurring:
             name = self.varsys.names[i]
             if name in images:
                 base[i] = images[name]._exponent_map()
             elif name in target:
-                base[i] = target.variable(name)._exponent_map()
+                j = target._index[name]
+                base[i] = {unit[:j] + (1,) + unit[j + 1:]: Fraction(1)}
             else:
                 raise VarSystemMismatch(f"variable {name!r} absent from the target system")
+            if len(base[i]) == 1:
+                ((t, c),) = base[i].items()
+                a, b = c.numerator, c.denominator
+                shift = [(j, x) for j, x in enumerate(t) if x]
+                folds[i] = (a, b, (abs(a) * b - 1).bit_length(), shift)
 
-        product = budget.product
-        unit = (0,) * target.nvars
+        product, charge, n_words = budget.product, budget._charge, budget.n_words
         powers = {i: [{unit: Fraction(1)}] for i in base}
         def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
             if len(base[i]) == 1:
@@ -391,11 +401,23 @@ class Polynomial:
 
         result: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
-            term = {unit: c}
+            num, den, exps, term = c.numerator, c.denominator, list(unit), None
             for i, e in enumerate(m.exponents):
-                if e:
+                if e and term is None and i in folds:
+                    a, b, bits, shift = folds[i]
+                    charge(e * bits)
+                    a, b = a**e, b**e
+                    charge(n_words * _fraction_words(num, den) * _fraction_words(a, b))
+                    g, h = gcd(num, b), gcd(a, den)  # both reduced: a factor cancels only across
+                    num, den = (num // g) * (a // h), (den // h) * (b // g)
+                    for j, x in shift:
+                        exps[j] += e * x
+                elif e:
+                    if term is None:
+                        term = {tuple(exps): Fraction(num, den)}
                     term = product(term, power(i, e))
-            _accumulate(result, term.items())
+            done = [(tuple(exps), Fraction(num, den))] if term is None else term.items()
+            _accumulate(result, done)
         return _from_exponent_map(target, result)
 
     def embed(self, target: VarSystem) -> Polynomial:

@@ -239,10 +239,23 @@ def _fractional_substitution():
     return ParametricSubstitution(vs, ("s",), images, {"s": 0})
 
 
+def _mixed_substitution():
+    """One-term images with fractional coefficients (x -> 1/2*a*x and
+    y -> 1/4*a^2*y, the identity at a = 2), a multi-term fractional image,
+    and a coordinate without an image, parameters among the coordinates."""
+    vs = VarSystem(("x", "a", "y", "z", "b", "w"),
+                   ("coordinate", PARAMETER, "coordinate", "coordinate", PARAMETER, "coordinate"))
+    images = {"x": vs.parse("1/2*a*x"), "y": vs.parse("1/4*a^2*y"),
+              "z": vs.parse("z + 1/3*b*x + 2/5*b^2*w")}
+    return ParametricSubstitution(vs, ("a", "b"), images, {"a": 2, "b": 0})
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
 def test_invariant_subspace_matches_per_monomial_substitution(n, m):
     inst = build_instance(n, m)
-    for substitution in (inst.translation, inst.scaling_shear, _fractional_substitution()):
+    for substitution in (
+        inst.translation, inst.scaling_shear, _fractional_substitution(), _mixed_substitution()
+    ):
         for degree in range(5):
             got = invariant_subspace(substitution, degree)
             want = _invariant_subspace_reference(substitution, degree)

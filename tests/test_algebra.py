@@ -16,6 +16,7 @@ from ikernel.actions import build_instance
 from ikernel.algebra import (
     NotHomogeneous,
     SubalgebraSpec,
+    _certificate_key,
     decomposable_span,
     graded_piece,
     indecomposable_generators,
@@ -140,6 +141,32 @@ def test_certificates_share_generator_texts_but_not_their_lists():
     second = membership(algebra, vs.parse("9*z^2")).to_json_dict()
     assert second["generators"] == texts == algebra.generator_texts()
     assert verify_membership_json(second)
+
+
+class _Label(str):
+    pass
+
+
+class _Pair(list):
+    pass
+
+
+@pytest.mark.parametrize("generators", [
+    "a", ("a", "x"), {"a": "x"}, None,  # not a list
+    [("a", "x")], [{"a": "x"}], ["ax"],  # entries that are not lists
+    [["a"]], [["a", "x", "y"]], [["a", "x"], []],  # pairs of the wrong length
+    [["a", 1]], [[None, "x"]], [["a", "x"], ["b", ["x"]]],  # parts that are not strings
+])
+def test_certificate_key_rejects_malformed_generators(generators):
+    with pytest.raises(ValueError) as caught:
+        _certificate_key({"variables": ["x"], "generators": generators})
+    assert str(caught.value) == "field 'generators' must be a list of [label, text] string pairs"
+
+
+def test_certificate_key_accepts_pairs_and_subclasses():
+    data = {"variables": ["x"], "generators": [["a", "x"], _Pair([_Label("b"), "x^2"])]}
+    assert _certificate_key(data) == (("x",), (("a", "x"), ("b", "x^2")))
+    assert _certificate_key({"variables": [_Label("x")]}) == (("x",), ())
 
 
 def test_intersect_with_subring_examples(inst11):

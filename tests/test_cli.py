@@ -210,6 +210,21 @@ def test_verify_fails_a_relation_stripped_of_its_cert_type(tmp_path, capsys):
     assert "details.algebraic: not a relation certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["algebraic", "y_generator_integral"])
+def test_verify_fails_a_pass_without_its_declared_relation(tmp_path, capsys, field):
+    """A passing dichotomy report rests on both relations: nulled, either
+    one fails the report (exit 1)."""
+    path = tmp_path / "report.json"
+    assert main(["run", "--scenario", "g1-integrality-dichotomy", "--max-degree", "3",
+                 "--output", "json", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["details"][field] = None
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert f"details.{field}: a pass needs a relation certificate here" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario", [None, "nope", "", ["action-stability"], 3])
 def test_verify_needs_a_known_scenario(tmp_path, capsys, scenario):
     report = {"schema": 1, "verdict": "pass", "details": {}}

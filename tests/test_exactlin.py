@@ -9,8 +9,16 @@ import pytest
 from oracles import dense_nullspace, dense_rref
 
 from ikernel import exactlin
-from ikernel.exactlin import Echelon, SpanBasis, column_rows, kernel_span, nullspace, solve
-from ikernel.poly import Monomial, Polynomial, VarSystem, monomials_of_degree
+from ikernel.exactlin import (
+    Echelon,
+    SpanBasis,
+    column_rows,
+    integer_kernel,
+    kernel_span,
+    nullspace,
+    solve,
+)
+from ikernel.poly import Monomial, Polynomial, VarSystem, _integer_terms, monomials_of_degree
 
 VS = VarSystem(("x1", "y1", "z"))
 X, Y, Z = (VS.variable(n) for n in ("x1", "y1", "z"))
@@ -285,6 +293,61 @@ def test_kernel_span_over_non_unit_rows_matches_dense_nullspace(seed):
     oracle = SpanBasis.from_polynomials(VS, members, frame=frame)
     assert (basis.polynomials(), basis.pivots) == (oracle.polynomials(), oracle.pivots)
     _assert_integer_rows(basis.rows, basis.pivots)
+
+
+def _fraction_route(rows, width):
+    """The kernel read-out `integer_kernel` replaced: each stored row divided
+    by its pivot entry into the canonical `Fraction` nullspace, then each
+    vector scaled back to integers by the lcm of its denominators."""
+    ech = Echelon(width)
+    for row in rows:
+        ech.insert(row)
+    emitted, pivots = ech.emit()
+    kernel = {j: {j: Fraction(1)} for j in range(width) if j not in pivots}
+    for row, p in zip(emitted, pivots):
+        for j, v in row.items():
+            if j != p:
+                kernel[j][p] = Fraction(-v, row[p])
+    fractions = list(kernel.values())
+    return fractions, [dict(_integer_terms(vec.items())[0]) for vec in fractions]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_read_out_matches_the_fraction_route(seed):
+    """`integer_kernel` gives the same integer vectors, entries in the same
+    order, and `nullspace` the same `Fraction`s, on random sparse integer
+    matrices."""
+    rng = random.Random(500 + seed)
+    width, density = rng.randint(1, 14), rng.random()
+    rows = [
+        {j: rng.randint(-9, 9) for j in range(width) if rng.random() < density}
+        for _ in range(rng.randint(0, 16))
+    ]
+    fractions, integers = _fraction_route(rows, width)
+    assert [list(vec.items()) for vec in integer_kernel(rows, width)] == [
+        list(vec.items()) for vec in integers
+    ]
+    assert [list(vec.items()) for vec in nullspace(rows, width)] == [
+        list(vec.items()) for vec in fractions
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_span_ignores_the_order_of_keys(seed):
+    """The reduced echelon form of a row space is unique, so shuffling the
+    keys (the matrix rows) changes neither the rows nor the pivots."""
+    rng = random.Random(700 + seed)
+    domain = _random_domain(rng, ("full", "random")[seed % 2])
+    keys = [f"k{r}" for r in range(rng.randint(0, 10))]
+    images = [
+        {k: v for k in keys if rng.random() < 0.4 and (v := rng.randint(-5, 5))}
+        for _ in range(domain.dim)
+    ]
+    want = kernel_span(domain, images, keys)
+    shuffled = keys[:]
+    rng.shuffle(shuffled)
+    got = kernel_span(domain, images, shuffled)
+    assert (got.rows, got.pivots) == (want.rows, want.pivots)
 
 
 def test_kernel_span_of_nothing():

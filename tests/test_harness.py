@@ -203,6 +203,30 @@ def test_a_declared_certificate_without_its_cert_type_never_passes(small_reports
     assert cases > 0 and all(verify_report(report).ok for report in small_reports)
 
 
+def test_a_pass_needs_the_certificate_at_each_single_declared_path(small_reports):
+    """Under `pass`, a declared path without `[*]` must hold its certificate:
+    set to null or deleted, it fails the report.  Under `fail` it may be
+    null, as a failed search leaves it."""
+    cases = 0
+    for report in small_reports:
+        for path, kind in SCENARIOS[report["scenario"]].certificates:
+            if "[*]" in path:
+                continue
+            head, key = path.rsplit(".", 1)
+            for damage in ("null", "delete"):
+                damaged = copy.deepcopy(report)
+                ((_, holder),) = _at_path(damaged, head)
+                if damage == "null":
+                    holder[key] = None
+                else:
+                    del holder[key]
+                assert f"{path}: a pass needs a {kind} certificate here" in verify_report(damaged).failures
+                damaged["verdict"] = "fail"
+                assert verify_report(damaged).ok
+                cases += 1
+    assert cases == 8  # two paths of g1-integrality-dichotomy, two sizes, two damages
+
+
 def _text_fields(obj, path=(), varsys=None):
     """(path, system) for every certificate text field under `obj`: the keys
     that lead to it and the variable system its text is parsed over."""

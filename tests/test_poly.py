@@ -228,6 +228,81 @@ def test_substitute_is_a_homomorphism(f, g):
     ) + g.substitute(images, target=VS)
 
 
+_TARGET = VS.extend(("t",))
+
+
+def _reference_substitute(f, images, target, budget):
+    """The per-factor loop that `_substitute` folds: each term starts as a
+    term map, and every image power, a variable without an image included,
+    is multiplied in as a term map."""
+    base = {}
+    for i in {i for m in f.terms for i, e in enumerate(m.exponents) if e}:
+        name = f.varsys.names[i]
+        base[i] = (images[name] if name in images else target.variable(name))._exponent_map()
+    unit = (0,) * target.nvars
+    powers = {i: [{unit: Fraction(1)}] for i in base}
+
+    def power(i, e):
+        if len(base[i]) == 1:
+            return budget.power_terms(base[i], e, unit)
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(budget.product(cache[-1], base[i]))
+        return cache[e]
+
+    result = {}
+    for m, c in f.terms.items():
+        term = {unit: c}
+        for i, e in enumerate(m.exponents):
+            if e:
+                term = budget.product(term, power(i, e))
+        poly._accumulate(result, term.items())
+    return poly._from_exponent_map(target, result)
+
+
+def _images():
+    """Images over `_TARGET` for some of `VS`'s variables: one term (+-1
+    included, so (-1)^e and identity-like factors occur), several terms,
+    several terms scaled by a fraction, or zero."""
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1)]) | st.fractions(
+        min_value=-10**12, max_value=10**12, max_denominator=10**9
+    ).filter(bool)
+    monos = st.tuples(*[st.integers(0, 2)] * 4).map(Monomial)
+    one_term = st.dictionaries(monos, coeffs, min_size=1, max_size=1)
+    several = st.dictionaries(monos, coeffs, min_size=2, max_size=4)
+    image = st.one_of(
+        one_term.map(lambda t: Polynomial(_TARGET, t)),
+        several.map(lambda t: Polynomial(_TARGET, t)),
+        st.tuples(several, coeffs).map(lambda tc: Polynomial(_TARGET, tc[0]) * tc[1]),
+        st.just(_TARGET.zero()),
+    )
+    return st.dictionaries(st.sampled_from(VS.names), image, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_polys(), _images(), st.data())
+def test_substitute_matches_the_per_factor_loop(f, images, data):
+    """The same polynomial and the same `_Budget.work`; under a cap drawn up
+    to that work, the same outcome, an error at the same `work` included."""
+    def outcome(run, cap):
+        budget = poly._Budget(cap, ValueError, "substitution", _TARGET)
+        try:
+            return run(budget), budget.work
+        except ValueError as exc:
+            return str(exc), budget.work
+
+    def folded(budget):
+        return f._substitute(images, _TARGET, budget)
+
+    def per_factor(budget):
+        return _reference_substitute(f, images, _TARGET, budget)
+
+    want = outcome(per_factor, float("inf"))
+    assert outcome(folded, float("inf")) == want
+    cap = data.draw(st.integers(0, want[1]))
+    assert outcome(folded, cap) == outcome(per_factor, cap)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_polys())
 def test_text_round_trip(f):
