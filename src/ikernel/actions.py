@@ -18,7 +18,6 @@ from .exactlin import SpanBasis, column_rows, kernel_span, solve
 from .poly import (
     COORDINATE,
     PARAMETER,
-    Monomial,
     Polynomial,
     VarSystem,
     VarSystemMismatch,
@@ -173,8 +172,8 @@ def derive_composition_rule(
     """
     params = substitution.params
     composed, doubled, copies = _composed_images(substitution)
-    columns: list[dict[tuple[str, Monomial], Fraction]] = [{} for _ in params]
-    targets: dict[tuple[int, ...], dict[tuple[str, Monomial], Fraction]] = {}
+    columns: list[dict[tuple[str, tuple[int, ...]], Fraction]] = [{} for _ in params]
+    targets: dict[tuple[int, ...], dict[tuple[str, tuple[int, ...]], Fraction]] = {}
     for name in substitution.varsys.coordinate_names:
         residue = composed[name]
         for exps, coeff in substitution.image_of(name).coefficients_in(params).items():
@@ -189,13 +188,13 @@ def derive_composition_rule(
             target = targets.setdefault(mu, {})
             target.update(((name, k), v) for k, v in coeff.terms.items())
     keys = dict.fromkeys(k for col in [*columns, *targets.values()] for k in col)
-    rule_terms: list[dict[Monomial, Fraction]] = [{} for _ in params]
+    rule_terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in params]
     for mu, target in targets.items():
         solution = solve(column_rows([*columns, target], keys), len(params))
         if solution is None:
             return None
         for j, value in solution.items():
-            rule_terms[j][Monomial(mu)] = value
+            rule_terms[j][mu] = value
     param_system = VarSystem(params + copies)
     rule = {
         p: Polynomial(param_system, terms).embed(doubled)
@@ -221,7 +220,7 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     place = [varsys.index(name) for name in coords.names]
     folds, powers, image_scales = [], [], []
     for name in coords.names:
-        terms, s = _integer_terms(substitution.image_of(name)._exponent_map().items())
+        terms, s = _integer_terms(substitution.image_of(name).terms.items())
         image_scales.append(s)
         if len(terms) == 1:
             ((t, c),) = terms
@@ -236,7 +235,7 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     out_frame: set[tuple[int, ...]] = set()
     for j, mono in enumerate(frame):
         image, shift, own, factor, scale = None, list(unit), list(unit), 1, 1
-        for k, e, fold, row, s in zip(place, mono.exponents, folds, powers, image_scales):
+        for k, e, fold, row, s in zip(place, mono, folds, powers, image_scales):
             if not e:
                 continue
             own[k] = e
@@ -292,7 +291,7 @@ def substitution_stabilizes(
     for label, generator in algebra.generators:
         image = substitution.apply(generator)
         for exps, coeff in image.coefficients_in(params).items():
-            tag = format_monomial(Monomial(exps), param_system)
+            tag = format_monomial(exps, param_system)
             certificate = membership(algebra, coeff)
             if certificate is None:
                 return StabilityResult(False, tuple(entries), (label, tag))

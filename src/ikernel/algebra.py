@@ -17,13 +17,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .exactlin import Echelon, SpanBasis
 from .poly import (
-    Monomial,
     Polynomial,
     VarSystem,
     VarSystemMismatch,
     _accumulate,
     _check_budget,
-    _from_exponent_map,
     _integer_terms,
     monomials_of_degree,
 )
@@ -73,7 +71,7 @@ class SubalgebraSpec:
                 raise VarSystemMismatch(f"generator {label!r} over a different system")
             if poly.is_zero():
                 raise ValueError(f"generator {label!r} is zero")
-            if any(m.exponents[i] for m in poly.terms for i in param_idx):
+            if any(m[i] for m in poly.terms for i in param_idx):
                 raise ValueError(f"generator {label!r} involves parameters")
             if homogeneous and not (poly.is_homogeneous() and poly.degree() >= 1):
                 raise NotHomogeneous(
@@ -130,7 +128,7 @@ class _Piece(NamedTuple):
 def _row_terms(basis: SpanBasis, i: int) -> list:
     """Basis row i as integer terms: (exponent tuple, entry) pairs."""
     ambient = basis.ambient
-    return [(ambient[c].exponents, v) for c, v in basis.rows[i].items()]
+    return [(ambient[c], v) for c, v in basis.rows[i].items()]
 
 
 def _product_row(index: Mapping[tuple, int], bterms: list, gterms: list) -> dict[int, int]:
@@ -181,7 +179,7 @@ class GradedBasis:
         # Ascending degrees; per generator: label index, polynomial, integer terms, scale.
         self._by_degree: dict[int, list[tuple]] = {}
         for k, (_, gen) in sorted(enumerate(algebra.generators), key=lambda g: g[1][1].degree()):
-            terms, s = _integer_terms(gen._exponent_map().items())
+            terms, s = _integer_terms(gen.terms.items())
             self._by_degree.setdefault(gen.degree(), []).append((k, gen, terms, s))
 
     def _build(self, degree: int) -> _Piece:
@@ -194,7 +192,7 @@ class GradedBasis:
             )
         vs = self.varsys
         frame = monomials_of_degree(vs, degree)
-        index = {m.exponents: i for i, m in enumerate(frame)}
+        index = {m: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame))
         sources = []
         decomposable = None
@@ -226,7 +224,7 @@ class GradedBasis:
         if degree == 0:
             return (self.labels.one(),)
         basis = entry.basis
-        index = {m.exponents: i for i, m in enumerate(basis.ambient)}
+        index = {m: i for i, m in enumerate(basis.ambient)}
         position = {p: col for col, p in enumerate(basis.pivots)}
         r = basis.dim
         ech = Echelon(2 * r)
@@ -239,9 +237,9 @@ class GradedBasis:
             row = {position[p]: v for p, v in product.items() if p in position}
             row[r + j] = 1
             ech.insert(row)
-            formals.append((lower_exprs[lower][i]._exponent_map(), k, sb * sg))
+            formals.append((lower_exprs[lower][i].terms, k, sb * sg))
         return tuple(
-            _from_exponent_map(self.labels, _accumulate({}, (
+            Polynomial._trusted(self.labels, _accumulate({}, (
                 (e[:k] + (e[k] + 1,) + e[k + 1:], c * Fraction(s * x, row[i]))
                 for j, x in row.items() if j >= r
                 for t, k, s in [formals[j - r]] for e, c in t.items()
@@ -286,11 +284,14 @@ class MembershipCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> MembershipCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget;
+        a `cert_type` other than "membership" (nested certificates too),
         zero generators and repeated labels raise ValueError.  The algebra
         comes from a bounded memo keyed by the `variables` and `generators`
-        texts, so the certificates of one report share one parsed
-        generator list; its shape is checked on every call, and a list
-        that fails is parsed (and fails) again on the next."""
+        texts, so the certificates of one report share one parsed generator
+        list; its shape is checked on every call, and a list that fails is
+        parsed (and fails) again on the next."""
+        if certificate_field(data, "cert_type") != "membership":
+            raise ValueError("field 'cert_type' must be \"membership\"")
         algebra = _certificate_algebra(*_certificate_key(data))
         certificate_field(data, "generators")  # missing: named after a bad `variables` field
         expression = certificate_field(data, "expression", algebra.label_system)
@@ -407,8 +408,8 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
             return None
         for c, expr in zip(coords, exprs):
             if c:
-                _accumulate(terms, ((m.exponents, v * c) for m, v in expr.terms.items()))
-    certificate = MembershipCertificate(algebra, f, _from_exponent_map(labels, terms))
+                _accumulate(terms, ((m, v * c) for m, v in expr.terms.items()))
+    certificate = MembershipCertificate(algebra, f, Polynomial._trusted(labels, terms))
     if not certificate.verify():
         raise RuntimeError("internal error: certificate failed to re-evaluate")
     return certificate
@@ -423,7 +424,7 @@ def intersect_with_subring(
     return graded_piece(algebra, degree).intersect(subring)
 
 
-def monomial_membership(algebra: SubalgebraSpec, mono: Monomial) -> bool:
+def monomial_membership(algebra: SubalgebraSpec, mono: tuple[int, ...]) -> bool:
     """Closed-form membership for the y-positive monomial algebra.
 
     Its span is exactly the constants plus all monomials with positive
@@ -432,17 +433,17 @@ def monomial_membership(algebra: SubalgebraSpec, mono: Monomial) -> bool:
     """
     if algebra.y_names is None:
         raise ValueError("algebra carries no y-variable marker")
-    if len(mono.exponents) != algebra.varsys.nvars:
+    if len(mono) != algebra.varsys.nvars:
         raise VarSystemMismatch("monomial length does not match system")
-    if mono.degree() == 0:
+    if not any(mono):
         return True
-    ydeg = sum(mono.exponents[algebra.varsys.index(nm)] for nm in algebra.y_names)
+    ydeg = sum(mono[algebra.varsys.index(nm)] for nm in algebra.y_names)
     return ydeg >= 1
 
 
-def _monomial_label(mono: Monomial, varsys: VarSystem) -> str:
+def _monomial_label(mono: tuple[int, ...], varsys: VarSystem) -> str:
     parts = []
-    for name, e in zip(varsys.names, mono.exponents):
+    for name, e in zip(varsys.names, mono):
         if e == 1:
             parts.append(name)
         elif e > 1:
@@ -467,7 +468,7 @@ def y_positive_monomial_algebra(
     y_idx = [varsys.index(nm) for nm in y_names]
     for degree in range(1, max_degree + 1):
         for mono in monomials_of_degree(varsys, degree, tuple(x_names) + tuple(y_names)):
-            if sum(mono.exponents[i] for i in y_idx) >= 1:
+            if sum(mono[i] for i in y_idx) >= 1:
                 generators.append(
                     (_monomial_label(mono, varsys), Polynomial(varsys, {mono: Fraction(1)}))
                 )

@@ -4,10 +4,11 @@ Exit codes: 0 pass / member, 1 fail / non-member, 2 none-up-to-bound,
 3 usage error.  `verify` exits 1 if a certificate fails to re-check, is
 malformed or has an unknown `cert_type`, or if a path where the report's
 scenario puts a certificate holds anything but null or a certificate of the
-declared `cert_type`; 3 if the report cannot be read (missing, not UTF-8
-JSON, or nested too deeply to parse), is not an object, or has a missing
-or unknown verdict or scenario; and otherwise with the code `run` gives
-the report's verdict.
+declared `cert_type`, or, under a `pass` verdict, holds no certificate (an
+emptied `[*]` list included); 3 if the report cannot be read (missing, not
+UTF-8 JSON, or nested too deeply to parse), is not an object, or has a
+missing or unknown verdict or scenario; and otherwise with the code `run`
+gives the report's verdict.
 """
 
 from __future__ import annotations

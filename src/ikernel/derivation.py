@@ -15,7 +15,6 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import MembershipCertificate, SubalgebraSpec, _row_terms, membership
 from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
-from .poly import _from_exponent_map
 
 
 class InhomogeneousDerivation(ValueError):
@@ -46,7 +45,7 @@ class Derivation:
         self._scale = s = lcm(*(c.denominator for p in clean.values() for c in p.terms.values()))
         self._lowered = []
         for name, poly in clean.items():
-            i, terms = varsys.index(name), poly._exponent_map().items()
+            i, terms = varsys.index(name), poly.terms.items()
             self._lowered.append((i, [
                 (t[:i] + (t[i] - 1,) + t[i + 1:], c.numerator * (s // c.denominator)) for t, c in terms
             ]))
@@ -73,10 +72,10 @@ class Derivation:
         accumulation of term products."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("polynomial over a different system")
-        image = self._leibniz({}, f._exponent_map().items())
+        image = self._leibniz({}, f.terms.items())
         if self._scale != 1:
             image = {t: c / self._scale for t, c in image.items()}
-        return _from_exponent_map(self.varsys, image)
+        return Polynomial._trusted(self.varsys, image)
 
     def homogeneous_shift(self) -> int | None:
         """Degree shift of the induced graded map, or None for the zero map.
@@ -146,7 +145,7 @@ def kernel_graded_basis(
         if shift is None:
             continue
         targets = monomials_of_degree(varsys, degree + shift)
-        row = {m.exponents: height + r for r, m in enumerate(targets)}
+        row = {m: height + r for r, m in enumerate(targets)}
         height += len(targets)
         for image, terms in zip(images, rows):
             drv._leibniz(image, terms, row)

@@ -4,10 +4,12 @@ One row format runs from elimination to every caller: a sparse
 `{column: int}` map of nonzero entries, columns ascending, an integer
 multiple of its reduced echelon row with a positive pivot entry.  `Echelon`
 keeps such rows primitive, `emit` copies them out and `integer_kernel`
-reads the integer nullspace vectors off them; `SpanBasis` keeps them too.
-`Fraction`s exist only at the edges: in rational input rows, where a row
-is divided by its pivot entry (`polynomials()`, coordinates), and where
-`nullspace` divides a kernel vector by its entry at the free column.
+reads the integer nullspace vectors off them; `SpanBasis` keeps them too,
+over a frame (`ambient`) of plain exponent tuples, the keys of
+`Polynomial.terms`.  `Fraction`s exist only at the edges: in rational
+input rows, where a row is divided by its pivot entry (`polynomials()`,
+coordinates), and where `nullspace` divides a kernel vector by its entry at
+the free column.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ class SpanBasis:
     def __init__(
         self,
         varsys: VarSystem,
-        ambient: Sequence[Monomial],
+        ambient: Sequence[tuple[int, ...]],
         rows: Sequence[Mapping[int, int]],
         pivots: Sequence[int],
     ):
@@ -234,10 +236,10 @@ class SpanBasis:
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self._polys: tuple[Polynomial, ...] | None = None
-        self._at_pivot: dict[Monomial, int] | None = None  # row index by pivot monomial
+        self._at_pivot: dict[tuple[int, ...], int] | None = None  # row index by pivot monomial
 
     @classmethod
-    def of_monomials(cls, varsys: VarSystem, monos: Sequence[Monomial]) -> SpanBasis:
+    def of_monomials(cls, varsys: VarSystem, monos: Sequence[tuple[int, ...]]) -> SpanBasis:
         """The span of distinct monomials, given in canonical order (as
         `monomials_of_degree` lists them), over themselves as frame."""
         monos = tuple(monos)
@@ -248,7 +250,7 @@ class SpanBasis:
         cls,
         varsys: VarSystem,
         polys: Iterable[Polynomial],
-        frame: Sequence[Monomial] | None = None,
+        frame: Sequence[tuple[int, ...]] | None = None,
     ) -> SpanBasis:
         """The span of `polys` over `frame`, by default every monomial they
         use in canonical order.  With a frame, `polys` is consumed once."""
@@ -282,7 +284,7 @@ class SpanBasis:
             )
         return self._polys
 
-    def _reduce(self, terms: Mapping[Monomial, Fraction | int]) -> tuple[dict, dict]:
+    def _reduce(self, terms: Mapping[tuple[int, ...], Fraction | int]) -> tuple[dict, dict]:
         """The coefficients of `terms` at the pivot monomials, keyed by row,
         and the residual less those multiples of `polynomials()`.  Those are
         zero at every other pivot, so `terms` is a member iff the residual

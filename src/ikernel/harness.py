@@ -544,11 +544,11 @@ class VerifyResult:
 def verify_report(data: Mapping) -> VerifyResult:
     """Re-check every certificate embedded in a report dictionary, and that
     each path its scenario declares holds a certificate of the declared
-    `cert_type` or null; under a `pass` verdict, a path without `[*]` must
-    hold one."""
+    `cert_type` or null; under a `pass` verdict, each declared path, `[*]`
+    ones included, must hold at least one."""
     failures: list[str] = []
     verdict, scenario = data.get("verdict"), data.get("scenario")
-    if data.get("schema") != SCHEMA_VERSION:
+    if data.get("schema") != SCHEMA_VERSION or type(data["schema"]) is not int:  # JSON true == 1
         failures.append(f"unsupported schema: {data.get('schema')!r}")
         return VerifyResult(0, failures, verdict, scenario)
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
@@ -559,7 +559,7 @@ def verify_report(data: Mapping) -> VerifyResult:
         for where, value in found:
             if value is not None and (not isinstance(value, Mapping) or value.get("cert_type") != kind):
                 failures.append(f"{where}: not a {kind} certificate")
-        if verdict == PASS and "[*]" not in path and all(value is None for _, value in found):
+        if verdict == PASS and all(value is None for _, value in found):
             failures.append(f"{path}: a pass needs a {kind} certificate here")
     certificates = _collect_certificates(data.get("details", {}))
     for k, cert in enumerate(certificates):

@@ -27,7 +27,7 @@ from .algebra import (
     membership,
 )
 from .exactlin import column_rows, nullspace, solve
-from .poly import Monomial, Polynomial, _check_budget, monomials_of_degree
+from .poly import Polynomial, _check_budget, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def _require_homogeneous(x: Polynomial, minimum_degree: int = 1) -> int:
 
 def _columns(
     basisdata: GradedBasis, powers: list[Polynomial], e: int, weight: int, top: int
-) -> tuple[list[dict[Monomial, Fraction]], list[tuple[int, Polynomial]]]:
+) -> tuple[list[dict[tuple[int, ...], Fraction]], list[tuple[int, Polynomial]]]:
     """For i from `top` down to 0 and each basis row b of A_{weight - i*e}:
     the terms of b * x^i as a column, and (i, b) as its owner."""
     columns, owners = [], []
@@ -326,8 +326,8 @@ def non_integrality_by_specialization(
     vs = algebra.varsys
     zeroed = [vs.index(name) for name in vanishing]
 
-    def kept(f: Polynomial) -> list[Monomial]:
-        return [m for m in f.terms if not any(m.exponents[i] for i in zeroed)]
+    def kept(f: Polynomial) -> list[tuple[int, ...]]:
+        return [m for m in f.terms if not any(m[i] for i in zeroed)]
 
     if any(kept(generator) for _, generator in algebra.generators):
         return False

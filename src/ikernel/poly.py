@@ -4,14 +4,16 @@ All values are immutable after construction and every operation is a pure
 function, so they may be shared freely across threads.  Coefficients are
 arbitrary-precision `fractions.Fraction`; nothing in this module rounds.
 
-The public constructors `Monomial(...)` and `Polynomial(...)` validate
-everything (exponent signs, monomial lengths, coefficient types, zeros),
-because callers hand them values from anywhere.  Ring operations, calculus,
-substitution and the parser build results that are canonical by
-construction, so they go through the private `Monomial._trusted` and
-`Polynomial._trusted`, which wrap without re-checking.  Internally they
-accumulate into plain `{exponent tuple: Fraction}` term maps (`_accumulate`,
-`_product`, `_power`) and wrap the result once.
+There is one term format: a polynomial's `terms` is a plain `{exponent
+tuple: Fraction}` map, one nonnegative int per variable in each key, and
+frames (`monomials_of_degree`, `monomials()`, `leading_monomial()`) are
+plain exponent tuples too.  `Monomial` is a validated `tuple` that equals
+and hashes as its plain tuple; it exists only where outside values come in
+(`VarSystem.monomial` and the public `Polynomial(...)` constructor, which
+checks every key and coefficient and stores plain tuples).  Ring
+operations, calculus, substitution and the parser build term maps that are
+canonical by construction (`_accumulate`, `_product`, `_power`) and wrap
+each result once through `Polynomial._trusted`, which does not re-check.
 """
 
 from __future__ import annotations
@@ -104,12 +106,11 @@ class VarSystem:
     def __repr__(self) -> str:
         return f"VarSystem({list(self.names)!r})"
 
-    def degree_of(self, mono: Monomial) -> int:
+    def degree_of(self, mono: tuple[int, ...]) -> int:
         """Grading degree of a monomial: parameters weigh zero."""
-        exps = mono.exponents
-        if len(exps) != self.nvars:
+        if len(mono) != self.nvars:
             raise VarSystemMismatch("monomial length does not match system")
-        return sum(exps[i] for i in self._coord_idx)
+        return sum(mono[i] for i in self._coord_idx)
 
     def extend(self, names: Iterable[str], role: str = PARAMETER) -> VarSystem:
         extra = tuple(names)
@@ -122,8 +123,8 @@ class VarSystem:
             tuple(self.names[i] for i in keep), tuple(self.roles[i] for i in keep)
         )
 
-    def unit_monomial(self) -> Monomial:
-        return Monomial((0,) * self.nvars)
+    def unit_monomial(self) -> tuple[int, ...]:
+        return (0,) * self.nvars
 
     def monomial(self, exponents: Mapping[str, int]) -> Monomial:
         exps = [0] * self.nvars
@@ -132,13 +133,15 @@ class VarSystem:
         return Monomial(exps)
 
     def variable(self, name: str) -> Polynomial:
-        return Polynomial(self, {self.monomial({name: 1}): Fraction(1)})
+        i, unit = self.index(name), (0,) * self.nvars
+        return Polynomial._trusted(self, {unit[:i] + (1,) + unit[i + 1:]: Fraction(1)})
 
     def constant(self, value) -> Polynomial:
-        return Polynomial(self, {self.unit_monomial(): Fraction(value)})
+        c = Fraction(value)
+        return Polynomial._trusted(self, {(0,) * self.nvars: c} if c else {})
 
     def zero(self) -> Polynomial:
-        return Polynomial(self, {})
+        return Polynomial._trusted(self, {})
 
     def one(self) -> Polynomial:
         return self.constant(1)
@@ -147,48 +150,29 @@ class VarSystem:
         return parse_polynomial(text, self)
 
 
-class Monomial:
-    """An exponent vector; one entry per variable of some VarSystem."""
+class Monomial(tuple):
+    """A validated exponent vector, one int per variable of some VarSystem.
 
-    __slots__ = ("exponents", "_hash")
+    A `tuple` in all but its constructor: it equals, and hashes as, its
+    plain tuple, so it can look up any term map or frame."""
 
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
+    __slots__ = ()
+
+    def __new__(cls, exponents: Iterable[int]) -> Monomial:
+        mono = super().__new__(cls, map(int, exponents))
+        if any(e < 0 for e in mono):
             raise ValueError("exponents must be nonnegative")
-        self.exponents = exps
-        self._hash = hash(exps)
-
-    @classmethod
-    def _trusted(cls, exps: tuple[int, ...]) -> Monomial:
-        """Wrap a tuple of nonnegative ints without re-checking it."""
-        mono = object.__new__(cls)
-        mono.exponents = exps
-        mono._hash = hash(exps)
         return mono
 
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def sort_key(self) -> tuple:
-        # Ascending sort under this key lists monomials in graded-lex
-        # descending order (highest degree first, earlier variables heavier).
-        return (-self.degree(), tuple(-e for e in self.exponents))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Monomial({list(self.exponents)!r})"
+    @staticmethod
+    def sort_key(exps: tuple[int, ...]) -> tuple:
+        """Sorting exponent tuples by this key lists them in graded-lex
+        descending order (highest degree first, earlier variables heavier)."""
+        return (-sum(exps), tuple(-e for e in exps))
 
 
 class Polynomial:
-    """Sparse polynomial: a finite map Monomial -> nonzero Fraction.
+    """Sparse polynomial: a finite map exponent tuple -> nonzero Fraction.
 
     Canonical form holds by construction: no stored coefficient is zero,
     and equality is equality of term maps over equal variable systems.
@@ -196,29 +180,26 @@ class Polynomial:
 
     __slots__ = ("varsys", "terms")
 
-    def __init__(self, varsys: VarSystem, terms: Mapping[Monomial, object]):
-        nv = varsys.nvars
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, varsys: VarSystem, terms: Mapping[tuple[int, ...], object]):
+        clean: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in terms.items():
-            if len(mono.exponents) != nv:
+            exps = tuple(Monomial(mono))
+            if len(exps) != varsys.nvars:
                 raise VarSystemMismatch("monomial length does not match system")
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c:
-                clean[mono] = c
+                clean[exps] = c
         self.varsys = varsys
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, varsys: VarSystem, terms: dict[Monomial, Fraction]) -> Polynomial:
-        """Wrap a canonical term map (monomials of the system's length,
+    def _trusted(cls, varsys: VarSystem, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
+        """Wrap a canonical term map (plain tuples of the system's length,
         nonzero `Fraction` values) without re-checking or copying it."""
         poly = object.__new__(cls)
         poly.varsys = varsys
         poly.terms = terms
         return poly
-
-    def _exponent_map(self) -> dict[tuple[int, ...], Fraction]:
-        return {m.exponents: c for m, c in self.terms.items()}
 
     # -- predicates and views -------------------------------------------------
 
@@ -228,16 +209,16 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, mono: Monomial) -> Fraction:
+    def coeff(self, mono: tuple[int, ...]) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
     def constant_coefficient(self) -> Fraction:
         return self.coeff(self.varsys.unit_monomial())
 
-    def monomials(self) -> tuple[Monomial, ...]:
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.terms, key=Monomial.sort_key))
 
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return min(self.terms, key=Monomial.sort_key)
@@ -258,10 +239,10 @@ class Polynomial:
 
     def homogeneous_components(self) -> dict[int, Polynomial]:
         vs = self.varsys
-        split: dict[int, dict[Monomial, Fraction]] = {}
+        split: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for m, c in self.terms.items():
             split.setdefault(vs.degree_of(m), {})[m] = c
-        return {d: Polynomial(vs, t) for d, t in sorted(split.items())}
+        return {d: Polynomial._trusted(vs, t) for d, t in sorted(split.items())}
 
     # -- ring operations ------------------------------------------------------
 
@@ -305,8 +286,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product = _product(self._exponent_map(), rhs._exponent_map())
-        return _from_exponent_map(self.varsys, product)
+        return Polynomial._trusted(self.varsys, _product(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -314,7 +294,7 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         unit = (0,) * self.varsys.nvars
-        return _from_exponent_map(self.varsys, _power(self._exponent_map(), exponent, unit))
+        return Polynomial._trusted(self.varsys, _power(self.terms, exponent, unit))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -330,11 +310,7 @@ class Polynomial:
     def partial(self, name: str) -> Polynomial:
         """Formal partial derivative with respect to one variable."""
         i = self.varsys.index(name)
-        terms = {
-            Monomial._trusted(m.exponents[:i] + (e - 1,) + m.exponents[i + 1:]): c * e
-            for m, c in self.terms.items()
-            if (e := m.exponents[i])
-        }
+        terms = {m[:i] + (e - 1,) + m[i + 1:]: c * e for m, c in self.terms.items() if (e := m[i])}
         return Polynomial._trusted(self.varsys, terms)
 
     def substitute(
@@ -360,36 +336,33 @@ class Polynomial:
 
         As in `_Parser.parse_term`, while a term is one term each power of a
         one-term image (a variable without an image included) folds into a
-        reduced integer numerator and denominator and an exponent list,
-        charged what `power_terms` and `product` would charge; from its first
-        multi-term image on, the term is a term map.  So `work` is the same
-        as multiplying every factor in as a term map, at every point."""
+        reduced integer numerator and denominator (`_Budget.charge_power`,
+        then `_Budget.fold`) and an exponent list; from its first multi-term
+        image on, the term is a term map.  So `work` is the same as
+        multiplying every factor in as a term map, at every point."""
         for name in images:
             self.varsys.index(name)
         for name, img in images.items():
             if img.varsys != target:
                 raise VarSystemMismatch(f"image of {name!r} is not over the target system")
 
-        occurring = {i for m in self.terms for i, e in enumerate(m.exponents) if e}
+        occurring = {i for m in self.terms for i, e in enumerate(m) if e}
         unit = (0,) * target.nvars
         base: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        folds: dict[int, tuple] = {}  # one-term images: a, b, bits of |a|*b - 1, nonzero exponents
+        folds: dict[int, tuple] = {}  # one-term images: a, b, nonzero exponents
         for i in occurring:
             name = self.varsys.names[i]
             if name in images:
-                base[i] = images[name]._exponent_map()
+                base[i] = images[name].terms
             elif name in target:
-                j = target._index[name]
-                base[i] = {unit[:j] + (1,) + unit[j + 1:]: Fraction(1)}
+                base[i] = target.variable(name).terms
             else:
                 raise VarSystemMismatch(f"variable {name!r} absent from the target system")
             if len(base[i]) == 1:
                 ((t, c),) = base[i].items()
-                a, b = c.numerator, c.denominator
-                shift = [(j, x) for j, x in enumerate(t) if x]
-                folds[i] = (a, b, (abs(a) * b - 1).bit_length(), shift)
+                folds[i] = (c.numerator, c.denominator, [(j, x) for j, x in enumerate(t) if x])
 
-        product, charge, n_words = budget.product, budget._charge, budget.n_words
+        product, charge_power, fold = budget.product, budget.charge_power, budget.fold
         powers = {i: [{unit: Fraction(1)}] for i in base}
         def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
             if len(base[i]) == 1:
@@ -402,14 +375,11 @@ class Polynomial:
         result: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
             num, den, exps, term = c.numerator, c.denominator, list(unit), None
-            for i, e in enumerate(m.exponents):
+            for i, e in enumerate(m):
                 if e and term is None and i in folds:
-                    a, b, bits, shift = folds[i]
-                    charge(e * bits)
-                    a, b = a**e, b**e
-                    charge(n_words * _fraction_words(num, den) * _fraction_words(a, b))
-                    g, h = gcd(num, b), gcd(a, den)  # both reduced: a factor cancels only across
-                    num, den = (num // g) * (a // h), (den // h) * (b // g)
+                    a, b, shift = folds[i]
+                    charge_power(a, b, e)
+                    num, den = fold(num, den, a**e, b**e)
                     for j, x in shift:
                         exps[j] += e * x
                 elif e:
@@ -418,7 +388,7 @@ class Polynomial:
                     term = product(term, power(i, e))
             done = [(tuple(exps), Fraction(num, den))] if term is None else term.items()
             _accumulate(result, done)
-        return _from_exponent_map(target, result)
+        return Polynomial._trusted(target, result)
 
     def embed(self, target: VarSystem) -> Polynomial:
         """Reinterpret over a larger (or reordered) system, matching by name."""
@@ -426,13 +396,13 @@ class Polynomial:
             return self
         mapping = [target.index(name) for name in self.varsys.names]
         nv = target.nvars
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
             exps = [0] * nv
-            for i, e in enumerate(m.exponents):
+            for i, e in enumerate(m):
                 if e:
                     exps[mapping[i]] = e
-            terms[Monomial._trusted(tuple(exps))] = c
+            terms[tuple(exps)] = c
         return Polynomial._trusted(target, terms)
 
     def coefficients_in(self, names: Sequence[str]) -> dict[tuple[int, ...], Polynomial]:
@@ -444,12 +414,12 @@ class Polynomial:
         idxs = [self.varsys.index(nm) for nm in names]
         gone = set(idxs)
         rest_vs = self.varsys.drop(names)
-        split: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+        split: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         for m, c in self.terms.items():
-            key = tuple(m.exponents[i] for i in idxs)
-            rest = Monomial(e for i, e in enumerate(m.exponents) if i not in gone)
+            key = tuple(m[i] for i in idxs)
+            rest = tuple(e for i, e in enumerate(m) if i not in gone)
             split.setdefault(key, {})[rest] = c
-        return {k: Polynomial(rest_vs, t) for k, t in sorted(split.items())}
+        return {k: Polynomial._trusted(rest_vs, t) for k, t in sorted(split.items())}
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -510,11 +480,6 @@ def _integer_terms(terms: Iterable[tuple[object, Fraction]]) -> tuple[list, int]
     return [(e, c.numerator * (s // c.denominator)) for e, c in terms], s
 
 
-def _from_exponent_map(varsys: VarSystem, terms: dict) -> Polynomial:
-    trusted = Monomial._trusted
-    return Polynomial._trusted(varsys, {trusted(e): c for e, c in terms.items()})
-
-
 def _words(f: dict) -> int:
     """64-bit words in f's widest coefficient, numerator and denominator, at
     least 1.  It runs on every charged product, so it reads `Fraction`'s
@@ -551,6 +516,18 @@ class _Budget:
         if self.work > self.cap:
             raise self.error(f"{self.what} needs over {self.cap} term products or coefficient bits")
 
+    def charge_power(self, a: int, b: int, k: int) -> None:
+        """Charge the k-th power of a one-term map whose coefficient is the
+        reduced nonzero a/b."""
+        self._charge(k * (abs(a) * b - 1).bit_length())
+
+    def fold(self, num: int, den: int, a: int, b: int) -> tuple[int, int]:
+        """The reduced product of reduced nonzero fractions num/den and a/b,
+        charged as the `product` of two one-term maps with those coefficients."""
+        self._charge(self.n_words * _fraction_words(num, den) * _fraction_words(a, b))
+        g, h = gcd(num, b), gcd(a, den)  # both reduced: a factor cancels only across
+        return (num // g) * (a // h), (den // h) * (b // g)
+
     def product(self, f: dict, g: dict) -> dict:
         self._charge(len(f) * len(g) * self.n_words * _words(f) * _words(g))
         return _product(f, g)
@@ -558,15 +535,14 @@ class _Budget:
     def power_terms(self, f: dict, k: int, unit: tuple[int, ...]) -> dict:
         if len(f) == 1:
             (c,) = f.values()
-            self._charge(k * (abs(c._numerator) * c._denominator - 1).bit_length())
+            self.charge_power(c._numerator, c._denominator, k)
         return _power(f, k, unit, self.product)
 
     def power(self, f: Polynomial, k: int) -> Polynomial:
-        unit = (0,) * f.varsys.nvars
-        return _from_exponent_map(f.varsys, self.power_terms(f._exponent_map(), k, unit))
+        return Polynomial._trusted(f.varsys, self.power_terms(f.terms, k, f.varsys.unit_monomial()))
 
     def multiply(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return _from_exponent_map(f.varsys, self.product(f._exponent_map(), g._exponent_map()))
+        return Polynomial._trusted(f.varsys, self.product(f.terms, g.terms))
 
 
 # The `_Budget` work of one certificate check: substituting the generators
@@ -584,7 +560,7 @@ def _check_budget(field: str, varsys: VarSystem) -> _Budget:
 
 def monomials_of_degree(
     varsys: VarSystem, degree: int, names: Sequence[str] | None = None
-) -> tuple[Monomial, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """All monomials of the given grading degree in the chosen coordinates.
 
     Defaults to every coordinate of the system; parameters never appear.
@@ -599,7 +575,7 @@ def monomials_of_degree(
 # One pass of the nine scenarios uses 31 distinct frames at (2,2,5) and 52 at
 # (1,1,11); the bound keeps a long-lived process from holding every frame it saw.
 @lru_cache(maxsize=128)
-def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tuple[Monomial, ...]:
+def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tuple:
     if degree < 0:
         return ()
     if names is None:
@@ -610,12 +586,12 @@ def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tup
             if varsys.roles[i] != COORDINATE:
                 raise ValueError(f"{varsys.names[i]!r} is not a coordinate")
     nv = varsys.nvars
-    out: list[Monomial] = []
+    out: list[tuple[int, ...]] = []
 
     def descend(pos: int, remaining: int, exps: list[int]) -> None:
         if pos == len(idxs) - 1:
             exps[idxs[pos]] = remaining
-            out.append(Monomial._trusted(tuple(exps)))
+            out.append(tuple(exps))
             exps[idxs[pos]] = 0
             return
         for e in range(remaining, -1, -1):
@@ -624,7 +600,7 @@ def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tup
         exps[idxs[pos]] = 0
 
     if not idxs:
-        return (Monomial((0,) * nv),) if degree == 0 else ()
+        return ((0,) * nv,) if degree == 0 else ()
     descend(0, degree, [0] * nv)
     return tuple(out)
 
@@ -634,9 +610,9 @@ def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tup
 # ASCII with `^` for powers and optional `*`; exact rational coefficients as
 # p/q.  `format_polynomial` and `parse_polynomial` round-trip bit-exactly.
 
-def format_monomial(mono: Monomial, varsys: VarSystem) -> str:
+def format_monomial(mono: tuple[int, ...], varsys: VarSystem) -> str:
     parts = []
-    for name, e in zip(varsys.names, mono.exponents):
+    for name, e in zip(varsys.names, mono):
         if e == 1:
             parts.append(name)
         elif e > 1:
@@ -708,7 +684,8 @@ class _Parser(_Budget):
     Until a term meets a parenthesised factor, `parse_term` folds each atom
     into it as a reduced integer numerator and denominator and an exponent
     list, and charges each fold what the term-map arithmetic would: the
-    atom's power as `power_terms` and its multiplication as `product`.  So
+    atom's power as `power_terms` (`charge_power`) and its multiplication as
+    `product` (`fold`).  So
     `work` always equals the charge of multiplying every factor in as a term
     map, and the same texts cross the cap at the same point."""
 
@@ -770,13 +747,14 @@ class _Parser(_Budget):
                     e = self.unit if i < 0 else self.unit[:i] + (k,) + self.unit[i + 1:]
                     terms = self.product(terms, {e: Fraction(a, b)} if a else {})
                 else:
-                    if num and a and not first:
-                        self._charge(self.n_words * _fraction_words(num, den) * _fraction_words(a, b))
                     if i >= 0:
                         exps[i] += k
-                    else:  # both fractions are reduced, so only across them can a factor cancel
-                        g, h = gcd(num, b), gcd(a, den)
-                        num, den = (num // g) * (a // h), (den // h) * (b // g)
+                    if first:
+                        num, den = a, b
+                    elif num and a:  # a product with zero is zero and costs nothing
+                        num, den = self.fold(num, den, a, b)
+                    else:
+                        num = 0
             first = False
             tok = tokens[self.pos]
             if tok == "*":
@@ -814,7 +792,7 @@ class _Parser(_Budget):
             return a, b, -1, 1
         if not a:  # 0^0 = 1
             return (0 if k else 1), 1, -1, k
-        self._charge(k * (a * b - 1).bit_length())  # a > 0: tokens carry no sign
+        self.charge_power(a, b, k)
         return a**k, b**k, -1, k
 
     def parse_factor(self) -> dict:
@@ -838,4 +816,4 @@ def parse_polynomial(text: str, varsys: VarSystem) -> Polynomial:
     tok = parser.tokens[parser.pos]
     if tok is not None:
         raise ParseError(f"unexpected token {tok!r}")
-    return _from_exponent_map(varsys, result)
+    return Polynomial._trusted(varsys, result)

@@ -171,8 +171,9 @@ def test_verify_rejects_non_object_report(tmp_path, capsys, text):
     assert "not a JSON object" in capsys.readouterr().err
 
 
-# Hand-made reports name a scenario that declares no `details.certificate` path.
-SCENARIO = "action-stability"
+# Hand-made reports name a scenario that declares no certificate path, so
+# a `pass` needs no certificate at one.
+SCENARIO = "g1-invariants"
 
 
 def _write_report(path, certificate):
@@ -223,6 +224,24 @@ def test_verify_fails_a_pass_without_its_declared_relation(tmp_path, capsys, fie
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert f"details.{field}: a pass needs a relation certificate here" in capsys.readouterr().err
+
+
+def test_verify_fails_a_pass_with_its_certificate_lists_emptied(tmp_path, capsys):
+    """A passing action-stability report rests on its stability
+    certificates: with both lists emptied it verifies no certificate and
+    fails (exit 1)."""
+    path = tmp_path / "report.json"
+    assert main(["run", "--scenario", "action-stability", "--max-degree", "3",
+                 "--output", "json", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["details"]["translation_certificates"] = []
+    data["details"]["scaling_shear_certificates"] = []
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    for field in ("translation_certificates", "scaling_shear_certificates"):
+        assert f"details.{field}[*].certificate: a pass needs a membership certificate here" in err
 
 
 @pytest.mark.parametrize("scenario", [None, "nope", "", ["action-stability"], 3])

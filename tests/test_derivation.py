@@ -160,7 +160,7 @@ def test_bounded_nilpotency(inst11):
             )
             terms[mono] = Fraction(rng.randint(-3, 3))
         f = Polynomial(vs, terms)
-        zdeg = max((m.exponents[vs.index("z")] for m in f.terms), default=0)
+        zdeg = max((m[vs.index("z")] for m in f.terms), default=0)
         steps = drv.power_annihilates(f, zdeg + 1)
         assert steps is not None and steps <= zdeg + 1
     # The scaling derivation is not locally nilpotent: y1 reproduces itself.

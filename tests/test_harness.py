@@ -2,10 +2,11 @@
 
 import copy
 import json
+import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ikernel.algebra import MembershipCertificate
@@ -225,6 +226,85 @@ def test_a_pass_needs_the_certificate_at_each_single_declared_path(small_reports
                 assert verify_report(damaged).ok
                 cases += 1
     assert cases == 8  # two paths of g1-integrality-dichotomy, two sizes, two damages
+
+
+def test_a_pass_needs_a_certificate_at_each_listed_path(small_reports):
+    """Under `pass`, a declared `[*]` path must hold at least one
+    certificate: with its list emptied, or with the certificate key deleted
+    from every entry, the report fails.  Under `fail` it verifies."""
+    cases = 0
+    for report in small_reports:
+        for path, kind in SCENARIOS[report["scenario"]].certificates:
+            if "[*]" not in path:
+                continue
+            head, _, key = path.partition("[*]")
+            for damage in ("empty", "delete") if key else ("empty",):
+                damaged = copy.deepcopy(report)
+                ((_, entries),) = _at_path(damaged, head)
+                if damage == "empty":
+                    entries.clear()
+                else:
+                    for entry in entries:
+                        entry.pop(key[1:], None)
+                assert f"{path}: a pass needs a {kind} certificate here" in verify_report(damaged).failures
+                damaged["verdict"] = "fail"
+                assert verify_report(damaged).ok
+                cases += 1
+    # action-stability: two lists, two damages; theorem1-cusp: one list, two
+    # damages; localization-smoothness: one list of bare certificates; two sizes.
+    assert cases == 14
+
+
+def _paths(obj, path=()):
+    """Every key path into `obj` (dict keys and list positions), outermost first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    return [p for k, x in items for p in [path + (k,), *_paths(x, path + (k,))]]
+
+
+def _is_checked(report, path):
+    """Whether `verify` reads the field at `path`: the schema, scenario and
+    verdict, and everything strictly inside a certificate, except a
+    generator label that the certificate's expression does not use."""
+    if path[0] in ("schema", "scenario", "verdict"):
+        return True
+    holder, inside = report, False
+    for k, key in enumerate(path):
+        if isinstance(holder, dict) and "cert_type" in holder:
+            inside = True
+            if path[k:k + 1] == ("generators",) and path[k + 2:] == (0,):
+                label = holder["generators"][path[k + 1]][0]
+                return label in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", holder["expression"])
+        holder = holder[key]
+    return inside
+
+
+_RETYPED = [None, True, False, 7, 10**30, 1.5, float("nan"), "x", [], {}]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_reports_never_pass_and_never_raise(small_reports, data):
+    """Delete one key of a genuine report at (1,1,3) or (2,1,3), or retype
+    one value: `verify_report` neither raises nor runs long, and when the
+    field is one it reads, the report no longer passes.  Every genuine
+    report passes: its verdict is `pass` and its certificates verify."""
+    report = copy.deepcopy(small_reports[data.draw(st.integers(0, len(small_reports) - 1))])
+    path = data.draw(st.sampled_from(_paths(report)))
+    checked = _is_checked(report, path)
+    holder = report
+    for key in path[:-1]:
+        holder = holder[key]
+    old = holder[path[-1]]
+    if isinstance(holder, dict) and data.draw(st.booleans()):
+        del holder[path[-1]]
+    else:
+        new = data.draw(st.sampled_from(_RETYPED))
+        assume(not (type(new) is type(old) and new == old))
+        holder[path[-1]] = new
+    start = time.perf_counter()
+    result = verify_report(report)
+    assert time.perf_counter() - start < 20
+    assert not (checked and result.ok and result.verdict == PASS), (path, result)
 
 
 def _text_fields(obj, path=(), varsys=None):
