@@ -86,12 +86,6 @@ class SubalgebraSpec:
         self._graded: GradedBasis | None = None
         self._texts: tuple[tuple[str, str], ...] | None = None
 
-    def generator(self, label: str) -> Polynomial:
-        for name, poly in self.generators:
-            if name == label:
-                return poly
-        raise KeyError(label)
-
     def generator_texts(self) -> list[list[str]]:
         """Fresh `[label, text]` pairs of the generators, each text printed
         once per algebra (every certificate over it carries them all)."""
@@ -399,9 +393,6 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
     terms: dict[tuple[int, ...], Fraction] = {}
     basisdata = algebra.graded_basis()
     for degree, component in f.homogeneous_components().items():
-        if degree == 0:
-            _accumulate(terms, (((0,) * labels.nvars, component.constant_coefficient()),))
-            continue
         basis, exprs = basisdata.tracked_piece(degree)
         coords = basis.coordinates_of(component)
         if coords is None:

@@ -8,8 +8,8 @@ reads the integer nullspace vectors off them; `SpanBasis` keeps them too,
 over a frame (`ambient`) of plain exponent tuples, the keys of
 `Polynomial.terms`.  `Fraction`s exist only at the edges: in rational
 input rows, where a row is divided by its pivot entry (`polynomials()`,
-coordinates), and where `nullspace` divides a kernel vector by its entry at
-the free column.
+coordinates), and where `solve` divides one kernel vector by its entry at
+the right-hand-side column.
 """
 
 from __future__ import annotations
@@ -188,26 +188,21 @@ def integer_kernel(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[d
     return kernel
 
 
-def nullspace(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[int, Fraction]]:
-    """Canonical nullspace basis of sparse rows over `width` columns: one
-    sparse vector per free column, ascending, equal to 1 there: each
-    `integer_kernel` vector divided by its entry s at the free column."""
-    return [{j: Fraction(x, s) for j, x in vec.items()}
-            for vec in integer_kernel(rows, width) for s in [next(iter(vec.values()))]]
-
-
 def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fraction] | None:
     """One exact solution `{unknown: value}` of sparse augmented rows whose
     column `width` holds the right-hand side, or None if inconsistent.
 
     Deterministic: the reduced-echelon particular solution with every free
-    unknown set to zero, read off the canonical nullspace vector of the
-    right-hand-side column (which exists iff that column is free).
+    unknown set to zero.  The system is consistent iff the right-hand-side
+    column is free; it is then the last free column, and its
+    `integer_kernel` vector divided by its entry s there is -solution at
+    the unknowns and 1 at that column.
     """
-    kernel = nullspace(rows, width + 1)
+    kernel = integer_kernel(rows, width + 1)
     if not kernel or width not in kernel[-1]:
         return None
-    return {j: -v for j, v in kernel[-1].items() if j != width}
+    s = kernel[-1][width]
+    return {j: Fraction(-x, s) for j, x in kernel[-1].items() if j != width}
 
 
 class SpanBasis:
@@ -348,8 +343,7 @@ def kernel_span(
     n = len(images)
     if n != domain.dim:
         raise ValueError("need one image per domain row")
-    # With no unknowns the kernel is zero: skip eliminating the empty rows.
-    kernel = integer_kernel(column_rows(images[::-1], keys), n) if n else []
+    kernel = integer_kernel(column_rows(images[::-1], keys), n)
     rows = []
     for vec in reversed(kernel):
         member: dict[int, int] = {}

@@ -268,8 +268,8 @@ def _scenario_g2_invariants_B(cfg: ScenarioConfig) -> tuple[str, dict]:
     family = [inst.translation_derivation, inst.scaling_derivation]
     per_degree = []
     ok = True
-    for d in range(cfg.max_degree + 1):
-        kernel = kernel_graded_basis(family, inst.varsys, d)
+    kernels = [kernel_graded_basis(family, inst.varsys, d) for d in range(cfg.max_degree + 1)]
+    for d, kernel in enumerate(kernels):
         xonly = monomials_of_degree(inst.varsys, d, inst.x_names)
         expected = SpanBasis.of_monomials(inst.varsys, xonly)
         equal = kernel.spans_same(expected)
@@ -280,11 +280,10 @@ def _scenario_g2_invariants_B(cfg: ScenarioConfig) -> tuple[str, dict]:
     trivial = SubalgebraSpec(inst.varsys, [], homogeneous=True)
     witnesses = list(inst.x_names)
     witness_checks = []
-    degree_one = kernel_graded_basis(family, inst.varsys, 1)
     for name in witnesses:
         xvar = inst.varsys.variable(name)
         witness_checks.append(
-            degree_one.contains(xvar) and transcendental_over_constants(xvar, trivial)
+            kernels[1].contains(xvar) and transcendental_over_constants(xvar, trivial)
         )
     sub_dims = [
         kernel_graded_basis(family, inst.algebra, d).dim

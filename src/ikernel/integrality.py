@@ -26,7 +26,7 @@ from .algebra import (
     certificate_varsys,
     membership,
 )
-from .exactlin import column_rows, nullspace, solve
+from .exactlin import column_rows, integer_kernel, solve
 from .poly import Polynomial, _check_budget, monomials_of_degree
 
 
@@ -222,20 +222,10 @@ def algebraic_relation_search(
     the subalgebra and b_n != 0, minimizing n and then coefficient degree.
 
     Homogeneous weights: for x of degree e the candidate of weight w uses
-    b_i of degree w - i*e, scanned for w up to max_coeff_degree.
+    b_i of degree w - i*e, scanned for w up to max_coeff_degree.  A nonzero
+    constant c (e = 0) gets x - c = 0 at weight 0.
     """
-    if x.is_homogeneous() and x.degree() == 0 and not x.is_zero():
-        # Constants are algebraic outright: x - c = 0.
-        c = x.constant_coefficient()
-        one_cert = membership(algebra, algebra.varsys.one())
-        neg_cert = membership(algebra, algebra.varsys.constant(-c))
-        assert one_cert is not None and neg_cert is not None
-        coefficients = (
-            RelationCoefficient(1, algebra.varsys.one(), one_cert),
-            RelationCoefficient(0, algebra.varsys.constant(-c), neg_cert),
-        )
-        return RelationCertificate(x, 1, False, coefficients)
-    e = _require_homogeneous(x)
+    e = _require_homogeneous(x, minimum_degree=0)
     basisdata = algebra.graded_basis()
     powers = list(accumulate(repeat(x, max_degree), mul, initial=algebra.varsys.one()))
     for n in range(1, max_degree + 1):
@@ -245,7 +235,7 @@ def algebraic_relation_search(
                 continue
             columns, owners = _columns(basisdata, powers, e, weight, n)
             frame = monomials_of_degree(algebra.varsys, weight)
-            for vec in nullspace(column_rows(columns, frame), len(columns)):
+            for vec in integer_kernel(column_rows(columns, frame), len(columns)):
                 if min(vec) < top_dim:
                     return _relation(x, algebra, n, False, owners, vec)
     return None

@@ -118,6 +118,16 @@ def test_membership_splits_components(inst11):
     assert membership(inst11.algebra, vs.parse("y1 + x1")) is None
 
 
+@pytest.mark.parametrize("target, expression", [
+    ("3", "3"), ("2 + y1", "y1 + 2"), ("x1^2*y1 - 3", "y1*t1 - z*x1y1 - 3"),
+])
+def test_constant_components_go_through_the_degree_zero_piece(inst11, target, expression):
+    """A degree-0 component is read off `tracked_piece(0)`, the basis {1}
+    with the expression 1: the constant lands in the expression as is."""
+    cert = membership(inst11.algebra, inst11.varsys.parse(target))
+    assert cert is not None and str(cert.expression) == expression and cert.verify()
+
+
 def test_membership_json_round_trip(inst11):
     vs = inst11.varsys
     cert = membership(inst11.algebra, vs.parse("x1^2*y1 + z^3"))

@@ -15,7 +15,6 @@ from ikernel.exactlin import (
     column_rows,
     integer_kernel,
     kernel_span,
-    nullspace,
     solve,
 )
 from ikernel.poly import Monomial, Polynomial, VarSystem, _integer_terms, monomials_of_degree
@@ -27,6 +26,13 @@ T1 = X * X + X * Z
 
 def _sparse_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+
+
+def _fraction_kernel(rows, width):
+    """The canonical `Fraction` nullspace basis: each `integer_kernel`
+    vector divided by its entry at the free column (its first key)."""
+    return [{j: Fraction(x, s) for j, x in vec.items()}
+            for vec in integer_kernel(rows, width) for s in [next(iter(vec.values()))]]
 
 
 def _assert_integer_rows(rows, pivots):
@@ -103,7 +109,7 @@ def test_rank_nullity_randomized():
             [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        kernel = nullspace(_sparse_rows(m), cols)
+        kernel = _fraction_kernel(_sparse_rows(m), cols)
         assert len(dense_rref(m, cols)[1]) + len(kernel) == cols
         for vec in kernel:
             for row in m:
@@ -113,7 +119,7 @@ def test_rank_nullity_randomized():
 def test_rank_nullity_forty_by_forty():
     rng = random.Random(7)
     m = [[Fraction(rng.randint(-2, 2)) for _ in range(40)] for _ in range(40)]
-    assert len(dense_rref(m, 40)[1]) + len(nullspace(_sparse_rows(m), 40)) == 40
+    assert len(dense_rref(m, 40)[1]) + len(_fraction_kernel(_sparse_rows(m), 40)) == 40
 
 
 def test_solve_columns():
@@ -152,6 +158,7 @@ def test_intersect_trivial_cases():
     assert v.intersect(v).spans_same(v)
     zero = SpanBasis.from_polynomials(VS, [])
     assert v.intersect(zero).dim == 0
+    assert zero.intersect(v).dim == 0  # no unknowns: an empty elimination
 
 
 def test_intersect_degree_two_example(inst11):
@@ -315,8 +322,8 @@ def _fraction_route(rows, width):
 @pytest.mark.parametrize("seed", range(30))
 def test_kernel_read_out_matches_the_fraction_route(seed):
     """`integer_kernel` gives the same integer vectors, entries in the same
-    order, and `nullspace` the same `Fraction`s, on random sparse integer
-    matrices."""
+    order, and divided by their entries at the free columns the same
+    `Fraction`s, on random sparse integer matrices."""
     rng = random.Random(500 + seed)
     width, density = rng.randint(1, 14), rng.random()
     rows = [
@@ -327,9 +334,32 @@ def test_kernel_read_out_matches_the_fraction_route(seed):
     assert [list(vec.items()) for vec in integer_kernel(rows, width)] == [
         list(vec.items()) for vec in integers
     ]
-    assert [list(vec.items()) for vec in nullspace(rows, width)] == [
+    assert [list(vec.items()) for vec in _fraction_kernel(rows, width)] == [
         list(vec.items()) for vec in fractions
     ]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solve_matches_the_last_fraction_kernel_vector(seed):
+    """`solve` divides only the last `integer_kernel` vector; the route it
+    replaced divided them all and negated the last one when it was the
+    right-hand side's."""
+    rng = random.Random(900 + seed)
+    width = rng.randint(0, 8)
+    rows = [
+        {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(width + 1)
+         if rng.random() < 0.6}
+        for _ in range(rng.randint(0, 8))
+    ]
+    kernel = _fraction_kernel(rows, width + 1)
+    want = None
+    if kernel and width in kernel[-1]:
+        want = [(j, -v) for j, v in kernel[-1].items() if j != width]
+    got = solve(rows, width)
+    assert (got if got is None else list(got.items())) == want
+    if got is not None:
+        for row in rows:
+            assert sum(v * got.get(j, 0) for j, v in row.items() if j != width) == row.get(width, 0)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -19,6 +19,8 @@ from ikernel.algebra import (
 )
 from ikernel.harness import ScenarioConfig, _collect_certificates, run_scenario, verify_report
 from ikernel.integrality import (
+    RelationCertificate,
+    RelationCoefficient,
     algebraic_relation_search,
     integral_relation_search,
     localization_contains,
@@ -122,6 +124,38 @@ def test_algebraic_relation_over_constants(inst11):
     assert transcendental_over_constants(x1, trivial)
     assert not transcendental_over_constants(vs.constant(3), trivial)
     assert not transcendental_over_constants(x1, inst11.algebra)
+
+
+def _constant_relation(x, algebra):
+    """x - c = 0 for a nonzero constant x = c, built outright: the relation
+    the search once returned for constants without searching."""
+    vs = algebra.varsys
+    negated = vs.constant(-x.constant_coefficient())
+    coefficients = (
+        RelationCoefficient(1, vs.one(), membership(algebra, vs.one())),
+        RelationCoefficient(0, negated, membership(algebra, negated)),
+    )
+    return RelationCertificate(x, 1, False, coefficients)
+
+
+@pytest.mark.parametrize("which", ["instance", "monomial", "generator-free"])
+@pytest.mark.parametrize("constant", ["3", "-2/7", "1", "5/3"])
+def test_constants_get_x_minus_c_from_the_weight_zero_search(inst11, mono11, which, constant):
+    vs = inst11.varsys
+    algebra = {"instance": inst11.algebra, "monomial": mono11,
+               "generator-free": SubalgebraSpec(vs, [], homogeneous=True)}[which]
+    x = vs.parse(constant)
+    relation = algebraic_relation_search(x, algebra, 3, 4)
+    assert json.dumps(relation.to_json_dict()) == json.dumps(
+        _constant_relation(x, algebra).to_json_dict())
+    assert relation.verify()
+    # The degree bound holds for constants too: no relation of degree <= 0.
+    assert algebraic_relation_search(x, algebra, 0, 4) is None
+
+
+def test_algebraic_search_rejects_zero(inst11):
+    with pytest.raises(NotHomogeneous):
+        algebraic_relation_search(inst11.varsys.zero(), inst11.algebra, 3, 4)
 
 
 def test_algebraic_relation_for_generator(inst11):

@@ -1,10 +1,12 @@
-"""Graded pieces, derivation kernels and membership against sympy.
+"""Graded pieces, derivation kernels, membership and the bounded relation
+search against sympy.
 
 The oracles rebuild each instance from its definition in sympy, expand
 products there and take ranks with `DomainMatrix.rank` over QQ, or decide
 membership with a Groebner basis; nothing from ikernel goes into them.
 """
 
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -14,8 +16,9 @@ from sympy import QQ, Poly, diff, expand, groebner, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from ikernel.actions import build_cusp_instance, build_instance
-from ikernel.algebra import graded_piece, membership
+from ikernel.algebra import graded_piece, membership, y_positive_monomial_algebra
 from ikernel.derivation import kernel_graded_basis
+from ikernel.integrality import integral_relation_search
 
 
 def _instance(n, m):
@@ -123,7 +126,53 @@ def test_cusp_membership_matches_a_tag_variable_groebner_basis(which):
     verdicts = set()
     for f in candidates:
         want = _groebner_member(f, gens, (u, w))
-        ours = membership(algebra, inst.varsys.parse(str(expand(f)).replace("**", "^")))
+        ours = membership(algebra, _parse(inst, f))
         assert (ours is not None) == want, f
         verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _parse(inst, f):
+    return inst.varsys.parse(str(expand(f)).replace("**", "^"))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_no_monic_relation_for_x1_over_the_y_positive_monomials(n, m):
+    """A monic relation x1^k + sum_{i<k} a_i x1^i = 0 over the y-positive
+    monomial algebra may be taken with a_i homogeneous of degree k - i, so
+    it exists iff x1^k lies in the span M of m*x1^i, i < k, m a monomial in
+    the x and y variables of degree k - i and positive y-degree.  For every
+    k <= 5, x1^k raises the rank of M, and the search finds nothing."""
+    variables = _instance(n, m)[0]
+    xs, ys = variables[:n], variables[n:n + m]
+    x1 = xs[0]
+    for k in range(1, 6):
+        columns = [mono * x1**i for i in range(k) for mono in _monomials((*xs, *ys), k - i)
+                   if mono.free_symbols & set(ys)]
+        assert _rank(columns + [x1**k], variables) > _rank(columns, variables), k
+    inst = build_instance(n, m)
+    mono = y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, 5)
+    assert integral_relation_search(inst.varsys.variable("x1"), mono, 5) is None
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_membership_is_none_exactly_when_the_target_raises_the_piece_rank(n, m):
+    """A homogeneous f of degree d is a member iff it lies in the span of
+    the generator products of degree d.  Targets: x1^d, x1^(d-1)*z, and
+    each plus a seeded combination of products (a member)."""
+    inst = build_instance(n, m)
+    variables, gens, _, _ = _instance(n, m)
+    x1, z = variables[0], variables[-1]
+    rng = random.Random(10 * n + m)
+    verdicts = set()
+    for d in range(1, 6):
+        piece = [expand(p) for p in _piece(gens, variables, d)]
+        rank = _rank(piece, variables)
+        for lone in (x1**d, x1**(d - 1) * z):
+            products = rng.sample(piece, min(3, len(piece)))
+            mixed = lone + sum(rng.choice((-3, -2, -1, 1, 2, 3)) * p for p in products)
+            for f in (lone, mixed):
+                outside = _rank(piece + [f], variables) > rank
+                assert (membership(inst.algebra, _parse(inst, f)) is None) == outside, (d, f)
+                verdicts.add(outside)
     assert verdicts == {True, False}
