@@ -233,7 +233,7 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
                 powers[-1].append(_product(powers[-1][-1], powers[-1][1]))
     rows, deltas = [], []
     out_frame: set[tuple[int, ...]] = set()
-    for j, mono in enumerate(frame):
+    for mono in frame:
         image, shift, own, factor, scale = None, list(unit), list(unit), 1, 1
         for k, e, fold, row, s in zip(place, mono, folds, powers, image_scales):
             if not e:
@@ -255,8 +255,8 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
             image[own] = delta
         deltas.append(image)
         out_frame.update(image)
-        rows.append({j: scale})
-    domain = SpanBasis(coords, frame, rows, range(len(frame)))
+        rows.append({mono: scale})
+    domain = SpanBasis(coords, rows, frame)
     # The reduced echelon form of a row space is unique, so the order of
     # the keys (the matrix rows) leaves the kernel alone.
     return kernel_span(domain, deltas, out_frame)

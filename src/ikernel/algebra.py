@@ -23,6 +23,7 @@ from .poly import (
     _accumulate,
     _check_budget,
     _integer_terms,
+    _product,
     monomials_of_degree,
 )
 
@@ -119,22 +120,17 @@ class _Piece(NamedTuple):
         return tuple(gen for lower, _, (_, gen, _, _) in self.sources if lower == 0)
 
 
-def _row_terms(basis: SpanBasis, i: int) -> list:
-    """Basis row i as integer terms: (exponent tuple, entry) pairs."""
-    ambient = basis.ambient
-    return [(ambient[c], v) for c, v in basis.rows[i].items()]
-
-
-def _product_row(index: Mapping[tuple, int], bterms: list, gterms: list) -> dict[int, int]:
-    """The integer row of the product of two integer term lists, over the
+def _product_row(index: Mapping[tuple, int], bterms: Mapping, gterms: Mapping) -> dict[int, int]:
+    """The integer row of the product of two integer term maps, over the
     frame whose column of each exponent tuple `index` gives."""
     if len(bterms) == 1:
         bterms, gterms = gterms, bterms
     if len(gterms) == 1:  # one term shifts the other's exponents injectively: nothing cancels
-        ((e2, c2),) = gterms
-        return {index[tuple(map(add, e1, e2))]: c1 * c2 for e1, c1 in bterms}
+        ((e2, c2),) = gterms.items()
+        return {index[tuple(map(add, e1, e2))]: c1 * c2 for e1, c1 in bterms.items()}
     return _accumulate({}, (
-        (index[tuple(map(add, e1, e2))], c1 * c2) for e1, c1 in bterms for e2, c2 in gterms
+        (index[tuple(map(add, e1, e2))], c1 * c2)
+        for e1, c1 in bterms.items() for e2, c2 in gterms.items()
     ))
 
 
@@ -174,7 +170,7 @@ class GradedBasis:
         self._by_degree: dict[int, list[tuple]] = {}
         for k, (_, gen) in sorted(enumerate(algebra.generators), key=lambda g: g[1][1].degree()):
             terms, s = _integer_terms(gen.terms.items())
-            self._by_degree.setdefault(gen.degree(), []).append((k, gen, terms, s))
+            self._by_degree.setdefault(gen.degree(), []).append((k, gen, dict(terms), s))
 
     def _build(self, degree: int) -> _Piece:
         if degree < 0:
@@ -196,14 +192,13 @@ class GradedBasis:
             if e > degree:
                 break
             if e == degree:
-                decomposable = SpanBasis(vs, frame, *ech.emit())
+                decomposable = SpanBasis.of_echelon(vs, frame, ech)
             lower = self.piece(degree - e)
-            lower_rows = [_row_terms(lower, i) for i in range(lower.dim)]
             for gen in gens:
-                for i, bterms in enumerate(lower_rows):
-                    if ech.insert(_product_row(index, bterms, gen[2])):
+                for i, brow in enumerate(lower.rows):
+                    if ech.insert(_product_row(index, brow, gen[2])):
                         sources.append((degree - e, i, gen))
-        basis = SpanBasis(vs, frame, *ech.emit())
+        basis = SpanBasis.of_echelon(vs, frame, ech)
         return _Piece(basis, None, decomposable or basis, tuple(sources))
 
     def _expressions(self, degree: int, entry: _Piece) -> tuple[Polynomial, ...]:
@@ -218,7 +213,6 @@ class GradedBasis:
         if degree == 0:
             return (self.labels.one(),)
         basis = entry.basis
-        index = {m: i for i, m in enumerate(basis.ambient)}
         position = {p: col for col, p in enumerate(basis.pivots)}
         r = basis.dim
         ech = Echelon(2 * r)
@@ -227,8 +221,8 @@ class GradedBasis:
         for j, (lower, i, (k, _, gterms, sg)) in enumerate(entry.sources):
             lower_basis = self._pieces[lower].basis
             sb = lower_basis.rows[i][lower_basis.pivots[i]]
-            product = _product_row(index, _row_terms(lower_basis, i), gterms)
-            row = {position[p]: v for p, v in product.items() if p in position}
+            product = _product(lower_basis.rows[i], gterms)
+            row = {position[m]: v for m, v in product.items() if m in position}
             row[r + j] = 1
             ech.insert(row)
             formals.append((lower_exprs[lower][i].terms, k, sb * sg))
@@ -485,4 +479,5 @@ def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis
     number of new generators the algebra needs in degree d.
     """
     entry = algebra.graded_basis()._entry(degree)
-    return SpanBasis.from_polynomials(algebra.varsys, entry.representatives, entry.basis.ambient)
+    frame = monomials_of_degree(algebra.varsys, degree)
+    return SpanBasis.from_polynomials(algebra.varsys, entry.representatives, frame)

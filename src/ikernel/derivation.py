@@ -12,7 +12,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import MembershipCertificate, SubalgebraSpec, _row_terms, membership
+from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .exactlin import SpanBasis, kernel_span
 from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
 
@@ -132,11 +132,10 @@ def kernel_graded_basis(
     else:
         varsys = ambient
         domain = SpanBasis.of_monomials(varsys, monomials_of_degree(varsys, degree))
-    rows = [_row_terms(domain, j) for j in range(domain.dim)]
 
     # Stack the derivations' scaled images, each in its own block of rows:
     # scaling a block leaves the kernel alone.
-    images: list[dict[int, int]] = [{} for _ in rows]
+    images: list[dict[int, int]] = [{} for _ in domain.rows]
     height = 0
     for drv in derivations:
         if drv.varsys != varsys:
@@ -147,8 +146,8 @@ def kernel_graded_basis(
         targets = monomials_of_degree(varsys, degree + shift)
         row = {m: height + r for r, m in enumerate(targets)}
         height += len(targets)
-        for image, terms in zip(images, rows):
-            drv._leibniz(image, terms, row)
+        for image, terms in zip(images, domain.rows):
+            drv._leibniz(image, terms.items(), row)
     return kernel_span(domain, images, range(height))
 
 

@@ -1,15 +1,14 @@
 """Exact rational linear algebra over bases of monomials.
 
-One row format runs from elimination to every caller: a sparse
-`{column: int}` map of nonzero entries, columns ascending, an integer
-multiple of its reduced echelon row with a positive pivot entry.  `Echelon`
-keeps such rows primitive, `emit` copies them out and `integer_kernel`
-reads the integer nullspace vectors off them; `SpanBasis` keeps them too,
-over a frame (`ambient`) of plain exponent tuples, the keys of
-`Polynomial.terms`.  `Fraction`s exist only at the edges: in rational
-input rows, where a row is divided by its pivot entry (`polynomials()`,
-coordinates), and where `solve` divides one kernel vector by its entry at
-the right-hand-side column.
+Elimination works on sparse `{column: int}` rows: `Echelon` keeps each
+stored row primitive with a positive pivot entry, `emit` copies them out,
+and `integer_kernel` reads integer nullspace vectors off them.  Column
+indices live only there, in `solve` and in `column_rows`.  A `SpanBasis`
+keys the same rows by exponent tuple, the keys of `Polynomial.terms`, and
+`SpanBasis.of_echelon` is the one place where a column becomes a monomial.
+`Fraction`s exist only at the edges: in rational input rows, where a row is
+divided by its pivot entry (`polynomials()`, coordinates), and where `solve`
+divides one kernel vector by its entry at the right-hand-side column.
 """
 
 from __future__ import annotations
@@ -206,39 +205,37 @@ def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fract
 
 
 class SpanBasis:
-    """A subspace of polynomials presented over an explicit monomial frame.
+    """A subspace of polynomials given by its reduced echelon basis.
 
-    `rows` over `ambient` are in the module's row format, `pivots` ascend,
-    and `polynomials()` is the reduced echelon basis, so representation of
-    any member is unique.  Every frame lists its monomials in canonical
-    order (as `monomials_of_degree` does), so over any two frames that hold
-    a space, its basis polynomials are the same, and `spans_same` compares
-    them.  Build one with `of_monomials`, `from_polynomials` or
-    `kernel_span`.
+    Each row is an `{exponent tuple: int}` map of nonzero entries, an integer
+    multiple of its reduced echelon row, positive at its pivot monomial: the
+    first in `Monomial.sort_key` order.  `pivots` lists them in that order,
+    and `polynomials()` divides each row by its pivot entry, so members have
+    unique coordinates and `spans_same` compares basis polynomials.
     """
 
-    __slots__ = ("varsys", "ambient", "rows", "pivots", "_polys", "_at_pivot")
+    __slots__ = ("varsys", "rows", "pivots", "_polys", "_at_pivot")
 
-    def __init__(
-        self,
-        varsys: VarSystem,
-        ambient: Sequence[tuple[int, ...]],
-        rows: Sequence[Mapping[int, int]],
-        pivots: Sequence[int],
-    ):
+    def __init__(self, varsys: VarSystem, rows: Sequence[Mapping], pivots: Sequence[tuple]):
         self.varsys = varsys
-        self.ambient = tuple(ambient)
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self._polys: tuple[Polynomial, ...] | None = None
         self._at_pivot: dict[tuple[int, ...], int] | None = None  # row index by pivot monomial
 
     @classmethod
+    def of_echelon(cls, varsys: VarSystem, frame: Sequence[tuple], ech: Echelon) -> SpanBasis:
+        """The span of `ech`'s rows, column j standing for `frame[j]`, the
+        frame in canonical order (as `monomials_of_degree` lists it)."""
+        rows, pivots = ech.emit()
+        keyed = [{frame[c]: v for c, v in row.items()} for row in rows]
+        return cls(varsys, keyed, [frame[p] for p in pivots])
+
+    @classmethod
     def of_monomials(cls, varsys: VarSystem, monos: Sequence[tuple[int, ...]]) -> SpanBasis:
         """The span of distinct monomials, given in canonical order (as
-        `monomials_of_degree` lists them), over themselves as frame."""
-        monos = tuple(monos)
-        return cls(varsys, monos, [{i: 1} for i in range(len(monos))], range(len(monos)))
+        `monomials_of_degree` lists them)."""
+        return cls(varsys, [{m: 1} for m in monos], monos)
 
     @classmethod
     def from_polynomials(
@@ -252,7 +249,6 @@ class SpanBasis:
         if frame is None:
             polys = tuple(polys)
             frame = sorted({m for f in polys for m in f.terms}, key=Monomial.sort_key)
-        frame = tuple(frame)
         index = {m: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame))
         for f in polys:
@@ -263,7 +259,7 @@ class SpanBasis:
             except KeyError:
                 raise ValueError("polynomial has a monomial outside the frame") from None
             ech.insert(row)
-        return cls(varsys, frame, *ech.emit())
+        return cls.of_echelon(varsys, frame, ech)
 
     @property
     def dim(self) -> int:
@@ -271,10 +267,10 @@ class SpanBasis:
 
     def polynomials(self) -> tuple[Polynomial, ...]:
         if self._polys is None:
-            # Frame monomials are canonical and stored entries nonzero.
-            ambient, vs = self.ambient, self.varsys
+            # Row keys are exponent tuples and stored entries nonzero.
+            vs = self.varsys
             self._polys = tuple(
-                Polynomial._trusted(vs, {ambient[c]: Fraction(v, row[p]) for c, v in row.items()})
+                Polynomial._trusted(vs, {m: Fraction(v, row[p]) for m, v in row.items()})
                 for row, p in zip(self.rows, self.pivots)
             )
         return self._polys
@@ -285,20 +281,19 @@ class SpanBasis:
         zero at every other pivot, so `terms` is a member iff the residual
         is zero, and then the coefficients are its coordinates."""
         if self._at_pivot is None:
-            self._at_pivot = {self.ambient[p]: i for i, p in enumerate(self.pivots)}
-        at_pivot, ambient = self._at_pivot, self.ambient
+            self._at_pivot = {p: i for i, p in enumerate(self.pivots)}
+        at_pivot = self._at_pivot
         coords = {at_pivot[m]: c for m, c in terms.items() if m in at_pivot}
         residual = dict(terms)
         for i, c in coords.items():
             row = self.rows[i]
             lead = row[self.pivots[i]]
             x = c if lead == 1 else Fraction(c, lead)
-            _accumulate(residual, ((ambient[col], -x * v) for col, v in row.items()))
+            _accumulate(residual, ((m, -x * v) for m, v in row.items()))
         return coords, residual
 
     def coordinates_of(self, f: Polynomial) -> tuple[Fraction, ...] | None:
-        """Exact coordinates of f over the echelon basis rows, or None (also
-        when f has a monomial outside the ambient frame)."""
+        """Exact coordinates of f over the echelon basis rows, or None."""
         if f.varsys != self.varsys:
             raise VarSystemMismatch("target over a different system")
         coords, residual = self._reduce(f.terms)
@@ -308,16 +303,15 @@ class SpanBasis:
         return self.coordinates_of(f) is not None
 
     def spans_same(self, other: SpanBasis) -> bool:
-        # Reduced echelon bases over canonical frames are unique.
+        # Reduced echelon bases are unique.
         return self.varsys == other.varsys and self.polynomials() == other.polynomials()
 
     def intersect(self, other: SpanBasis) -> SpanBasis:
-        """Intersection, over this basis's frame: the kernel of the map that
-        sends each member to its residual modulo `other`."""
+        """Intersection: the kernel of the map that sends each member to its
+        residual modulo `other`."""
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
-        ambient = self.ambient
-        residuals = [other._reduce({ambient[c]: v for c, v in row.items()})[1] for row in self.rows]
+        residuals = [other._reduce(row)[1] for row in self.rows]
         return kernel_span(self, residuals, dict.fromkeys(m for r in residuals for m in r))
 
 
@@ -327,28 +321,29 @@ def kernel_span(
     keys: Iterable[Hashable],
 ) -> SpanBasis:
     """The span of  sum_j c_j*domain.rows[j]  over every c with
-    sum_j c_j*images[j] = 0, as a `SpanBasis` over the domain's frame.
+    sum_j c_j*images[j] = 0.
 
     `images[j]` is the image of `domain.rows[j]`, mapping the keys of the
     image space to entries (a polynomial's `terms`, say); `keys` lists
     every key of that space, one matrix row each.
 
-    One elimination, with the unknowns in reverse order: the kernel vector
-    of a free unknown f (`integer_kernel`) is then primitive, positive at f
-    and otherwise supported on pivot unknowns after f.  It combines the
-    domain's rows (pivots ascending) into a member that is positive at row
-    f's pivot and 0 at every other free unknown's: a positive multiple of a
-    reduced echelon row of the kernel.
+    One elimination, with the unknowns in reverse order: unknown k is
+    domain row n-1-k.  The kernel vector of a free unknown f
+    (`integer_kernel`) is primitive, positive at f and otherwise held by
+    pivot unknowns before f, whose domain rows have later pivots.  So its
+    member has row n-1-f's pivot, with a positive entry there, and is 0 at
+    every other free unknown's: a positive multiple of a reduced echelon
+    row of the kernel, the members' pivots ascending.
     """
     n = len(images)
     if n != domain.dim:
         raise ValueError("need one image per domain row")
     kernel = integer_kernel(column_rows(images[::-1], keys), n)
-    rows = []
+    rows, pivots = [], []
     for vec in reversed(kernel):
-        member: dict[int, int] = {}
+        member: dict[tuple[int, ...], int] = {}
         for k, x in vec.items():
-            _accumulate(member, ((col, x * v) for col, v in domain.rows[n - 1 - k].items()))
-        rows.append({col: member[col] for col in sorted(member)})
-    pivots = [min(row) for row in rows]
-    return SpanBasis(domain.varsys, domain.ambient, rows, pivots)
+            _accumulate(member, ((m, x * v) for m, v in domain.rows[n - 1 - k].items()))
+        rows.append(member)
+        pivots.append(domain.pivots[n - 1 - max(vec)])
+    return SpanBasis(domain.varsys, rows, pivots)

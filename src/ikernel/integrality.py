@@ -147,6 +147,17 @@ def _require_homogeneous(x: Polynomial, minimum_degree: int = 1) -> int:
     return e
 
 
+def _powers(x: Polynomial, max_degree: int, minimum_degree: int) -> tuple[int, list[Polynomial]]:
+    """x's degree e and its powers x^0..x^max_degree, once x is checked
+    homogeneous and free of parameters, which coordinate frames lack."""
+    e = _require_homogeneous(x, minimum_degree)
+    vs = x.varsys
+    for i in vs.parameter_indices:
+        if any(m[i] for m in x.terms):
+            raise ValueError(f"search input involves the parameter {vs.names[i]!r}")
+    return e, list(accumulate(repeat(x, max_degree), mul, initial=vs.one()))
+
+
 def _columns(
     basisdata: GradedBasis, powers: list[Polynomial], e: int, weight: int, top: int
 ) -> tuple[list[dict[tuple[int, ...], Fraction]], list[tuple[int, Polynomial]]]:
@@ -198,9 +209,8 @@ def integral_relation_search(
     to be integral; see `non_integrality_by_specialization` for the
     conclusive route).
     """
-    e = _require_homogeneous(x)
+    e, powers = _powers(x, max_degree, 1)
     basisdata = algebra.graded_basis()
-    powers = list(accumulate(repeat(x, max_degree), mul, initial=algebra.varsys.one()))
     for n in range(1, max_degree + 1):
         columns, owners = _columns(basisdata, powers, e, e * n, n - 1)
         columns.append((-powers[n]).terms)
@@ -225,19 +235,19 @@ def algebraic_relation_search(
     b_i of degree w - i*e, scanned for w up to max_coeff_degree.  A nonzero
     constant c (e = 0) gets x - c = 0 at weight 0.
     """
-    e = _require_homogeneous(x, minimum_degree=0)
+    e, powers = _powers(x, max_degree, 0)
     basisdata = algebra.graded_basis()
-    powers = list(accumulate(repeat(x, max_degree), mul, initial=algebra.varsys.one()))
     for n in range(1, max_degree + 1):
         for weight in range(n * e, max_coeff_degree + 1):
-            top_dim = basisdata.piece(weight - n * e).dim
-            if top_dim == 0:
+            if basisdata.piece(weight - n * e).dim == 0:
                 continue
             columns, owners = _columns(basisdata, powers, e, weight, n)
             frame = monomials_of_degree(algebra.varsys, weight)
-            for vec in integer_kernel(column_rows(columns, frame), len(columns)):
-                if min(vec) < top_dim:
-                    return _relation(x, algebra, n, False, owners, vec)
+            # Every kernel vector holds an x^n column: one without is a relation of
+            # top power n' < n at this weight, which the search at n' returned.
+            kernel = integer_kernel(column_rows(columns, frame), len(columns))
+            if kernel:
+                return _relation(x, algebra, n, False, owners, kernel[0])
     return None
 
 

@@ -119,7 +119,7 @@ def product_stream_pieces(algebra, max_degree):
         )
         scales = [lcm(*(v.denominator for v in row[:width])) for row in rows]
         integer_rows = [
-            {j: int(v * s) for j, v in enumerate(row[:width]) if v} for row, s in zip(rows, scales)
+            {m: int(v * s) for m, v in zip(frame, row) if v} for row, s in zip(rows, scales)
         ]
-        pieces.append((SpanBasis(vs, frame, integer_rows, pivots), exprs))
+        pieces.append((SpanBasis(vs, integer_rows, [frame[p] for p in pivots]), exprs))
     return pieces

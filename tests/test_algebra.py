@@ -27,7 +27,7 @@ from ikernel.algebra import (
     y_positive_monomial_algebra,
 )
 from ikernel.exactlin import Echelon, SpanBasis
-from ikernel.poly import Polynomial, VarSystem
+from ikernel.poly import Polynomial, VarSystem, monomials_of_degree
 
 
 def brute_force_piece(algebra, degree):
@@ -253,8 +253,8 @@ def test_indecomposables_two_variable_case(inst21, mono21):
     assert not decomposable_span(mono21, 3).contains(cls)
 
 
-def _dense_rows(basis):
-    return tuple(tuple(p.coeff(m) for m in basis.ambient) for p in basis.polynomials())
+def _dense_rows(basis, frame):
+    return tuple(tuple(p.coeff(m) for m in frame) for p in basis.polynomials())
 
 
 @pytest.mark.parametrize("name", ["inst11", "inst21", "mono11", "mono21"])
@@ -264,7 +264,8 @@ def test_decomposable_span_matches_the_pairwise_products(request, name):
     for d in range(1, 7):
         span = decomposable_span(algebra, d)
         rows, pivots = pairwise_decomposable(algebra, d)
-        assert span.pivots == pivots and _dense_rows(span) == rows
+        frame = monomials_of_degree(algebra.varsys, d)
+        assert span.pivots == tuple(frame[p] for p in pivots) and _dense_rows(span, frame) == rows
 
 
 def test_indecomposables_complement_the_decomposables():

@@ -168,7 +168,7 @@ def test_bounded_nilpotency(inst11):
 
 
 def _row_for_row(a, b):
-    return (a.ambient, a.polynomials(), a.pivots) == (b.ambient, b.polynomials(), b.pivots)
+    return (a.polynomials(), a.pivots) == (b.polynomials(), b.pivots)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
@@ -212,7 +212,7 @@ def _dense_kernel(family, domain):
     """ker ∩ span(domain) from the dense oracle: images by the definition
     sum_v image_v * d/dv through `Polynomial` arithmetic, one dense row per
     (derivation, image monomial), members through `Polynomial` sums, and
-    the reduced echelon basis of the members over the domain's frame."""
+    the reduced echelon basis of the members."""
     basis, zero = domain.polynomials(), XYZ.zero()
     rows = []
     for drv in family:
@@ -223,8 +223,8 @@ def _dense_kernel(family, domain):
         sum((b * c for b, c in zip(basis, vec) if c), zero)
         for vec in dense_nullspace(rows, len(basis))
     ]
-    oracle = SpanBasis.from_polynomials(XYZ, members, frame=domain.ambient)
-    return oracle.ambient, oracle.polynomials(), oracle.pivots
+    oracle = SpanBasis.from_polynomials(XYZ, members)
+    return oracle.polynomials(), oracle.pivots
 
 
 _FRACTIONAL = [
@@ -258,7 +258,7 @@ def test_kernel_matches_dense_oracle_with_fractional_rows(family, ambient):
             SpanBasis.of_monomials(XYZ, monomials_of_degree(XYZ, d))
             if ambient is None else algebra.graded_basis().piece(d)
         )
-        assert (basis.ambient, basis.polynomials(), basis.pivots) == _dense_kernel(family, domain)
+        assert (basis.polynomials(), basis.pivots) == _dense_kernel(family, domain)
 
 
 def test_derivation_keeps_one_integer_table():

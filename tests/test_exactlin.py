@@ -43,6 +43,17 @@ def _assert_integer_rows(rows, pivots):
         assert all(type(v) is int and v for v in row.values())
 
 
+def _assert_span_rows(basis):
+    """A span's rows: plain exponent-tuple keys, nonzero `int` entries, and
+    a positive entry at each row's pivot, which comes first in
+    `Monomial.sort_key` order; the pivots ascend in that order."""
+    for row, p in zip(basis.rows, basis.pivots):
+        assert all(type(m) is tuple for m in row) and type(p) is tuple
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row, key=Monomial.sort_key) == p and row[p] > 0
+    assert list(basis.pivots) == sorted(basis.pivots, key=Monomial.sort_key)
+
+
 def _dense(row, pivot, width):
     """A sparse integer row divided by its pivot entry, as a dense tuple
     over `width` columns."""
@@ -68,7 +79,7 @@ def _rref(rows, width):
 def _row_polynomials(basis):
     """A span's integer rows as polynomials, not divided by their pivots."""
     return [
-        Polynomial(basis.varsys, {basis.ambient[c]: Fraction(v) for c, v in row.items()})
+        Polynomial(basis.varsys, {m: Fraction(v) for m, v in row.items()})
         for row in basis.rows
     ]
 
@@ -192,10 +203,10 @@ def test_grassmann_identity_randomized():
         meet = u.intersect(v)
         join = SpanBasis.from_polynomials(VS, u.polynomials() + v.polynomials())
         assert meet.dim + join.dim == u.dim + v.dim
-        echelon = SpanBasis.from_polynomials(VS, meet.polynomials(), frame=u.ambient)
+        echelon = SpanBasis.from_polynomials(VS, meet.polynomials())
         assert (meet.polynomials(), meet.pivots) == (echelon.polynomials(), echelon.pivots)
         for basis in (u, v, meet):
-            _assert_integer_rows(basis.rows, basis.pivots)
+            _assert_span_rows(basis)
         for basis in (u, v, join, echelon):  # Echelon's rows are primitive
             assert all(gcd(*row.values()) == 1 for row in basis.rows)
         for p in meet.polynomials():
@@ -266,10 +277,10 @@ def test_kernel_span_matches_dense_rank(seed):
 
     assert basis.dim == n - len(dense_rref(matrix, n)[1])
     members = [_combination(vec, _row_polynomials(domain)) for vec in dense_nullspace(matrix, n)]
-    oracle = SpanBasis.from_polynomials(VS, members, frame=domain.ambient)
-    assert basis.ambient == domain.ambient
+    oracle = SpanBasis.from_polynomials(VS, members)
     assert (basis.polynomials(), basis.pivots) == (oracle.polynomials(), oracle.pivots)
-    _assert_integer_rows(basis.rows, basis.pivots)
+    assert {m for row in basis.rows for m in row} <= {m for row in domain.rows for m in row}
+    _assert_span_rows(basis)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -280,13 +291,12 @@ def test_kernel_span_over_non_unit_rows_matches_dense_nullspace(seed):
     rng = random.Random(100 + seed)
     frame = monomials_of_degree(VS, rng.randint(1, 3))
     if seed % 2:
-        rows = [{j: rng.randint(2, 6)} for j in range(len(frame))]
-        domain = SpanBasis(VS, frame, rows, range(len(frame)))
+        domain = SpanBasis(VS, [{m: rng.randint(2, 6)} for m in frame], frame)
     else:  # 1/2*m0 + 1/3*m1 is the row 3*m0 + 2*m1; the others reduce nothing at m0
         head = Polynomial(VS, {frame[0]: Fraction(1, 2), frame[1]: Fraction(1, 3)})
         family = _random_family(rng, frame[2:], rng.randint(0, len(frame)))
         domain = SpanBasis.from_polynomials(VS, [head] + family, frame=frame)
-        assert domain.rows[0] == {0: 3, 1: 2}
+        assert domain.rows[0] == {frame[0]: 3, frame[1]: 2}
     n = domain.dim
     matrix = [
         [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4 else 0
@@ -299,7 +309,7 @@ def test_kernel_span_over_non_unit_rows_matches_dense_nullspace(seed):
     members = [_combination(vec, _row_polynomials(domain)) for vec in dense_nullspace(matrix, n)]
     oracle = SpanBasis.from_polynomials(VS, members, frame=frame)
     assert (basis.polynomials(), basis.pivots) == (oracle.polynomials(), oracle.pivots)
-    _assert_integer_rows(basis.rows, basis.pivots)
+    _assert_span_rows(basis)
 
 
 def _fraction_route(rows, width):
@@ -396,11 +406,8 @@ def test_of_monomials_is_the_echelon_basis_of_unit_polynomials():
     units = [Polynomial(VS, {m: Fraction(1)}) for m in frame]
     direct = SpanBasis.of_monomials(VS, frame)
     oracle = SpanBasis.from_polynomials(VS, units, frame=frame)
-    assert (direct.ambient, direct.rows, direct.pivots) == (
-        oracle.ambient,
-        oracle.rows,
-        oracle.pivots,
-    )
+    assert (direct.rows, direct.pivots) == (oracle.rows, oracle.pivots)
+    assert direct.pivots == frame
     assert direct.polynomials() == tuple(units)
 
 
@@ -616,8 +623,9 @@ def test_span_queries_match_dense_oracle(seed):
     family = _random_family(rng, frame, rng.randint(0, width))
     basis = SpanBasis.from_polynomials(VS, family, frame=frame)
     rows, pivots = dense_rref([_dense_poly(f, frame) for f in family], width)
-    assert basis.pivots == pivots
+    assert basis.pivots == tuple(frame[p] for p in pivots)
     assert tuple(tuple(_dense_poly(f, frame)) for f in basis.polynomials()) == rows
+    _assert_span_rows(basis)
 
     weights = [Fraction(rng.randint(-3, 3)) for _ in family]
     member = sum((f * w for f, w in zip(family, weights)), VS.zero())

@@ -4,7 +4,9 @@ Each digest is the SHA-256 of `to_json(include_wall_time=False)`, recorded
 before the elimination core was rewritten over sparse integer rows.  A
 changed digest means a report's content changed; update an entry only when
 that change is intended.  The (3,3,6) entries, 7-variable frames of up to
-924 columns, were recorded before `Echelon` indexed its rows by column.
+924 columns, were recorded before `Echelon` indexed its rows by column, and
+the (3,3,7) entries, frames of up to 1716 columns, before span rows were
+keyed by exponent tuple.
 """
 
 import hashlib
@@ -41,6 +43,15 @@ GOLDEN = {
     ("theorem1-cusp", (3, 3, 6)): "05a0027e468b928f3ca385220524fed1181bc7513b215cdf0ba63b7b38d3bd75",
     ("action-stability", (3, 3, 6)): "baf947438825121e493bb407b8909df71a30f79e7611c9e7435db5f272f7970b",
     ("localization-smoothness", (3, 3, 6)): "2a1273a27e6380a751406260804cbc2480114fb854a7e0d8162fdbdd66390b5e",
+    ("lemma-infini", (3, 3, 7)): "204bf6484a324162f7d2a26e39153a507061829f590c2ca07cb29dc861de264c",
+    ("lemma-infini2", (3, 3, 7)): "0ac2263b94e28176ab4989e1b7131fd7d1ccdfc834f6ad85fe89cbb9c3524274",
+    ("g1-invariants", (3, 3, 7)): "96c3b6dff192d5cb8d7dca0402cab7c7517f92d4a90c8d41b4d180e1a4e0922a",
+    ("g1-integrality-dichotomy", (3, 3, 7)): "92c0b826b63fc0fc5787da6769906662bec0789ef8baf2f14f86f605ed1d2f27",
+    ("g2-invariants-A", (3, 3, 7)): "cfffb8fde765407727b63b75bc5e5d559373ac4783ef853df303f5594de273cf",
+    ("g2-invariants-B", (3, 3, 7)): "6a6b8f0a22d5124dd9f6113f75a01335f5712f96bee53b09cadf0eed3f93476e",
+    ("theorem1-cusp", (3, 3, 7)): "d8f9cd8c73a3939a909716f4bdb38a369d992f100da522fb963e68f0dc44ccf7",
+    ("action-stability", (3, 3, 7)): "e321cf37815535ba659d1e19733229cc9e843e0e2f991e7445b1f3b09565e3f7",
+    ("localization-smoothness", (3, 3, 7)): "287f539b0cac0b2ab35af58f5a434714bb88864ebc979c18afc9fdc48dd827c2",
 }
 
 

@@ -17,10 +17,14 @@ from ikernel.algebra import (
     membership,
     verify_membership_json,
 )
+from ikernel.exactlin import column_rows, integer_kernel
 from ikernel.harness import ScenarioConfig, _collect_certificates, run_scenario, verify_report
 from ikernel.integrality import (
     RelationCertificate,
     RelationCoefficient,
+    _columns,
+    _powers,
+    _relation,
     algebraic_relation_search,
     integral_relation_search,
     localization_contains,
@@ -29,7 +33,7 @@ from ikernel.integrality import (
     verify_localization_json,
     verify_relation_json,
 )
-from ikernel.poly import Monomial, Polynomial, VarSystem, VarSystemMismatch
+from ikernel.poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
 
 
 def test_integral_relation_for_x1(inst11):
@@ -165,6 +169,90 @@ def test_algebraic_relation_for_generator(inst11):
     coeffs = {c.power: c.polynomial for c in relation.coefficients}
     assert coeffs[1] == vs.one() and coeffs[0] == -vs.variable("z")
     assert relation.verify()
+
+
+def _filtered_search(x, algebra, max_degree, max_coeff_degree):
+    """`algebraic_relation_search` with the top-power filter it once had:
+    at each (n, weight), the first kernel vector holding one of the first
+    top_dim columns, those of x^n.  Also every (kernel, top_dim) the search
+    visits, skipped weights (top_dim 0) included, up to the one it returns
+    at."""
+    e, powers = _powers(x, max_degree, 0)
+    basisdata = algebra.graded_basis()
+    visited = []
+    for n in range(1, max_degree + 1):
+        for weight in range(n * e, max_coeff_degree + 1):
+            top_dim = basisdata.piece(weight - n * e).dim
+            columns, owners = _columns(basisdata, powers, e, weight, n)
+            frame = monomials_of_degree(algebra.varsys, weight)
+            kernel = integer_kernel(column_rows(columns, frame), len(columns))
+            visited.append((kernel, top_dim))
+            if top_dim == 0:
+                continue
+            for vec in kernel:
+                if min(vec) < top_dim:
+                    return _relation(x, algebra, n, False, owners, vec), visited
+    return None, visited
+
+
+def _search_probes(name, request):
+    """An algebra and seeded homogeneous elements: every variable and a few
+    random sums of monomials of degree 1 or 2."""
+    if name.startswith("cusp"):
+        cusp = request.getfixturevalue("cusp")
+        algebra = cusp.algebra if name == "cusp" else cusp.kernel_subalgebra
+    else:
+        algebra = request.getfixturevalue(name)
+        algebra = getattr(algebra, "algebra", algebra)
+    vs = algebra.varsys
+    rng = random.Random(name)
+    elements = [vs.variable(v) for v in vs.names]
+    for _ in range(4):
+        frame = monomials_of_degree(vs, rng.randint(1, 2))
+        picked = rng.sample(frame, rng.randint(1, min(3, len(frame))))
+        elements.append(Polynomial(vs, {m: rng.randint(-2, 2) or 1 for m in picked}))
+    return algebra, elements
+
+
+SEARCH_ALGEBRAS = ["inst11", "inst12", "inst21", "mono11", "mono21", "cusp", "cusp-kernel"]
+
+
+@pytest.mark.parametrize("name", SEARCH_ALGEBRAS)
+def test_every_kernel_vector_holds_a_top_power_column(request, name):
+    """Up to the weight the search returns at, every kernel vector holds an
+    x^n column, and a weight skipped for an empty top piece has no kernel."""
+    algebra, elements = _search_probes(name, request)
+    for x in elements:
+        for kernel, top_dim in _filtered_search(x, algebra, 3, 5)[1]:
+            assert all(min(vec) < top_dim for vec in kernel)
+
+
+@pytest.mark.parametrize("name", SEARCH_ALGEBRAS)
+def test_the_search_needs_no_top_power_filter(request, name):
+    algebra, elements = _search_probes(name, request)
+    for x in elements:
+        want = _filtered_search(x, algebra, 3, 5)[0]
+        got = algebraic_relation_search(x, algebra, 3, 5)
+        assert (got and got.to_json_dict()) == (want and want.to_json_dict())
+
+
+@pytest.mark.parametrize("search, text", [
+    ("algebraic", "t*x"), ("algebraic", "t"), ("integral", "t*x"),
+    ("algebraic", "x*y + t*x*y"), ("integral", "x*y + t*x*y"),
+])
+def test_relation_searches_name_a_parameter_in_their_input(search, text):
+    vs = VarSystem(("x", "y", "t"), ("coordinate", "coordinate", "parameter"))
+    algebra = SubalgebraSpec(vs, [("g", vs.parse("x*y"))])
+    x = vs.parse(text)
+    with pytest.raises(ValueError, match="parameter 't'"):
+        if search == "algebraic":
+            algebraic_relation_search(x, algebra, 2, 2)
+        else:
+            integral_relation_search(x, algebra, 2)
+    assert algebra.graded_basis()._pieces == {}  # refused before any piece is built
+    # Membership and localization still answer None for such an element.
+    assert membership(algebra, x) is None
+    assert localization_contains(x, algebra, vs.parse("x*y"), 2) is None
 
 
 def test_relation_json_round_trip(inst11):

@@ -362,7 +362,8 @@ def test_monomial_and_tuple_keys_meet_in_one_term_format():
     assert Monomial((1, 0, 2)) == (1, 0, 2) and hash(Monomial((1, 0, 2))) == hash((1, 0, 2))
     assert type(VS.monomial({"x1": 1})) is Monomial and VS.monomial({"x1": 1}) == (1, 0, 0)
     assert all(type(m) is tuple for m in monomials_of_degree(VS, 2))
-    assert all(type(m) is tuple for m in SpanBasis.from_polynomials(VS, [by_tuple]).ambient)
+    span = SpanBasis.from_polynomials(VS, [by_monomial])
+    assert all(type(m) is tuple for m in (*span.pivots, *(m for row in span.rows for m in row)))
 
 
 # -- differential parser test --------------------------------------------------

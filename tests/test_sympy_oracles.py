@@ -1,5 +1,5 @@
-"""Graded pieces, derivation kernels, membership and the bounded relation
-search against sympy.
+"""Graded pieces, derivation kernels, membership, invariant subspaces and
+the bounded relation search against sympy.
 
 The oracles rebuild each instance from its definition in sympy, expand
 products there and take ranks with `DomainMatrix.rank` over QQ, or decide
@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ, Poly, diff, expand, groebner, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from ikernel.actions import build_cusp_instance, build_instance
+from ikernel.actions import build_cusp_instance, build_instance, invariant_subspace
 from ikernel.algebra import graded_piece, membership, y_positive_monomial_algebra
 from ikernel.derivation import kernel_graded_basis
 from ikernel.integrality import integral_relation_search
@@ -176,3 +176,26 @@ def test_membership_is_none_exactly_when_the_target_raises_the_piece_rank(n, m):
                 assert (membership(inst.algebra, _parse(inst, f)) is None) == outside, (d, f)
                 verdicts.add(outside)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def test_invariant_subspaces_match_sympy_ranks(n, m):
+    """The degree-d polynomials fixed for every parameter value are the
+    kernel of f -> sigma(f) - f, so their dimension is the number of
+    degree-d monomials less the rank of the parameter-coefficient matrix of
+    sigma(mono) - mono.  The translation sends z to z + t*y1; the
+    scaling-shear sends each y_j to a*y_j and z to z + b*y1."""
+    inst = build_instance(n, m)
+    variables = _instance(n, m)[0]
+    ys, z = variables[n:n + m], variables[-1]
+    t, a, b = symbols("t a b")
+    actions = {
+        "translation": ({z: z + t * ys[0]}, (t,)),
+        "scaling_shear": ({**{y: a * y for y in ys}, z: z + b * ys[0]}, (a, b)),
+    }
+    for name, (images, params) in actions.items():
+        for degree in range(1, 5):
+            monomials = _monomials(variables, degree)
+            deltas = [mono.subs(images, simultaneous=True) - mono for mono in monomials]
+            want = len(monomials) - _rank(deltas, (*variables, *params))
+            assert invariant_subspace(getattr(inst, name), degree).dim == want, (name, degree)
