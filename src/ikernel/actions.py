@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .derivation import Derivation
-from .exactlin import SpanBasis, column_rows, kernel_span, solve
+from .exactlin import SpanBasis, kernel_span, solve
 from .poly import (
     COORDINATE,
     PARAMETER,
@@ -187,10 +187,9 @@ def derive_composition_rule(
         for mu, coeff in residue.coefficients_in(params + copies).items():
             target = targets.setdefault(mu, {})
             target.update(((name, k), v) for k, v in coeff.terms.items())
-    keys = dict.fromkeys(k for col in [*columns, *targets.values()] for k in col)
     rule_terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in params]
     for mu, target in targets.items():
-        solution = solve(column_rows([*columns, target], keys), len(params))
+        solution = solve([*columns, target])
         if solution is None:
             return None
         for j, value in solution.items():
@@ -232,7 +231,6 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
             for _ in range(degree - 1):
                 powers[-1].append(_product(powers[-1][-1], powers[-1][1]))
     rows, deltas = [], []
-    out_frame: set[tuple[int, ...]] = set()
     for mono in frame:
         image, shift, own, factor, scale = None, list(unit), list(unit), 1, 1
         for k, e, fold, row, s in zip(place, mono, folds, powers, image_scales):
@@ -254,12 +252,8 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
         if delta := image.pop(own, 0) - scale:
             image[own] = delta
         deltas.append(image)
-        out_frame.update(image)
         rows.append({mono: scale})
-    domain = SpanBasis(coords, rows, frame)
-    # The reduced echelon form of a row space is unique, so the order of
-    # the keys (the matrix rows) leaves the kernel alone.
-    return kernel_span(domain, deltas, out_frame)
+    return kernel_span(SpanBasis(coords, rows, frame), deltas)
 
 
 @dataclass(frozen=True)

@@ -404,8 +404,7 @@ def intersect_with_subring(
     algebra: SubalgebraSpec, names: Sequence[str], degree: int
 ) -> SpanBasis:
     """Basis of (A ∩ k[names])_d, computed as a span intersection."""
-    vs = algebra.varsys
-    subring = SpanBasis.of_monomials(vs, monomials_of_degree(vs, degree, names))
+    subring = SpanBasis.of_degree(algebra.varsys, degree, names)
     return graded_piece(algebra, degree).intersect(subring)
 
 
@@ -479,5 +478,4 @@ def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis
     number of new generators the algebra needs in degree d.
     """
     entry = algebra.graded_basis()._entry(degree)
-    frame = monomials_of_degree(algebra.varsys, degree)
-    return SpanBasis.from_polynomials(algebra.varsys, entry.representatives, frame)
+    return SpanBasis.from_polynomials(algebra.varsys, entry.representatives)

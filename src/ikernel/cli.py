@@ -8,7 +8,10 @@ declared `cert_type`, or, under a `pass` verdict, holds no certificate (an
 emptied `[*]` list included); 3 if the report cannot be read (missing, not
 UTF-8 JSON, or nested too deeply to parse), is not an object, or has a
 missing or unknown verdict or scenario; and otherwise with the code `run`
-gives the report's verdict.
+gives the report's verdict.  `run` and `membership` also exit 3, before
+anything is built, when the instance's generator count or the summed width
+of the frames they would build passes `MAX_ESTIMATE` (see `_preflight`);
+the library itself has no such cap.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Sequence
 from .actions import build_instance
 from .algebra import membership, y_positive_monomial_algebra
 from .harness import (
+    DEFAULT_BOUNDS,
     FAIL,
     NONE_UP_TO_BOUND,
     PASS,
@@ -33,6 +37,10 @@ from .harness import (
 )
 
 _VERDICT_CODES = {PASS: 0, FAIL: 1, NONE_UP_TO_BOUND: 2}
+
+# The largest generator count or summed frame width a command may ask for.
+# A (3,3,9) pass reaches 11,440 frame columns and 31 generators.
+MAX_ESTIMATE = 100_000
 
 
 class UsageError(Exception):
@@ -94,6 +102,22 @@ def _parse_bounds(pairs: Sequence[str]) -> dict[str, int]:
     return bounds
 
 
+def _preflight(n: int, m: int, degree: int) -> None:
+    """Refuse a size past `MAX_ESTIMATE` before anything is built: the
+    m*2^n + 2n + 1 generators of `build_instance(n, m)`, then C(D+N, N),
+    the summed width of the frames of degrees 0..D over its N = n + m + 1
+    variables, D = `degree`."""
+    over = f"over the cap of {MAX_ESTIMATE}"
+    if n.bit_length() > MAX_ESTIMATE.bit_length() or m * 2**n + 2 * n + 1 > MAX_ESTIMATE:
+        raise UsageError(f"n={n}, m={m} needs an estimated {m}*2^{n} + {2 * n + 1} generators, {over}")
+    nvars, columns = n + m + 1, 1
+    for k in range(1, min(nvars, degree) + 1):  # C(max + k, k), at least doubling
+        columns = columns * (max(nvars, degree) + k) // k
+        if columns > MAX_ESTIMATE:
+            raise UsageError(f"degree {degree} at n={n}, m={m} needs an estimated "
+                             f"C({degree + nvars}, {nvars}) frame columns, {over}")
+
+
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig(
         scenario=args.scenario,
@@ -106,6 +130,7 @@ def _cmd_run(args) -> int:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _preflight(cfg.n, cfg.m, max(cfg.max_degree, *map(cfg.bound, DEFAULT_BOUNDS)))
     report = run_scenario(cfg)
     rendered = report.to_json() if args.output == "json" else report.to_text()
     if args.out:
@@ -149,15 +174,17 @@ def _cmd_verify(args) -> int:
 def _cmd_membership(args) -> int:
     if args.n < 1 or args.m < 1:
         raise UsageError("n and m must be positive")
+    _preflight(args.n, args.m, 0)
     inst = build_instance(args.n, args.m)
     try:
         candidate = inst.varsys.parse(args.poly)
     except ValueError as exc:  # a ParseError, or an integer too long to convert
         raise UsageError(str(exc)) from None
+    degree = max(candidate.degree(), 1)
+    _preflight(args.n, args.m, degree)
     if args.algebra == "anm":
         algebra = inst.algebra
     else:
-        degree = max(candidate.degree(), 1)
         algebra = y_positive_monomial_algebra(
             inst.varsys, inst.x_names, inst.y_names, degree
         )

@@ -131,7 +131,7 @@ def kernel_graded_basis(
         domain = ambient.graded_basis().piece(degree)
     else:
         varsys = ambient
-        domain = SpanBasis.of_monomials(varsys, monomials_of_degree(varsys, degree))
+        domain = SpanBasis.of_degree(varsys, degree)
 
     # Stack the derivations' scaled images, each in its own block of rows:
     # scaling a block leaves the kernel alone.
@@ -148,7 +148,7 @@ def kernel_graded_basis(
         height += len(targets)
         for image, terms in zip(images, domain.rows):
             drv._leibniz(image, terms.items(), row)
-    return kernel_span(domain, images, range(height))
+    return kernel_span(domain, images)
 
 
 @dataclass(frozen=True)

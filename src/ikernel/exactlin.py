@@ -2,10 +2,13 @@
 
 Elimination works on sparse `{column: int}` rows: `Echelon` keeps each
 stored row primitive with a positive pivot entry, `emit` copies them out,
-and `integer_kernel` reads integer nullspace vectors off them.  Column
-indices live only there, in `solve` and in `column_rows`.  A `SpanBasis`
-keys the same rows by exponent tuple, the keys of `Polynomial.terms`, and
-`SpanBasis.of_echelon` is the one place where a column becomes a monomial.
+and `integer_kernel` reads integer nullspace vectors off them.  It and
+`solve` take a matrix as its columns, maps from row keys to entries (a
+polynomial's `terms`, say), and read its shape from them: one unknown per
+column, one row per key a column holds.  Column indices live only in
+these three.  A `SpanBasis` keys the same rows by exponent tuple, the keys
+of `Polynomial.terms`, and `SpanBasis.of_echelon` is the one place where a
+column becomes a monomial.
 `Fraction`s exist only at the edges: in rational input rows, where a row is
 divided by its pivot entry (`polynomials()`, coordinates), and where `solve`
 divides one kernel vector by its entry at the right-hand-side column.
@@ -14,11 +17,12 @@ divides one kernel vector by its entry at the right-hand-side column.
 from __future__ import annotations
 
 from bisect import insort
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate
+from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate, monomials_of_degree
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
 _ZERO = Fraction(0)
@@ -154,25 +158,21 @@ class Echelon:
         return tuple({c: rows[p][c] for c in sorted(rows[p])} for p in self.pivots), tuple(self.pivots)
 
 
-def column_rows(
-    columns: Sequence[Mapping[Hashable, Fraction]], keys: Iterable[Hashable]
-) -> list[dict[int, Fraction]]:
-    """Sparse rows, one per distinct key in order, of the matrix whose j-th
-    column maps row keys to entries (a polynomial's `terms`, say)."""
-    rows: dict[Hashable, dict[int, Fraction]] = {key: {} for key in keys}
+def integer_kernel(columns: Sequence[Mapping[Hashable, Fraction | int]]) -> list[dict[int, int]]:
+    """The nullspace of the matrix whose j-th column maps row keys to
+    entries (a polynomial's `terms`, say), one unknown per column, read
+    straight off `Echelon`'s stored rows: per free column f, ascending,
+    the primitive integer vector with s at f and -v*s/lead at each pivot
+    whose row holds v at f (pivots ascending), s the lcm of the
+    lead/gcd(v, lead).  The reduced echelon form of a row space is unique,
+    so the order in which the keys first appear leaves the result alone."""
+    width = len(columns)
+    by_key: defaultdict[Hashable, dict[int, Fraction | int]] = defaultdict(dict)
     for j, col in enumerate(columns):
         for key, v in col.items():
-            rows[key][j] = v
-    return list(rows.values())
-
-
-def integer_kernel(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[dict[int, int]]:
-    """The nullspace of sparse rows over `width` columns, read straight off
-    `Echelon`'s stored rows: per free column f, ascending, the primitive
-    integer vector with s at f and -v*s/lead at each pivot whose row holds
-    v at f (pivots ascending), s the lcm of the lead/gcd(v, lead)."""
+            by_key[key][j] = v
     ech = Echelon(width)
-    for row in rows:
+    for row in by_key.values():
         ech.insert(row)
     stored = ech._rows
     held: dict[int, list] = {j: [] for j in range(width) if j not in stored}
@@ -187,9 +187,10 @@ def integer_kernel(rows: Iterable[Mapping[int, Fraction]], width: int) -> list[d
     return kernel
 
 
-def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fraction] | None:
-    """One exact solution `{unknown: value}` of sparse augmented rows whose
-    column `width` holds the right-hand side, or None if inconsistent.
+def solve(columns: Sequence[Mapping[Hashable, Fraction | int]]) -> dict[int, Fraction] | None:
+    """One exact solution `{unknown: value}` of the system whose last
+    column (as `integer_kernel` reads columns) is the right-hand side and
+    whose others are the unknowns', or None if inconsistent.
 
     Deterministic: the reduced-echelon particular solution with every free
     unknown set to zero.  The system is consistent iff the right-hand-side
@@ -197,11 +198,12 @@ def solve(rows: Iterable[Mapping[int, Fraction]], width: int) -> dict[int, Fract
     `integer_kernel` vector divided by its entry s there is -solution at
     the unknowns and 1 at that column.
     """
-    kernel = integer_kernel(rows, width + 1)
-    if not kernel or width not in kernel[-1]:
+    rhs = len(columns) - 1
+    kernel = integer_kernel(columns)
+    if not kernel or rhs not in kernel[-1]:
         return None
-    s = kernel[-1][width]
-    return {j: Fraction(-x, s) for j, x in kernel[-1].items() if j != width}
+    s = kernel[-1][rhs]
+    return {j: Fraction(-x, s) for j, x in kernel[-1].items() if j != rhs}
 
 
 class SpanBasis:
@@ -232,33 +234,23 @@ class SpanBasis:
         return cls(varsys, keyed, [frame[p] for p in pivots])
 
     @classmethod
-    def of_monomials(cls, varsys: VarSystem, monos: Sequence[tuple[int, ...]]) -> SpanBasis:
-        """The span of distinct monomials, given in canonical order (as
-        `monomials_of_degree` lists them)."""
+    def of_degree(cls, varsys: VarSystem, degree: int, names: Sequence[str] | None = None) -> SpanBasis:
+        """The span of every monomial of `degree` in the coordinates `names`
+        (all of them by default), as `monomials_of_degree` lists them."""
+        monos = monomials_of_degree(varsys, degree, names)
         return cls(varsys, [{m: 1} for m in monos], monos)
 
     @classmethod
-    def from_polynomials(
-        cls,
-        varsys: VarSystem,
-        polys: Iterable[Polynomial],
-        frame: Sequence[tuple[int, ...]] | None = None,
-    ) -> SpanBasis:
-        """The span of `polys` over `frame`, by default every monomial they
-        use in canonical order.  With a frame, `polys` is consumed once."""
-        if frame is None:
-            polys = tuple(polys)
-            frame = sorted({m for f in polys for m in f.terms}, key=Monomial.sort_key)
+    def from_polynomials(cls, varsys: VarSystem, polys: Iterable[Polynomial]) -> SpanBasis:
+        """The span of `polys`, eliminated over the monomials they use."""
+        polys = tuple(polys)
+        frame = sorted({m for f in polys for m in f.terms}, key=Monomial.sort_key)
         index = {m: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame))
         for f in polys:
             if f.varsys != varsys:
                 raise VarSystemMismatch("spanning polynomial over a different system")
-            try:
-                row = {index[m]: c for m, c in f.terms.items()}
-            except KeyError:
-                raise ValueError("polynomial has a monomial outside the frame") from None
-            ech.insert(row)
+            ech.insert({index[m]: c for m, c in f.terms.items()})
         return cls.of_echelon(varsys, frame, ech)
 
     @property
@@ -312,20 +304,15 @@ class SpanBasis:
         if self.varsys != other.varsys:
             raise VarSystemMismatch("bases over different systems")
         residuals = [other._reduce(row)[1] for row in self.rows]
-        return kernel_span(self, residuals, dict.fromkeys(m for r in residuals for m in r))
+        return kernel_span(self, residuals)
 
 
-def kernel_span(
-    domain: SpanBasis,
-    images: Sequence[Mapping[Hashable, Fraction | int]],
-    keys: Iterable[Hashable],
-) -> SpanBasis:
+def kernel_span(domain: SpanBasis, images: Sequence[Mapping[Hashable, Fraction | int]]) -> SpanBasis:
     """The span of  sum_j c_j*domain.rows[j]  over every c with
     sum_j c_j*images[j] = 0.
 
     `images[j]` is the image of `domain.rows[j]`, mapping the keys of the
-    image space to entries (a polynomial's `terms`, say); `keys` lists
-    every key of that space, one matrix row each.
+    image space to entries (a polynomial's `terms`, say).
 
     One elimination, with the unknowns in reverse order: unknown k is
     domain row n-1-k.  The kernel vector of a free unknown f
@@ -338,7 +325,7 @@ def kernel_span(
     n = len(images)
     if n != domain.dim:
         raise ValueError("need one image per domain row")
-    kernel = integer_kernel(column_rows(images[::-1], keys), n)
+    kernel = integer_kernel(images[::-1])
     rows, pivots = [], []
     for vec in reversed(kernel):
         member: dict[tuple[int, ...], int] = {}

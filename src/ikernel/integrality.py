@@ -26,8 +26,8 @@ from .algebra import (
     certificate_varsys,
     membership,
 )
-from .exactlin import column_rows, integer_kernel, solve
-from .poly import Polynomial, _check_budget, monomials_of_degree
+from .exactlin import integer_kernel, solve
+from .poly import Polynomial, _check_budget
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,7 @@ def integral_relation_search(
     for n in range(1, max_degree + 1):
         columns, owners = _columns(basisdata, powers, e, e * n, n - 1)
         columns.append((-powers[n]).terms)
-        frame = monomials_of_degree(algebra.varsys, e * n)
-        solution = solve(column_rows(columns, frame), len(owners))
+        solution = solve(columns)
         if solution is None:
             continue
         return _relation(x, algebra, n, True, owners, solution)
@@ -242,10 +241,9 @@ def algebraic_relation_search(
             if basisdata.piece(weight - n * e).dim == 0:
                 continue
             columns, owners = _columns(basisdata, powers, e, weight, n)
-            frame = monomials_of_degree(algebra.varsys, weight)
             # Every kernel vector holds an x^n column: one without is a relation of
             # top power n' < n at this weight, which the search at n' returned.
-            kernel = integer_kernel(column_rows(columns, frame), len(columns))
+            kernel = integer_kernel(columns)
             if kernel:
                 return _relation(x, algebra, n, False, owners, kernel[0])
     return None

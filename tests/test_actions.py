@@ -226,7 +226,7 @@ def _invariant_subspace_reference(substitution, degree):
     members = []
     for vec in dense_nullspace(matrix, len(frame)):
         members.append(Polynomial(coords, dict(zip(frame, vec))))
-    return SpanBasis.from_polynomials(coords, members, frame=frame)
+    return SpanBasis.from_polynomials(coords, members)
 
 
 def _fractional_substitution():

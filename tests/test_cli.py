@@ -4,11 +4,12 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 
 from ikernel import cli
-from ikernel.cli import main
+from ikernel.cli import MAX_ESTIMATE, UsageError, _preflight, main
 
 
 def test_list(capsys):
@@ -583,3 +584,36 @@ def test_verify_names_a_missing_field(tmp_path, capsys, inst11, kind, path):
     _write_report(report, cert)
     assert main(["verify", str(report)]) == 1
     assert f"field '{field}' is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["membership", "--poly", "x1^100000"], "degree 100000 at n=1, m=1 needs an estimated C(100003, 3)"),
+    (["run", "--scenario", "lemma-infini", "--n", "40"], "n=40, m=1 needs an estimated 1*2^40 + 81"),
+    (["run", "--scenario", "g1-invariants", "--max-degree", "10000"], "degree 10000 at n=1"),
+    (["run", "--scenario", "lemma-infini", "--bound", "coeff_degree=90"], "C(93, 3)"),
+    (["membership", "--n", "1000000000", "--poly", "x1"], "1*2^1000000000 + 2000000001"),
+])
+def test_over_cap_sizes_are_refused_before_any_build(capsys, argv, named):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert named in err and f"over the cap of {MAX_ESTIMATE}" in err
+
+
+def test_preflight_cap_is_exact_and_clears_every_ci_and_benchmark_size():
+    for degree in range(120):  # (1,1): C(D+3, 3) summed frame columns
+        refused = comb(degree + 3, 3) > MAX_ESTIMATE
+        if refused:
+            with pytest.raises(UsageError, match=f"degree {degree} "):
+                _preflight(1, 1, degree)
+        else:
+            _preflight(1, 1, degree)
+    for n in range(1, 20):  # m*2^n + 2n + 1 generators, at degree 0
+        if 2**n + 2 * n + 1 > MAX_ESTIMATE:
+            with pytest.raises(UsageError, match="generators"):
+                _preflight(n, 1, 0)
+        else:
+            _preflight(n, 1, 0)
+    for n, m, d in [(2, 2, 8), (1, 1, 14), (1, 1, 11), (3, 3, 7), (3, 3, 9), (3, 3, 12)]:
+        _preflight(n, m, d)

@@ -12,7 +12,6 @@ from ikernel import exactlin
 from ikernel.exactlin import (
     Echelon,
     SpanBasis,
-    column_rows,
     integer_kernel,
     kernel_span,
     solve,
@@ -28,11 +27,17 @@ def _sparse_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
 
 
-def _fraction_kernel(rows, width):
+def _columns(rows, width):
+    """The columns of sparse `{column: value}` rows over `width` columns,
+    each keyed by row index."""
+    return [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(width)]
+
+
+def _fraction_kernel(columns):
     """The canonical `Fraction` nullspace basis: each `integer_kernel`
     vector divided by its entry at the free column (its first key)."""
     return [{j: Fraction(x, s) for j, x in vec.items()}
-            for vec in integer_kernel(rows, width) for s in [next(iter(vec.values()))]]
+            for vec in integer_kernel(columns) for s in [next(iter(vec.values()))]]
 
 
 def _assert_integer_rows(rows, pivots):
@@ -120,7 +125,7 @@ def test_rank_nullity_randomized():
             [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        kernel = _fraction_kernel(_sparse_rows(m), cols)
+        kernel = _fraction_kernel(_columns(_sparse_rows(m), cols))
         assert len(dense_rref(m, cols)[1]) + len(kernel) == cols
         for vec in kernel:
             for row in m:
@@ -130,15 +135,14 @@ def test_rank_nullity_randomized():
 def test_rank_nullity_forty_by_forty():
     rng = random.Random(7)
     m = [[Fraction(rng.randint(-2, 2)) for _ in range(40)] for _ in range(40)]
-    assert len(dense_rref(m, 40)[1]) + len(_fraction_kernel(_sparse_rows(m), 40)) == 40
+    assert len(dense_rref(m, 40)[1]) + len(_fraction_kernel(_columns(_sparse_rows(m), 40))) == 40
 
 
 def test_solve_columns():
     one, two = Fraction(1), Fraction(2)
     # c0*(1, 0) + c1*(1, 1) = (2, 1); the last column holds the target.
-    rows = column_rows([{0: one}, {0: one, 1: one}, {0: two, 1: one}], range(2))
-    assert solve(rows, 2) == {0: 1, 1: 1}
-    assert solve(column_rows([{}, {0: one}], range(2)), 1) is None
+    assert solve([{0: one}, {0: one, 1: one}, {0: two, 1: one}]) == {0: 1, 1: 1}
+    assert solve([{}, {0: one}]) is None
 
 
 def test_span_basis_coordinates():
@@ -221,11 +225,10 @@ def test_spans_same_rejects_different_spaces():
 
 def test_from_polynomials_takes_any_iterable():
     family = [T1, X * Z, T1 - X * Z]
-    frame = monomials_of_degree(VS, 2)
-    listed = SpanBasis.from_polynomials(VS, family, frame=frame)
-    streamed = SpanBasis.from_polynomials(VS, iter(family), frame=frame)
-    assert (streamed.polynomials(), streamed.pivots) == (listed.polynomials(), listed.pivots)
-    assert SpanBasis.from_polynomials(VS, iter(family)).spans_same(listed)
+    listed = SpanBasis.from_polynomials(VS, family)
+    streamed = SpanBasis.from_polynomials(VS, iter(family))
+    assert (streamed.rows, streamed.pivots) == (listed.rows, listed.pivots)
+    assert streamed.spans_same(listed) and listed.dim == 2
 
 
 # -- the kernel helper against a dense oracle ---------------------------------
@@ -247,11 +250,11 @@ def _random_domain(rng, kind):
     d = rng.randint(0, 3)
     frame = monomials_of_degree(VS, d)
     if kind == "empty":
-        return SpanBasis.from_polynomials(VS, [], frame=frame)
+        return SpanBasis.from_polynomials(VS, [])
     if kind == "full":
-        return SpanBasis.of_monomials(VS, frame)
+        return SpanBasis.of_degree(VS, d)
     family = _random_family(rng, frame, rng.randint(1, len(frame) + 1))
-    return SpanBasis.from_polynomials(VS, family, frame=frame)
+    return SpanBasis.from_polynomials(VS, family)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -273,7 +276,7 @@ def test_kernel_span_matches_dense_rank(seed):
         for _ in range(height)
     ]
     images = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(n)]
-    basis = kernel_span(domain, images, range(height))
+    basis = kernel_span(domain, images)
 
     assert basis.dim == n - len(dense_rref(matrix, n)[1])
     members = [_combination(vec, _row_polynomials(domain)) for vec in dense_nullspace(matrix, n)]
@@ -295,7 +298,7 @@ def test_kernel_span_over_non_unit_rows_matches_dense_nullspace(seed):
     else:  # 1/2*m0 + 1/3*m1 is the row 3*m0 + 2*m1; the others reduce nothing at m0
         head = Polynomial(VS, {frame[0]: Fraction(1, 2), frame[1]: Fraction(1, 3)})
         family = _random_family(rng, frame[2:], rng.randint(0, len(frame)))
-        domain = SpanBasis.from_polynomials(VS, [head] + family, frame=frame)
+        domain = SpanBasis.from_polynomials(VS, [head] + family)
         assert domain.rows[0] == {frame[0]: 3, frame[1]: 2}
     n = domain.dim
     matrix = [
@@ -304,10 +307,10 @@ def test_kernel_span_over_non_unit_rows_matches_dense_nullspace(seed):
         for _ in range(rng.randint(0, n + 1))
     ]
     images = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(n)]
-    basis = kernel_span(domain, images, range(len(matrix)))
+    basis = kernel_span(domain, images)
 
     members = [_combination(vec, _row_polynomials(domain)) for vec in dense_nullspace(matrix, n)]
-    oracle = SpanBasis.from_polynomials(VS, members, frame=frame)
+    oracle = SpanBasis.from_polynomials(VS, members)
     assert (basis.polynomials(), basis.pivots) == (oracle.polynomials(), oracle.pivots)
     _assert_span_rows(basis)
 
@@ -341,10 +344,11 @@ def test_kernel_read_out_matches_the_fraction_route(seed):
         for _ in range(rng.randint(0, 16))
     ]
     fractions, integers = _fraction_route(rows, width)
-    assert [list(vec.items()) for vec in integer_kernel(rows, width)] == [
+    columns = _columns(rows, width)
+    assert [list(vec.items()) for vec in integer_kernel(columns)] == [
         list(vec.items()) for vec in integers
     ]
-    assert [list(vec.items()) for vec in _fraction_kernel(rows, width)] == [
+    assert [list(vec.items()) for vec in _fraction_kernel(columns)] == [
         list(vec.items()) for vec in fractions
     ]
 
@@ -361,11 +365,12 @@ def test_solve_matches_the_last_fraction_kernel_vector(seed):
          if rng.random() < 0.6}
         for _ in range(rng.randint(0, 8))
     ]
-    kernel = _fraction_kernel(rows, width + 1)
+    columns = _columns(rows, width + 1)
+    kernel = _fraction_kernel(columns)
     want = None
     if kernel and width in kernel[-1]:
         want = [(j, -v) for j, v in kernel[-1].items() if j != width]
-    got = solve(rows, width)
+    got = solve(columns)
     assert (got if got is None else list(got.items())) == want
     if got is not None:
         for row in rows:
@@ -374,8 +379,10 @@ def test_solve_matches_the_last_fraction_kernel_vector(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_kernel_span_ignores_the_order_of_keys(seed):
-    """The reduced echelon form of a row space is unique, so shuffling the
-    keys (the matrix rows) changes neither the rows nor the pivots."""
+    """The reduced echelon form of a row space is unique, so the order in
+    which the keys (the matrix rows) first appear in the columns changes
+    neither `integer_kernel`'s vectors, entries in the same order, nor a
+    kernel span's rows and pivots."""
     rng = random.Random(700 + seed)
     domain = _random_domain(rng, ("full", "random")[seed % 2])
     keys = [f"k{r}" for r in range(rng.randint(0, 10))]
@@ -383,32 +390,123 @@ def test_kernel_span_ignores_the_order_of_keys(seed):
         {k: v for k in keys if rng.random() < 0.4 and (v := rng.randint(-5, 5))}
         for _ in range(domain.dim)
     ]
-    want = kernel_span(domain, images, keys)
-    shuffled = keys[:]
-    rng.shuffle(shuffled)
-    got = kernel_span(domain, images, shuffled)
+    rng.shuffle(keys)
+    shuffled = [{k: image[k] for k in keys if k in image} for image in images]
+    assert [list(v.items()) for v in integer_kernel(shuffled)] == [
+        list(v.items()) for v in integer_kernel(images)
+    ]
+    want, got = kernel_span(domain, images), kernel_span(domain, shuffled)
     assert (got.rows, got.pivots) == (want.rows, want.pivots)
 
 
 def test_kernel_span_of_nothing():
-    frame = monomials_of_degree(VS, 1)
-    empty = SpanBasis.from_polynomials(VS, [], frame=frame)
-    assert kernel_span(empty, [], []).dim == 0
-    domain = SpanBasis.from_polynomials(VS, [X, Y], frame=frame)
-    kernel = kernel_span(domain, [{}, {}], ["r"])
+    empty = SpanBasis.from_polynomials(VS, [])
+    assert kernel_span(empty, []).dim == 0
+    domain = SpanBasis.from_polynomials(VS, [X, Y])
+    kernel = kernel_span(domain, [{}, {}])
     assert (kernel.polynomials(), kernel.pivots) == (domain.polynomials(), domain.pivots)
     with pytest.raises(ValueError):
-        kernel_span(domain, [{}], ["r"])
+        kernel_span(domain, [{}])
 
 
-def test_of_monomials_is_the_echelon_basis_of_unit_polynomials():
+def _assert_dense_kernel(columns):
+    """`integer_kernel` of `columns` is the dense oracle's nullspace of the
+    matrix with one row per key, each vector scaled to 1 at its free
+    column; its vectors are primitive with a positive entry there."""
+    keys = list(dict.fromkeys(k for col in columns for k in col))
+    matrix = [[col.get(k, 0) for col in columns] for k in keys]
+    want = [{j: v for j, v in enumerate(vec) if v} for vec in dense_nullspace(matrix, len(columns))]
+    assert _fraction_kernel(columns) == want
+    for vec in integer_kernel(columns):
+        assert gcd(*vec.values()) == 1 and next(iter(vec.values())) > 0
+
+
+def test_integer_kernel_of_no_columns():
+    assert integer_kernel([]) == []
+    assert solve([]) is None  # no right-hand side: nothing to solve
+
+
+def test_integer_kernel_of_empty_columns_is_the_unit_vectors():
+    assert integer_kernel([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+    _assert_dense_kernel([{}, {}, {}])
+
+
+def test_integer_kernel_with_a_key_held_by_one_column():
+    # Only column 0 holds "a", so x0 = 0 in every kernel vector.
+    columns = [{"a": 2, "b": 1}, {"b": 3}, {"b": Fraction(-1, 2)}]
+    assert integer_kernel(columns) == [{2: 6, 1: 1}]
+    _assert_dense_kernel(columns)
+    _assert_dense_kernel([{"a": 1}, {}, {"b": 2}, {"b": 4}])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_integer_kernel_matches_dense_oracle_on_keyed_columns(seed):
+    rng = random.Random(1300 + seed)
+    keys = [(rng.randint(0, 3), f"k{r}") for r in range(rng.randint(0, 8))]
+    _assert_dense_kernel([
+        {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in keys if rng.random() < 0.4}
+        for _ in range(rng.randint(0, 8))
+    ])
+
+
+def test_solve_of_a_right_hand_side_alone():
+    assert solve([{}]) == {}  # 0 = 0 needs no unknowns
+    assert solve([{"r": 1}]) is None  # 0 = 1 has no solution
+    assert solve([{"r": 2}, {"r": 1}]) == {0: Fraction(1, 2)}
+
+
+def test_of_degree_is_the_echelon_basis_of_unit_polynomials():
     frame = monomials_of_degree(VS, 2)
     units = [Polynomial(VS, {m: Fraction(1)}) for m in frame]
-    direct = SpanBasis.of_monomials(VS, frame)
-    oracle = SpanBasis.from_polynomials(VS, units, frame=frame)
+    direct = SpanBasis.of_degree(VS, 2)
+    oracle = SpanBasis.from_polynomials(VS, units)
     assert (direct.rows, direct.pivots) == (oracle.rows, oracle.pivots)
     assert direct.pivots == frame
     assert direct.polynomials() == tuple(units)
+
+
+@pytest.mark.parametrize("names", [("x1", "z"), ("z", "x1"), ("y1",), ("z", "y1", "x1")])
+def test_of_degree_ignores_the_order_of_names(names):
+    for d in range(4):
+        want = SpanBasis.of_degree(VS, d, sorted(names, key=VS.index))
+        got = SpanBasis.of_degree(VS, d, names)
+        assert (got.rows, got.pivots) == (want.rows, want.pivots)
+        units = [Polynomial(VS, {m: Fraction(1)}) for m in monomials_of_degree(VS, d, names)]
+        oracle = SpanBasis.from_polynomials(VS, units[::-1])
+        assert (got.rows, got.pivots) == (oracle.rows, oracle.pivots)
+        assert got.spans_same(oracle) and oracle.spans_same(got)
+        _assert_span_rows(got)
+
+
+def test_from_polynomials_ignores_the_order_of_polynomials_and_terms():
+    """Two spans of one space are equal however their polynomials and their
+    term maps are ordered: once a permuted frame gave `x + y`, `x - y`
+    over (y, x) the pivots (y, x), and `spans_same` failed."""
+    vs = VarSystem(("x", "y"))
+    x, y = vs.variable("x"), vs.variable("y")
+    probe = SpanBasis.from_polynomials(vs, [x + y, x - y])
+    flipped = SpanBasis.from_polynomials(
+        vs, [Polynomial(vs, dict(reversed(f.terms.items()))) for f in (x - y, x + y)])
+    assert (probe.rows, probe.pivots) == (flipped.rows, flipped.pivots) == (
+        ({(1, 0): 1}, {(0, 1): 1}), ((1, 0), (0, 1)))
+    assert probe.spans_same(flipped) and flipped.spans_same(probe)
+    assert probe.spans_same(SpanBasis.of_degree(vs, 1))
+
+    rng = random.Random(31)
+    for _ in range(20):
+        frame = monomials_of_degree(VS, rng.randint(1, 3))
+        family = _random_family(rng, frame, rng.randint(1, len(frame) + 1))
+        want = SpanBasis.from_polynomials(VS, family)
+        rng.shuffle(family)
+        permuted = []
+        for f in family:
+            items = list(f.terms.items())
+            rng.shuffle(items)
+            permuted.append(Polynomial(VS, dict(items)))
+        got = SpanBasis.from_polynomials(VS, permuted)
+        assert (got.rows, got.pivots) == (want.rows, want.pivots)
+        assert got.spans_same(want) and want.spans_same(got)
+        _assert_span_rows(got)
 
 
 # -- differential check of the sparse core against dense Gauss-Jordan --------
@@ -621,7 +719,7 @@ def test_span_queries_match_dense_oracle(seed):
     frame = list(monomials_of_degree(VS, rng.randint(1, 3)))
     width = len(frame)
     family = _random_family(rng, frame, rng.randint(0, width))
-    basis = SpanBasis.from_polynomials(VS, family, frame=frame)
+    basis = SpanBasis.from_polynomials(VS, family)
     rows, pivots = dense_rref([_dense_poly(f, frame) for f in family], width)
     assert basis.pivots == tuple(frame[p] for p in pivots)
     assert tuple(tuple(_dense_poly(f, frame)) for f in basis.polynomials()) == rows
@@ -646,28 +744,27 @@ def test_span_queries_match_dense_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_spans_same_over_different_canonical_frames(seed):
-    """One space over the subring frame of `of_monomials` and over the full
-    degree frame: the same basis polynomials, so `spans_same` holds both
-    ways, and fails against a larger space or one of the same dimension."""
+    """The span of a family inside a subring is the dense reduced echelon
+    basis over the full degree frame; `of_degree` over the subring spans
+    what its unit polynomials span; `spans_same` fails against a larger
+    space or one of the same dimension."""
     rng = random.Random(700 + seed)
     d = rng.randint(1, 3)
     names = tuple(rng.sample(VS.names, rng.randint(1, 2)))
     sub = list(monomials_of_degree(VS, d, names))
     full = list(monomials_of_degree(VS, d))
     family = _random_family(rng, sub, rng.randint(1, len(sub) + 1))
-    narrow = SpanBasis.from_polynomials(VS, family, frame=sub)
-    wide = SpanBasis.from_polynomials(VS, family, frame=full)
+    narrow = SpanBasis.from_polynomials(VS, family)
     rows, _ = dense_rref([_dense_poly(f, full) for f in family], len(full))
     assert tuple(tuple(_dense_poly(f, full)) for f in narrow.polynomials()) == rows
-    assert narrow.spans_same(wide) and wide.spans_same(narrow)
-    units = [Polynomial(VS, {m: Fraction(1)}) for m in sub]
-    assert SpanBasis.of_monomials(VS, sub).spans_same(
-        SpanBasis.from_polynomials(VS, units, frame=full))
+    units = SpanBasis.from_polynomials(VS, [Polynomial(VS, {m: Fraction(1)}) for m in sub])
+    assert SpanBasis.of_degree(VS, d, names).spans_same(units)
+    assert units.spans_same(SpanBasis.of_degree(VS, d, names))
 
     extra = Polynomial(VS, {rng.choice([m for m in full if m not in sub]): Fraction(1)})
-    bigger = SpanBasis.from_polynomials(VS, family + [extra], frame=full)
+    bigger = SpanBasis.from_polynomials(VS, family + [extra])
     assert not narrow.spans_same(bigger) and not bigger.spans_same(narrow)
     if narrow.dim:
-        swapped = SpanBasis.from_polynomials(VS, narrow.polynomials()[1:] + (extra,), frame=full)
+        swapped = SpanBasis.from_polynomials(VS, narrow.polynomials()[1:] + (extra,))
         assert swapped.dim == narrow.dim
         assert not narrow.spans_same(swapped) and not swapped.spans_same(narrow)

@@ -17,7 +17,7 @@ from ikernel.algebra import (
     membership,
     verify_membership_json,
 )
-from ikernel.exactlin import column_rows, integer_kernel
+from ikernel.exactlin import integer_kernel
 from ikernel.harness import ScenarioConfig, _collect_certificates, run_scenario, verify_report
 from ikernel.integrality import (
     RelationCertificate,
@@ -184,8 +184,7 @@ def _filtered_search(x, algebra, max_degree, max_coeff_degree):
         for weight in range(n * e, max_coeff_degree + 1):
             top_dim = basisdata.piece(weight - n * e).dim
             columns, owners = _columns(basisdata, powers, e, weight, n)
-            frame = monomials_of_degree(algebra.varsys, weight)
-            kernel = integer_kernel(column_rows(columns, frame), len(columns))
+            kernel = integer_kernel(columns)
             visited.append((kernel, top_dim))
             if top_dim == 0:
                 continue

@@ -1,5 +1,6 @@
 """Graded pieces, derivation kernels, membership, invariant subspaces and
-the bounded relation search against sympy.
+the bounded relation search and the actions' composition rules against
+sympy.
 
 The oracles rebuild each instance from its definition in sympy, expand
 products there and take ranks with `DomainMatrix.rank` over QQ, or decide
@@ -15,7 +16,12 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ, Poly, diff, expand, groebner, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from ikernel.actions import build_cusp_instance, build_instance, invariant_subspace
+from ikernel.actions import (
+    build_cusp_instance,
+    build_instance,
+    derive_composition_rule,
+    invariant_subspace,
+)
 from ikernel.algebra import graded_piece, membership, y_positive_monomial_algebra
 from ikernel.derivation import kernel_graded_basis
 from ikernel.integrality import integral_relation_search
@@ -199,3 +205,52 @@ def test_invariant_subspaces_match_sympy_ranks(n, m):
             deltas = [mono.subs(images, simultaneous=True) - mono for mono in monomials]
             want = len(monomials) - _rank(deltas, (*variables, *params))
             assert invariant_subspace(getattr(inst, name), degree).dim == want, (name, degree)
+
+
+def _actions(variables, n, m, first, second):
+    """The translation (z -> z + t*y1) and the scaling-shear (y_j -> a*y_j,
+    z -> z + b*y1) at the parameters `first`, a map from each parameter
+    name to its value, and at `second`, per `build_instance`'s definition."""
+    ys, z = variables[n:n + m], variables[-1]
+    return {
+        "translation": [
+            {z: z + p["t"] * ys[0]} for p in (first, second)
+        ],
+        "scaling_shear": [
+            {**{y: p["a"] * y for y in ys}, z: z + p["b"] * ys[0]} for p in (first, second)
+        ],
+    }
+
+
+def _to_sympy(poly, symbol_of):
+    """A polynomial from its exponent-tuple terms, over the named symbols."""
+    names = poly.varsys.names
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.Mul(*(symbol_of[name] ** e for name, e in zip(names, exps)))
+         for exps, c in poly.terms.items()),
+        sympy.S.Zero,
+    )
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("name", ["translation", "scaling_shear"])
+def test_composition_rule_reproduces_the_sympy_composite(name, n, m):
+    """Applying the action at the second parameter copy and then at the
+    first is, coordinate by coordinate, the action at the parameters that
+    `derive_composition_rule` gives: composed and expanded in sympy."""
+    variables = _instance(n, m)[0]
+    params = {p: symbols(p) for p in ("t", "a", "b")}
+    copies = {p: symbols(f"{p}_2") for p in params}
+    first, second = _actions(variables, n, m, params, copies)[name]
+    composite = {x: expand(first.get(x, x).subs(second, simultaneous=True)) for x in variables}
+
+    rule = derive_composition_rule(getattr(build_instance(n, m), name))
+    assert rule is not None
+    symbol_of = {str(v): v for v in (*variables, *params.values(), *copies.values())}
+    at_rule = {p: _to_sympy(poly, symbol_of) for p, poly in rule.items()}
+    assert set(at_rule) == ({"t"} if name == "translation" else {"a", "b"})
+    ruled = _actions(variables, n, m, {**params, **at_rule}, copies)[name][0]
+    for x in variables:
+        assert expand(ruled.get(x, x)) == composite[x], (x, rule)
+    assert composite != {x: x for x in variables}  # the two copies really compose
