@@ -65,8 +65,9 @@ class ParametricSubstitution:
         self.identity_values = {p: Fraction(identity_values[p]) for p in params}
         self._coords = varsys.drop(params)
         ident = {p: self.varsys.constant(v) for p, v in self.identity_values.items()}
-        for name in varsys.coordinate_names:
-            collapsed = self.image_of(name).substitute(ident, target=varsys)
+        # A coordinate without an image is the identity by definition.
+        for name in filter(clean.__contains__, varsys.coordinate_names):
+            collapsed = clean[name].substitute(ident, target=varsys)
             if collapsed != varsys.variable(name):
                 raise ValueError(
                     f"substitution is not the identity at identity parameters ({name!r})"
@@ -116,8 +117,9 @@ def infinitesimal(substitution: ParametricSubstitution, param: str) -> Derivatio
         p: coords.constant(v) for p, v in substitution.identity_values.items()
     }
     images: dict[str, Polynomial] = {}
-    for name in substitution.varsys.coordinate_names:
-        derived = substitution.image_of(name).partial(param)
+    # A coordinate without an image has derivative 0, which `Derivation` drops.
+    for name in filter(substitution.images.__contains__, substitution.varsys.coordinate_names):
+        derived = substitution.images[name].partial(param)
         images[name] = derived.substitute(at_identity, target=coords)
     return Derivation(coords, images)
 

@@ -50,6 +50,7 @@ class SubalgebraSpec:
         "y_names",
         "complete_through",
         "label_system",
+        "_degrees",
         "_graded",
         "_texts",
     )
@@ -67,6 +68,7 @@ class SubalgebraSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
         param_idx = set(varsys.parameter_indices)
+        degrees = []
         for label, poly in gens:
             if poly.varsys != varsys:
                 raise VarSystemMismatch(f"generator {label!r} over a different system")
@@ -74,16 +76,20 @@ class SubalgebraSpec:
                 raise ValueError(f"generator {label!r} is zero")
             if any(m[i] for m in poly.terms for i in param_idx):
                 raise ValueError(f"generator {label!r} involves parameters")
-            if homogeneous and not (poly.is_homogeneous() and poly.degree() >= 1):
-                raise NotHomogeneous(
-                    f"generator {label!r} is not homogeneous of positive degree"
-                )
+            if homogeneous:
+                degs = set(map(varsys.degree_of, poly.terms))
+                if len(degs) > 1 or 0 in degs:
+                    raise NotHomogeneous(
+                        f"generator {label!r} is not homogeneous of positive degree"
+                    )
+                degrees += degs
         self.varsys = varsys
         self.generators = gens
         self.homogeneous = homogeneous
         self.y_names = tuple(y_names) if y_names is not None else None
         self.complete_through = complete_through
         self.label_system = VarSystem(tuple(labels))
+        self._degrees = tuple(degrees)  # each generator's degree, when homogeneous
         self._graded: GradedBasis | None = None
         self._texts: tuple[tuple[str, str], ...] | None = None
 
@@ -148,7 +154,22 @@ class GradedBasis:
     indecomposables.  Each product multiplies a basis row b of A_{d-e}, an
     integer multiple s_b*b of the reduced row with s_b its pivot entry, by
     the generator g scaled to integer terms by the lcm s_g of its
-    denominators: the integer row s_b*s_g*b*g.
+    denominators: the integer row s_b*s_g*b*g.  A degree's generators are
+    scaled when its own piece is built, so a build never scales generators
+    of degrees it does not reach.
+
+    For e < d the stream skips every degree-e generator g that did not
+    raise the rank of A_e (the subalgebra analogue of Buchberger's
+    criteria, Gebauer and Möller 1988).  Such a g lies in the span of the
+    products of A_e's stream before it: products b'*g' with g' of degree
+    e' < e, and earlier degree-e generators.  So for b in A_{d-e}, b*g lies
+    in the span of the products b*b'*g' of block e' (b*b' is in A_{d-e'})
+    and b*g'' of earlier generators g'' of block e, all streamed before it;
+    by induction on e this holds when those blocks are filtered too.  Each
+    skipped product is therefore dependent at its turn, and an `insert`
+    that returns False leaves `Echelon` unchanged, so skipping it moves no
+    rank-raising product, no `sources` entry and no report byte.  The lone
+    degree-d generators are all streamed: they decide the representatives.
 
     One cache entry per degree holds all of it, built once.  The products
     that raised the rank are recorded as where they came from, not as rows,
@@ -166,11 +187,11 @@ class GradedBasis:
         self.varsys, self.labels = algebra.varsys, algebra.label_system
         self.complete_through = algebra.complete_through
         self._pieces: dict[int, _Piece] = {}
-        # Ascending degrees; per generator: label index, polynomial, integer terms, scale.
-        self._by_degree: dict[int, list[tuple]] = {}
-        for k, (_, gen) in sorted(enumerate(algebra.generators), key=lambda g: g[1][1].degree()):
-            terms, s = _integer_terms(gen.terms.items())
-            self._by_degree.setdefault(gen.degree(), []).append((k, gen, dict(terms), s))
+        # Ascending degrees; per generator: label index, polynomial.
+        by_degree: dict[int, list[tuple[int, Polynomial]]] = {}
+        for k, (e, (_, gen)) in enumerate(zip(algebra._degrees, algebra.generators)):
+            by_degree.setdefault(e, []).append((k, gen))
+        self._by_degree = dict(sorted(by_degree.items()))
 
     def _build(self, degree: int) -> _Piece:
         if degree < 0:
@@ -188,11 +209,16 @@ class GradedBasis:
         decomposable = None
         if degree == 0:
             ech.insert({0: 1})
-        for e, gens in self._by_degree.items():
+        for e, block in self._by_degree.items():
             if e > degree:
                 break
-            if e == degree:
+            # Per generator: label index, polynomial, integer terms, scale.
+            if e < degree:
+                gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0]
+            else:
                 decomposable = SpanBasis.of_echelon(vs, frame, ech)
+                gens = [(k, gen, dict(terms), s) for k, gen in block
+                        for terms, s in [_integer_terms(gen.terms.items())]]
             lower = self.piece(degree - e)
             for gen in gens:
                 for i, brow in enumerate(lower.rows):
@@ -388,12 +414,12 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
     basisdata = algebra.graded_basis()
     for degree, component in f.homogeneous_components().items():
         basis, exprs = basisdata.tracked_piece(degree)
-        coords = basis.coordinates_of(component)
-        if coords is None:
+        coords, residual = basis._reduce(component.terms)
+        if residual:
             return None
-        for c, expr in zip(coords, exprs):
-            if c:
-                _accumulate(terms, ((m, v * c) for m, v in expr.terms.items()))
+        for i in sorted(coords):
+            c = coords[i]
+            _accumulate(terms, ((m, v * c) for m, v in exprs[i].terms.items()))
     certificate = MembershipCertificate(algebra, f, Polynomial._trusted(labels, terms))
     if not certificate.verify():
         raise RuntimeError("internal error: certificate failed to re-evaluate")
@@ -450,12 +476,12 @@ def y_positive_monomial_algebra(
     """
     generators: list[tuple[str, Polynomial]] = []
     y_idx = [varsys.index(nm) for nm in y_names]
+    one = Fraction(1)
     for degree in range(1, max_degree + 1):
         for mono in monomials_of_degree(varsys, degree, tuple(x_names) + tuple(y_names)):
-            if sum(mono[i] for i in y_idx) >= 1:
-                generators.append(
-                    (_monomial_label(mono, varsys), Polynomial(varsys, {mono: Fraction(1)}))
-                )
+            if any(mono[i] for i in y_idx):
+                gen = Polynomial._trusted(varsys, {mono: one})
+                generators.append((_monomial_label(mono, varsys), gen))
     return SubalgebraSpec(
         varsys,
         generators,

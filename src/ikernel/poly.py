@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, inf, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -47,7 +48,7 @@ class VarSystem:
     defines the canonical graded-lexicographic monomial order.
     """
 
-    __slots__ = ("names", "roles", "_index", "_coord_idx", "_param_idx")
+    __slots__ = ("names", "roles", "_index", "_coord_idx", "_param_idx", "_coord_mask")
 
     def __init__(self, names: Sequence[str], roles: Sequence[str] | None = None):
         names = tuple(names)
@@ -67,6 +68,7 @@ class VarSystem:
         self._index = {name: i for i, name in enumerate(names)}
         self._coord_idx = tuple(i for i, r in enumerate(roles) if r == COORDINATE)
         self._param_idx = tuple(i for i, r in enumerate(roles) if r == PARAMETER)
+        self._coord_mask = tuple(r == COORDINATE for r in roles)
 
     @property
     def nvars(self) -> int:
@@ -110,7 +112,7 @@ class VarSystem:
         """Grading degree of a monomial: parameters weigh zero."""
         if len(mono) != self.nvars:
             raise VarSystemMismatch("monomial length does not match system")
-        return sum(mono[i] for i in self._coord_idx)
+        return sum(compress(mono, self._coord_mask))
 
     def extend(self, names: Iterable[str], role: str = PARAMETER) -> VarSystem:
         extra = tuple(names)
@@ -227,12 +229,12 @@ class Polynomial:
         """Grading (coordinate total) degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(self.varsys.degree_of(m) for m in self.terms)
+        return max(map(self.varsys.degree_of, self.terms))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
             return True
-        degs = {self.varsys.degree_of(m) for m in self.terms}
+        degs = set(map(self.varsys.degree_of, self.terms))
         if len(degs) > 1:
             return False
         return degree is None or degs == {degree}

@@ -15,7 +15,7 @@ from ikernel.actions import (
     is_invariant,
     substitution_stabilizes,
 )
-from ikernel.derivation import kernel_graded_basis
+from ikernel.derivation import Derivation, kernel_graded_basis
 from ikernel.poly import PARAMETER, Monomial, Polynomial, VarSystem
 
 
@@ -207,6 +207,30 @@ def test_substitution_rejects_bad_identity(inst11):
         ParametricSubstitution(
             vs, ("t",), {"z": vs.parse("z + y1 + t*y1")}, {"t": 0}
         )
+
+
+def _infinitesimal_over_every_coordinate(substitution, param):
+    """`infinitesimal` with its loop over every coordinate, imaged or not."""
+    coords = substitution.coordinate_system
+    at_identity = {p: coords.constant(v) for p, v in substitution.identity_values.items()}
+    return Derivation(coords, {
+        name: substitution.image_of(name).partial(param).substitute(at_identity, target=coords)
+        for name in substitution.varsys.coordinate_names
+    })
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+def test_action_setup_skips_only_coordinates_without_an_image(n, m):
+    inst = build_instance(n, m)
+    for substitution in (inst.translation, inst.scaling_shear):
+        for param in substitution.params:
+            want = _infinitesimal_over_every_coordinate(substitution, param).images
+            assert list(infinitesimal(substitution, param).images.items()) == list(want.items())
+        vs = substitution.varsys
+        for name, image in substitution.images.items():
+            images = {**substitution.images, name: image + vs.variable(inst.y_names[-1])}
+            with pytest.raises(ValueError, match="not the identity at identity parameters"):
+                ParametricSubstitution(vs, substitution.params, images, substitution.identity_values)
 
 
 def _invariant_subspace_reference(substitution, degree):

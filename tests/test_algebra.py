@@ -1,6 +1,7 @@
 """Graded pieces, membership certificates, subring intersections, and
 indecomposable generators, cross-checked against brute-force oracles."""
 
+import copy
 import gc
 import random
 import sys
@@ -17,6 +18,7 @@ from ikernel.algebra import (
     NotHomogeneous,
     SubalgebraSpec,
     _certificate_key,
+    _product_row,
     decomposable_span,
     graded_piece,
     indecomposable_generators,
@@ -27,7 +29,7 @@ from ikernel.algebra import (
     y_positive_monomial_algebra,
 )
 from ikernel.exactlin import Echelon, SpanBasis
-from ikernel.poly import Polynomial, VarSystem, monomials_of_degree
+from ikernel.poly import Polynomial, VarSystem, _accumulate, _integer_terms, monomials_of_degree
 
 
 def brute_force_piece(algebra, degree):
@@ -338,6 +340,47 @@ PRODUCT_STREAM_ALGEBRAS = {
 }
 
 
+def _redundant_algebra():
+    """x^3*y = x^2 * x*y is a generator that never raises its degree's rank."""
+    vs = VarSystem(("x", "y"))
+    texts = {"a": "x^2", "b": "x*y", "c": "x^3*y"}
+    return SubalgebraSpec(vs, [(label, vs.parse(text)) for label, text in texts.items()])
+
+
+@pytest.mark.parametrize("name", [*PRODUCT_STREAM_ALGEBRAS, "redundant"])
+def test_the_product_stream_skips_only_products_dependent_at_their_turn(name):
+    # Replay the unfiltered stream, every lower row times every generator
+    # of each degree: each product that `_build` skips (its generator did
+    # not raise its own degree's rank) must be dependent when it comes, and
+    # the rank-raising products must be the ones `_build` recorded.
+    algebra = PRODUCT_STREAM_ALGEBRAS.get(name, _redundant_algebra)()
+    graded = algebra.graded_basis()
+    vs = algebra.varsys
+    by_degree = {}
+    for k, (_, gen) in enumerate(algebra.generators):
+        by_degree.setdefault(gen.degree(), []).append((k, gen))
+    skipped = 0
+    for d in range(1, 8):
+        frame = monomials_of_degree(vs, d)
+        index = {m: i for i, m in enumerate(frame)}
+        ech, raised = Echelon(len(frame)), []
+        for e in sorted(e for e in by_degree if e <= d):
+            kept = {src[2][0] for src in graded._entry(e).sources if src[0] == 0}
+            for k, gen in by_degree[e]:
+                terms = dict(_integer_terms(gen.terms.items())[0])
+                for i, brow in enumerate(graded.piece(d - e).rows):
+                    row = _product_row(index, brow, terms)
+                    if e < d and k not in kept:
+                        skipped += 1
+                        assert not copy.deepcopy(ech).insert(row), (d, e, k, i)
+                    if ech.insert(row):
+                        raised.append((d - e, i, k))
+        entry = graded._entry(d)
+        assert raised == [(lower, i, gen[0]) for lower, i, gen in entry.sources]
+        assert SpanBasis.of_echelon(vs, frame, ech).polynomials() == entry.basis.polynomials()
+    assert skipped or name in ("inst11", "inst21", "fractional")
+
+
 @pytest.mark.parametrize("name", PRODUCT_STREAM_ALGEBRAS)
 def test_product_stream_matches_the_polynomial_reference(name):
     make = PRODUCT_STREAM_ALGEBRAS[name]
@@ -428,3 +471,44 @@ def test_concurrent_queries_agree_with_a_serial_run():
                         assert value == serial[q], q
     finally:
         sys.setswitchinterval(interval)
+
+
+def _dense_membership(algebra, f):
+    """The dense route: every coordinate of each component over its piece's
+    basis, the nonzero ones combining their rows' label expressions."""
+    terms = {}
+    for degree, component in f.homogeneous_components().items():
+        basis, exprs = algebra.graded_basis().tracked_piece(degree)
+        coords = basis.coordinates_of(component)
+        if coords is None:
+            return None
+        for c, expr in zip(coords, exprs):
+            if c:
+                _accumulate(terms, ((m, v * c) for m, v in expr.terms.items()))
+    return Polynomial._trusted(algebra.label_system, terms)
+
+
+def test_membership_certificates_match_the_dense_coordinate_route():
+    # Queries of degree 3-8 on the (2,2) instance: combinations of generator
+    # products, half of them pushed out of the algebra by x1*x2^(d-1).
+    algebra = build_instance(2, 2).algebra
+    vs, gens = algebra.varsys, [gen for _, gen in algebra.generators]
+    rng = random.Random(3)
+    members = 0
+    for d in range(3, 9):
+        for outside in (False, True):
+            f = vs.zero()
+            for _ in range(3):
+                product, left = vs.one(), d
+                while left:
+                    gen = rng.choice([g for g in gens if g.degree() <= left])
+                    product, left = product * gen, left - gen.degree()
+                f += product * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+            if outside:
+                f += vs.parse(f"x1*x2^{d - 1}")
+            cert, dense = membership(algebra, f), _dense_membership(algebra, f)
+            assert (cert is None) == (dense is None) == outside
+            if cert is not None:
+                members += 1
+                assert list(cert.expression.terms.items()) == list(dense.terms.items())
+    assert members == 6

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from ikernel import poly
 from ikernel.exactlin import SpanBasis
 from ikernel.poly import (
+    COORDINATE,
     MAX_PARSE_DEPTH,
+    PARAMETER,
     Monomial,
     ParseError,
     Polynomial,
@@ -125,6 +128,17 @@ def test_monomials_of_degree_lists_canonical_order_without_sorting():
             assert list(monos) == sorted(set(monos), key=Monomial.sort_key)
             assert len(monos) == comb(d + k - 1, k - 1)
             assert all(vs.degree_of(m) == d and not m[2] for m in monos)
+
+
+@pytest.mark.parametrize("roles", ["ppccc", "ccpcp", "cccpp", "ccc", "pp"])
+def test_degree_of_sums_the_coordinate_exponents(roles):
+    # Parameters first, in the middle and last; none, and no coordinates.
+    names = [f"v{i}" for i in range(len(roles))]
+    vs = VarSystem(names, [COORDINATE if r == "c" else PARAMETER for r in roles])
+    for mono in product(range(3), repeat=len(roles)):
+        assert vs.degree_of(mono) == sum(mono[i] for i in vs.coordinate_indices)
+    with pytest.raises(VarSystemMismatch):
+        vs.degree_of((0,) * (len(roles) + 1))
 
 
 def test_coefficients_in_parameters():
