@@ -2,13 +2,14 @@
 
 Elimination works on sparse `{column: int}` rows: `Echelon` keeps each
 stored row primitive with a positive pivot entry, `emit` copies them out,
-and `integer_kernel` reads integer nullspace vectors off them.  It and
-`solve` take a matrix as its columns, maps from row keys to entries (a
-polynomial's `terms`, say), and read its shape from them: one unknown per
-column, one row per key a column holds.  Column indices live only in
-these three.  A `SpanBasis` keys the same rows by exponent tuple, the keys
-of `Polynomial.terms`, and `SpanBasis.of_echelon` is the one place where a
-column becomes a monomial.
+and `integer_kernel` reads integer nullspace vectors off them.  It first
+peels the unknowns that one-entry rows force to zero, so such rows never
+reach `Echelon`.  It and `solve` take a matrix as its columns, maps from
+row keys to entries (a polynomial's `terms`, say), and read its shape from
+them: one unknown per column, one row per key a column holds.  Column
+indices live only in these three.  A `SpanBasis` keys the same rows by
+exponent tuple, the keys of `Polynomial.terms`, and `SpanBasis.of_echelon`
+is the one place where a column becomes a monomial.
 `Fraction`s exist only at the edges: in rational input rows, where a row is
 divided by its pivot entry (`polynomials()`, coordinates), and where `solve`
 divides one kernel vector by its entry at the right-hand-side column.
@@ -160,22 +161,50 @@ class Echelon:
 
 def integer_kernel(columns: Sequence[Mapping[Hashable, Fraction | int]]) -> list[dict[int, int]]:
     """The nullspace of the matrix whose j-th column maps row keys to
-    entries (a polynomial's `terms`, say), one unknown per column, read
-    straight off `Echelon`'s stored rows: per free column f, ascending,
-    the primitive integer vector with s at f and -v*s/lead at each pivot
-    whose row holds v at f (pivots ascending), s the lcm of the
-    lead/gcd(v, lead).  The reduced echelon form of a row space is unique,
-    so the order in which the keys first appear leaves the result alone."""
+    entries (a polynomial's `terms`, say), one unknown per column: per free
+    column f, ascending, the primitive integer vector with s at f and
+    -v*s/lead at each pivot whose reduced row holds v at f (pivots
+    ascending), s the lcm of the lead/gcd(v, lead).
+
+    A row of one nonzero entry, at c, puts the unit row e_c in the row
+    space R and forces unknown c to zero.  Deleting c from the other rows
+    keeps R, and may leave rows of one entry that force in turn: the
+    row-singleton peel of structured Gaussian elimination, run off a
+    worklist so that it stays linear in the nonzeros.  Then R is
+    span(forced e_c) (+) span(rows left with two or more entries), and only
+    those rows go to `Echelon`.  Reduced echelon forms are unique, so R's
+    rows at the forced pivots are the units, which hold no free column and
+    add no kernel entry: neither the peel nor the order of the keys changes
+    the result."""
     width = len(columns)
     by_key: defaultdict[Hashable, dict[int, Fraction | int]] = defaultdict(dict)
     for j, col in enumerate(columns):
         for key, v in col.items():
-            by_key[key][j] = v
+            if v:
+                by_key[key][j] = v
+    holders: defaultdict[int, list[dict]] = defaultdict(list)  # column -> rows of 2+ entries
+    forcing: list[int] = []
+    for row in by_key.values():
+        if len(row) == 1:
+            forcing.extend(row)
+        else:
+            for j in row:
+                holders[j].append(row)
+    forced: set[int] = set()
+    while forcing:
+        c = forcing.pop()
+        if c not in forced:
+            forced.add(c)
+            for row in holders.pop(c, ()):  # each still holds c: only forcing deletes
+                del row[c]
+                if len(row) == 1:
+                    forcing.extend(row)
     ech = Echelon(width)
     for row in by_key.values():
-        ech.insert(row)
+        if len(row) > 1:
+            ech.insert(row)
     stored = ech._rows
-    held: dict[int, list] = {j: [] for j in range(width) if j not in stored}
+    held: dict[int, list] = {j: [] for j in range(width) if j not in stored and j not in forced}
     for p in ech.pivots:
         for j, v in stored[p].items():
             if j != p:  # a stored row is zero at every other pivot
@@ -213,7 +242,7 @@ class SpanBasis:
     multiple of its reduced echelon row, positive at its pivot monomial: the
     first in `Monomial.sort_key` order.  `pivots` lists them in that order,
     and `polynomials()` divides each row by its pivot entry, so members have
-    unique coordinates and `spans_same` compares basis polynomials.
+    unique coordinates; `spans_same` compares the rows by cross-multiplying.
     """
 
     __slots__ = ("varsys", "rows", "pivots", "_polys", "_at_pivot")
@@ -295,8 +324,17 @@ class SpanBasis:
         return self.coordinates_of(f) is not None
 
     def spans_same(self, other: SpanBasis) -> bool:
-        # Reduced echelon bases are unique.
-        return self.varsys == other.varsys and self.polynomials() == other.polynomials()
+        """Whether both span one space.  Reduced echelon bases are unique,
+        and each row is a positive multiple of its reduced row, so that
+        holds iff the pivots match and rows a, b at each pivot p have the
+        same monomials with a[m]*b[p] == b[m]*a[p]."""
+        if self.varsys != other.varsys or self.pivots != other.pivots:
+            return False
+        for a, b, p in zip(self.rows, other.rows, self.pivots):
+            ap, bp = a[p], b[p]
+            if a.keys() != b.keys() or any(v * bp != b[m] * ap for m, v in a.items()):
+                return False
+        return True
 
     def intersect(self, other: SpanBasis) -> SpanBasis:
         """Intersection: the kernel of the map that sends each member to its
@@ -328,9 +366,13 @@ def kernel_span(domain: SpanBasis, images: Sequence[Mapping[Hashable, Fraction |
     kernel = integer_kernel(images[::-1])
     rows, pivots = [], []
     for vec in reversed(kernel):
-        member: dict[tuple[int, ...], int] = {}
-        for k, x in vec.items():
-            _accumulate(member, ((m, x * v) for m, v in domain.rows[n - 1 - k].items()))
+        i = n - 1 - max(vec)
+        if len(vec) == 1:  # a primitive unit vector: the member is domain row i
+            member = dict(domain.rows[i])
+        else:
+            member = {}
+            for k, x in vec.items():
+                _accumulate(member, ((m, x * v) for m, v in domain.rows[n - 1 - k].items()))
         rows.append(member)
-        pivots.append(domain.pivots[n - 1 - max(vec)])
+        pivots.append(domain.pivots[i])
     return SpanBasis(domain.varsys, rows, pivots)

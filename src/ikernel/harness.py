@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .actions import (
     Instance,

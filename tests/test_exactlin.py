@@ -449,6 +449,92 @@ def test_integer_kernel_matches_dense_oracle_on_keyed_columns(seed):
     ])
 
 
+# -- peeling the unknowns that one-entry rows force to zero --------------------
+
+
+def _count_inserts(monkeypatch):
+    """Count the rows handed to `Echelon.insert` from now on."""
+    calls = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda ech, row: calls.append(row) or insert(ech, row))
+    return calls
+
+
+def test_integer_kernel_peels_a_three_deep_cascade(monkeypatch):
+    # Row 0 forces x0; then row 1 forces x1, and row 2 forces x2; row 3
+    # alone reaches `Echelon`, and column 5 holds nothing.
+    rows = [{0: 2}, {0: 1, 1: 3}, {1: -1, 2: 5}, {2: 1, 3: 1, 4: 1}]
+    calls = _count_inserts(monkeypatch)
+    assert integer_kernel(_columns(rows, 6)) == [{4: 1, 3: -1}, {5: 1}]
+    assert calls == [{3: 1, 4: 1}]
+    _assert_dense_kernel(_columns(rows, 6))
+
+
+def test_integer_kernel_peels_past_zero_and_fraction_entries(monkeypatch):
+    # Row "a" holds one nonzero entry among zeros, so it forces x2; then row
+    # "b" forces x0; row "c" keeps x1 and x4, and x3 is free.
+    columns = [
+        {"a": 0, "b": Fraction(1, 2), "c": 0},
+        {"a": Fraction(0), "c": Fraction(2, 3)},
+        {"a": 3, "b": Fraction(-3, 4)},
+        {"c": 0},
+        {"c": Fraction(-1, 5), "b": 0},
+    ]
+    calls = _count_inserts(monkeypatch)
+    assert integer_kernel(columns) == [{3: 1}, {4: 10, 1: 3}]
+    assert calls == [{1: Fraction(2, 3), 4: Fraction(-1, 5)}]
+    _assert_dense_kernel(columns)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_integer_kernel_with_planted_one_entry_keys_matches_dense_oracle(seed):
+    """Random columns plus keys that each hold one nonzero entry, some with
+    zero entries beside it, so the peel cascades into the random rows."""
+    rng = random.Random(1700 + seed)
+    width = rng.randint(1, 10)
+    keys = [f"k{r}" for r in range(rng.randint(0, 10))]
+    columns = [
+        {k: rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+         for k in keys if rng.random() < 0.35}
+        for _ in range(width)
+    ]
+    for r in range(rng.randint(1, 4)):
+        j = rng.randrange(width)
+        columns[j][f"p{r}"] = rng.choice([rng.randint(1, 5), Fraction(-rng.randint(1, 5), 7)])
+        for i in rng.sample(range(width), rng.randint(0, width - 1)):
+            if i != j:
+                columns[i][f"p{r}"] = 0
+    _assert_dense_kernel(columns)
+
+
+def test_integer_kernel_peels_a_chain_without_eliminating(monkeypatch):
+    # Row 0 holds x0 alone and row i holds xi - x(i-1): forcing x0 forces
+    # x1, and so on down 2,000 columns; no row reaches `Echelon`.
+    width = 2000
+    columns = [{j: 1, j + 1: -1} for j in range(width - 1)] + [{width - 1: 1}]
+    calls = _count_inserts(monkeypatch)
+    assert integer_kernel(columns) == []
+    assert calls == []
+    assert solve(columns + [{}]) == {}  # the right-hand side 0 is free
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_instance_kernels_are_read_off_without_eliminating(inst11, monkeypatch, degree):
+    """The kernels of y1*d/dz, of it with y1*d/dy1, and the invariant
+    subspaces of both actions, at (1,1): every row their nullspaces see
+    holds one entry after peeling, so none reaches `Echelon`."""
+    from ikernel.actions import invariant_subspace
+    from ikernel.derivation import kernel_graded_basis
+
+    vs, drv = inst11.varsys, inst11.translation_derivation
+    calls = _count_inserts(monkeypatch)
+    assert kernel_graded_basis([drv], vs, degree).dim == degree + 1
+    assert kernel_graded_basis([drv, inst11.scaling_derivation], vs, degree).dim == 1
+    assert invariant_subspace(inst11.translation, degree).dim == degree + 1
+    assert invariant_subspace(inst11.scaling_shear, degree).dim == 1
+    assert calls == []
+
+
 def test_solve_of_a_right_hand_side_alone():
     assert solve([{}]) == {}  # 0 = 0 needs no unknowns
     assert solve([{"r": 1}]) is None  # 0 = 1 has no solution
@@ -768,3 +854,69 @@ def test_spans_same_over_different_canonical_frames(seed):
         swapped = SpanBasis.from_polynomials(VS, narrow.polynomials()[1:] + (extra,))
         assert swapped.dim == narrow.dim
         assert not narrow.spans_same(swapped) and not swapped.spans_same(narrow)
+
+
+def _spans_over(rng, d):
+    """Spans of degree-d polynomials, each built a different way:
+    every monomial, a subring's monomials, a random family, and kernel spans
+    over a domain of rows {m: s_m}, s_m > 1, as `invariant_subspace` builds
+    them, whose rows are positive multiples of non-primitive rows."""
+    frame = monomials_of_degree(VS, d)
+    family = _random_family(rng, frame, rng.randint(1, len(frame)))
+    scaled = SpanBasis(VS, [{m: rng.randint(2, 6)} for m in frame], frame)
+    images = [{r: rng.randint(-2, 2) for r in range(3) if rng.random() < 0.4} for _ in frame]
+    return [
+        SpanBasis.of_degree(VS, d),
+        SpanBasis.of_degree(VS, d, rng.sample(VS.names, 2)),
+        SpanBasis.from_polynomials(VS, family),
+        kernel_span(scaled, images),
+        kernel_span(SpanBasis.of_degree(VS, d), images),
+    ]
+
+
+def _variants(rng, basis):
+    """`basis` changed one way each, keeping its rows in the span format:
+    rows times positive integers (the same space), one non-pivot entry
+    changed (same pivots and keys, other rows), one monomial added to a row
+    (other keys), the last row dropped (other dim), and another `varsys`."""
+    rows, pivots = [dict(row) for row in basis.rows], basis.pivots
+    out = {"scaled": SpanBasis(basis.varsys, [{m: rng.randint(1, 5) * v for m, v in row.items()}
+                                              for row in basis.rows], pivots)}
+    spots = [(i, m) for i, row in enumerate(rows) for m in row if m != pivots[i]]
+    if spots:
+        i, m = rng.choice(spots)
+        changed = [dict(row) for row in rows]
+        changed[i][m] += 1 if changed[i][m] != -1 else 2
+        out["rows"] = SpanBasis(basis.varsys, changed, pivots)
+    frame = monomials_of_degree(basis.varsys, sum(pivots[0])) if pivots else ()
+    room = [(i, m) for i, p in enumerate(pivots) for m in frame
+            if m not in rows[i] and m not in pivots and Monomial.sort_key(m) > Monomial.sort_key(p)]
+    if room:
+        i, m = rng.choice(room)
+        grown = [dict(row) for row in rows]
+        grown[i][m] = rng.choice([-3, 1, 2])
+        out["keys"] = SpanBasis(basis.varsys, grown, pivots)
+    if rows:
+        out["dim"] = SpanBasis(basis.varsys, rows[:-1], pivots[:-1])
+    out["varsys"] = SpanBasis(VarSystem(("x1", "y1", "w")), rows, pivots)
+    return out
+
+
+def test_spans_same_matches_comparing_polynomials():
+    """The integer comparison gives what comparing `varsys` and the reduced
+    basis polynomials gives, on seeded pairs of spans built every way."""
+    rng = random.Random(2100)
+    seen = set()
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        spans = _spans_over(rng, d)
+        pairs = [(u, v) for u in spans for v in spans]
+        for u in spans:
+            for kind, v in _variants(rng, u).items():
+                pairs.append((u, v))
+                seen.add(kind)
+        for u, v in pairs:
+            want = u.varsys == v.varsys and u.polynomials() == v.polynomials()
+            assert u.spans_same(v) is want and v.spans_same(u) is want
+            seen.add(want)
+    assert seen == {True, False, "scaled", "rows", "keys", "dim", "varsys"}
