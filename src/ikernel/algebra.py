@@ -111,14 +111,17 @@ class SubalgebraSpec:
 
 class _Piece(NamedTuple):
     """One degree d: the basis of A_d, its rows' label expressions (None
-    until `tracked_piece` adds them), (A+ . A+)_d, and the products that
+    until `tracked_piece` adds them), (A+ . A+)_d, the products that
     raised the rank, each as (lower degree, lower row index, generator
-    entry); the lone generators among them have lower degree 0."""
+    entry), the lone generators among them with lower degree 0, and per
+    basis row, in pivot order, the `Echelon` stamp of the block (generator
+    degree) in which d's stream last stored or changed it."""
 
     basis: SpanBasis
     exprs: tuple[Polynomial, ...] | None
     decomposable: SpanBasis
     sources: tuple[tuple[int, int, tuple], ...]
+    stamps: tuple[int, ...]
 
     @property
     def representatives(self) -> tuple[Polynomial, ...]:
@@ -171,6 +174,21 @@ class GradedBasis:
     rank-raising product, no `sources` entry and no report byte.  The lone
     degree-d generators are all streamed: they decide the representatives.
 
+    Block e < d also skips every basis row b of A_k, k = d-e, that lies in
+    P(k, e), the span of A_k's own stream before its block e (all of A_k
+    when e > k, so such a block is skipped whole); in the spirit of
+    Faugère's F5 (ISSAC 2002), which likewise drops products known to
+    reduce to zero.  Such a b is a sum of products b'*g' with g' of degree
+    e' < e, and b'*g'*g = (b'*g)*g' with b'*g in A_{d-e'}: a product of
+    block e', streamed before, and by induction on e also when earlier
+    blocks are filtered.  `Echelon` stamps each row with the block in which
+    it was last stored or changed, and b lies in P(k, e) iff its stamp is
+    below e.  A row stamped s < e was stored, as it is now, when block e
+    began.  A row stamped s >= e was, at its last change, either stored
+    new or back-reduced by a nonzero multiple of a new row independent of
+    everything stored before it, so it is outside P(k, e): the test is
+    exact.  The row 1 of A_0 is no product and is never skipped.
+
     One cache entry per degree holds all of it, built once.  The products
     that raised the rank are recorded as where they came from, not as rows,
     and `tracked_piece` derives the label expressions from them on first
@@ -212,6 +230,9 @@ class GradedBasis:
         for e, block in self._by_degree.items():
             if e > degree:
                 break
+            rows = self._lower_rows(degree, e)
+            if not rows:
+                continue
             # Per generator: label index, polynomial, integer terms, scale.
             if e < degree:
                 gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0]
@@ -219,13 +240,25 @@ class GradedBasis:
                 decomposable = SpanBasis.of_echelon(vs, frame, ech)
                 gens = [(k, gen, dict(terms), s) for k, gen in block
                         for terms, s in [_integer_terms(gen.terms.items())]]
-            lower = self.piece(degree - e)
+            ech.block = e
             for gen in gens:
-                for i, brow in enumerate(lower.rows):
+                for i, brow in rows:
                     if ech.insert(_product_row(index, brow, gen[2])):
                         sources.append((degree - e, i, gen))
         basis = SpanBasis.of_echelon(vs, frame, ech)
-        return _Piece(basis, None, decomposable or basis, tuple(sources))
+        stamps = tuple(map(ech.stamps.__getitem__, ech.pivots))
+        return _Piece(basis, None, decomposable or basis, tuple(sources), stamps)
+
+    def _lower_rows(self, degree: int, e: int) -> list[tuple[int, Mapping]]:
+        """The basis rows of A_{d-e}, with their indices, that block e of
+        degree d streams: the row 1 of A_0 when e = d, else those stamped
+        e or later, outside P(d-e, e), and none when e > d-e."""
+        if e == degree:
+            return list(enumerate(self.piece(0).rows))
+        if 2 * e > degree:
+            return []
+        lower = self._entry(degree - e)
+        return [(i, row) for (i, row), s in zip(enumerate(lower.basis.rows), lower.stamps) if s >= e]
 
     def _expressions(self, degree: int, entry: _Piece) -> tuple[Polynomial, ...]:
         """Each basis row's label expression, from the products that raised
@@ -403,7 +436,9 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
     """Exact membership test with an evaluable certificate on success.
 
     The input is split into homogeneous components; it belongs to the
-    algebra iff every component does.  A None answer is definitive.
+    algebra iff every component does.  A None answer is definitive.  Every
+    component is reduced against its piece before any label expressions
+    are derived, so a non-member never pays for them.
     """
     if not algebra.homogeneous:
         raise NotHomogeneous("membership needs homogeneous generators")
@@ -412,11 +447,14 @@ def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate 
     labels = algebra.label_system
     terms: dict[tuple[int, ...], Fraction] = {}
     basisdata = algebra.graded_basis()
+    parts = []
     for degree, component in f.homogeneous_components().items():
-        basis, exprs = basisdata.tracked_piece(degree)
-        coords, residual = basis._reduce(component.terms)
+        coords, residual = basisdata.piece(degree)._reduce(component.terms)
         if residual:
             return None
+        parts.append((degree, coords))
+    for degree, coords in parts:
+        exprs = basisdata.tracked_piece(degree)[1]
         for i in sorted(coords):
             c = coords[i]
             _accumulate(terms, ((m, v * c) for m, v in exprs[i].terms.items()))

@@ -13,7 +13,8 @@ anything is built, when the instance's generator count or the summed width
 of the frames they would build passes `MAX_ESTIMATE` (see `_preflight`);
 the library itself has no such cap.  The cap bounds summed frame columns,
 not time: `membership --poly "x1^81"` at the default (1,1) instance is
-under it (95,284 columns) and builds every piece through degree 81.
+under it (95,284 columns) and builds every piece through degree 81, but a
+non-member derives no label expressions, so it answers in about a second.
 """
 
 from __future__ import annotations

@@ -71,13 +71,21 @@ class Echelon:
     pivot of a stored unit row (dependent) or held by no stored row (a
     new unit row, nothing to back-reduce).  `rows` views each stored row's
     nonzero values in pivot order.
+
+    `stamps` maps each stored row's pivot to the `block` (a caller's label
+    for a stretch of inserts, 0 until set) in which that row was last
+    stored or changed: an insert stamps its new row and every stored row
+    it back-reduces.  A row stamped s is therefore not in the span stored
+    before block s began.
     """
 
-    __slots__ = ("width", "pivots", "_rows", "_cols")
+    __slots__ = ("width", "pivots", "block", "stamps", "_rows", "_cols")
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
+        self.block = 0
+        self.stamps: dict[int, int] = {}
         self._rows: dict[int, dict[int, int]] = {}
         self._cols: dict[int, set[int]] = {}
 
@@ -100,6 +108,7 @@ class Echelon:
                 if c not in cols:  # no stored row holds c, so none has pivot c
                     rows[c] = {c: 1}
                     cols[c] = {c}
+                    self.stamps[c] = self.block
                     insort(self.pivots, c)
                     return True
                 if len(rows.get(c, ())) == 1:  # the stored unit row {c: 1}
@@ -135,12 +144,14 @@ class Echelon:
 
         # Store the row, then clear its pivot from the stored rows that hold
         # it; their supports change only in the new row's columns.
-        cols, lead = self._cols, row[pivot]
+        cols, lead, stamps, block = self._cols, row[pivot], self.stamps, self.block
         holders = cols.pop(pivot, ())
         rows[pivot] = row
+        stamps[pivot] = block
         for c in row:
             cols.setdefault(c, set()).add(pivot)
         for q in holders:
+            stamps[q] = block
             other = rows[q]
             _eliminate(other, lead, other[pivot], row)
             for c in row:

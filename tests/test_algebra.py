@@ -15,6 +15,7 @@ from oracles import pairwise_decomposable, product_stream_pieces
 
 from ikernel.actions import build_instance
 from ikernel.algebra import (
+    GradedBasis,
     NotHomogeneous,
     SubalgebraSpec,
     _certificate_key,
@@ -311,6 +312,19 @@ def test_tracked_and_untracked_pieces_agree(monkeypatch):
         assert plain_first.tracked_piece(d)[0] is tracked  # not rebuilt again
 
 
+def test_a_non_member_derives_no_label_expressions(monkeypatch):
+    # Every component is reduced before any expression is derived, so a
+    # member component ahead of a non-member one costs no expressions.
+    def refuse(*args):
+        raise AssertionError("label expressions derived for a non-member")
+
+    monkeypatch.setattr(GradedBasis, "_expressions", refuse)
+    algebra = build_instance(1, 1).algebra
+    vs = algebra.varsys
+    for text in ("x1", "y1 + x1^3", "x1^2*y1 + x1^5", "3 + x1*z"):
+        assert membership(algebra, vs.parse(text)) is None, text
+
+
 def _fractional_algebra():
     vs = VarSystem(("x", "y", "z"))
     texts = {"p": "1/2*x^2 + 3/4*y^2", "q": "x*y - 5/3*z^2", "r": "2/7*x^3 - y*z^2 + 1/5*z^3", "s": "3*z"}
@@ -325,6 +339,13 @@ def _scaled_monomial_algebra():
     return SubalgebraSpec(vs, [(label, vs.parse(text)) for label, text in texts.items()])
 
 
+def _back_reduced_algebra():
+    """A_2's lone generator x*y back-reduces (x + y)^2, stored in block 1, to
+    x^2 + y^2, so that row's stamp is 2 and block 2 of A_4 must stream it."""
+    vs = VarSystem(("x", "y"))
+    return SubalgebraSpec(vs, [("a", vs.parse("x + y")), ("b", vs.parse("x*y"))])
+
+
 def _monomial_algebra(n, m):
     inst = build_instance(n, m)
     return y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, 8)
@@ -337,6 +358,7 @@ PRODUCT_STREAM_ALGEBRAS = {
     "mono21": lambda: _monomial_algebra(2, 1),
     "fractional": _fractional_algebra,  # these two are the ones whose rows need scaling
     "scaled-monomial": _scaled_monomial_algebra,
+    "back-reduced": _back_reduced_algebra,
 }
 
 
@@ -350,35 +372,53 @@ def _redundant_algebra():
 @pytest.mark.parametrize("name", [*PRODUCT_STREAM_ALGEBRAS, "redundant"])
 def test_the_product_stream_skips_only_products_dependent_at_their_turn(name):
     # Replay the unfiltered stream, every lower row times every generator
-    # of each degree: each product that `_build` skips (its generator did
-    # not raise its own degree's rank) must be dependent when it comes, and
-    # the rank-raising products must be the ones `_build` recorded.
+    # of each degree.  `_build` skips a product when its generator did not
+    # raise its own degree's rank, or when block e of degree d does not
+    # stream its lower row (`_lower_rows`).  Each skipped product must be
+    # dependent when it comes, and the rank-raising products must be the
+    # ones `_build` recorded.  The row filter must be exact: block e skips
+    # a row of A_k, k = d-e, iff the row lies in the span of A_k's replay
+    # at the start of its block e (all of A_k when e > k).
     algebra = PRODUCT_STREAM_ALGEBRAS.get(name, _redundant_algebra)()
     graded = algebra.graded_basis()
     vs = algebra.varsys
     by_degree = {}
     for k, (_, gen) in enumerate(algebra.generators):
         by_degree.setdefault(gen.degree(), []).append((k, gen))
-    skipped = 0
+    snapshots = {}  # (degree, block) -> the span of the replay before that block
+    generator_skips = row_skips = 0
     for d in range(1, 8):
         frame = monomials_of_degree(vs, d)
         index = {m: i for i, m in enumerate(frame)}
         ech, raised = Echelon(len(frame)), []
         for e in sorted(e for e in by_degree if e <= d):
+            snapshots[d, e] = SpanBasis.of_echelon(vs, frame, ech)
             kept = {src[2][0] for src in graded._entry(e).sources if src[0] == 0}
+            lower = graded.piece(d - e)
+            streamed = {i for i, _ in graded._lower_rows(d, e)}
+            if e == d:
+                assert streamed == {0}
+            else:
+                before = snapshots.get((d - e, e), lower)
+                for i, poly in enumerate(lower.polynomials()):
+                    assert (i not in streamed) == before.contains(poly), (d, e, i)
             for k, gen in by_degree[e]:
                 terms = dict(_integer_terms(gen.terms.items())[0])
-                for i, brow in enumerate(graded.piece(d - e).rows):
+                for i, brow in enumerate(lower.rows):
                     row = _product_row(index, brow, terms)
-                    if e < d and k not in kept:
-                        skipped += 1
+                    if e < d and (k not in kept or i not in streamed):
+                        if k not in kept:
+                            generator_skips += 1
+                        else:
+                            row_skips += 1
                         assert not copy.deepcopy(ech).insert(row), (d, e, k, i)
                     if ech.insert(row):
                         raised.append((d - e, i, k))
         entry = graded._entry(d)
         assert raised == [(lower, i, gen[0]) for lower, i, gen in entry.sources]
         assert SpanBasis.of_echelon(vs, frame, ech).polynomials() == entry.basis.polynomials()
-    assert skipped or name in ("inst11", "inst21", "fractional")
+    assert generator_skips or name in ("inst11", "inst21", "fractional", "back-reduced")
+    assert row_skips or name == "redundant"
 
 
 @pytest.mark.parametrize("name", PRODUCT_STREAM_ALGEBRAS)
