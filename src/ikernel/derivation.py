@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .exactlin import SpanBasis, kernel_span
-from .poly import Polynomial, VarSystem, VarSystemMismatch, monomials_of_degree
+from .poly import Polynomial, VarSystem, VarSystemMismatch
 
 
 class InhomogeneousDerivation(ValueError):
@@ -50,17 +50,17 @@ class Derivation:
                 (t[:i] + (t[i] - 1,) + t[i + 1:], c.numerator * (s // c.denominator)) for t, c in terms
             ]))
 
-    def _leibniz(self, acc: dict, terms: Iterable[tuple], at: Mapping | None = None) -> dict:
+    def _leibniz(self, acc: dict, terms: Iterable[tuple]) -> dict:
         """Add s*d(f), for f given by its (exponents, coefficient) terms, into
-        `acc` in place, keyed by exponent tuple or, given `at`, by
-        `at[exponent tuple]`; any entry that cancels is dropped."""
+        `acc` in place, keyed by exponent tuple; any entry that cancels is
+        dropped."""
         get = acc.get
         for m, a in terms:
             for i, image in self._lowered:
                 if e := m[i]:
                     ae = a * e
                     for t, c in image:
-                        key = tuple(map(add, m, t)) if at is None else at[tuple(map(add, m, t))]
+                        key = tuple(map(add, m, t))
                         if v := get(key, 0) + ae * c:
                             acc[key] = v
                         else:
@@ -121,10 +121,12 @@ def kernel_graded_basis(
 ) -> SpanBasis:
     """Basis of the joint kernel of a derivation family in one graded piece.
 
-    The domain is the degree-d piece: every monomial of that degree over the
-    full ring, the basis of A_d inside a subalgebra A.  One nullspace over
-    the images of the domain's basis rows then gives exactly ker ∩ A_d,
-    whether or not the family preserves A.
+    The domain starts as the degree-d piece: every monomial of that degree
+    over the full ring, the basis of A_d inside a subalgebra A.  Each
+    derivation in turn replaces it by the kernel of its restriction, one
+    `kernel_span` over the scaled images of the domain's rows keyed by
+    monomial: ker D1 ∩ ker D2 ∩ A_d is the kernel of D2 on ker D1 ∩ A_d.
+    That gives exactly ker ∩ A_d, whether or not the family preserves A.
     """
     if isinstance(ambient, SubalgebraSpec):
         varsys: VarSystem = ambient.varsys
@@ -132,23 +134,12 @@ def kernel_graded_basis(
     else:
         varsys = ambient
         domain = SpanBasis.of_degree(varsys, degree)
-
-    # Stack the derivations' scaled images, each in its own block of rows:
-    # scaling a block leaves the kernel alone.
-    images: list[dict[int, int]] = [{} for _ in domain.rows]
-    height = 0
     for drv in derivations:
         if drv.varsys != varsys:
             raise VarSystemMismatch("derivation over a different system")
-        shift = drv.homogeneous_shift()
-        if shift is None:
-            continue
-        targets = monomials_of_degree(varsys, degree + shift)
-        row = {m: height + r for r, m in enumerate(targets)}
-        height += len(targets)
-        for image, terms in zip(images, domain.rows):
-            drv._leibniz(image, terms.items(), row)
-    return kernel_span(domain, images)
+        drv.homogeneous_shift()  # raises unless the images share one degree shift
+        domain = kernel_span(domain, [drv._leibniz({}, row.items()) for row in domain.rows])
+    return domain
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ peels the unknowns that one-entry rows force to zero, so such rows never
 reach `Echelon`.  It and `solve` take a matrix as its columns, maps from
 row keys to entries (a polynomial's `terms`, say), and read its shape from
 them: one unknown per column, one row per key a column holds.  Column
-indices live only in these three.  A `SpanBasis` keys the same rows by
-exponent tuple, the keys of `Polynomial.terms`, and `SpanBasis.of_echelon`
-is the one place where a column becomes a monomial.
+indices live only in elimination: in these three and in the `algebra`
+builders that feed `Echelon` directly; no caller of `integer_kernel`,
+`solve` or `kernel_span` numbers its rows.  A `SpanBasis` keys the same
+rows by exponent tuple, the keys of `Polynomial.terms`, and
+`SpanBasis.of_echelon` is the one place where a column becomes a monomial.
 `Fraction`s exist only at the edges: in rational input rows, where a row is
 divided by its pivot entry (`polynomials()`, coordinates), and where `solve`
 divides one kernel vector by its entry at the right-hand-side column.

@@ -56,6 +56,8 @@ class RelationCertificate:
         varsys = certificate_varsys(data)
         element = certificate_field(data, "element", varsys)
         entries = certificate_field(data, "coefficients")
+        if not (isinstance(entries, list) and all(map(isinstance, entries, repeat(Mapping)))):
+            raise ValueError("field 'coefficients' must be a list of objects")
         degree = certificate_field(data, "degree")
         powers = [certificate_field(entry, "i") for entry in entries]
         _check_exponents([("degree", degree)] + [("i", i) for i in powers])
@@ -63,7 +65,7 @@ class RelationCertificate:
             RelationCoefficient(
                 i,
                 certificate_field(entry, "polynomial", varsys),
-                MembershipCertificate.from_json_dict(certificate_field(entry, "certificate")),
+                _nested_membership(entry),
             )
             for i, entry in zip(powers, entries)
         )
@@ -116,6 +118,13 @@ class RelationCertificate:
                 for coeff in self.coefficients
             ],
         }
+
+
+def _nested_membership(data: Mapping) -> MembershipCertificate:
+    """The membership certificate in a certificate's `certificate` field."""
+    if not isinstance(nested := certificate_field(data, "certificate"), Mapping):
+        raise ValueError("field 'certificate' must be an object")
+    return MembershipCertificate.from_json_dict(nested)
 
 
 # The largest exponent a `degree`, `i` or `power` field may hold.  What the
@@ -261,7 +270,7 @@ class LocalizationCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> LocalizationCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget."""
-        membership = MembershipCertificate.from_json_dict(certificate_field(data, "certificate"))
+        membership = _nested_membership(data)
         varsys = membership.algebra.varsys
         numerator = certificate_field(data, "numerator", varsys)
         localizing = certificate_field(data, "localizing", varsys)

@@ -565,7 +565,8 @@ def monomials_of_degree(
 ) -> tuple[tuple[int, ...], ...]:
     """All monomials of the given grading degree in the chosen coordinates.
 
-    Defaults to every coordinate of the system; parameters never appear.
+    Defaults to every coordinate of the system; parameters never appear,
+    and a parameter or repeated name raises ValueError.
     The result is in canonical (graded-lex descending) order, with no sort:
     the recursion runs over the chosen indices ascending, exponents high first.
     Frames are memoized per (system, degree, names) in a bounded cache; the
@@ -584,9 +585,11 @@ def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tup
         idxs = list(varsys.coordinate_indices)
     else:
         idxs = sorted(varsys.index(nm) for nm in names)
-        for i in idxs:
+        for k, i in enumerate(idxs):
             if varsys.roles[i] != COORDINATE:
                 raise ValueError(f"{varsys.names[i]!r} is not a coordinate")
+            if k and idxs[k - 1] == i:
+                raise ValueError(f"coordinate {varsys.names[i]!r} is repeated")
     nv = varsys.nvars
     out: list[tuple[int, ...]] = []
 

@@ -14,7 +14,7 @@ from ikernel.derivation import (
     kernel_graded_basis,
     preserves_subalgebra,
 )
-from ikernel.exactlin import SpanBasis
+from ikernel.exactlin import SpanBasis, kernel_span
 from ikernel.algebra import SubalgebraSpec
 from ikernel.poly import Monomial, Polynomial, VarSystem, monomials_of_degree
 
@@ -167,36 +167,68 @@ def _row_for_row(a, b):
     return (a.polynomials(), a.pivots) == (b.polynomials(), b.pivots)
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+def _stacked_kernel(family, ambient, degree):
+    """Reference: one nullspace over stacked image rows.  Each nonzero
+    derivation's scaled images fill their own block of integer rows, one
+    per monomial of degree + shift, offset by the rows of the blocks
+    before it; scaling a block leaves the kernel alone."""
+    if isinstance(ambient, SubalgebraSpec):
+        varsys, domain = ambient.varsys, ambient.graded_basis().piece(degree)
+    else:
+        varsys, domain = ambient, SpanBasis.of_degree(ambient, degree)
+    images = [{} for _ in domain.rows]
+    height = 0
+    for drv in family:
+        shift = drv.homogeneous_shift()
+        if shift is None:
+            continue
+        targets = monomials_of_degree(varsys, degree + shift)
+        row = {m: height + r for r, m in enumerate(targets)}
+        height += len(targets)
+        for image, terms in zip(images, domain.rows):
+            image.update((row[m], v) for m, v in drv._leibniz({}, terms.items()).items())
+    return kernel_span(domain, images)
+
+
+def _same_rows(a, b):
+    return (a.rows, a.pivots) == (b.rows, b.pivots)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
 def test_subalgebra_kernel_is_ring_kernel_meet_piece(n, m):
     """Kernels over the piece basis equal the full-ring kernel intersected
-    with the graded piece, row for row."""
+    with the graded piece, row for row.  Both equal the stacked-rows
+    reference integer row for integer row, also with a zero derivation in
+    the family, and a family's order leaves the span alone."""
     from ikernel.actions import build_instance
     from ikernel.algebra import graded_piece
 
     inst = build_instance(n, m)
-    families = [
-        [inst.translation_derivation],
-        [inst.scaling_derivation],
-        [inst.translation_derivation, inst.scaling_derivation],
-        [],
-    ]
-    for family in families:
-        for d in range(6):
+    t, s = inst.translation_derivation, inst.scaling_derivation
+    families = [[t], [s], [t, s], [s, t], [t, Derivation(inst.varsys, {})], []]
+    for d in range(8):
+        for family in families:
             direct = kernel_graded_basis(family, inst.algebra, d)
             ring = kernel_graded_basis(family, inst.varsys, d)
             assert _row_for_row(direct, ring.intersect(graded_piece(inst.algebra, d)))
+            assert _same_rows(direct, _stacked_kernel(family, inst.algebra, d))
+            assert _same_rows(ring, _stacked_kernel(family, inst.varsys, d))
+        for ambient in (inst.algebra, inst.varsys):
+            assert kernel_graded_basis([t, s], ambient, d).spans_same(
+                kernel_graded_basis([s, t], ambient, d)
+            )
 
 
 def test_subalgebra_kernel_cusp(cusp):
     from ikernel.algebra import graded_piece
 
-    for d in range(7):
+    for d in range(12):
         direct = kernel_graded_basis([cusp.derivation], cusp.algebra, d)
         ring = kernel_graded_basis([cusp.derivation], cusp.varsys, d)
         assert _row_for_row(direct, ring.intersect(graded_piece(cusp.algebra, d)))
         assert direct.spans_same(graded_piece(cusp.kernel_subalgebra, d))
-
+        assert _same_rows(direct, _stacked_kernel([cusp.derivation], cusp.algebra, d))
+        assert _same_rows(ring, _stacked_kernel([cusp.derivation], cusp.varsys, d))
 
 
 # -- scaled integer rows against the dense oracle --------------------------------
@@ -255,6 +287,7 @@ def test_kernel_matches_dense_oracle_with_fractional_rows(family, ambient):
             if ambient is None else algebra.graded_basis().piece(d)
         )
         assert (basis.polynomials(), basis.pivots) == _dense_kernel(family, domain)
+        assert _same_rows(basis, _stacked_kernel(family, algebra, d))
 
 
 def test_derivation_keeps_one_integer_table():

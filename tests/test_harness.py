@@ -281,6 +281,29 @@ def _is_checked(report, path):
 _RETYPED = [None, True, False, 7, 10**30, 1.5, float("nan"), "x", [], {}]
 
 
+@pytest.mark.parametrize("path, value", [
+    (("algebraic", "coefficients"), 5),
+    (("algebraic", "coefficients"), None),
+    (("algebraic", "coefficients"), {"i": 0}),
+    (("algebraic", "coefficients"), [5]),
+    (("algebraic", "coefficients"), ["i"]),
+    (("algebraic", "coefficients", 0, "certificate"), 7),
+    (("certificates", 0, "certificate"), 7),
+])
+def test_a_malformed_certificate_shape_is_named_by_its_field(small_reports, path, value):
+    """A relation's `coefficients` that is not a list of objects, or a
+    nested `certificate` that is not an object, fails with a message that
+    names the field, not with Python's own text."""
+    scenario = "g1-integrality-dichotomy" if path[0] == "algebraic" else "localization-smoothness"
+    report = copy.deepcopy(next(r for r in small_reports if r["scenario"] == scenario))
+    holder = report["details"]
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    result = verify_report(report)
+    assert result.failures and all(f"field {path[-1]!r} must be" in f for f in result.failures)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_reports_never_pass_and_never_raise(small_reports, data):

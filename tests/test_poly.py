@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikernel import poly
+from ikernel.algebra import SubalgebraSpec, intersect_with_subring, y_positive_monomial_algebra
 from ikernel.exactlin import SpanBasis
 from ikernel.poly import (
     COORDINATE,
@@ -128,6 +129,18 @@ def test_monomials_of_degree_lists_canonical_order_without_sorting():
             assert list(monos) == sorted(set(monos), key=Monomial.sort_key)
             assert len(monos) == comb(d + k - 1, k - 1)
             assert all(vs.degree_of(m) == d and not m[2] for m in monos)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: monomials_of_degree(VS, 2, ["x1", "x1"]),
+    lambda: SpanBasis.of_degree(VS, 2, ["z", "x1", "z"]),
+    lambda: intersect_with_subring(SubalgebraSpec(VS, [("g", X)]), ["y1", "y1"], 1),
+    lambda: y_positive_monomial_algebra(VS, ["x1"], ["y1", "x1"], 2),
+], ids=["monomials_of_degree", "of_degree", "intersect_with_subring", "y_positive_monomial_algebra"])
+def test_a_repeated_coordinate_is_rejected_by_name(build):
+    # Unchecked, a repeated name gives monomials of several degrees, out of order.
+    with pytest.raises(ValueError, match="coordinate '(x1|y1|z)' is repeated"):
+        build()
 
 
 @pytest.mark.parametrize("roles", ["ppccc", "ccpcp", "cccpp", "ccc", "pp"])
