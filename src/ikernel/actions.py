@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .derivation import Derivation
@@ -31,10 +31,11 @@ from .poly import (
 class ParametricSubstitution:
     """An algebra endomorphism with formal group parameters.
 
-    `varsys` extends the coordinate system by the parameters; `images` maps
-    coordinates to polynomials over that extended system (identity default).
-    Setting the parameters to their identity values must give the identity
-    substitution; this is verified at construction.
+    `varsys` extends the coordinate system by the parameters, which `params`
+    lists in declared order; `images` maps coordinates to polynomials over
+    that extended system (identity default).  `identity_values` must cover
+    exactly the parameters, and setting them to these values must give the
+    identity substitution; both are verified at construction.
     """
 
     __slots__ = ("varsys", "params", "images", "identity_values", "_coords")
@@ -42,14 +43,10 @@ class ParametricSubstitution:
     def __init__(
         self,
         varsys: VarSystem,
-        params: Sequence[str],
         images: Mapping[str, Polynomial],
         identity_values: Mapping[str, Fraction | int],
     ):
-        params = tuple(params)
-        for p in params:
-            if varsys.roles[varsys.index(p)] != PARAMETER:
-                raise ValueError(f"{p!r} is not a parameter of the system")
+        params = tuple(varsys.names[i] for i in varsys.parameter_indices)
         if set(identity_values) != set(params):
             raise ValueError("identity values must cover exactly the parameters")
         clean: dict[str, Polynomial] = {}
@@ -348,20 +345,18 @@ def build_instance(n: int, m: int) -> Instance:
             poly = Polynomial(varsys, {mono: Fraction(1)})
             label = "".join(x_names[i] for i in range(n) if mask >> i & 1) + yname
             generators.append((label, poly))
-    algebra = SubalgebraSpec(varsys, generators, homogeneous=True)
+    algebra = SubalgebraSpec(varsys, generators)
 
     y1 = y_names[0]
     trans_vs = varsys.extend(("t",), PARAMETER)
     translation = ParametricSubstitution(
         trans_vs,
-        ("t",),
         {z: trans_vs.variable(z) + trans_vs.variable("t") * trans_vs.variable(y1)},
         {"t": 0},
     )
     shear_vs = varsys.extend(("a", "b"), PARAMETER)
     scaling_shear = ParametricSubstitution(
         shear_vs,
-        ("a", "b"),
         {
             **{
                 name: shear_vs.variable("a") * shear_vs.variable(name)
@@ -401,11 +396,7 @@ def build_cusp_instance() -> CuspInstance:
     varsys = VarSystem(("u", "w"))
     u = varsys.variable("u")
     w = varsys.variable("w")
-    algebra = SubalgebraSpec(
-        varsys, [("u2", u * u), ("u3", u * u * u), ("w", w)], homogeneous=True
-    )
-    kernel_subalgebra = SubalgebraSpec(
-        varsys, [("u2", u * u), ("u3", u * u * u)], homogeneous=True
-    )
+    algebra = SubalgebraSpec(varsys, [("u2", u * u), ("u3", u * u * u), ("w", w)])
+    kernel_subalgebra = SubalgebraSpec(varsys, [("u2", u * u), ("u3", u * u * u)])
     derivation = Derivation(varsys, {"w": varsys.one()})
     return CuspInstance(varsys, algebra, kernel_subalgebra, derivation)

@@ -33,24 +33,24 @@ class NotHomogeneous(ValueError):
 
 
 class SubalgebraSpec:
-    """A subalgebra given by labeled generators over a fixed variable system.
+    """A subalgebra given by labeled, nonzero, parameter-free generators
+    over a fixed variable system.
 
-    With the `homogeneous` flag set (the only mode the graded machinery
-    accepts), every generator must be total-degree homogeneous of positive
-    degree; this is verified at construction.  `complete_through` marks a
-    generator list that is only faithful up to some degree (used for
-    algebras that are not finitely generated); graded queries beyond it are
-    rejected rather than silently wrong.
+    The graded machinery (`graded_basis` and every query through it) needs
+    every generator homogeneous of positive degree; otherwise each graded
+    query raises `NotHomogeneous` and nothing is cached.  Uses that only
+    substitute the generators, such as certificate checks, take any list.
+    `complete_through` marks a generator list that is only faithful up to
+    some degree (used for algebras that are not finitely generated); graded
+    queries beyond it are rejected rather than silently wrong.
     """
 
     __slots__ = (
         "varsys",
         "generators",
-        "homogeneous",
         "y_names",
         "complete_through",
         "label_system",
-        "_degrees",
         "_graded",
         "_texts",
     )
@@ -59,7 +59,6 @@ class SubalgebraSpec:
         self,
         varsys: VarSystem,
         generators: Sequence[tuple[str, Polynomial]],
-        homogeneous: bool = True,
         y_names: Sequence[str] | None = None,
         complete_through: int | None = None,
     ):
@@ -68,7 +67,6 @@ class SubalgebraSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
         param_idx = set(varsys.parameter_indices)
-        degrees = []
         for label, poly in gens:
             if poly.varsys != varsys:
                 raise VarSystemMismatch(f"generator {label!r} over a different system")
@@ -76,20 +74,11 @@ class SubalgebraSpec:
                 raise ValueError(f"generator {label!r} is zero")
             if any(m[i] for m in poly.terms for i in param_idx):
                 raise ValueError(f"generator {label!r} involves parameters")
-            if homogeneous:
-                degs = set(map(varsys.degree_of, poly.terms))
-                if len(degs) > 1 or 0 in degs:
-                    raise NotHomogeneous(
-                        f"generator {label!r} is not homogeneous of positive degree"
-                    )
-                degrees += degs
         self.varsys = varsys
         self.generators = gens
-        self.homogeneous = homogeneous
         self.y_names = tuple(y_names) if y_names is not None else None
         self.complete_through = complete_through
         self.label_system = VarSystem(tuple(labels))
-        self._degrees = tuple(degrees)  # each generator's degree, when homogeneous
         self._graded: GradedBasis | None = None
         self._texts: tuple[tuple[str, str], ...] | None = None
 
@@ -144,7 +133,10 @@ def _product_row(index: Mapping[tuple, int], bterms: Mapping, gterms: Mapping) -
 
 
 class GradedBasis:
-    """Memoized degreewise bases of a homogeneous subalgebra.
+    """Memoized degreewise bases of a homogeneous subalgebra, made by its
+    first graded query.  The constructor grades each generator once and
+    raises `NotHomogeneous` naming the first that is not homogeneous of
+    positive degree.
 
     Each degree is one elimination over one product stream: every basis row
     of A_{d-e} times every generator of degree e <= d, the lone degree-d
@@ -198,8 +190,6 @@ class GradedBasis:
     """
 
     def __init__(self, algebra: SubalgebraSpec):
-        if not algebra.homogeneous:
-            raise NotHomogeneous("graded bases need the homogeneous flag")
         # Not the algebra itself: it caches this object, and a reference
         # cycle would keep dropped algebras' pieces until a full collection.
         self.varsys, self.labels = algebra.varsys, algebra.label_system
@@ -207,8 +197,11 @@ class GradedBasis:
         self._pieces: dict[int, _Piece] = {}
         # Ascending degrees; per generator: label index, polynomial.
         by_degree: dict[int, list[tuple[int, Polynomial]]] = {}
-        for k, (e, (_, gen)) in enumerate(zip(algebra._degrees, algebra.generators)):
-            by_degree.setdefault(e, []).append((k, gen))
+        for k, (label, gen) in enumerate(algebra.generators):
+            degrees = set(map(self.varsys.degree_of, gen.terms))
+            if len(degrees) > 1 or 0 in degrees:
+                raise NotHomogeneous(f"generator {label!r} is not homogeneous of positive degree")
+            by_degree.setdefault(degrees.pop(), []).append((k, gen))
         self._by_degree = dict(sorted(by_degree.items()))
 
     def _build(self, degree: int) -> _Piece:
@@ -402,15 +395,16 @@ def _certificate_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, s
 def _certificate_algebra(
     names: tuple[str, ...], texts: tuple[tuple[str, str], ...]
 ) -> SubalgebraSpec:
-    """The (non-homogeneous) algebra of the labeled generator `texts`,
-    parsed over the system of `names`."""
+    """The algebra of the labeled generator `texts`, parsed over the system
+    of `names`.  Certificates only substitute its generators, which are
+    never graded, so they need not be homogeneous."""
     try:
         varsys = VarSystem(names)
     except ValueError as exc:  # repeated or malformed names
         raise ValueError(f"field 'variables': {exc}") from None
     try:
         generators = [(label, varsys.parse(text)) for label, text in texts]
-        return SubalgebraSpec(varsys, generators, homogeneous=False)
+        return SubalgebraSpec(varsys, generators)
     except ValueError as exc:
         raise ValueError(f"field 'generators': {exc}") from None
 
@@ -435,13 +429,13 @@ def graded_piece(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
 def membership(algebra: SubalgebraSpec, f: Polynomial) -> MembershipCertificate | None:
     """Exact membership test with an evaluable certificate on success.
 
-    The input is split into homogeneous components; it belongs to the
-    algebra iff every component does.  A None answer is definitive.  Every
-    component is reduced against its piece before any label expressions
-    are derived, so a non-member never pays for them.
+    The generators must be homogeneous of positive degree (`graded_basis`
+    raises `NotHomogeneous` otherwise).  The input is split into
+    homogeneous components; it belongs to the algebra iff every component
+    does.  A None answer is definitive.  Every component is reduced
+    against its piece before any label expressions are derived, so a
+    non-member never pays for them.
     """
-    if not algebra.homogeneous:
-        raise NotHomogeneous("membership needs homogeneous generators")
     if f.varsys != algebra.varsys:
         raise VarSystemMismatch("candidate over a different system")
     labels = algebra.label_system
@@ -520,13 +514,7 @@ def y_positive_monomial_algebra(
             if any(mono[i] for i in y_idx):
                 gen = Polynomial._trusted(varsys, {mono: one})
                 generators.append((_monomial_label(mono, varsys), gen))
-    return SubalgebraSpec(
-        varsys,
-        generators,
-        homogeneous=True,
-        y_names=y_names,
-        complete_through=max_degree,
-    )
+    return SubalgebraSpec(varsys, generators, y_names=y_names, complete_through=max_degree)
 
 
 def decomposable_span(algebra: SubalgebraSpec, degree: int) -> SpanBasis:

@@ -8,12 +8,13 @@ declared `cert_type`, or, under a `pass` verdict, holds no certificate (an
 emptied `[*]` list included); 3 if the report cannot be read (missing, not
 UTF-8 JSON, or nested too deeply to parse), is not an object, or has a
 missing or unknown verdict or scenario; and otherwise with the code `run`
-gives the report's verdict.  `run` and `membership` also exit 3, before
-anything is built, when the instance's generator count or the summed width
-of the frames they would build passes `MAX_ESTIMATE` (see `_preflight`);
-the library itself has no such cap.  The cap bounds summed frame columns,
-not time: `membership --poly "x1^81"` at the default (1,1) instance is
-under it (95,284 columns) and builds every piece through degree 81, but a
+gives the report's verdict.  `run --out` exits 3 if it cannot write the
+report.  `run` and `membership` also exit 3, before anything is built,
+when the instance's generator count or the summed width of the frames
+they would build passes `MAX_ESTIMATE` (see `_preflight`); the library
+itself has no such cap.  The cap bounds summed frame columns, not time:
+`membership --poly "x1^81"` at the default (1,1) instance is under it
+(95,284 columns) and builds every piece through degree 81, but a
 non-member derives no label expressions, so it answers in about a second.
 """
 
@@ -137,9 +138,12 @@ def _cmd_run(args) -> int:
     report = run_scenario(cfg)
     rendered = report.to_json() if args.output == "json" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(report.to_json())
+                handle.write("\n")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise UsageError(f"cannot write report to {args.out!r}: {exc.strerror or exc}") from None
         print(f"{report.scenario}: {report.verdict} (report written to {args.out})")
     else:
         print(rendered)

@@ -276,7 +276,7 @@ def _scenario_g2_invariants_B(cfg: ScenarioConfig) -> tuple[str, dict]:
         per_degree.append({"degree": d, "dim": kernel.dim,
                            "expected_dim": comb(d + cfg.n - 1, cfg.n - 1),
                            "equal_to_x_monomials": equal})
-    trivial = SubalgebraSpec(inst.varsys, [], homogeneous=True)
+    trivial = SubalgebraSpec(inst.varsys, [])
     witnesses = list(inst.x_names)
     witness_checks = []
     for name in witnesses:
@@ -543,7 +543,10 @@ def verify_report(data: Mapping) -> VerifyResult:
     """Re-check every certificate embedded in a report dictionary, and that
     each path its scenario declares holds a certificate of the declared
     `cert_type` or null; under a `pass` verdict, each declared path, `[*]`
-    ones included, must hold at least one."""
+    ones included, must hold at least one.  Anything but a mapping is no
+    report: it fails with no certificate checked."""
+    if not isinstance(data, Mapping):
+        return VerifyResult(0, ["report is not a JSON object"])
     failures: list[str] = []
     verdict, scenario = data.get("verdict"), data.get("scenario")
     if data.get("schema") != SCHEMA_VERSION or type(data["schema"]) is not int:  # JSON true == 1

@@ -112,7 +112,7 @@ def _xyz_substitution(params, images):
     """Images over k[x, y1, z] and the given parameters, identity at 0."""
     vs = VarSystem(("x", "y1", "z")).extend(params, PARAMETER)
     parsed = {name: vs.parse(text) for name, text in images.items()}
-    return ParametricSubstitution(vs, params, parsed, {p: 0 for p in params})
+    return ParametricSubstitution(vs, parsed, {p: 0 for p in params})
 
 
 @pytest.mark.parametrize(
@@ -204,9 +204,7 @@ def test_substitution_rejects_bad_identity(inst11):
 
     vs = inst11.translation.varsys
     with pytest.raises(ValueError):
-        ParametricSubstitution(
-            vs, ("t",), {"z": vs.parse("z + y1 + t*y1")}, {"t": 0}
-        )
+        ParametricSubstitution(vs, {"z": vs.parse("z + y1 + t*y1")}, {"t": 0})
 
 
 def _infinitesimal_over_every_coordinate(substitution, param):
@@ -230,7 +228,7 @@ def test_action_setup_skips_only_coordinates_without_an_image(n, m):
         for name, image in substitution.images.items():
             images = {**substitution.images, name: image + vs.variable(inst.y_names[-1])}
             with pytest.raises(ValueError, match="not the identity at identity parameters"):
-                ParametricSubstitution(vs, substitution.params, images, substitution.identity_values)
+                ParametricSubstitution(vs, images, substitution.identity_values)
 
 
 def _invariant_subspace_reference(substitution, degree):
@@ -260,7 +258,7 @@ def _fractional_substitution():
 
     vs = VarSystem(("x", "s", "y", "z"), ("coordinate", PARAMETER, "coordinate", "coordinate"))
     images = {"x": vs.parse("x + 1/2*s*y"), "z": vs.parse("z + 1/3*s*x + 1/12*s^2*y")}
-    return ParametricSubstitution(vs, ("s",), images, {"s": 0})
+    return ParametricSubstitution(vs, images, {"s": 0})
 
 
 def _mixed_substitution():
@@ -271,7 +269,21 @@ def _mixed_substitution():
                    ("coordinate", PARAMETER, "coordinate", "coordinate", PARAMETER, "coordinate"))
     images = {"x": vs.parse("1/2*a*x"), "y": vs.parse("1/4*a^2*y"),
               "z": vs.parse("z + 1/3*b*x + 2/5*b^2*w")}
-    return ParametricSubstitution(vs, ("a", "b"), images, {"a": 2, "b": 0})
+    return ParametricSubstitution(vs, images, {"a": 2, "b": 0})
+
+
+def test_substitution_parameters_follow_the_declared_order(inst11):
+    assert _mixed_substitution().params == ("a", "b")
+    assert _fractional_substitution().params == ("s",)
+    assert (inst11.translation.params, inst11.scaling_shear.params) == (("t",), ("a", "b"))
+    vs = VarSystem(("b", "x", "a"), (PARAMETER, "coordinate", PARAMETER))
+    images = {"x": vs.parse("x + a*b*x")}
+    substitution = ParametricSubstitution(vs, images, {"a": 0, "b": 0})
+    assert substitution.params == ("b", "a")
+    assert substitution.to_json_dict()["parameters"] == ["b", "a"]
+    for values in ({"a": 0}, {"a": 0, "b": 0, "c": 0}, {"a": 0, "x": 0}, {}):
+        with pytest.raises(ValueError, match="cover exactly the parameters"):
+            ParametricSubstitution(vs, images, values)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])

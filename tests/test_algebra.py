@@ -16,6 +16,7 @@ from oracles import pairwise_decomposable, product_stream_pieces
 from ikernel.actions import build_instance
 from ikernel.algebra import (
     GradedBasis,
+    MembershipCertificate,
     NotHomogeneous,
     SubalgebraSpec,
     _certificate_key,
@@ -56,11 +57,48 @@ def brute_force_piece(algebra, degree):
 
 
 def test_homogeneity_enforced(inst11):
+    """An algebra with a generator that is not homogeneous of positive
+    degree constructs, but every graded entry point raises `NotHomogeneous`
+    naming the first such generator, and a refused graded basis is not
+    cached, so it raises again."""
+    from ikernel.derivation import kernel_graded_basis
+    from ikernel.integrality import algebraic_relation_search, integral_relation_search
+
     vs = inst11.varsys
-    with pytest.raises(NotHomogeneous):
-        SubalgebraSpec(vs, [("bad", vs.parse("x1^2 + z"))], homogeneous=True)
-    with pytest.raises(NotHomogeneous):
-        SubalgebraSpec(vs, [("const", vs.one())], homogeneous=True)
+    x1, y1 = vs.variable("x1"), vs.variable("y1")
+    for label, text in [("bad", "x1^2 + z"), ("const", "1")]:
+        algebra = SubalgebraSpec(vs, [("y1", y1), (label, vs.parse(text)), ("later", x1 + 1)])
+        queries = [
+            algebra.graded_basis,
+            lambda: graded_piece(algebra, 2),
+            lambda: membership(algebra, y1),
+            lambda: decomposable_span(algebra, 2),
+            lambda: indecomposable_generators(algebra, 2),
+            lambda: intersect_with_subring(algebra, ["y1"], 2),
+            lambda: kernel_graded_basis([inst11.translation_derivation], algebra, 2),
+            lambda: integral_relation_search(x1, algebra, 2),
+            lambda: algebraic_relation_search(x1, algebra, 2, 4),
+        ]
+        for query in queries * 2:
+            with pytest.raises(NotHomogeneous, match=f"^generator {label!r} is not homogeneous"):
+                query()
+        assert algebra._graded is None
+
+
+def test_uses_that_do_not_grade_accept_inhomogeneous_generators(inst11):
+    from ikernel.integrality import non_integrality_by_specialization, transcendental_over_constants
+
+    vs = inst11.varsys
+    algebra = SubalgebraSpec(vs, [("g", vs.parse("x1 + 1")), ("c", vs.one())])
+    x1 = vs.variable("x1")
+    killed = SubalgebraSpec(vs, [("g", vs.parse("x1*z + z"))])
+    assert non_integrality_by_specialization(x1, killed, ["z"])
+    assert not non_integrality_by_specialization(x1, algebra, ["z"])
+    assert not transcendental_over_constants(x1, algebra)
+    target = vs.parse("x1^2 + 2*x1 + 1")
+    assert MembershipCertificate(algebra, target, algebra.label_system.parse("g^2")).verify()
+    assert not MembershipCertificate(algebra, target, algebra.label_system.parse("g^2 + c")).verify()
+    assert algebra._graded is None
 
 
 def test_graded_piece_low_degrees(inst11):
@@ -242,7 +280,7 @@ def test_indecomposables_single_fresh_generator(mono11, inst11):
 
 def test_indecomposables_single_generator_algebra(inst11):
     vs = inst11.varsys
-    one_gen = SubalgebraSpec(vs, [("y1", vs.variable("y1"))], homogeneous=True)
+    one_gen = SubalgebraSpec(vs, [("y1", vs.variable("y1"))])
     for d in range(2, 6):
         assert indecomposable_generators(one_gen, d).dim == 0
 

@@ -164,6 +164,17 @@ def test_concurrent_verify_calls_give_the_serial_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_run_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, where):
+    out = tmp_path / where
+    argv = ["run", "--scenario", "theorem1-cusp", "--max-degree", "1", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write report to {str(out)!r}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
 def test_verify_rejects_non_object_report(tmp_path, capsys, text):
     path = tmp_path / "report.json"

@@ -156,6 +156,12 @@ def test_collect_certificates_keeps_document_order_and_any_cert_type():
         1, "relation", "Membership", None]
 
 
+@pytest.mark.parametrize("data", [[], "x", 5, None, True])
+def test_verify_report_fails_a_report_that_is_not_an_object(data):
+    result = verify_report(data)
+    assert (result.total, result.failures, result.ok) == (0, ["report is not a JSON object"], False)
+
+
 def test_verify_rejects_wrong_schema():
     result = verify_report({"schema": 99, "details": {}})
     assert not result.ok

@@ -97,7 +97,7 @@ def test_specialization_matches_the_substitution_definition(seed):
     # Generators may not involve the parameter d, which has degree 0 and
     # which x may involve.
     generators = [(f"g{k}", random_poly(3)) for k in range(rng.randint(0, 3))]
-    algebra = SubalgebraSpec(vs, generators, homogeneous=False)
+    algebra = SubalgebraSpec(vs, generators)
     x = random_poly(4) + vs.variable("d") ** rng.randint(0, 2)
     images = {name: vs.zero() for name in vanishing}
     want = all(g.substitute(images, target=vs).is_zero() for _, g in generators) and (
@@ -121,7 +121,7 @@ def test_algebraic_relation_over_monomial_algebra(inst11, mono11):
 
 def test_algebraic_relation_over_constants(inst11):
     vs = inst11.varsys
-    trivial = SubalgebraSpec(vs, [], homogeneous=True)
+    trivial = SubalgebraSpec(vs, [])
     x1 = vs.variable("x1")
     assert algebraic_relation_search(x1, trivial, 4, 6) is None
     assert integral_relation_search(x1, trivial, 4) is None
@@ -147,7 +147,7 @@ def _constant_relation(x, algebra):
 def test_constants_get_x_minus_c_from_the_weight_zero_search(inst11, mono11, which, constant):
     vs = inst11.varsys
     algebra = {"instance": inst11.algebra, "monomial": mono11,
-               "generator-free": SubalgebraSpec(vs, [], homogeneous=True)}[which]
+               "generator-free": SubalgebraSpec(vs, [])}[which]
     x = vs.parse(constant)
     relation = algebraic_relation_search(x, algebra, 3, 4)
     assert json.dumps(relation.to_json_dict()) == json.dumps(
