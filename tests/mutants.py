@@ -2,8 +2,7 @@
 
 Run from anywhere, with the test dependencies installed:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 A mutant is a list of edits, each an exact snippet of a file under `src/`
 and its replacement, and the tier-1 tests that must kill it.  The runner
@@ -215,28 +214,24 @@ def _pytest(src: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        sys.exit(f"unknown mutants: {sorted(unknown)}")
-    mutants = tuple(m for m in MUTANTS if not names or m.name in names)
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ikernel-mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         package = src / "ikernel"
-        _check_snippets(package, mutants)
+        _check_snippets(package, MUTANTS)
         probe = subprocess.run(
             [sys.executable, "-c", "import ikernel; print(ikernel.__file__)"],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         )
         if Path(probe.stdout.strip()).parent != package:
             sys.exit(f"the copy is not what gets imported: {probe.stdout.strip() or probe.stderr}")
-        baseline = _pytest(src, tuple(dict.fromkeys(t for m in mutants for t in m.tests)))
+        baseline = _pytest(src, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
         if baseline.returncode != 0:
             sys.exit("the named tests fail on the unmutated source:\n" + baseline.stdout[-3000:])
         survivors = []
-        for mutant in mutants:
+        for mutant in MUTANTS:
             originals = {e.path: (package / e.path).read_text(encoding="utf-8") for e in mutant.edits}
             for edit in mutant.edits:
                 target = package / edit.path
@@ -257,10 +252,10 @@ def main(names: list[str]) -> int:
                 survivors.append(mutant.name)
                 if result.returncode > 1:
                     print(result.stdout[-2000:] + result.stderr[-2000:])
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
