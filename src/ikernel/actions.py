@@ -17,7 +17,6 @@ from .derivation import Derivation
 from .exactlin import SpanBasis, kernel_span, solve
 from .poly import (
     COORDINATE,
-    PARAMETER,
     Polynomial,
     VarSystem,
     VarSystemMismatch,
@@ -31,14 +30,14 @@ from .poly import (
 class ParametricSubstitution:
     """An algebra endomorphism with formal group parameters.
 
-    `varsys` extends the coordinate system by the parameters, which `params`
+    `varsys` extends `coordinate_system` by the parameters, which `params`
     lists in declared order; `images` maps coordinates to polynomials over
     that extended system (identity default).  `identity_values` must cover
     exactly the parameters, and setting them to these values must give the
     identity substitution; both are verified at construction.
     """
 
-    __slots__ = ("varsys", "params", "images", "identity_values", "_coords")
+    __slots__ = ("varsys", "params", "images", "identity_values", "coordinate_system")
 
     def __init__(
         self,
@@ -60,7 +59,7 @@ class ParametricSubstitution:
         self.params = params
         self.images = clean
         self.identity_values = {p: Fraction(identity_values[p]) for p in params}
-        self._coords = varsys.drop(params)
+        self.coordinate_system = varsys.drop(params)
         ident = {p: self.varsys.constant(v) for p, v in self.identity_values.items()}
         # A coordinate without an image is the identity by definition.
         for name in filter(clean.__contains__, varsys.coordinate_names):
@@ -69,10 +68,6 @@ class ParametricSubstitution:
                 raise ValueError(
                     f"substitution is not the identity at identity parameters ({name!r})"
                 )
-
-    @property
-    def coordinate_system(self) -> VarSystem:
-        return self._coords
 
     def image_of(self, name: str) -> Polynomial:
         return self.images[name] if name in self.images else self.varsys.variable(name)
@@ -86,7 +81,7 @@ class ParametricSubstitution:
     def doubled_system(self) -> tuple[VarSystem, tuple[str, ...]]:
         """The system extended by a second copy of the parameters."""
         copies = tuple(f"{p}_2" for p in self.params)
-        return self.varsys.extend(copies, PARAMETER), copies
+        return self.varsys.extend(copies), copies
 
     def to_json_dict(self) -> dict:
         return {
@@ -348,13 +343,13 @@ def build_instance(n: int, m: int) -> Instance:
     algebra = SubalgebraSpec(varsys, generators)
 
     y1 = y_names[0]
-    trans_vs = varsys.extend(("t",), PARAMETER)
+    trans_vs = varsys.extend(("t",))
     translation = ParametricSubstitution(
         trans_vs,
         {z: trans_vs.variable(z) + trans_vs.variable("t") * trans_vs.variable(y1)},
         {"t": 0},
     )
-    shear_vs = varsys.extend(("a", "b"), PARAMETER)
+    shear_vs = varsys.extend(("a", "b"))
     scaling_shear = ParametricSubstitution(
         shear_vs,
         {

@@ -9,6 +9,7 @@ algebra problem, with no truncation error.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -24,6 +25,7 @@ from .poly import (
     _check_budget,
     _integer_terms,
     _product,
+    format_monomial,
     monomials_of_degree,
 )
 
@@ -48,7 +50,6 @@ class SubalgebraSpec:
     __slots__ = (
         "varsys",
         "generators",
-        "y_names",
         "complete_through",
         "label_system",
         "_graded",
@@ -59,7 +60,6 @@ class SubalgebraSpec:
         self,
         varsys: VarSystem,
         generators: Sequence[tuple[str, Polynomial]],
-        y_names: Sequence[str] | None = None,
         complete_through: int | None = None,
     ):
         gens = tuple((label, poly) for label, poly in generators)
@@ -76,7 +76,6 @@ class SubalgebraSpec:
                 raise ValueError(f"generator {label!r} involves parameters")
         self.varsys = varsys
         self.generators = gens
-        self.y_names = tuple(y_names) if y_names is not None else None
         self.complete_through = complete_through
         self.label_system = VarSystem(tuple(labels))
         self._graded: GradedBasis | None = None
@@ -307,6 +306,7 @@ class GradedBasis:
         return entry.basis, entry.exprs
 
 
+@dataclass(frozen=True, slots=True)
 class MembershipCertificate:
     """A formal polynomial in generator labels that evaluates to the target.
 
@@ -314,12 +314,9 @@ class MembershipCertificate:
     labels and compare with the target using plain polynomial arithmetic.
     """
 
-    __slots__ = ("algebra", "target", "expression")
-
-    def __init__(self, algebra: SubalgebraSpec, target: Polynomial, expression: Polynomial):
-        self.algebra = algebra
-        self.target = target
-        self.expression = expression
+    algebra: SubalgebraSpec
+    target: Polynomial
+    expression: Polynomial
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> MembershipCertificate:
@@ -466,31 +463,21 @@ def intersect_with_subring(
     return graded_piece(algebra, degree).intersect(subring)
 
 
-def monomial_membership(algebra: SubalgebraSpec, mono: tuple[int, ...]) -> bool:
-    """Closed-form membership for the y-positive monomial algebra.
+def monomial_membership(varsys: VarSystem, y_names: Sequence[str], mono: tuple[int, ...]) -> bool:
+    """Closed-form membership of a monomial in the x and y variables of
+    `varsys` in the y-positive monomial algebra whose y variables are
+    `y_names` (the one `y_positive_monomial_algebra` truncates).
 
     Its span is exactly the constants plus all monomials with positive
-    total degree in the designated y variables; this is the independent
+    total degree in the `y_names` variables; this is the independent
     fast path cross-checked against the generic engine.
     """
-    if algebra.y_names is None:
-        raise ValueError("algebra carries no y-variable marker")
-    if len(mono) != algebra.varsys.nvars:
+    if len(mono) != varsys.nvars:
         raise VarSystemMismatch("monomial length does not match system")
     if not any(mono):
         return True
-    ydeg = sum(mono[algebra.varsys.index(nm)] for nm in algebra.y_names)
+    ydeg = sum(mono[varsys.index(nm)] for nm in y_names)
     return ydeg >= 1
-
-
-def _monomial_label(mono: tuple[int, ...], varsys: VarSystem) -> str:
-    parts = []
-    for name, e in zip(varsys.names, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}e{e}")
-    return "m_" + "_".join(parts)
 
 
 def y_positive_monomial_algebra(
@@ -513,8 +500,9 @@ def y_positive_monomial_algebra(
         for mono in monomials_of_degree(varsys, degree, tuple(x_names) + tuple(y_names)):
             if any(mono[i] for i in y_idx):
                 gen = Polynomial._trusted(varsys, {mono: one})
-                generators.append((_monomial_label(mono, varsys), gen))
-    return SubalgebraSpec(varsys, generators, y_names=y_names, complete_through=max_degree)
+                label = format_monomial(mono, varsys).replace("*", "_").replace("^", "e")
+                generators.append(("m_" + label, gen))
+    return SubalgebraSpec(varsys, generators, complete_through=max_degree)
 
 
 def decomposable_span(algebra: SubalgebraSpec, degree: int) -> SpanBasis:

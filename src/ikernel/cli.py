@@ -9,20 +9,25 @@ emptied `[*]` list included); 3 if the report cannot be read (missing, not
 UTF-8 JSON, or nested too deeply to parse), is not an object, or has a
 missing or unknown verdict or scenario; and otherwise with the code `run`
 gives the report's verdict.  `run --out` exits 3 if it cannot write the
-report.  `run` and `membership` also exit 3, before anything is built,
-when the instance's generator count or the summed width of the frames
-they would build passes `MAX_ESTIMATE` (see `_preflight`); the library
-itself has no such cap.  The cap bounds summed frame columns, not time:
-`membership --poly "x1^81"` at the default (1,1) instance is under it
-(95,284 columns) and builds every piece through degree 81, but a
-non-member derives no label expressions, so it answers in about a second.
+report: a path that is a directory, or whose parent directory is missing
+or not writable, is refused before anything runs (see `_check_out`); any
+other write error is reported after the run.  `run` and `membership`
+also exit 3, before anything is built, when the instance's generator
+count or the summed width of the frames they would build passes
+`MAX_ESTIMATE` (see `_preflight`); the library itself has no such cap.
+The cap bounds summed frame columns, not time: `membership --poly
+"x1^81"` at the default (1,1) instance is under it (95,284 columns) and
+builds every piece through degree 81, but a non-member derives no label
+expressions, so it answers in about a second.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -122,6 +127,22 @@ def _preflight(n: int, m: int, degree: int) -> None:
                              f"C({degree + nvars}, {nvars}) frame columns, {over}")
 
 
+def _check_out(path: str) -> None:
+    """Refuse a `--out` path before anything runs when it is a directory,
+    or its parent directory is missing or not writable; the message is
+    the one a failed write gives."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write report to {path!r}: {os.strerror(code)}")
+
+
 def _cmd_run(args) -> int:
     cfg = ScenarioConfig(
         scenario=args.scenario,
@@ -135,6 +156,8 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _preflight(cfg.n, cfg.m, max(cfg.max_degree, *map(cfg.bound, DEFAULT_BOUNDS)))
+    if args.out:
+        _check_out(args.out)
     report = run_scenario(cfg)
     rendered = report.to_json() if args.output == "json" else report.to_text()
     if args.out:

@@ -32,15 +32,6 @@ _ZERO = Fraction(0)
 _INT = frozenset({int})
 
 
-def _content(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 def _eliminate(row: dict, lead: int, a: int, other: Mapping) -> None:
     """row <- lead*row - a*other in place, dropping entries that cancel."""
     if lead != 1:
@@ -128,7 +119,7 @@ class Echelon:
             lead, a = rows[p][p], row[p]
             _eliminate(row, lead, a, rows[p])
             if (lead != 1 or abs(a) != 1) and max(map(abs, row.values()), default=0) > _STRIP_LIMIT:
-                g = _content(row.values())
+                g = gcd(*row.values())
                 if g > 1:
                     row = {c: x // g for c, x in row.items()}
 
@@ -138,7 +129,7 @@ class Echelon:
         if pivot < 0 or max(row) >= self.width:
             raise ValueError("vector has a column outside the frame")
 
-        g = _content(row.values())
+        g = gcd(*row.values())
         if row[pivot] < 0:
             g = -g
         if g != 1:
@@ -158,7 +149,7 @@ class Echelon:
             _eliminate(other, lead, other[pivot], row)
             for c in row:
                 (cols[c].add if c in other else cols[c].discard)(q)
-            gk = _content(other.values())
+            gk = gcd(*other.values())
             if gk > 1:
                 for c in other:
                     other[c] //= gk

@@ -172,7 +172,7 @@ def _scenario_lemma_infini2(cfg: ScenarioConfig) -> tuple[str, dict]:
         witness_mono = inst.varsys.monomial({x1: d - 1, y1: 1})
         witness = Polynomial(inst.varsys, {witness_mono: Fraction(1)})
         in_algebra = graded_piece(mono, d).contains(witness) and monomial_membership(
-            mono, witness_mono
+            inst.varsys, inst.y_names, witness_mono
         )
         fresh = not decomposable_span(mono, d).contains(witness)
         good = indec.dim == expected and in_algebra and fresh

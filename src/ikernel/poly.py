@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 from math import gcd, inf, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -114,9 +114,10 @@ class VarSystem:
             raise VarSystemMismatch("monomial length does not match system")
         return sum(compress(mono, self._coord_mask))
 
-    def extend(self, names: Iterable[str], role: str = PARAMETER) -> VarSystem:
+    def extend(self, names: Iterable[str]) -> VarSystem:
+        """This system with `names` appended as parameters."""
         extra = tuple(names)
-        return VarSystem(self.names + extra, self.roles + (role,) * len(extra))
+        return VarSystem(self.names + extra, self.roles + (PARAMETER,) * len(extra))
 
     def drop(self, names: Iterable[str]) -> VarSystem:
         gone = set(names)
@@ -231,13 +232,9 @@ class Polynomial:
             return -1
         return max(map(self.varsys.degree_of, self.terms))
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
-            return True
+    def is_homogeneous(self) -> bool:
         degs = set(map(self.varsys.degree_of, self.terms))
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        return len(degs) <= 1
 
     def homogeneous_components(self) -> dict[int, Polynomial]:
         vs = self.varsys
@@ -568,7 +565,8 @@ def monomials_of_degree(
     Defaults to every coordinate of the system; parameters never appear,
     and a parameter or repeated name raises ValueError.
     The result is in canonical (graded-lex descending) order, with no sort:
-    the recursion runs over the chosen indices ascending, exponents high first.
+    `combinations_with_replacement` lists the multisets of chosen indices
+    lexicographically, and that is the order `Monomial.sort_key` defines.
     Frames are memoized per (system, degree, names) in a bounded cache; the
     tuples are immutable, so callers may share them across threads.
     """
@@ -590,23 +588,12 @@ def _frame(varsys: VarSystem, degree: int, names: tuple[str, ...] | None) -> tup
                 raise ValueError(f"{varsys.names[i]!r} is not a coordinate")
             if k and idxs[k - 1] == i:
                 raise ValueError(f"coordinate {varsys.names[i]!r} is repeated")
-    nv = varsys.nvars
     out: list[tuple[int, ...]] = []
-
-    def descend(pos: int, remaining: int, exps: list[int]) -> None:
-        if pos == len(idxs) - 1:
-            exps[idxs[pos]] = remaining
-            out.append(tuple(exps))
-            exps[idxs[pos]] = 0
-            return
-        for e in range(remaining, -1, -1):
-            exps[idxs[pos]] = e
-            descend(pos + 1, remaining - e, exps)
-        exps[idxs[pos]] = 0
-
-    if not idxs:
-        return ((0,) * nv,) if degree == 0 else ()
-    descend(0, degree, [0] * nv)
+    for combo in combinations_with_replacement(idxs, degree):
+        exps = [0] * varsys.nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
     return tuple(out)
 
 

@@ -193,6 +193,23 @@ MUTANTS = (
         ),
         ("tests/test_actions.py::test_substitution_parameters_follow_the_declared_order",),
     ),
+    Mutant(
+        "frame-iterates-the-indices-descending",
+        _one(
+            "poly.py",
+            "    for combo in combinations_with_replacement(idxs, degree):\n",
+            "    for combo in combinations_with_replacement(idxs[::-1], degree):\n",
+        ),
+        (
+            "tests/test_poly.py::test_frames_match_the_exponent_recursion",
+            "tests/test_golden_digests.py::test_report_digest_is_pinned[lemma-infini-1-1-4]",
+        ),
+    ),
+    Mutant(
+        "run-without-the-out-pre-check",
+        _one("cli.py", "    if args.out:\n        _check_out(args.out)\n", ""),
+        ("tests/test_cli.py::test_run_out_that_cannot_be_written_is_a_usage_error",),
+    ),
 )
 
 

@@ -123,3 +123,42 @@ def product_stream_pieces(algebra, max_degree):
         ]
         pieces.append((SpanBasis(vs, integer_rows, [frame[p] for p in pivots]), exprs))
     return pieces
+
+
+def descend_frame(varsys, degree, names=None):
+    """The degree-d monomials in the chosen coordinates (every coordinate
+    by default) by exponent recursion: over the chosen indices ascending,
+    each exponent from high to low, the last index taking what is left."""
+    idxs = sorted(varsys.coordinate_indices if names is None else map(varsys.index, names))
+    if degree < 0:
+        return ()
+    if not idxs:
+        return ((0,) * varsys.nvars,) if degree == 0 else ()
+    out = []
+
+    def descend(pos, remaining, exps):
+        if pos == len(idxs) - 1:
+            exps[idxs[pos]] = remaining
+            out.append(tuple(exps))
+            exps[idxs[pos]] = 0
+            return
+        for e in range(remaining, -1, -1):
+            exps[idxs[pos]] = e
+            descend(pos + 1, remaining - e, exps)
+        exps[idxs[pos]] = 0
+
+    descend(0, degree, [0] * varsys.nvars)
+    return tuple(out)
+
+
+def monomial_label(mono, varsys):
+    """A monomial generator's label spelled out: "m_" then, per variable
+    in declared order, its name (exponent 1) or name, "e", exponent (above
+    1), joined by "_"."""
+    parts = []
+    for name, e in zip(varsys.names, mono):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}e{e}")
+    return "m_" + "_".join(parts)

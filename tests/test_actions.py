@@ -110,7 +110,7 @@ def test_derived_composition_rule(inst11):
 
 def _xyz_substitution(params, images):
     """Images over k[x, y1, z] and the given parameters, identity at 0."""
-    vs = VarSystem(("x", "y1", "z")).extend(params, PARAMETER)
+    vs = VarSystem(("x", "y1", "z")).extend(params)
     parsed = {name: vs.parse(text) for name, text in images.items()}
     return ParametricSubstitution(vs, parsed, {p: 0 for p in params})
 

@@ -2,6 +2,7 @@
 indecomposable generators, cross-checked against brute-force oracles."""
 
 import copy
+import dataclasses
 import gc
 import random
 import sys
@@ -11,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from oracles import pairwise_decomposable, product_stream_pieces
+from oracles import monomial_label, pairwise_decomposable, product_stream_pieces
 
 from ikernel.actions import build_instance
 from ikernel.algebra import (
@@ -151,6 +152,13 @@ def test_membership_certificates(inst11):
     assert zcert is not None and str(zcert.expression) == "z"
 
 
+@pytest.mark.parametrize("field", ["algebra", "target", "expression"])
+def test_membership_certificates_are_frozen(inst11, field):
+    cert = membership(inst11.algebra, inst11.varsys.parse("x1^2*y1"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cert, field, getattr(cert, field))
+
+
 def test_membership_splits_components(inst11):
     vs = inst11.varsys
     mixed = vs.parse("3 + y1 + x1^2*y1")
@@ -232,20 +240,24 @@ def test_intersect_with_subring_examples(inst11):
 
 
 def test_monomial_algebra_fast_path(inst11, mono11):
-    vs = inst11.varsys
-    assert monomial_membership(mono11, vs.monomial({"x1": 3, "y1": 1}))
-    assert not monomial_membership(mono11, vs.monomial({"x1": 3}))
-    assert monomial_membership(mono11, vs.unit_monomial())
+    vs, ys = inst11.varsys, inst11.y_names
+    assert monomial_membership(vs, ys, vs.monomial({"x1": 3, "y1": 1}))
+    assert not monomial_membership(vs, ys, vs.monomial({"x1": 3}))
+    assert monomial_membership(vs, ys, vs.unit_monomial())
     # Fast path agrees with the generic engine.
     for exps in [(0, 0), (2, 1), (4, 0), (1, 3), (0, 5)]:
         mono = vs.monomial({"x1": exps[0], "y1": exps[1]})
         poly = Polynomial(vs, {mono: Fraction(1)})
-        assert (membership(mono11, poly) is not None) == monomial_membership(mono11, mono)
+        assert (membership(mono11, poly) is not None) == monomial_membership(vs, ys, mono)
 
 
-def test_monomial_algebra_requires_marker(inst11):
-    with pytest.raises(ValueError):
-        monomial_membership(inst11.algebra, inst11.varsys.unit_monomial())
+@pytest.mark.parametrize("n,m,max_degree", [(1, 1, 11), (2, 2, 5), (3, 3, 9)])
+def test_monomial_algebra_labels_spell_out_their_monomials(n, m, max_degree):
+    inst = build_instance(n, m)
+    algebra = y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, max_degree)
+    for label, gen in algebra.generators:
+        (mono,) = gen.terms
+        assert label == monomial_label(mono, inst.varsys)
 
 
 def test_monomial_algebra_dimension_formula(mono11, mono21):

@@ -165,7 +165,13 @@ def test_concurrent_verify_calls_give_the_serial_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["missing/r.json", "."])
-def test_run_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, where):
+def test_run_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, monkeypatch, where):
+    """A directory, or a file in a missing directory, is refused before
+    the scenario runs."""
+    def no_run(cfg):
+        pytest.fail("run_scenario was called for an --out path that cannot be written")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     out = tmp_path / where
     argv = ["run", "--scenario", "theorem1-cusp", "--max-degree", "1", "--out", str(out)]
     assert main(argv) == 3
@@ -173,6 +179,17 @@ def test_run_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, where
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: cannot write report to {str(out)!r}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_run_out_write_error_after_the_run_is_a_usage_error(tmp_path, capsys):
+    """A name too long for the file system passes the pre-check and fails
+    only when the report is written."""
+    out = tmp_path / ("r" * 300 + ".json")
+    argv = ["run", "--scenario", "theorem1-cusp", "--max-degree", "1", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: cannot write report to {str(out)!r}: File name too long\n"
 
 
 @pytest.mark.parametrize("text", ["[]", '"x"', "3"])

@@ -2,12 +2,13 @@
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import descend_frame
 
 from ikernel import poly
 from ikernel.algebra import SubalgebraSpec, intersect_with_subring, y_positive_monomial_algebra
@@ -100,7 +101,7 @@ def test_parameters_carry_degree_zero():
     extended = VS.extend(("t",))
     f = extended.parse("t^3*x1 + t*y1")
     assert f.degree() == 1
-    assert f.is_homogeneous(1)
+    assert f.is_homogeneous() and f.degree() == 1
     assert max(sum(m) for m in f.terms) == 4  # parameters count in the monomial
 
 
@@ -129,6 +130,26 @@ def test_monomials_of_degree_lists_canonical_order_without_sorting():
             assert list(monos) == sorted(set(monos), key=Monomial.sort_key)
             assert len(monos) == comb(d + k - 1, k - 1)
             assert all(vs.degree_of(m) == d and not m[2] for m in monos)
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_frames_match_the_exponent_recursion(nvars):
+    """Every role pattern over `nvars` variables, every subset of its
+    coordinates named in ascending and in descending order (and no names),
+    degrees 0..6: the frame equals the recursion's and its own sort."""
+    names = [f"v{i}" for i in range(nvars)]
+    for roles in product((COORDINATE, PARAMETER), repeat=nvars):
+        vs = VarSystem(names, roles)
+        coords = vs.coordinate_names
+        choices = [None]
+        for mask in product((False, True), repeat=len(coords)):
+            chosen = tuple(compress(coords, mask))
+            choices += [chosen, chosen[::-1]]
+        for chosen in choices:
+            for d in range(7):
+                frame = monomials_of_degree(vs, d, chosen)
+                assert frame == descend_frame(vs, d, chosen)
+                assert list(frame) == sorted(frame, key=Monomial.sort_key)
 
 
 @pytest.mark.parametrize("build", [
