@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -23,8 +23,10 @@ from .poly import (
     VarSystemMismatch,
     _accumulate,
     _check_budget,
+    _image_entry,
     _integer_terms,
     _product,
+    _substitute_terms,
     format_monomial,
     monomials_of_degree,
 )
@@ -54,6 +56,7 @@ class SubalgebraSpec:
         "label_system",
         "_graded",
         "_texts",
+        "_images",
     )
 
     def __init__(
@@ -80,6 +83,7 @@ class SubalgebraSpec:
         self.label_system = VarSystem(tuple(labels))
         self._graded: GradedBasis | None = None
         self._texts: tuple[tuple[str, str], ...] | None = None
+        self._images: tuple[tuple, ...] | None = None
 
     def generator_texts(self) -> list[list[str]]:
         """Fresh `[label, text]` pairs of the generators, each text printed
@@ -87,6 +91,14 @@ class SubalgebraSpec:
         if self._texts is None:
             self._texts = tuple((label, str(poly)) for label, poly in self.generators)
         return [[label, text] for label, text in self._texts]
+
+    def _image_table(self) -> tuple[tuple, ...]:
+        """Per generator, in label order, its substitution table entry
+        (`poly._image_entry`), built once per algebra: certificate checks
+        read only the entries of the labels their expression uses."""
+        if self._images is None:
+            self._images = tuple(_image_entry(poly.terms) for _, poly in self.generators)
+        return self._images
 
     def graded_basis(self) -> GradedBasis:
         if self._graded is None:
@@ -336,10 +348,17 @@ class MembershipCertificate:
 
     def verify(self) -> bool:
         """Substitute the generators into the expression within one
-        `MAX_CHECK_WORK` budget and compare with the target."""
-        images = dict(self.algebra.generators)
-        budget = _check_budget("expression", self.algebra.varsys)
-        return self.expression._substitute(images, self.algebra.varsys, budget) == self.target
+        `MAX_CHECK_WORK` budget and compare with the target.  An expression
+        over the algebra's labels reads only the entries of the labels it
+        uses from the algebra's `_image_table`; any other goes through the
+        checks of `Polynomial.substitute`, with the same work either way."""
+        algebra, expression = self.algebra, self.expression
+        budget = _check_budget("expression", algebra.varsys)
+        if expression.varsys == algebra.label_system:
+            image = _substitute_terms(expression.terms, algebra._image_table(), algebra.varsys, budget)
+        else:
+            image = expression._substitute(dict(algebra.generators), algebra.varsys, budget)
+        return image == self.target
 
     def to_json_dict(self) -> dict:
         return {
@@ -463,21 +482,24 @@ def intersect_with_subring(
     return graded_piece(algebra, degree).intersect(subring)
 
 
-def monomial_membership(varsys: VarSystem, y_names: Sequence[str], mono: tuple[int, ...]) -> bool:
-    """Closed-form membership of a monomial in the x and y variables of
-    `varsys` in the y-positive monomial algebra whose y variables are
-    `y_names` (the one `y_positive_monomial_algebra` truncates).
+def monomial_membership(
+    varsys: VarSystem, x_names: Sequence[str], y_names: Sequence[str], mono: tuple[int, ...]
+) -> bool:
+    """Closed-form membership of a monomial of `varsys` in the y-positive
+    monomial algebra over the `x_names` and `y_names` variables (the one
+    `y_positive_monomial_algebra` truncates).
 
-    Its span is exactly the constants plus all monomials with positive
-    total degree in the `y_names` variables; this is the independent
-    fast path cross-checked against the generic engine.
+    Its span is exactly the constants plus all monomials in the x and y
+    variables with positive total degree in the y variables; this is the
+    independent fast path cross-checked against the generic engine.
     """
     if len(mono) != varsys.nvars:
         raise VarSystemMismatch("monomial length does not match system")
     if not any(mono):
         return True
+    inside = {varsys.index(nm) for nm in (*x_names, *y_names)}
     ydeg = sum(mono[varsys.index(nm)] for nm in y_names)
-    return ydeg >= 1
+    return ydeg >= 1 and all(i in inside for i in compress(count(), mono))
 
 
 def y_positive_monomial_algebra(

@@ -28,6 +28,7 @@ from .actions import (
 )
 from .algebra import (
     SubalgebraSpec,
+    _certificate_key,
     decomposable_span,
     graded_piece,
     indecomposable_generators,
@@ -172,7 +173,7 @@ def _scenario_lemma_infini2(cfg: ScenarioConfig) -> tuple[str, dict]:
         witness_mono = inst.varsys.monomial({x1: d - 1, y1: 1})
         witness = Polynomial(inst.varsys, {witness_mono: Fraction(1)})
         in_algebra = graded_piece(mono, d).contains(witness) and monomial_membership(
-            inst.varsys, inst.y_names, witness_mono
+            inst.varsys, inst.x_names, inst.y_names, witness_mono
         )
         fresh = not decomposable_span(mono, d).contains(witness)
         good = indec.dim == expected and in_algebra and fresh
@@ -539,12 +540,40 @@ class VerifyResult:
         return not self.failures
 
 
+def _membership_key(cert: Mapping) -> tuple | None:
+    """Every field a membership check reads but its `cert_type`: the
+    shape-checked `variables` and `generators` of `_certificate_key`, the
+    `target` and the `expression`; None unless all four are present and
+    well-typed."""
+    target, expression = cert.get("target"), cert.get("expression")
+    if "generators" not in cert or not isinstance(target, str) or not isinstance(expression, str):
+        return None
+    try:
+        return (*_certificate_key(cert), target, expression)
+    except ValueError:
+        return None
+
+
+def _check(kind: str, cert: Mapping) -> str | None:
+    """Why a certificate of a known `kind` fails, or None if it verifies."""
+    try:
+        good = _VERIFIERS[kind](cert)
+    except Exception as exc:  # malformed certificate
+        return f"({kind}): {exc}"
+    return None if good else f"({kind}): re-evaluation failed"
+
+
 def verify_report(data: Mapping) -> VerifyResult:
     """Re-check every certificate embedded in a report dictionary, and that
     each path its scenario declares holds a certificate of the declared
     `cert_type` or null; under a `pass` verdict, each declared path, `[*]`
     ones included, must hold at least one.  Anything but a mapping is no
-    report: it fails with no certificate checked."""
+    report: it fails with no certificate checked.
+
+    Membership certificates with equal `_membership_key`s are checked once
+    per call: a check reads nothing else, so every copy shares its outcome,
+    and each copy still counts in `total` and fails at its own index.  A
+    certificate without a key is checked on its own."""
     if not isinstance(data, Mapping):
         return VerifyResult(0, ["report is not a JSON object"])
     failures: list[str] = []
@@ -563,6 +592,7 @@ def verify_report(data: Mapping) -> VerifyResult:
         if verdict == PASS and all(value is None for _, value in found):
             failures.append(f"{path}: a pass needs a {kind} certificate here")
     certificates = _collect_certificates(data.get("details", {}))
+    outcomes: dict[tuple, str | None] = {}
     for k, cert in enumerate(certificates):
         kind = cert["cert_type"]
         if not isinstance(kind, str):
@@ -571,11 +601,13 @@ def verify_report(data: Mapping) -> VerifyResult:
         if kind not in _VERIFIERS:
             failures.append(f"certificate {k}: unknown cert_type {kind!r}")
             continue
-        try:
-            good = _VERIFIERS[kind](cert)
-        except Exception as exc:  # malformed certificate
-            failures.append(f"certificate {k} ({kind}): {exc}")
-            continue
-        if not good:
-            failures.append(f"certificate {k} ({kind}): re-evaluation failed")
+        key = _membership_key(cert) if kind == "membership" else None
+        if key is None:
+            outcome = _check(kind, cert)
+        elif key in outcomes:
+            outcome = outcomes[key]
+        else:
+            outcome = outcomes[key] = _check(kind, cert)
+        if outcome is not None:
+            failures.append(f"certificate {k} {outcome}")
     return VerifyResult(len(certificates), failures, verdict, scenario)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress, count
 from math import gcd, inf, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -331,63 +331,24 @@ class Polynomial:
     def _substitute(
         self, images: Mapping[str, Polynomial], target: VarSystem, budget: _Budget
     ) -> Polynomial:
-        """`substitute`, every product and power of term maps charged to `budget`.
-
-        As in `_Parser.parse_term`, while a term is one term each power of a
-        one-term image (a variable without an image included) folds into a
-        reduced integer numerator and denominator (`_Budget.charge_power`,
-        then `_Budget.fold`) and an exponent list; from its first multi-term
-        image on, the term is a term map.  So `work` is the same as
-        multiplying every factor in as a term map, at every point."""
+        """`substitute`, every product and power of term maps charged to
+        `budget`: check the images, then run `_substitute_terms` on a table
+        of the variables that occur."""
         for name in images:
             self.varsys.index(name)
         for name, img in images.items():
             if img.varsys != target:
                 raise VarSystemMismatch(f"image of {name!r} is not over the target system")
-
-        occurring = {i for m in self.terms for i, e in enumerate(m) if e}
-        unit = (0,) * target.nvars
-        base: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        folds: dict[int, tuple] = {}  # one-term images: a, b, nonzero exponents
-        for i in occurring:
+        table = {}
+        for i in {i for m in self.terms for i in compress(count(), m)}:
             name = self.varsys.names[i]
             if name in images:
-                base[i] = images[name].terms
+                table[i] = _image_entry(images[name].terms)
             elif name in target:
-                base[i] = target.variable(name).terms
+                table[i] = _image_entry(target.variable(name).terms)
             else:
                 raise VarSystemMismatch(f"variable {name!r} absent from the target system")
-            if len(base[i]) == 1:
-                ((t, c),) = base[i].items()
-                folds[i] = (c.numerator, c.denominator, [(j, x) for j, x in enumerate(t) if x])
-
-        product, charge_power, fold = budget.product, budget.charge_power, budget.fold
-        powers = {i: [{unit: Fraction(1)}] for i in base}
-        def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
-            if len(base[i]) == 1:
-                return budget.power_terms(base[i], e, unit)
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(product(cache[-1], base[i]))
-            return cache[e]
-
-        result: dict[tuple[int, ...], Fraction] = {}
-        for m, c in self.terms.items():
-            num, den, exps, term = c.numerator, c.denominator, list(unit), None
-            for i, e in enumerate(m):
-                if e and term is None and i in folds:
-                    a, b, shift = folds[i]
-                    charge_power(a, b, e)
-                    num, den = fold(num, den, a**e, b**e)
-                    for j, x in shift:
-                        exps[j] += e * x
-                elif e:
-                    if term is None:
-                        term = {tuple(exps): Fraction(num, den)}
-                    term = product(term, power(i, e))
-            done = [(tuple(exps), Fraction(num, den))] if term is None else term.items()
-            _accumulate(result, done)
-        return Polynomial._trusted(target, result)
+        return _substitute_terms(self.terms, table, target, budget)
 
     def embed(self, target: VarSystem) -> Polynomial:
         """Reinterpret over a larger (or reordered) system, matching by name."""
@@ -470,6 +431,61 @@ def _power(f: dict, k: int, unit: tuple[int, ...], product=_product) -> dict:
     for _ in range(k):
         result = product(result, f)
     return result
+
+
+def _image_entry(terms: dict) -> tuple:
+    """A substitution table entry: an image's term map and, for a one-term
+    image, its coefficient's numerator and denominator and its nonzero
+    exponents (j, x); None for any other image."""
+    if len(terms) != 1:
+        return terms, None
+    ((t, c),) = terms.items()
+    return terms, (c.numerator, c.denominator, [(j, x) for j, x in enumerate(t) if x])
+
+
+def _substitute_terms(
+    terms: dict, table: Mapping[int, tuple] | Sequence[tuple], target: VarSystem, budget: _Budget
+) -> Polynomial:
+    """Substitute, for each variable index i of `terms`, the image that
+    `table[i]` (an `_image_entry`) holds; `table` needs entries only for the
+    variables that occur.
+
+    As in `_Parser.parse_term`, while a term is one term each power of a
+    one-term image folds into a reduced integer numerator and denominator
+    (`_Budget.charge_power`, then `_Budget.fold`) and an exponent list; from
+    its first multi-term image on, the term is a term map.  So `work` is the
+    same as multiplying every factor in as a term map, at every point."""
+    unit = (0,) * target.nvars
+    product, charge_power, fold = budget.product, budget.charge_power, budget.fold
+    powers: dict[int, list[dict]] = {}
+    def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
+        image = table[i][0]
+        if len(image) == 1:
+            return budget.power_terms(image, e, unit)
+        cache = powers.setdefault(i, [{unit: Fraction(1)}])
+        while len(cache) <= e:
+            cache.append(product(cache[-1], image))
+        return cache[e]
+
+    result: dict[tuple[int, ...], Fraction] = {}
+    for m, c in terms.items():
+        num, den, exps, term = c.numerator, c.denominator, list(unit), None
+        for i in compress(count(), m):
+            e = m[i]
+            folded = table[i][1]
+            if term is None and folded is not None:
+                a, b, shift = folded
+                charge_power(a, b, e)
+                num, den = fold(num, den, a**e, b**e)
+                for j, x in shift:
+                    exps[j] += e * x
+            else:
+                if term is None:
+                    term = {tuple(exps): Fraction(num, den)}
+                term = product(term, power(i, e))
+        done = [(tuple(exps), Fraction(num, den))] if term is None else term.items()
+        _accumulate(result, done)
+    return Polynomial._trusted(target, result)
 
 
 def _integer_terms(terms: Iterable[tuple[object, Fraction]]) -> tuple[list, int]:

@@ -50,6 +50,7 @@ def _one(path: str, snippet: str, replacement: str) -> tuple[Edit, ...]:
 
 EXACTLIN = "tests/test_exactlin.py"
 ALGEBRA = "tests/test_algebra.py"
+HARNESS = "tests/test_harness.py"
 STREAM = f"{ALGEBRA}::test_the_product_stream_skips_only_products_dependent_at_their_turn"
 
 MUTANTS = (
@@ -204,6 +205,24 @@ MUTANTS = (
             "tests/test_poly.py::test_frames_match_the_exponent_recursion",
             "tests/test_golden_digests.py::test_report_digest_is_pinned[lemma-infini-1-1-4]",
         ),
+    ),
+    Mutant(
+        "membership-key-without-the-target",
+        _one(
+            "harness.py",
+            "        return (*_certificate_key(cert), target, expression)\n",
+            "        return (*_certificate_key(cert), expression)\n",
+        ),
+        (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
+    ),
+    Mutant(
+        "membership-key-without-the-generators",
+        _one(
+            "harness.py",
+            "        return (*_certificate_key(cert), target, expression)\n",
+            "        return (_certificate_key(cert)[0], target, expression)\n",
+        ),
+        (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
     ),
     Mutant(
         "run-without-the-out-pre-check",

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from oracles import monomial_label, pairwise_decomposable, product_stream_pieces
 
+from ikernel import algebra as algebra_module
 from ikernel.actions import build_instance
 from ikernel.algebra import (
     GradedBasis,
@@ -32,7 +33,14 @@ from ikernel.algebra import (
     y_positive_monomial_algebra,
 )
 from ikernel.exactlin import Echelon, SpanBasis
-from ikernel.poly import Polynomial, VarSystem, _accumulate, _integer_terms, monomials_of_degree
+from ikernel.poly import (
+    Polynomial,
+    VarSystem,
+    _accumulate,
+    _Budget,
+    _integer_terms,
+    monomials_of_degree,
+)
 
 
 def brute_force_piece(algebra, degree):
@@ -152,6 +160,59 @@ def test_membership_certificates(inst11):
     assert zcert is not None and str(zcert.expression) == "z"
 
 
+def _row_certificates(algebra, degrees):
+    """Per basis row of the given degrees, its certificate, and a copy whose
+    target is shifted by 1, which fails."""
+    for d in degrees:
+        basis, exprs = algebra.graded_basis().tracked_piece(d)
+        for row, expr in zip(basis.polynomials(), exprs):
+            yield MembershipCertificate(algebra, row, expr)
+            yield MembershipCertificate(algebra, row + 1, expr)
+
+
+@pytest.mark.parametrize("monomial", [False, True])
+def test_verify_reads_the_image_table_with_the_substitution_work(monomial, monkeypatch):
+    """`verify` agrees with the public `substitute` and charges the same
+    `_Budget.work`, with the (2,2) instance's multi-term generators and the
+    y-positive algebra's one-term ones; an expression over a system other
+    than the labels takes the checked path."""
+    inst = build_instance(1, 1) if monomial else build_instance(2, 2)
+    algebra = (y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, 6)
+               if monomial else inst.algebra)
+    vs, images = algebra.varsys, dict(algebra.generators)
+    wider = VarSystem((*algebra.label_system.names, "w"))
+    budgets = []
+    check_budget = algebra_module._check_budget
+    monkeypatch.setattr(algebra_module, "_check_budget",
+                        lambda *args: budgets.append(check_budget(*args)) or budgets[-1])
+    outcomes = set()
+    for cert in _row_certificates(algebra, range(1, 7)):
+        reference = _Budget(float("inf"), ValueError, "substitution", vs)
+        want = cert.expression.substitute(images) == cert.target
+        assert (cert.expression._substitute(images, vs, reference) == cert.target) == want
+        for expression in (cert.expression, cert.expression.embed(wider)):
+            assert MembershipCertificate(algebra, cert.target, expression).verify() == want
+            assert budgets[-1].work == reference.work
+        outcomes.add(want)
+    assert outcomes == {True, False} and algebra._images is not None
+
+
+@pytest.mark.parametrize("name", ["inst11", "inst21"])
+def test_monomial_membership_matches_the_engine_on_every_monomial(name, request):
+    """The closed form agrees with `membership` on every monomial of degree
+    at most 4, those involving z included."""
+    inst = request.getfixturevalue(name)
+    vs, xs, ys = inst.varsys, inst.x_names, inst.y_names
+    algebra = y_positive_monomial_algebra(vs, xs, ys, 4)
+    members = 0
+    for d in range(5):
+        for mono in monomials_of_degree(vs, d):
+            member = membership(algebra, Polynomial(vs, {mono: Fraction(1)})) is not None
+            assert monomial_membership(vs, xs, ys, mono) == member, mono
+            members += member
+    assert 0 < members < sum(len(monomials_of_degree(vs, d)) for d in range(5))
+
+
 @pytest.mark.parametrize("field", ["algebra", "target", "expression"])
 def test_membership_certificates_are_frozen(inst11, field):
     cert = membership(inst11.algebra, inst11.varsys.parse("x1^2*y1"))
@@ -240,15 +301,15 @@ def test_intersect_with_subring_examples(inst11):
 
 
 def test_monomial_algebra_fast_path(inst11, mono11):
-    vs, ys = inst11.varsys, inst11.y_names
-    assert monomial_membership(vs, ys, vs.monomial({"x1": 3, "y1": 1}))
-    assert not monomial_membership(vs, ys, vs.monomial({"x1": 3}))
-    assert monomial_membership(vs, ys, vs.unit_monomial())
+    vs, xs, ys = inst11.varsys, inst11.x_names, inst11.y_names
+    assert monomial_membership(vs, xs, ys, vs.monomial({"x1": 3, "y1": 1}))
+    assert not monomial_membership(vs, xs, ys, vs.monomial({"x1": 3}))
+    assert monomial_membership(vs, xs, ys, vs.unit_monomial())
     # Fast path agrees with the generic engine.
     for exps in [(0, 0), (2, 1), (4, 0), (1, 3), (0, 5)]:
         mono = vs.monomial({"x1": exps[0], "y1": exps[1]})
         poly = Polynomial(vs, {mono: Fraction(1)})
-        assert (membership(mono11, poly) is not None) == monomial_membership(vs, ys, mono)
+        assert (membership(mono11, poly) is not None) == monomial_membership(vs, xs, ys, mono)
 
 
 @pytest.mark.parametrize("n,m,max_degree", [(1, 1, 11), (2, 2, 5), (3, 3, 9)])
@@ -559,6 +620,7 @@ def test_concurrent_queries_agree_with_a_serial_run():
                     assert len(results) == len(queries)
                     for q, value in results:
                         assert value == serial[q], q
+                assert shared._images == serial_algebra._images  # built by racing member queries
     finally:
         sys.setswitchinterval(interval)
 

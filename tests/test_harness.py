@@ -16,6 +16,7 @@ from ikernel.harness import (
     SCENARIOS,
     ScenarioConfig,
     _at_path,
+    _check,
     _collect_certificates,
     list_scenarios,
     run_scenario,
@@ -407,3 +408,86 @@ def test_report_text_rendering():
     text = report.to_text()
     assert "verdict: pass" in text
     assert "scenario: g2-invariants-A" in text
+
+
+def _stability_with_copies(small_reports, copies):
+    """The (1,1,3) action-stability report with `copies` appended, as the
+    last certificates in document order, and the index of the first copy."""
+    report = copy.deepcopy(next(r for r in small_reports if r["scenario"] == "action-stability"))
+    entries = report["details"]["scaling_shear_certificates"]
+    entries += [{"generator": "y1", "parameters": [0], "certificate": c} for c in copies]
+    return report, len(_collect_certificates(report["details"])) - len(copies)
+
+
+def _first_membership(small_reports):
+    report = next(r for r in small_reports if r["scenario"] == "action-stability")
+    return copy.deepcopy(_collect_certificates(report["details"])[0])
+
+
+def test_repeated_membership_certificates_are_checked_once_per_report(small_reports, monkeypatch):
+    first = _first_membership(small_reports)
+    report, base = _stability_with_copies(small_reports, [copy.deepcopy(first) for _ in range(50)])
+    certificates = _collect_certificates(report["details"])
+    distinct = {json.dumps(c, sort_keys=True) for c in certificates}
+    calls = []
+    check = _VERIFIERS["membership"]
+    monkeypatch.setitem(_VERIFIERS, "membership", lambda cert: calls.append(cert) or check(cert))
+    result = verify_report(report)
+    assert (result.ok, result.total, base) == (True, 16 + 50, 16)
+    assert len(calls) == len(distinct) == 6
+    verify_report(report)  # the memo lives in one call
+    assert len(calls) == 12
+
+
+def test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index(small_reports):
+    first = _first_membership(small_reports)
+    assert (first["target"], first["expression"], first["generators"][0]) == ("y1", "y1", ["y1", "y1"])
+    variants = [
+        {"target": "y1 + 1"},
+        {"expression": "y1 + 1"},
+        {"generators": [["y1", "2*y1"], *first["generators"][1:]]},
+        {"variables": ["x1", "y1", "w"]},
+    ]
+    copies = [first]
+    for fields in variants:  # each after a genuine copy, whose outcome is memoized first
+        copies += [{**first, **fields}, first]
+    report, base = _stability_with_copies(small_reports, copies)
+    result = verify_report(report)
+    expected = [f"certificate {base + k} {_check('membership', c)}"
+                for k, c in enumerate(copies) if c is not first]
+    assert result.failures == expected
+    assert result.total == base + len(copies)
+    assert [f.split(" (")[0] for f in expected] == [f"certificate {base + k}" for k in (1, 3, 5, 7)]
+    assert "re-evaluation failed" in expected[0] and "unknown variable 'z'" in expected[3]
+
+
+def _without(cert, field):
+    return {k: v for k, v in cert.items() if k != field}
+
+
+def test_a_missing_field_and_an_empty_one_keep_their_own_messages(small_reports):
+    first = _first_membership(small_reports)
+    copies = [{**first, "generators": []}, _without(first, "generators"),
+              {**first, "target": None}, _without(first, "target")]
+    report, base = _stability_with_copies(small_reports, copies)
+    assert verify_report(report).failures == [
+        f"certificate {base + k} (membership): {message}" for k, message in enumerate([
+            "field 'expression': unknown variable 'y1'",
+            "field 'generators' is missing",
+            "field 'target' must be a string",
+            "field 'target' is missing",
+        ])]
+
+
+def test_unhashable_fields_are_checked_directly(small_reports):
+    first = _first_membership(small_reports)
+    fields = [("target", ["y1"], "field 'target' must be a string"),
+              ("expression", ["y1"], "field 'expression' must be a string"),
+              ("variables", {"x1": 1}, "field 'variables' must be a list of strings"),
+              ("generators", [["y1", ["y1"]]],
+               "field 'generators' must be a list of [label, text] string pairs")]
+    copies = [{**first, field: value} for field, value, _ in fields for _ in range(2)]
+    report, base = _stability_with_copies(small_reports, copies)
+    result = verify_report(report)
+    assert result.failures == [f"certificate {base + k} (membership): {fields[k // 2][2]}"
+                               for k in range(len(copies))]

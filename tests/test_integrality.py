@@ -14,6 +14,7 @@ from ikernel.algebra import (
     NotHomogeneous,
     SubalgebraSpec,
     _certificate_algebra,
+    _certificate_key,
     membership,
     verify_membership_json,
 )
@@ -509,6 +510,8 @@ def test_concurrent_verify_reports_agree_with_a_serial_run():
     serial = [verify_report(report) for report in reports]
     assert serial[0].failures == []
     assert serial[1].failures == ["certificate 35 (membership): re-evaluation failed"]
+    key = _certificate_key(_last_membership(reports[0]["details"]))
+    table = _certificate_algebra(*key)._images
 
     def worker(start, k):
         start.wait()
@@ -526,5 +529,7 @@ def test_concurrent_verify_reports_agree_with_a_serial_run():
                 for k, results in enumerate(runs):
                     for j, result in enumerate(results):
                         assert result == serial[(k + j) % 2]
+                # A fresh algebra, so its image table was built cold by the threads.
+                assert _certificate_algebra(*key)._images == table is not None
     finally:
         sys.setswitchinterval(interval)
