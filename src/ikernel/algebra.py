@@ -341,7 +341,8 @@ class MembershipCertificate:
         parsed (and fails) again on the next."""
         if certificate_field(data, "cert_type") != "membership":
             raise ValueError("field 'cert_type' must be \"membership\"")
-        algebra = _certificate_algebra(*_certificate_key(data))
+        key = data.key if isinstance(data, _KeyedCertificate) else _certificate_key(data)
+        algebra = _certificate_algebra(*key)
         certificate_field(data, "generators")  # missing: named after a bad `variables` field
         expression = certificate_field(data, "expression", algebra.label_system)
         return cls(algebra, certificate_field(data, "target", algebra.varsys), expression)
@@ -402,6 +403,18 @@ def _certificate_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, s
             and all(map(isinstance, chain.from_iterable(generators), repeat(str)))):
         raise ValueError("field 'generators' must be a list of [label, text] string pairs")
     return tuple(names), tuple(map(tuple, generators))
+
+
+class _KeyedCertificate(dict):
+    """A copy of a serialized certificate that carries its already built
+    `_certificate_key`, which `MembershipCertificate.from_json_dict` then
+    reads instead of checking the same fields again."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, data: Mapping, key: tuple[tuple[str, ...], tuple[tuple[str, str], ...]]):
+        super().__init__(data)
+        self.key = key
 
 
 # A report's certificates share one generator list (each of the nine

@@ -29,6 +29,7 @@ from .actions import (
 from .algebra import (
     SubalgebraSpec,
     _certificate_key,
+    _KeyedCertificate,
     decomposable_span,
     graded_piece,
     indecomposable_generators,
@@ -572,8 +573,10 @@ def verify_report(data: Mapping) -> VerifyResult:
 
     Membership certificates with equal `_membership_key`s are checked once
     per call: a check reads nothing else, so every copy shares its outcome,
-    and each copy still counts in `total` and fails at its own index.  A
-    certificate without a key is checked on its own."""
+    and each copy still counts in `total` and fails at its own index.  The
+    check gets the certificate with the key's `_certificate_key` part
+    (`_KeyedCertificate`), so those fields are checked once per certificate.
+    A certificate without a key is checked on its own."""
     if not isinstance(data, Mapping):
         return VerifyResult(0, ["report is not a JSON object"])
     failures: list[str] = []
@@ -606,8 +609,8 @@ def verify_report(data: Mapping) -> VerifyResult:
             outcome = _check(kind, cert)
         elif key in outcomes:
             outcome = outcomes[key]
-        else:
-            outcome = outcomes[key] = _check(kind, cert)
+        else:  # the check reads the shape-checked `variables` and `generators` from the key
+            outcome = outcomes[key] = _check(kind, _KeyedCertificate(cert, key[:2]))
         if outcome is not None:
             failures.append(f"certificate {k} {outcome}")
     return VerifyResult(len(certificates), failures, verdict, scenario)

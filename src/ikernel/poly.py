@@ -434,13 +434,17 @@ def _power(f: dict, k: int, unit: tuple[int, ...], product=_product) -> dict:
 
 
 def _image_entry(terms: dict) -> tuple:
-    """A substitution table entry: an image's term map and, for a one-term
-    image, its coefficient's numerator and denominator and its nonzero
-    exponents (j, x); None for any other image."""
-    if len(terms) != 1:
-        return terms, None
-    ((t, c),) = terms.items()
-    return terms, (c.numerator, c.denominator, [(j, x) for j, x in enumerate(t) if x])
+    """A substitution table entry for an image with term map `terms`:
+    (imap, s, w, folded).  The image is imap/s, with `_integer_terms`'s
+    integer map imap and scale s, and w is `_words(terms)`.  For a one-term
+    image {t: a/s}, folded is a and t's nonzero exponents (j, x); for any
+    other image, None."""
+    pairs, s = _integer_terms(terms.items())
+    folded = None
+    if len(pairs) == 1:
+        ((t, a),) = pairs
+        folded = a, [(j, x) for j, x in enumerate(t) if x]
+    return dict(pairs), s, _words(terms), folded
 
 
 def _substitute_terms(
@@ -452,39 +456,71 @@ def _substitute_terms(
 
     As in `_Parser.parse_term`, while a term is one term each power of a
     one-term image folds into a reduced integer numerator and denominator
-    (`_Budget.charge_power`, then `_Budget.fold`) and an exponent list; from
-    its first multi-term image on, the term is a term map.  So `work` is the
-    same as multiplying every factor in as a term map, at every point."""
+    (`_Budget.charge_power`, then `_Budget.fold`) and an exponent list.  An
+    image with coefficient 1 is a unit factor: its power costs 0, and
+    folding it charges what `fold` would, but it only shifts exponents.
+    From its first multi-term image on, the term is num/den times an
+    integer term map, and each image power is an integer map over a scale
+    (image^1 is the table's own map): products multiply integers, and a
+    term becomes `Fraction`s only when it is added to the result, one per
+    coefficient.  Every product is charged with the `_words` of the
+    `Fraction` maps it stands for (`_scaled_words`, exact), and image^1 as
+    the product 1 * image that it is.  So `work` is the same as multiplying
+    every factor in as a `Fraction` term map, at every point."""
     unit = (0,) * target.nvars
-    product, charge_power, fold = budget.product, budget.charge_power, budget.fold
-    powers: dict[int, list[dict]] = {}
-    def power(i: int, e: int) -> dict[tuple[int, ...], Fraction]:
-        image = table[i][0]
-        if len(image) == 1:
-            return budget.power_terms(image, e, unit)
-        cache = powers.setdefault(i, [{unit: Fraction(1)}])
+    n_words, charge, charge_power, fold = budget.n_words, budget._charge, budget.charge_power, budget.fold
+    powers: dict[int, list[tuple]] = {}
+
+    def power(i: int, e: int) -> tuple[dict, int, int]:
+        """image_i^e as (integer map, scale, words), its products charged."""
+        imap, s, w, folded = table[i]
+        if folded is not None:
+            ((t, a),) = imap.items()
+            charge_power(a, s, e)
+            a, b = a**e, s**e
+            return {tuple(x * e for x in t): a}, b, _fraction_words(a, b)
+        cache = powers.get(i)
+        if cache is None:
+            charge(len(imap) * n_words * w)
+            cache = powers[i] = [None, (imap, s, w)]
         while len(cache) <= e:
-            cache.append(product(cache[-1], image))
+            p, ps, pw = cache[-1]
+            charge(len(p) * len(imap) * n_words * pw * w)
+            p, ps = _product(p, imap), ps * s
+            cache.append((p, ps, _scaled_words(1, ps, p)))
         return cache[e]
 
     result: dict[tuple[int, ...], Fraction] = {}
     for m, c in terms.items():
-        num, den, exps, term = c.numerator, c.denominator, list(unit), None
+        num, den, exps, term = c._numerator, c._denominator, list(unit), None
         for i in compress(count(), m):
             e = m[i]
-            folded = table[i][1]
+            _, s, _, folded = table[i]
             if term is None and folded is not None:
-                a, b, shift = folded
-                charge_power(a, b, e)
-                num, den = fold(num, den, a**e, b**e)
+                a, shift = folded
+                if a == 1 and s == 1:
+                    charge(n_words * _fraction_words(num, den))
+                else:
+                    charge_power(a, s, e)
+                    num, den = fold(num, den, a**e, s**e)
                 for j, x in shift:
                     exps[j] += e * x
+                continue
+            p, ps, pw = power(i, e)
+            if term is None:
+                charge(len(p) * n_words * _fraction_words(num, den) * pw)
+                term = _product({tuple(exps): 1}, p)
             else:
-                if term is None:
-                    term = {tuple(exps): Fraction(num, den)}
-                term = product(term, power(i, e))
-        done = [(tuple(exps), Fraction(num, den))] if term is None else term.items()
-        _accumulate(result, done)
+                charge(len(term) * len(p) * n_words * _scaled_words(num, den, term) * pw)
+                term = _product(term, p)
+            g = gcd(num, ps)
+            num, den = num // g, den * (ps // g)
+        if term is not None:
+            _accumulate(result, [(k, Fraction(num * v, den)) for k, v in term.items()])
+        elif num == c._numerator and den == c._denominator:
+            _accumulate(result, [(tuple(exps), c)])
+        else:
+            _accumulate(result, [(tuple(exps), Fraction(num, den))])
     return Polynomial._trusted(target, result)
 
 
@@ -506,6 +542,27 @@ def _words(f: dict) -> int:
         if b > bits:
             bits = b
     return (bits + 63) // 64 or 1
+
+
+def _scaled_words(num: int, den: int, imap: dict) -> int:
+    """`_words` of the `Fraction` map {k: num*v/den} for the nonzero integer
+    values v of `imap`.  No reduced coefficient is wider than num*v over
+    den, so it is 1 at once when the bit lengths of num, den and the widest
+    v sum to at most 64; otherwise each coefficient is reduced."""
+    if not imap:
+        return 1
+    values = imap.values()
+    widest = max(max(values), -min(values))
+    if num.bit_length() + den.bit_length() + widest.bit_length() <= 64:
+        return 1
+    bits = 0
+    for v in values:
+        x = num * v
+        g = gcd(x, den)
+        b = (x // g).bit_length() + (den // g).bit_length()
+        if b > bits:
+            bits = b
+    return (bits + 63) // 64
 
 
 def _fraction_words(num: int, den: int) -> int:
@@ -629,23 +686,29 @@ def format_monomial(mono: tuple[int, ...], varsys: VarSystem) -> str:
 
 
 def format_polynomial(f: Polynomial) -> str:
+    """Terms in graded-lex descending order, each as its coefficient's
+    magnitude (omitted when 1 before a monomial) and its monomial, joined by
+    signs.  The magnitude prints from the coefficient's integer numerator
+    and denominator, as `str(abs(c))` would (`p` or `p/q`), with no
+    `Fraction` arithmetic."""
     if not f.terms:
         return "0"
     chunks: list[str] = []
     for mono in f.monomials():
         c = f.terms[mono]
+        num, den = c._numerator, c._denominator
         mono_str = format_monomial(mono, f.varsys)
-        mag = abs(c)
+        mag = -num if num < 0 else num
         if mono_str == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono_str
+            body = str(mag) if den == 1 else f"{mag}/{den}"
+        elif den == 1:
+            body = mono_str if mag == 1 else f"{mag}*{mono_str}"
         else:
-            body = f"{mag}*{mono_str}"
+            body = f"{mag}/{den}*{mono_str}"
         if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
+            chunks.append(body if num > 0 else f"-{body}")
         else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+            chunks.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(chunks)
 
 
@@ -693,7 +756,9 @@ class _Parser(_Budget):
     into it as a reduced integer numerator and denominator and an exponent
     list, and charges each fold what the term-map arithmetic would: the
     atom's power as `power_terms` (`charge_power`) and its multiplication as
-    `product` (`fold`).  So
+    `product` (`fold`).  A variable is a unit factor, coefficient 1: its
+    power costs 0 and folding it leaves num/den as they are, so it only adds
+    its exponent and charges `fold(num, den, 1, 1)`'s words, with no gcd.  So
     `work` always equals the charge of multiplying every factor in as a term
     map, and the same texts cross the cap at the same point."""
 
@@ -728,20 +793,21 @@ class _Parser(_Budget):
         if sign == "+" or sign == "-":
             self.pos += 1
         while True:
-            term = self.parse_term().items()
-            _accumulate(result, term if sign != "-" else ((e, -c) for e, c in term))
+            _accumulate(result, self.parse_term(sign == "-").items())
             sign = self.tokens[self.pos]
             if sign != "+" and sign != "-":
                 return result
             self.pos += 1
 
-    def parse_term(self) -> dict:
-        tokens = self.tokens
+    def parse_term(self, negative: bool) -> dict:
+        """The next term, negated if `negative`, as a term map."""
+        tokens, index = self.tokens, self.index
         num, den, exps = 1, 1, list(self.unit)  # the product until a parenthesised factor comes
         terms = None  # the product as a term map from its first parenthesised factor on
         first = True
         while True:
-            if tokens[self.pos] == "(":
+            tok = tokens[self.pos]
+            if tok == "(":
                 factor = self.parse_factor()
                 if first:
                     terms = factor
@@ -749,20 +815,25 @@ class _Parser(_Budget):
                     if terms is None:
                         terms = {tuple(exps): Fraction(num, den)} if num else {}
                     terms = self.product(terms, factor)
-            else:
-                a, b, i, k = self.parse_atom()
+            elif (i := index.get(tok)) is not None:
+                self.pos += 1
+                k = self.exponent() if tokens[self.pos] == "^" else 1
                 if terms is not None:
-                    e = self.unit if i < 0 else self.unit[:i] + (k,) + self.unit[i + 1:]
-                    terms = self.product(terms, {e: Fraction(a, b)} if a else {})
+                    terms = self.product(terms, {self.unit[:i] + (k,) + self.unit[i + 1:]: Fraction(1)})
+                else:  # a unit factor: `fold(num, den, 1, 1)` without its gcds
+                    exps[i] += k
+                    if num and not first:
+                        self._charge(self.n_words * _fraction_words(num, den))
+            else:
+                a, b = self.parse_number()
+                if terms is not None:
+                    terms = self.product(terms, {self.unit: Fraction(a, b)} if a else {})
+                elif first:
+                    num, den = a, b
+                elif num and a:  # a product with zero is zero and costs nothing
+                    num, den = self.fold(num, den, a, b)
                 else:
-                    if i >= 0:
-                        exps[i] += k
-                    if first:
-                        num, den = a, b
-                    elif num and a:  # a product with zero is zero and costs nothing
-                        num, den = self.fold(num, den, a, b)
-                    else:
-                        num = 0
+                    num = 0
             first = False
             tok = tokens[self.pos]
             if tok == "*":
@@ -770,18 +841,15 @@ class _Parser(_Budget):
             elif tok is None or (tok in _OPERATORS and tok != "("):
                 break  # otherwise an integer, a name or `(`: an implicit product
         if terms is not None:
-            return terms
-        return {tuple(exps): Fraction(num, den)} if num else {}
+            return {e: -c for e, c in terms.items()} if negative else terms
+        if not num:
+            return {}
+        return {tuple(exps): Fraction(-num if negative else num, den)}
 
-    def parse_atom(self) -> tuple[int, int, int, int]:
-        """The next atom as (a, b, i, k): the reduced coefficient a/b, raised
-        to its power if it is a number, and the variable index i (-1 for a
-        number) with its exponent k.  A number's power is charged here."""
+    def parse_number(self) -> tuple[int, int]:
+        """The next atom, which is not a variable, as the reduced a/b, raised
+        to its power if it has one; that power is charged here."""
         tok = self.take()
-        i = self.index.get(tok)
-        if i is not None:
-            k = self.exponent()
-            return 1, 1, i, (1 if k is None else k)
         if tok in _OPERATORS:
             raise ParseError(f"unexpected token {tok!r}")
         if not tok.isdecimal():
@@ -797,11 +865,11 @@ class _Parser(_Budget):
             a, b = a // g, b // g
         k = self.exponent()
         if k is None:
-            return a, b, -1, 1
+            return a, b
         if not a:  # 0^0 = 1
-            return (0 if k else 1), 1, -1, k
+            return (0 if k else 1), 1
         self.charge_power(a, b, k)
-        return a**k, b**k, -1, k
+        return a**k, b**k
 
     def parse_factor(self) -> dict:
         """A parenthesised expression, its `(` next, with an optional `^k`."""

@@ -52,6 +52,8 @@ EXACTLIN = "tests/test_exactlin.py"
 ALGEBRA = "tests/test_algebra.py"
 HARNESS = "tests/test_harness.py"
 STREAM = f"{ALGEBRA}::test_the_product_stream_skips_only_products_dependent_at_their_turn"
+POLY = "tests/test_poly.py"
+SWEEP = f"{POLY}::test_substitute_matches_the_per_factor_loop_under_every_cap"
 
 MUTANTS = (
     Mutant(
@@ -217,12 +219,52 @@ MUTANTS = (
     ),
     Mutant(
         "membership-key-without-the-generators",
-        _one(
-            "harness.py",
-            "        return (*_certificate_key(cert), target, expression)\n",
-            "        return (_certificate_key(cert)[0], target, expression)\n",
+        (
+            Edit(
+                "harness.py",
+                "        return (*_certificate_key(cert), target, expression)\n",
+                "        return (_certificate_key(cert)[0], target, expression)\n",
+            ),
+            # The check itself still gets the whole certificate key.
+            Edit(
+                "harness.py",
+                "_KeyedCertificate(cert, key[:2])",
+                "_KeyedCertificate(cert, _certificate_key(cert))",
+            ),
         ),
         (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
+    ),
+    Mutant(
+        "parser-unit-atom-charges-nothing",
+        _one(
+            "poly.py",
+            "                        self._charge(self.n_words * _fraction_words(num, den))\n",
+            "                        self._charge(0)\n",
+        ),
+        (f"{POLY}::test_parse_work_matches_the_golden_table",),
+    ),
+    Mutant(
+        "substitution-unit-image-charges-nothing",
+        _one(
+            "poly.py",
+            "                    charge(n_words * _fraction_words(num, den))\n",
+            "                    charge(0)\n",
+        ),
+        (SWEEP,),
+    ),
+    Mutant(
+        "substitution-first-image-power-charges-nothing",
+        _one("poly.py", "            charge(len(imap) * n_words * w)\n", "            charge(0)\n"),
+        (SWEEP,),
+    ),
+    Mutant(
+        "scaled-words-shortcut-up-to-127-bits",
+        _one(
+            "poly.py",
+            "    if num.bit_length() + den.bit_length() + widest.bit_length() <= 64:\n",
+            "    if num.bit_length() + den.bit_length() + widest.bit_length() < 128:\n",
+        ),
+        (SWEEP,),
     ),
     Mutant(
         "run-without-the-out-pre-check",

@@ -625,6 +625,32 @@ def test_concurrent_queries_agree_with_a_serial_run():
         sys.setswitchinterval(interval)
 
 
+def _instance_pieces(order):
+    """Instance (2,2) pieces asked for in `order`, plain and then tracked,
+    and then per degree 1..8 its rows, pivots, sources, stamps and label
+    expressions."""
+    graded = build_instance(2, 2).algebra.graded_basis()
+    for d in order:
+        graded.piece(d)
+    for d in order:
+        graded.tracked_piece(d)
+    found = []
+    for d in range(1, 9):
+        basis, exprs = graded.tracked_piece(d)
+        entry = graded._pieces[d]
+        found.append((basis.rows, basis.pivots, entry.sources, entry.stamps, tuple(map(str, exprs))))
+    return found
+
+
+def test_pieces_do_not_depend_on_the_order_of_the_queries():
+    """Metamorphic: degrees asked for in shuffled orders, or degree 8 alone
+    (which builds the lower ones it needs), give the ascending build."""
+    ascending = _instance_pieces(range(1, 9))
+    orders = [random.Random(seed).sample(range(1, 9), 8) for seed in range(3)] + [[8]]
+    for order in orders:
+        assert _instance_pieces(order) == ascending, order
+
+
 def _dense_membership(algebra, f):
     """The dense route: every coordinate of each component over its piece's
     basis, the nonzero ones combining their rows' label expressions."""

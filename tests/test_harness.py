@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ikernel.algebra import MembershipCertificate
+from ikernel import algebra as algebra_module
+from ikernel import harness as harness_module
+from ikernel.algebra import MembershipCertificate, _certificate_key
 from ikernel.harness import (
     _VERIFIERS,
     PASS,
@@ -403,6 +405,21 @@ def test_hostile_certificate_texts_fail_and_never_raise(small_reports, data):
     assert result.ok == same
 
 
+def test_details_at_a_smaller_max_degree_are_a_prefix():
+    """Metamorphic: raising `max_degree` from 5 to 8 at (2,2) only appends.
+    Every list in `details` at 5 is the start of the same list at 8, and
+    every other field is equal."""
+    for name in CATALOGUE:
+        small = run_scenario(ScenarioConfig(scenario=name, n=2, m=2, max_degree=5)).to_dict()["details"]
+        large = run_scenario(ScenarioConfig(scenario=name, n=2, m=2, max_degree=8)).to_dict()["details"]
+        assert small.keys() == large.keys(), name
+        for key, value in small.items():
+            if isinstance(value, list):
+                assert value == large[key][: len(value)], (name, key)
+            else:
+                assert value == large[key], (name, key)
+
+
 def test_report_text_rendering():
     report = run_scenario(ScenarioConfig(scenario="g2-invariants-A", n=1, m=1, max_degree=4))
     text = report.to_text()
@@ -437,6 +454,19 @@ def test_repeated_membership_certificates_are_checked_once_per_report(small_repo
     assert len(calls) == len(distinct) == 6
     verify_report(report)  # the memo lives in one call
     assert len(calls) == 12
+
+
+def test_each_membership_certificate_key_is_built_once(small_reports, monkeypatch):
+    """`verify_report` shape-checks each certificate's `variables` and
+    `generators` once, copies and first checks alike: the check reads them
+    from the key."""
+    first = _first_membership(small_reports)
+    report, base = _stability_with_copies(small_reports, [copy.deepcopy(first) for _ in range(50)])
+    calls = []
+    monkeypatch.setattr(harness_module, "_certificate_key", lambda d: calls.append(d) or _certificate_key(d))
+    monkeypatch.setattr(algebra_module, "_certificate_key", lambda d: calls.append(d) or _certificate_key(d))
+    assert verify_report(report).ok
+    assert len(calls) == base + 50
 
 
 def test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index(small_reports):

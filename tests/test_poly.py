@@ -352,6 +352,54 @@ def test_substitute_matches_the_per_factor_loop(f, images, data):
     assert outcome(folded, cap) == outcome(per_factor, cap)
 
 
+_SWEEP_SOURCE = VarSystem(("s1", "s2", "s3", "s4", "s5"))
+_SWEEP_TARGET = VarSystem(("x", "y", "t"))
+
+
+def _sweep_case():
+    """One-term images with coefficient 1 (`s1`, `s5`) and 3/2 (`s3`), and
+    multi-term ones (`s2`, and `s4` with a 73-bit coefficient) at powers 1
+    and 3, before and after each other in a term, plus a term with no
+    variable."""
+    parse = _SWEEP_TARGET.parse
+    images = {
+        "s1": parse("x*t"),
+        "s2": parse("x - 2/3*y + t"),
+        "s3": parse("3/2*y^2"),
+        "s4": parse(f"{2**40 + 1}/{3**20}*x + y"),
+        "s5": parse("t"),
+    }
+    f = _SWEEP_SOURCE.parse(
+        "5/7*s1*s3*s2 + s1^2*s2^3*s5 - 1/3*s3^3*s4 + s4^3*s2*s3 + s1*s3*s5^2"
+        " + 2*s2 + s4*s5 + 7/5*s4^3*s1 + s5^3*s3 - 1/2"
+    )
+    return f, images
+
+
+def test_substitute_matches_the_per_factor_loop_under_every_cap():
+    """Outcome, message and `work` equal the per-factor loop's under every
+    cap from 0 to the full work."""
+    f, images = _sweep_case()
+
+    def outcome(run, cap):
+        budget = poly._Budget(cap, ValueError, "substitution", _SWEEP_TARGET)
+        try:
+            return run(budget), budget.work
+        except ValueError as exc:
+            return str(exc), budget.work
+
+    def folded(budget):
+        return f._substitute(images, _SWEEP_TARGET, budget)
+
+    def per_factor(budget):
+        return _reference_substitute(f, images, _SWEEP_TARGET, budget)
+
+    full = outcome(per_factor, float("inf"))
+    assert full[0] == f.substitute(images) and full[1] > 100
+    for cap in range(full[1] + 1):
+        assert outcome(folded, cap) == outcome(per_factor, cap), cap
+
+
 @settings(max_examples=80, deadline=None)
 @given(_polys())
 def test_text_round_trip(f):
@@ -687,6 +735,9 @@ _PARSE_WORK_TABLE = [
     ("W/7*x1^2*y1", "17636684144620811271604938270*x1^2*y1", 4),
     ("x1*W^2*y1", "15241578753238836750495351562536198787501905199875019052100*x1*y1", 202),
     ("W*W*x1", "15241578753238836750495351562536198787501905199875019052100*x1", 8),
+    ("x1*W*y1*z", "123456789012345678901234567890*x1*y1*z", 6),  # unit atoms after W: 2 each
+    ("-W/7*y1^3*x1", "-17636684144620811271604938270*x1*y1^3", 4),
+    ("x1^0*W*z", "123456789012345678901234567890*z", 4),
     ("(W/7*x1)^2", "311052627617119117357047991072167322193916432650510592900*x1^2", 190),
     ("(-x1)^1000000000", "x1^1000000000", 0),
     ("(x1+y1)*z", "x1*z + y1*z", 2),
@@ -710,6 +761,9 @@ _WIDE_PARSE_WORK_TABLE = [
     ("v0*v1^2*v69", "v0*v1^2*v69", 4),
     ("3/5*v0*(v1+v2)*v69^2", "3/5*v0*v1*v69^2 + 3/5*v0*v2*v69^2", 10),
     ("(v0+v69)^2*2/3", "2/3*v0^2 + 4/3*v0*v69 + 2/3*v69^2", 18),
+    ("v0*W*v69", "123456789012345678901234567890*v0*v69", 8),
+    ("W/7*v3^2*v0*v69", "17636684144620811271604938270*v0*v3^2*v69", 12),
+    ("v0^0*W*v5", "123456789012345678901234567890*v5", 8),
 ]
 
 _PARSE_ERROR_TABLE = [
