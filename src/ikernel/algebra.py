@@ -332,33 +332,33 @@ class MembershipCertificate:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> MembershipCertificate:
-        """Invert `to_json_dict`, parsing every text under the parser budget;
-        a `cert_type` other than "membership" (nested certificates too),
-        zero generators and repeated labels raise ValueError.  The algebra
-        comes from a bounded memo keyed by the `variables` and `generators`
-        texts, so the certificates of one report share one parsed generator
-        list; its shape is checked on every call, and a list that fails is
-        parsed (and fails) again on the next."""
-        if certificate_field(data, "cert_type") != "membership":
-            raise ValueError("field 'cert_type' must be \"membership\"")
-        key = data.key if isinstance(data, _KeyedCertificate) else _certificate_key(data)
-        algebra = _certificate_algebra(*key)
-        certificate_field(data, "generators")  # missing: named after a bad `variables` field
-        expression = certificate_field(data, "expression", algebra.label_system)
-        return cls(algebra, certificate_field(data, "target", algebra.varsys), expression)
+        """Invert `to_json_dict`: `from_key` of the `membership_key`.  Zero
+        generators are allowed, as the constants lie in every subalgebra:
+        with none, a constant expression can verify and any label fails to
+        parse."""
+        return cls.from_key(membership_key(data))
+
+    @classmethod
+    def from_key(cls, key: tuple) -> MembershipCertificate:
+        """The certificate a `membership_key` holds, its algebra from the
+        `_certificate_algebra` memo, every text parsed under the parser
+        budget; each ValueError names its field."""
+        names, generators, target, expression = key
+        algebra = _certificate_algebra(names, generators)
+        expression = _parse_field("expression", expression, algebra.label_system)
+        return cls(algebra, _parse_field("target", target, algebra.varsys), expression)
 
     def verify(self) -> bool:
         """Substitute the generators into the expression within one
-        `MAX_CHECK_WORK` budget and compare with the target.  An expression
-        over the algebra's labels reads only the entries of the labels it
-        uses from the algebra's `_image_table`; any other goes through the
-        checks of `Polynomial.substitute`, with the same work either way."""
+        `MAX_CHECK_WORK` budget and compare with the target, reading from
+        the algebra's `_image_table` only the entries of the labels the
+        expression uses.  An expression over any system but the algebra's
+        `label_system` raises VarSystemMismatch."""
         algebra, expression = self.algebra, self.expression
+        if expression.varsys != algebra.label_system:
+            raise VarSystemMismatch("expression is not over the generator labels")
         budget = _check_budget("expression", algebra.varsys)
-        if expression.varsys == algebra.label_system:
-            image = _substitute_terms(expression.terms, algebra._image_table(), algebra.varsys, budget)
-        else:
-            image = expression._substitute(dict(algebra.generators), algebra.varsys, budget)
+        image = _substitute_terms(expression.terms, algebra._image_table(), algebra.varsys, budget)
         return image == self.target
 
     def to_json_dict(self) -> dict:
@@ -376,45 +376,61 @@ class MembershipCertificate:
 
 def certificate_field(data: Mapping, field: str, varsys: VarSystem | None = None):
     """A serialized certificate's field, or ValueError if it is missing;
-    given a system, the field's text parsed over it, every parse error
-    named by the field."""
+    given a system, the field's text parsed over it, a value that is no
+    string and every parse error named by the field."""
+    if varsys is not None:
+        return _parse_field(field, _text_field(data, field), varsys)
     if field not in data:
         raise ValueError(f"field {field!r} is missing")
-    value = data[field]
-    if varsys is None:
-        return value
-    if not isinstance(value, str):
+    return data[field]
+
+
+def _text_field(data: Mapping, field: str) -> str:
+    text = certificate_field(data, field)
+    if not isinstance(text, str):
         raise ValueError(f"field {field!r} must be a string")
+    return text
+
+
+def _parse_field(field: str, text: str, varsys: VarSystem) -> Polynomial:
     try:
-        return varsys.parse(value)
+        return varsys.parse(text)
     except ValueError as exc:
         raise ValueError(f"field {field!r}: {exc}") from None
 
 
-def _certificate_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """A serialized certificate's `variables` and any `generators` field,
-    shape-checked, as the key of `_certificate_algebra`."""
+def certificate_names(data: Mapping) -> tuple[str, ...]:
+    """A serialized certificate's `variables` field, shape-checked."""
     names = certificate_field(data, "variables")
     if not isinstance(names, list) or not all(map(isinstance, names, repeat(str))):
         raise ValueError("field 'variables' must be a list of strings")
-    generators = data.get("generators", [])
+    return tuple(names)
+
+
+def certificate_system(names: tuple[str, ...]) -> VarSystem:
+    """The system of `certificate_names`, errors named by the field."""
+    try:
+        return VarSystem(names)
+    except ValueError as exc:
+        raise ValueError(f"field 'variables': {exc}") from None
+
+
+def membership_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...], str, str]:
+    """Every field a serialized membership certificate's check reads,
+    shape-checked, as a hashable key: the `variables`, the `generators` as
+    (label, text) pairs, and the `target` and `expression` texts.  A
+    `cert_type` other than "membership", or a field that is missing or of
+    the wrong type, raises ValueError naming it."""
+    if certificate_field(data, "cert_type") != "membership":
+        raise ValueError("field 'cert_type' must be \"membership\"")
+    names = certificate_names(data)
+    generators = certificate_field(data, "generators")
     if not (isinstance(generators, list) and all(map(isinstance, generators, repeat(list)))
             and set(map(len, generators)) <= {2}
             and all(map(isinstance, chain.from_iterable(generators), repeat(str)))):
         raise ValueError("field 'generators' must be a list of [label, text] string pairs")
-    return tuple(names), tuple(map(tuple, generators))
-
-
-class _KeyedCertificate(dict):
-    """A copy of a serialized certificate that carries its already built
-    `_certificate_key`, which `MembershipCertificate.from_json_dict` then
-    reads instead of checking the same fields again."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, data: Mapping, key: tuple[tuple[str, ...], tuple[tuple[str, str], ...]]):
-        super().__init__(data)
-        self.key = key
+    expression = _text_field(data, "expression")
+    return names, tuple(map(tuple, generators)), _text_field(data, "target"), expression
 
 
 # A report's certificates share one generator list (each of the nine
@@ -427,21 +443,12 @@ def _certificate_algebra(
     """The algebra of the labeled generator `texts`, parsed over the system
     of `names`.  Certificates only substitute its generators, which are
     never graded, so they need not be homogeneous."""
-    try:
-        varsys = VarSystem(names)
-    except ValueError as exc:  # repeated or malformed names
-        raise ValueError(f"field 'variables': {exc}") from None
+    varsys = certificate_system(names)
     try:
         generators = [(label, varsys.parse(text)) for label, text in texts]
         return SubalgebraSpec(varsys, generators)
     except ValueError as exc:
         raise ValueError(f"field 'generators': {exc}") from None
-
-
-def certificate_varsys(data: Mapping) -> VarSystem:
-    """The variable system of a serialized certificate, after checking the
-    shape of its `variables` field and of any `generators` field."""
-    return _certificate_algebra(_certificate_key(data)[0], ()).varsys
 
 
 def verify_membership_json(data: Mapping) -> bool:

@@ -27,13 +27,13 @@ from .actions import (
     substitution_stabilizes,
 )
 from .algebra import (
+    MembershipCertificate,
     SubalgebraSpec,
-    _certificate_key,
-    _KeyedCertificate,
     decomposable_span,
     graded_piece,
     indecomposable_generators,
     intersect_with_subring,
+    membership_key,
     monomial_membership,
     verify_membership_json,
     y_positive_monomial_algebra,
@@ -541,27 +541,25 @@ class VerifyResult:
         return not self.failures
 
 
-def _membership_key(cert: Mapping) -> tuple | None:
-    """Every field a membership check reads but its `cert_type`: the
-    shape-checked `variables` and `generators` of `_certificate_key`, the
-    `target` and the `expression`; None unless all four are present and
-    well-typed."""
-    target, expression = cert.get("target"), cert.get("expression")
-    if "generators" not in cert or not isinstance(target, str) or not isinstance(expression, str):
-        return None
+def _check(kind: str, cert: Mapping, outcomes: dict[tuple, str | None]) -> str | None:
+    """Why a certificate of a known `kind` fails, or None if it verifies; a
+    membership certificate is checked as `from_key` of its `membership_key`,
+    once per key, each key's outcome kept in `outcomes`."""
+    key = None
     try:
-        return (*_certificate_key(cert), target, expression)
-    except ValueError:
-        return None
-
-
-def _check(kind: str, cert: Mapping) -> str | None:
-    """Why a certificate of a known `kind` fails, or None if it verifies."""
-    try:
-        good = _VERIFIERS[kind](cert)
+        if kind != "membership":
+            good = _VERIFIERS[kind](cert)
+        elif (key := membership_key(cert)) in outcomes:
+            return outcomes[key]
+        else:
+            good = MembershipCertificate.from_key(key).verify()
     except Exception as exc:  # malformed certificate
-        return f"({kind}): {exc}"
-    return None if good else f"({kind}): re-evaluation failed"
+        outcome = f"({kind}): {exc}"
+    else:
+        outcome = None if good else f"({kind}): re-evaluation failed"
+    if key is not None:
+        outcomes[key] = outcome
+    return outcome
 
 
 def verify_report(data: Mapping) -> VerifyResult:
@@ -571,12 +569,11 @@ def verify_report(data: Mapping) -> VerifyResult:
     ones included, must hold at least one.  Anything but a mapping is no
     report: it fails with no certificate checked.
 
-    Membership certificates with equal `_membership_key`s are checked once
-    per call: a check reads nothing else, so every copy shares its outcome,
-    and each copy still counts in `total` and fails at its own index.  The
-    check gets the certificate with the key's `_certificate_key` part
-    (`_KeyedCertificate`), so those fields are checked once per certificate.
-    A certificate without a key is checked on its own."""
+    Each membership certificate is read once, by `membership_key`, and a
+    ValueError from it is that certificate's failure.  Certificates with
+    equal keys are checked once per call: the check is `from_key` of the
+    key and reads nothing else, so every copy shares its outcome, and each
+    copy still counts in `total` and fails at its own index."""
     if not isinstance(data, Mapping):
         return VerifyResult(0, ["report is not a JSON object"])
     failures: list[str] = []
@@ -604,13 +601,7 @@ def verify_report(data: Mapping) -> VerifyResult:
         if kind not in _VERIFIERS:
             failures.append(f"certificate {k}: unknown cert_type {kind!r}")
             continue
-        key = _membership_key(cert) if kind == "membership" else None
-        if key is None:
-            outcome = _check(kind, cert)
-        elif key in outcomes:
-            outcome = outcomes[key]
-        else:  # the check reads the shape-checked `variables` and `generators` from the key
-            outcome = outcomes[key] = _check(kind, _KeyedCertificate(cert, key[:2]))
+        outcome = _check(kind, cert, outcomes)
         if outcome is not None:
             failures.append(f"certificate {k} {outcome}")
     return VerifyResult(len(certificates), failures, verdict, scenario)

@@ -23,7 +23,8 @@ from .algebra import (
     NotHomogeneous,
     SubalgebraSpec,
     certificate_field,
-    certificate_varsys,
+    certificate_names,
+    certificate_system,
     membership,
 )
 from .exactlin import integer_kernel, solve
@@ -53,7 +54,7 @@ class RelationCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget;
         the exponent fields are checked first, so one that is malformed is
         named before any nested certificate is parsed."""
-        varsys = certificate_varsys(data)
+        varsys = certificate_system(certificate_names(data))
         element = certificate_field(data, "element", varsys)
         entries = certificate_field(data, "coefficients")
         if not (isinstance(entries, list) and all(map(isinstance, entries, repeat(Mapping)))):

@@ -211,26 +211,27 @@ MUTANTS = (
     Mutant(
         "membership-key-without-the-target",
         _one(
-            "harness.py",
-            "        return (*_certificate_key(cert), target, expression)\n",
-            "        return (*_certificate_key(cert), expression)\n",
+            "algebra.py",
+            "    return names, tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
+            "    return names, tuple(map(tuple, generators)), expression, expression\n",
         ),
         (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
     ),
     Mutant(
         "membership-key-without-the-generators",
-        (
-            Edit(
-                "harness.py",
-                "        return (*_certificate_key(cert), target, expression)\n",
-                "        return (_certificate_key(cert)[0], target, expression)\n",
-            ),
-            # The check itself still gets the whole certificate key.
-            Edit(
-                "harness.py",
-                "_KeyedCertificate(cert, key[:2])",
-                "_KeyedCertificate(cert, _certificate_key(cert))",
-            ),
+        _one(
+            "algebra.py",
+            "    return names, tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
+            "    return names, (), _text_field(data, \"target\"), expression\n",
+        ),
+        (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
+    ),
+    Mutant(
+        "membership-key-without-the-variables",
+        _one(
+            "algebra.py",
+            "    return names, tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
+            "    return (), tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
         ),
         (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
     ),

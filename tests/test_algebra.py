@@ -21,13 +21,13 @@ from ikernel.algebra import (
     MembershipCertificate,
     NotHomogeneous,
     SubalgebraSpec,
-    _certificate_key,
     _product_row,
     decomposable_span,
     graded_piece,
     indecomposable_generators,
     intersect_with_subring,
     membership,
+    membership_key,
     monomial_membership,
     verify_membership_json,
     y_positive_monomial_algebra,
@@ -36,6 +36,7 @@ from ikernel.exactlin import Echelon, SpanBasis
 from ikernel.poly import (
     Polynomial,
     VarSystem,
+    VarSystemMismatch,
     _accumulate,
     _Budget,
     _integer_terms,
@@ -175,7 +176,7 @@ def test_verify_reads_the_image_table_with_the_substitution_work(monomial, monke
     """`verify` agrees with the public `substitute` and charges the same
     `_Budget.work`, with the (2,2) instance's multi-term generators and the
     y-positive algebra's one-term ones; an expression over a system other
-    than the labels takes the checked path."""
+    than the labels is refused."""
     inst = build_instance(1, 1) if monomial else build_instance(2, 2)
     algebra = (y_positive_monomial_algebra(inst.varsys, inst.x_names, inst.y_names, 6)
                if monomial else inst.algebra)
@@ -190,9 +191,10 @@ def test_verify_reads_the_image_table_with_the_substitution_work(monomial, monke
         reference = _Budget(float("inf"), ValueError, "substitution", vs)
         want = cert.expression.substitute(images) == cert.target
         assert (cert.expression._substitute(images, vs, reference) == cert.target) == want
-        for expression in (cert.expression, cert.expression.embed(wider)):
-            assert MembershipCertificate(algebra, cert.target, expression).verify() == want
-            assert budgets[-1].work == reference.work
+        assert cert.verify() == want and budgets[-1].work == reference.work
+        wide = MembershipCertificate(algebra, cert.target, cert.expression.embed(wider))
+        with pytest.raises(VarSystemMismatch, match="not over the generator labels"):
+            wide.verify()
         outcomes.add(want)
     assert outcomes == {True, False} and algebra._images is not None
 
@@ -278,15 +280,37 @@ class _Pair(list):
     [["a", 1]], [[None, "x"]], [["a", "x"], ["b", ["x"]]],  # parts that are not strings
 ])
 def test_certificate_key_rejects_malformed_generators(generators):
+    data = {"cert_type": "membership", "variables": ["x"], "generators": generators,
+            "target": "x", "expression": "a"}
     with pytest.raises(ValueError) as caught:
-        _certificate_key({"variables": ["x"], "generators": generators})
+        membership_key(data)
     assert str(caught.value) == "field 'generators' must be a list of [label, text] string pairs"
 
 
 def test_certificate_key_accepts_pairs_and_subclasses():
-    data = {"variables": ["x"], "generators": [["a", "x"], _Pair([_Label("b"), "x^2"])]}
-    assert _certificate_key(data) == (("x",), (("a", "x"), ("b", "x^2")))
-    assert _certificate_key({"variables": [_Label("x")]}) == (("x",), ())
+    data = {"cert_type": "membership", "variables": ["x"], "target": "x^2", "expression": "b",
+            "generators": [["a", "x"], _Pair([_Label("b"), "x^2"])]}
+    assert membership_key(data) == (("x",), (("a", "x"), ("b", "x^2")), "x^2", "b")
+    data.update(variables=[_Label("x")], generators=[], target=_Label("3"), expression="3")
+    assert membership_key(data) == (("x",), (), "3", "3")
+
+
+@pytest.mark.parametrize("target, expression, outcome", [
+    ("3", "3", True), ("3", "2", False), ("x", "3", False),
+    ("x", "g", "field 'expression': unknown variable 'g'"),
+])
+def test_zero_generators_certify_only_constants(target, expression, outcome):
+    """Constants lie in every subalgebra, so a certificate over no
+    generators is well formed: its labels' system is empty, and only a
+    constant expression parses."""
+    data = {"cert_type": "membership", "variables": ["x"], "generators": [],
+            "target": target, "expression": expression}
+    if isinstance(outcome, bool):
+        assert verify_membership_json(data) is outcome
+        return
+    with pytest.raises(ValueError) as caught:
+        verify_membership_json(data)
+    assert str(caught.value) == outcome
 
 
 def test_intersect_with_subring_examples(inst11):

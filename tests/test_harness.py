@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ikernel import algebra as algebra_module
 from ikernel import harness as harness_module
-from ikernel.algebra import MembershipCertificate, _certificate_key
+from ikernel.algebra import MembershipCertificate, membership_key
 from ikernel.harness import (
     _VERIFIERS,
     PASS,
@@ -447,8 +447,8 @@ def test_repeated_membership_certificates_are_checked_once_per_report(small_repo
     certificates = _collect_certificates(report["details"])
     distinct = {json.dumps(c, sort_keys=True) for c in certificates}
     calls = []
-    check = _VERIFIERS["membership"]
-    monkeypatch.setitem(_VERIFIERS, "membership", lambda cert: calls.append(cert) or check(cert))
+    check = MembershipCertificate.verify
+    monkeypatch.setattr(MembershipCertificate, "verify", lambda cert: calls.append(cert) or check(cert))
     result = verify_report(report)
     assert (result.ok, result.total, base) == (True, 16 + 50, 16)
     assert len(calls) == len(distinct) == 6
@@ -457,14 +457,13 @@ def test_repeated_membership_certificates_are_checked_once_per_report(small_repo
 
 
 def test_each_membership_certificate_key_is_built_once(small_reports, monkeypatch):
-    """`verify_report` shape-checks each certificate's `variables` and
-    `generators` once, copies and first checks alike: the check reads them
-    from the key."""
+    """`verify_report` reads each membership certificate once, copies and
+    first checks alike: the check is built from the key."""
     first = _first_membership(small_reports)
     report, base = _stability_with_copies(small_reports, [copy.deepcopy(first) for _ in range(50)])
     calls = []
-    monkeypatch.setattr(harness_module, "_certificate_key", lambda d: calls.append(d) or _certificate_key(d))
-    monkeypatch.setattr(algebra_module, "_certificate_key", lambda d: calls.append(d) or _certificate_key(d))
+    monkeypatch.setattr(harness_module, "membership_key", lambda d: calls.append(d) or membership_key(d))
+    monkeypatch.setattr(algebra_module, "membership_key", lambda d: calls.append(d) or membership_key(d))
     assert verify_report(report).ok
     assert len(calls) == base + 50
 
@@ -483,7 +482,7 @@ def test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index(small_repo
         copies += [{**first, **fields}, first]
     report, base = _stability_with_copies(small_reports, copies)
     result = verify_report(report)
-    expected = [f"certificate {base + k} {_check('membership', c)}"
+    expected = [f"certificate {base + k} {_check('membership', c, {})}"
                 for k, c in enumerate(copies) if c is not first]
     assert result.failures == expected
     assert result.total == base + len(copies)

@@ -14,8 +14,8 @@ from ikernel.algebra import (
     NotHomogeneous,
     SubalgebraSpec,
     _certificate_algebra,
-    _certificate_key,
     membership,
+    membership_key,
     verify_membership_json,
 )
 from ikernel.exactlin import integer_kernel
@@ -456,6 +456,41 @@ def test_the_memo_is_bounded():
     assert _certificate_algebra.cache_info().maxsize is not None
 
 
+@pytest.fixture(scope="module")
+def dichotomy():
+    return run_scenario(ScenarioConfig("g1-integrality-dichotomy", n=1, m=1, max_degree=3)).to_dict()
+
+
+def test_a_relation_builds_no_algebra_for_its_variables(dichotomy):
+    _certificate_algebra.cache_clear()
+    assert verify_report(dichotomy).ok
+    assert _certificate_algebra.cache_info().currsize == 1  # the nested certificates' one
+
+
+@pytest.mark.parametrize("generators", [5, [["a", "x1"], ["a", "y1"]]])
+def test_a_relation_reads_no_generators_field(dichotomy, generators):
+    report = json.loads(json.dumps(dichotomy))
+    report["details"]["algebraic"]["generators"] = generators
+    assert verify_report(report).ok
+
+
+@pytest.mark.parametrize("variables, message", [
+    (None, "field 'variables' is missing"),
+    ("x1", "field 'variables' must be a list of strings"),
+    (["x1", 1], "field 'variables' must be a list of strings"),
+    (["x1", "x1", "y1", "z"], "field 'variables': variable names must be distinct"),
+    (["x1", "y-1", "z"], "field 'variables': invalid variable name 'y-1'"),
+])
+def test_a_relation_names_its_bad_variables(dichotomy, variables, message):
+    report = json.loads(json.dumps(dichotomy))
+    relation = report["details"]["algebraic"]
+    if variables is None:
+        del relation["variables"]
+    else:
+        relation["variables"] = variables
+    assert verify_report(report).failures == [f"certificate 0 (relation): {message}"]
+
+
 def _last_membership(obj):
     """The last membership certificate in document order, nested ones included."""
     found = None
@@ -510,7 +545,7 @@ def test_concurrent_verify_reports_agree_with_a_serial_run():
     serial = [verify_report(report) for report in reports]
     assert serial[0].failures == []
     assert serial[1].failures == ["certificate 35 (membership): re-evaluation failed"]
-    key = _certificate_key(_last_membership(reports[0]["details"]))
+    key = membership_key(_last_membership(reports[0]["details"]))[:2]
     table = _certificate_algebra(*key)._images
 
     def worker(start, k):
