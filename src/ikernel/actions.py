@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import add
 from typing import Mapping
 
@@ -20,7 +21,7 @@ from .poly import (
     Polynomial,
     VarSystem,
     VarSystemMismatch,
-    _integer_terms,
+    _image_entry,
     _product,
     format_monomial,
     monomials_of_degree,
@@ -204,39 +205,31 @@ def invariant_subspace(substitution: ParametricSubstitution, degree: int) -> Spa
     coords = substitution.coordinate_system
     varsys = substitution.varsys
     frame = monomials_of_degree(coords, degree)
-    # Each coordinate's image scaled to integer terms by s, the lcm of its
-    # denominators: a one-term image c*t folds into an exponent shift t and
-    # a factor c, a multi-term one is a cached power.  The image of monomial
-    # j scaled by s_j, the product of the s^e, is the product of its cached
+    # Each coordinate's image as its `_image_entry`: an integer map over a
+    # scale s, and for a one-term image its fold, a factor and an exponent
+    # shift; a multi-term image is a cached power.  The image of monomial j
+    # scaled by s_j, the product of the s^e, is the product of its cached
     # powers, shifted and scaled by its folds; s_j*monomial is its domain row.
     unit = (0,) * varsys.nvars
     place = [varsys.index(name) for name in coords.names]
-    folds, powers, image_scales = [], [], []
+    images = []
     for name in coords.names:
-        terms, s = _integer_terms(substitution.image_of(name).terms.items())
-        image_scales.append(s)
-        if len(terms) == 1:
-            ((t, c),) = terms
-            folds.append(([(i, x) for i, x in enumerate(t) if x], c))
-            powers.append(None)
-        else:
-            folds.append(None)
-            powers.append([{unit: 1}, dict(terms)])
-            for _ in range(degree - 1):
-                powers[-1].append(_product(powers[-1][-1], powers[-1][1]))
+        imap, s, _, fold = _image_entry(substitution.image_of(name).terms)
+        powers = None if fold else list(accumulate(repeat(imap, degree), _product, initial={unit: 1}))
+        images.append((s, fold, powers))
     rows, deltas = [], []
     for mono in frame:
         image, shift, own, factor, scale = None, list(unit), list(unit), 1, 1
-        for k, e, fold, row, s in zip(place, mono, folds, powers, image_scales):
+        for k, e, (s, fold, powers) in zip(place, mono, images):
             if not e:
                 continue
             own[k] = e
             scale *= s**e
             if fold is None:
-                image = row[e] if image is None else _product(image, row[e])
+                image = powers[e] if image is None else _product(image, powers[e])
             else:
-                factor *= fold[1] ** e
-                for i, x in fold[0]:
+                factor *= fold[0] ** e
+                for i, x in fold[1]:
                     shift[i] += e * x
         if image is None:
             image = {tuple(shift): factor}

@@ -16,7 +16,7 @@ from itertools import chain, compress, count, repeat
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactlin import Echelon, SpanBasis
+from .exactlin import Echelon, SpanBasis, integer_kernel
 from .poly import (
     Polynomial,
     VarSystem,
@@ -242,8 +242,7 @@ class GradedBasis:
                 gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0]
             else:
                 decomposable = SpanBasis.of_echelon(vs, frame, ech)
-                gens = [(k, gen, dict(terms), s) for k, gen in block
-                        for terms, s in [_integer_terms(gen.terms.items())]]
+                gens = [(k, gen, *_integer_terms(gen.terms)) for k, gen in block]
             ech.block = e
             for gen in gens:
                 for i, brow in rows:
@@ -267,34 +266,33 @@ class GradedBasis:
     def _expressions(self, degree: int, entry: _Piece) -> tuple[Polynomial, ...]:
         """Each basis row's label expression, from the products that raised
         the rank.  Those r products P are independent and span A_d, so
-        P = N*B for the basis rows B, with N the products' entries at the
-        basis pivots, and B = N^-1 * P uniquely.  Eliminating the rows
-        [N | I] gives rows that are multiples of [I | N^-1], so basis row
-        i's expression is the combination sum_j (N^-1)_ij of the products'
-        formals expr_b * label_g * s_b*s_g, each of which evaluates to its
-        row."""
+        P = N*B for the reduced basis rows B, with N the products' entries
+        at the basis pivots, and B = N^-1 * P uniquely.  The kernel of the
+        columns [N^T | -I], product j's entries at the pivots and then one
+        -1 per pivot, is spanned by the (row i of N^-1, e_i): as
+        `integer_kernel` reads it, the vector of unit column i holds s there
+        and s*(N^-1)_ij at product j.  So basis row i's expression is
+        sum_j (N^-1)_ij times the formal expr_b * label_g * s_b*s_g of
+        product j, which evaluates to it."""
         if degree == 0:
             return (self.labels.one(),)
-        basis = entry.basis
-        position = {p: col for col, p in enumerate(basis.pivots)}
-        r = basis.dim
-        ech = Echelon(2 * r)
-        formals = []
+        pivots = set(entry.basis.pivots)
+        columns, formals = [], []
         lower_exprs = {d: self.tracked_piece(d)[1] for d in {s[0] for s in entry.sources}}
-        for j, (lower, i, (k, _, gterms, sg)) in enumerate(entry.sources):
+        for lower, i, (k, _, gterms, sg) in entry.sources:
             lower_basis = self._pieces[lower].basis
             sb = lower_basis.rows[i][lower_basis.pivots[i]]
             product = _product(lower_basis.rows[i], gterms)
-            row = {position[m]: v for m, v in product.items() if m in position}
-            row[r + j] = 1
-            ech.insert(row)
+            columns.append({m: v for m, v in product.items() if m in pivots})
             formals.append((lower_exprs[lower][i].terms, k, sb * sg))
+        r = len(formals)
+        columns += ({p: -1} for p in entry.basis.pivots)
         return tuple(
             Polynomial._trusted(self.labels, _accumulate({}, (
-                (e[:k] + (e[k] + 1,) + e[k + 1:], c * Fraction(s * x, row[i]))
-                for j, x in row.items() if j >= r
-                for t, k, s in [formals[j - r]] for e, c in t.items()
-            ))) for i, row in enumerate(ech.emit()[0])
+                (e[:k] + (e[k] + 1,) + e[k + 1:], c * Fraction(s * x, vec[r + i]))
+                for j, x in vec.items() if j < r
+                for t, k, s in [formals[j]] for e, c in t.items()
+            ))) for i, vec in enumerate(integer_kernel(columns))
         )
 
     def _entry(self, degree: int) -> _Piece:
@@ -374,22 +372,23 @@ class MembershipCertificate:
         return f"<MembershipCertificate {self.target} = {self.expression}>"
 
 
-def certificate_field(data: Mapping, field: str, varsys: VarSystem | None = None):
-    """A serialized certificate's field, or ValueError if it is missing;
-    given a system, the field's text parsed over it, a value that is no
-    string and every parse error named by the field."""
-    if varsys is not None:
-        return _parse_field(field, _text_field(data, field), varsys)
+def certificate_field(data: Mapping, field: str):
+    """A serialized certificate's field, or ValueError if it is missing."""
     if field not in data:
         raise ValueError(f"field {field!r} is missing")
     return data[field]
 
 
-def _text_field(data: Mapping, field: str) -> str:
-    text = certificate_field(data, field)
+def certificate_text(data: Mapping, field: str, varsys: VarSystem | None = None):
+    """A serialized certificate's text field, or ValueError if it is missing
+    or no string; given a system, the text parsed over it, every parse
+    error named by the field."""
+    if field not in data:
+        raise ValueError(f"field {field!r} is missing")
+    text = data[field]
     if not isinstance(text, str):
         raise ValueError(f"field {field!r} must be a string")
-    return text
+    return text if varsys is None else _parse_field(field, text, varsys)
 
 
 def _parse_field(field: str, text: str, varsys: VarSystem) -> Polynomial:
@@ -429,8 +428,8 @@ def membership_key(data: Mapping) -> tuple[tuple[str, ...], tuple[tuple[str, str
             and set(map(len, generators)) <= {2}
             and all(map(isinstance, chain.from_iterable(generators), repeat(str)))):
         raise ValueError("field 'generators' must be a list of [label, text] string pairs")
-    expression = _text_field(data, "expression")
-    return names, tuple(map(tuple, generators)), _text_field(data, "target"), expression
+    expression = certificate_text(data, "expression")
+    return names, tuple(map(tuple, generators)), certificate_text(data, "target"), expression
 
 
 # A report's certificates share one generator list (each of the nine

@@ -8,13 +8,12 @@ degreewise linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import MembershipCertificate, SubalgebraSpec, membership
 from .exactlin import SpanBasis, kernel_span
-from .poly import Polynomial, VarSystem, VarSystemMismatch
+from .poly import Polynomial, VarSystem, VarSystemMismatch, _integer_terms
 
 
 class InhomogeneousDerivation(ValueError):
@@ -25,9 +24,10 @@ class Derivation:
     """A k-derivation given by its images on variables (missing image = 0).
 
     The images are kept once, lowered and scaled to integers by s, the lcm
-    of their denominators: per variable v with an image, v's index and the
-    image's terms c*t as (t - v, s*c), so a term a*m of f maps to
-    (m - v + t, a*m_v*s*c) in s*d(f).
+    of all their denominators (one `_integer_terms` over all their terms):
+    per variable v with an image, v's index and the image's terms c*t as
+    (t - v, s*c), so a term a*m of f maps to (m - v + t, a*m_v*s*c) in
+    s*d(f).
     """
 
     __slots__ = ("varsys", "images", "_scale", "_lowered")
@@ -42,13 +42,13 @@ class Derivation:
                 clean[name] = poly
         self.varsys = varsys
         self.images = clean
-        self._scale = s = lcm(*(c.denominator for p in clean.values() for c in p.terms.values()))
-        self._lowered = []
-        for name, poly in clean.items():
-            i, terms = varsys.index(name), poly.terms.items()
-            self._lowered.append((i, [
-                (t[:i] + (t[i] - 1,) + t[i + 1:], c.numerator * (s // c.denominator)) for t, c in terms
-            ]))
+        terms, self._scale = _integer_terms(
+            {(varsys.index(name), t): c for name, poly in clean.items() for t, c in poly.terms.items()}
+        )
+        lowered: dict[int, list] = {}
+        for (i, t), c in terms.items():
+            lowered.setdefault(i, []).append((t[:i] + (t[i] - 1,) + t[i + 1:], c))
+        self._lowered = list(lowered.items())
 
     def _leibniz(self, acc: dict, terms: Iterable[tuple]) -> dict:
         """Add s*d(f), for f given by its (exponents, coefficient) terms, into

@@ -7,14 +7,17 @@ peels the unknowns that one-entry rows force to zero, so such rows never
 reach `Echelon`.  It and `solve` take a matrix as its columns, maps from
 row keys to entries (a polynomial's `terms`, say), and read its shape from
 them: one unknown per column, one row per key a column holds.  Column
-indices live only in elimination: in these three and in the `algebra`
-builders that feed `Echelon` directly; no caller of `integer_kernel`,
-`solve` or `kernel_span` numbers its rows.  A `SpanBasis` keys the same
-rows by exponent tuple, the keys of `Polynomial.terms`, and
-`SpanBasis.of_echelon` is the one place where a column becomes a monomial.
-`Fraction`s exist only at the edges: in rational input rows, where a row is
-divided by its pivot entry (`polynomials()`, coordinates), and where `solve`
-divides one kernel vector by its entry at the right-hand-side column.
+indices live only in elimination: in these three and in
+`algebra.GradedBasis._build`, the one builder that feeds `Echelon`
+directly; no caller of `integer_kernel`, `solve` or `kernel_span` numbers
+its rows.  A `SpanBasis` keys the same rows by exponent tuple, the keys of
+`Polynomial.terms`, and `SpanBasis.of_echelon` is the one place where a
+column becomes a monomial.  `Echelon` takes integer rows only: rational
+input becomes integers through `poly._integer_terms` in `integer_kernel`
+(each row it inserts) and in `SpanBasis.from_polynomials`.  `Fraction`s
+come back only where a row is divided by its pivot entry (`polynomials()`,
+coordinates), and where `solve` divides one kernel vector by its entry at
+the right-hand-side column.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .poly import Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate, monomials_of_degree
+from .poly import (
+    Monomial, Polynomial, VarSystem, VarSystemMismatch, _accumulate, _integer_terms, monomials_of_degree,
+)
 
 _STRIP_LIMIT = 1 << 64  # strip row content once entries grow past this
 _ZERO = Fraction(0)
-_INT = frozenset({int})
 
 
 def _eliminate(row: dict, lead: int, a: int, other: Mapping) -> None:
@@ -48,7 +52,8 @@ def _eliminate(row: dict, lead: int, a: int, other: Mapping) -> None:
 class Echelon:
     """Gauss-Jordan accumulator over sparse, fraction-free integer rows.
 
-    Each stored row is a `{column: int}` map of its nonzero entries, kept
+    Rows come in as they are stored, `{column: int}` maps of nonzero
+    entries; callers scale rational rows first.  Each stored row is kept
     primitive with positive leading entry; pivot columns are distinct and
     rows are mutually reduced, so dividing each by its pivot entry gives
     the unique reduced row echelon basis of the span.  New rows are
@@ -57,13 +62,12 @@ class Echelon:
     or `|a| > 1`) their content is stripped once entries pass
     `_STRIP_LIMIT`.  The column index `_cols` maps each column to the
     pivots of the stored rows that are nonzero there, so a new pivot is
-    cleared from those rows only.  Zero entries are dropped wherever they
-    are; a nonzero entry outside `range(width)` can never cancel, so such
-    a row raises `ValueError` before anything is stored.  A row of one
-    nonzero entry in the frame is decided in O(1) when its column is the
-    pivot of a stored unit row (dependent) or held by no stored row (a
-    new unit row, nothing to back-reduce).  `rows` views each stored row's
-    nonzero values in pivot order.
+    cleared from those rows only.  An entry outside `range(width)` can
+    never cancel, so such a row raises `ValueError` before anything is
+    stored.  A row of one entry in the frame is decided in O(1) when its
+    column is the pivot of a stored unit row (dependent) or held by no
+    stored row (a new unit row, nothing to back-reduce).  `rows` views
+    each stored row's nonzero values in pivot order.
 
     `stamps` maps each stored row's pivot to the `block` (a caller's label
     for a stretch of inserts, 0 until set) in which that row was last
@@ -90,13 +94,13 @@ class Echelon:
     def rows(self) -> tuple[Iterable[int], ...]:
         return tuple(self._rows[p].values() for p in self.pivots)
 
-    def insert(self, vec: Mapping[int, Fraction | int]) -> bool:
-        """Add one sparse vector `{column: value}` to the span; True iff the
-        rank grew.  Zero entries may be present, at any column, or omitted;
-        a nonzero entry outside `range(width)` raises `ValueError`."""
+    def insert(self, vec: Mapping[int, int]) -> bool:
+        """Add one sparse integer row `{column: nonzero int}` to the span;
+        True iff the rank grew.  An entry outside `range(width)` raises
+        `ValueError`."""
         if len(vec) == 1:  # one entry: most such rows are decided without eliminating
-            ((c, v),) = vec.items()
-            if v and 0 <= c < self.width:
+            (c,) = vec
+            if 0 <= c < self.width:
                 rows, cols = self._rows, self._cols
                 if c not in cols:  # no stored row holds c, so none has pivot c
                     rows[c] = {c: 1}
@@ -106,15 +110,10 @@ class Echelon:
                     return True
                 if len(rows.get(c, ())) == 1:  # the stored unit row {c: 1}
                     return False
-        if set(map(type, vec.values())) <= _INT:  # integer rows need no rescale
-            row = {c: v for c, v in vec.items() if v} if 0 in vec.values() else dict(vec)
-        else:
-            scale = lcm(*(v.denominator for v in vec.values()))
-            row = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
 
         # Reducing by a stored row never creates entries in other pivot
         # columns, so the pivots to clear are those the row starts with.
-        rows = self._rows
+        rows, row = self._rows, dict(vec)
         for p in sorted(c for c in row if c in rows):
             lead, a = rows[p][p], row[p]
             _eliminate(row, lead, a, rows[p])
@@ -176,10 +175,11 @@ def integer_kernel(columns: Sequence[Mapping[Hashable, Fraction | int]]) -> list
     row-singleton peel of structured Gaussian elimination, run off a
     worklist so that it stays linear in the nonzeros.  Then R is
     span(forced e_c) (+) span(rows left with two or more entries), and only
-    those rows go to `Echelon`.  Reduced echelon forms are unique, so R's
-    rows at the forced pivots are the units, which hold no free column and
-    add no kernel entry: neither the peel nor the order of the keys changes
-    the result."""
+    those rows go to `Echelon`, each scaled to integers by `_integer_terms`
+    (which keeps its span).  Reduced echelon forms are unique, so R's rows
+    at the forced pivots are the units, which hold no free column and add
+    no kernel entry: neither the peel nor the order of the keys changes the
+    result."""
     width = len(columns)
     by_key: defaultdict[Hashable, dict[int, Fraction | int]] = defaultdict(dict)
     for j, col in enumerate(columns):
@@ -206,7 +206,7 @@ def integer_kernel(columns: Sequence[Mapping[Hashable, Fraction | int]]) -> list
     ech = Echelon(width)
     for row in by_key.values():
         if len(row) > 1:
-            ech.insert(row)
+            ech.insert(_integer_terms(row)[0])
     stored = ech._rows
     held: dict[int, list] = {j: [] for j in range(width) if j not in stored and j not in forced}
     for p in ech.pivots:
@@ -275,7 +275,8 @@ class SpanBasis:
 
     @classmethod
     def from_polynomials(cls, varsys: VarSystem, polys: Iterable[Polynomial]) -> SpanBasis:
-        """The span of `polys`, eliminated over the monomials they use."""
+        """The span of `polys`, eliminated over the monomials they use, each
+        nonzero one scaled to integer terms by `_integer_terms`."""
         polys = tuple(polys)
         frame = sorted({m for f in polys for m in f.terms}, key=Monomial.sort_key)
         index = {m: i for i, m in enumerate(frame)}
@@ -283,7 +284,8 @@ class SpanBasis:
         for f in polys:
             if f.varsys != varsys:
                 raise VarSystemMismatch("spanning polynomial over a different system")
-            ech.insert({index[m]: c for m, c in f.terms.items()})
+            if f.terms:
+                ech.insert({index[m]: c for m, c in _integer_terms(f.terms)[0].items()})
         return cls.of_echelon(varsys, frame, ech)
 
     @property

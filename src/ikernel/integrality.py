@@ -23,6 +23,7 @@ from .algebra import (
     NotHomogeneous,
     SubalgebraSpec,
     certificate_field,
+    certificate_text,
     certificate_names,
     certificate_system,
     membership,
@@ -55,7 +56,7 @@ class RelationCertificate:
         the exponent fields are checked first, so one that is malformed is
         named before any nested certificate is parsed."""
         varsys = certificate_system(certificate_names(data))
-        element = certificate_field(data, "element", varsys)
+        element = certificate_text(data, "element", varsys)
         entries = certificate_field(data, "coefficients")
         if not (isinstance(entries, list) and all(map(isinstance, entries, repeat(Mapping)))):
             raise ValueError("field 'coefficients' must be a list of objects")
@@ -65,7 +66,7 @@ class RelationCertificate:
         coefficients = tuple(
             RelationCoefficient(
                 i,
-                certificate_field(entry, "polynomial", varsys),
+                certificate_text(entry, "polynomial", varsys),
                 _nested_membership(entry),
             )
             for i, entry in zip(powers, entries)
@@ -273,8 +274,8 @@ class LocalizationCertificate:
         """Invert `to_json_dict`, parsing every text under the parser budget."""
         membership = _nested_membership(data)
         varsys = membership.algebra.varsys
-        numerator = certificate_field(data, "numerator", varsys)
-        localizing = certificate_field(data, "localizing", varsys)
+        numerator = certificate_text(data, "numerator", varsys)
+        localizing = certificate_text(data, "localizing", varsys)
         return cls(numerator, localizing, certificate_field(data, "power"), membership)
 
     def verify(self) -> bool:

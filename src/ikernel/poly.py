@@ -439,12 +439,12 @@ def _image_entry(terms: dict) -> tuple:
     integer map imap and scale s, and w is `_words(terms)`.  For a one-term
     image {t: a/s}, folded is a and t's nonzero exponents (j, x); for any
     other image, None."""
-    pairs, s = _integer_terms(terms.items())
+    imap, s = _integer_terms(terms)
     folded = None
-    if len(pairs) == 1:
-        ((t, a),) = pairs
+    if len(imap) == 1:
+        ((t, a),) = imap.items()
         folded = a, [(j, x) for j, x in enumerate(t) if x]
-    return dict(pairs), s, _words(terms), folded
+    return imap, s, _words(terms), folded
 
 
 def _substitute_terms(
@@ -524,11 +524,12 @@ def _substitute_terms(
     return Polynomial._trusted(target, result)
 
 
-def _integer_terms(terms: Iterable[tuple[object, Fraction]]) -> tuple[list, int]:
-    """Terms (key, c) as (key, c*s), s the lcm of their denominators; and s."""
-    terms = list(terms)
-    s = lcm(*(c.denominator for _, c in terms))
-    return [(e, c.numerator * (s // c.denominator)) for e, c in terms], s
+def _integer_terms(terms: Mapping[object, Fraction]) -> tuple[dict, int]:
+    """The map {key: c*s} of `terms` {key: c}, s the lcm of their
+    denominators; and s.  Every rational map that meets integer arithmetic
+    is scaled here."""
+    s = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (s // c.denominator) for e, c in terms.items()}, s
 
 
 def _words(f: dict) -> int:

@@ -99,13 +99,25 @@ MUTANTS = (
             Edit("exactlin.py", "    while forcing:\n", "    while forcing and False:\n"),
             Edit(
                 "exactlin.py",
-                "        if len(row) > 1:\n            ech.insert(row)\n",
-                "        if row:\n            ech.insert(row)\n",
+                "        if len(row) > 1:\n            ech.insert(_integer_terms(row)[0])\n",
+                "        if row:\n            ech.insert(_integer_terms(row)[0])\n",
             ),
         ),
         (
             f"{EXACTLIN}::test_integer_kernel_peels_a_chain_without_eliminating",
             f"{EXACTLIN}::test_integer_kernel_peels_a_three_deep_cascade",
+        ),
+    ),
+    Mutant(
+        "integer-kernel-inserts-unscaled-rows",
+        _one(
+            "exactlin.py",
+            "            ech.insert(_integer_terms(row)[0])\n",
+            "            ech.insert(row)\n",
+        ),
+        (
+            f"{EXACTLIN}::test_integer_kernel_peels_past_zero_and_fraction_entries",
+            f"{EXACTLIN}::test_integer_kernel_matches_dense_oracle_on_keyed_columns",
         ),
     ),
     Mutant(
@@ -212,7 +224,7 @@ MUTANTS = (
         "membership-key-without-the-target",
         _one(
             "algebra.py",
-            "    return names, tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
+            "    return names, tuple(map(tuple, generators)), certificate_text(data, \"target\"), expression\n",
             "    return names, tuple(map(tuple, generators)), expression, expression\n",
         ),
         (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
@@ -221,8 +233,8 @@ MUTANTS = (
         "membership-key-without-the-generators",
         _one(
             "algebra.py",
-            "    return names, tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
-            "    return names, (), _text_field(data, \"target\"), expression\n",
+            "    return names, tuple(map(tuple, generators)), certificate_text(data, \"target\"), expression\n",
+            "    return names, (), certificate_text(data, \"target\"), expression\n",
         ),
         (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
     ),
@@ -230,8 +242,8 @@ MUTANTS = (
         "membership-key-without-the-variables",
         _one(
             "algebra.py",
-            "    return names, tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
-            "    return (), tuple(map(tuple, generators)), _text_field(data, \"target\"), expression\n",
+            "    return names, tuple(map(tuple, generators)), certificate_text(data, \"target\"), expression\n",
+            "    return (), tuple(map(tuple, generators)), certificate_text(data, \"target\"), expression\n",
         ),
         (f"{HARNESS}::test_a_copy_that_differs_in_one_read_field_fails_at_its_own_index",),
     ),

@@ -538,7 +538,7 @@ def test_the_product_stream_skips_only_products_dependent_at_their_turn(name):
                 for i, poly in enumerate(lower.polynomials()):
                     assert (i not in streamed) == before.contains(poly), (d, e, i)
             for k, gen in by_degree[e]:
-                terms = dict(_integer_terms(gen.terms.items())[0])
+                terms = _integer_terms(gen.terms)[0]
                 for i, brow in enumerate(lower.rows):
                     row = _product_row(index, brow, terms)
                     if e < d and (k not in kept or i not in streamed):

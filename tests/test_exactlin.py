@@ -27,6 +27,13 @@ def _sparse_rows(rows):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
 
 
+def _integer_row(row):
+    """A dense (list) or sparse (dict) rational row as `Echelon.insert` takes
+    it: its nonzero entries scaled by the lcm of their denominators."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return _integer_terms({j: v for j, v in items if v})[0]
+
+
 def _columns(rows, width):
     """The columns of sparse `{column: value}` rows over `width` columns,
     each keyed by row index."""
@@ -76,8 +83,8 @@ def _emitted(ech):
 def _rref(rows, width):
     """Reduced nonzero rows and pivots of dense `rows`, through `Echelon`."""
     ech = Echelon(width)
-    for row in _sparse_rows(rows):
-        ech.insert(row)
+    for row in rows:
+        ech.insert(_integer_row(row))
     return _emitted(ech)
 
 
@@ -321,7 +328,7 @@ def _fraction_route(rows, width):
     vector scaled back to integers by the lcm of its denominators."""
     ech = Echelon(width)
     for row in rows:
-        ech.insert(row)
+        ech.insert(_integer_row(row))
     emitted, pivots = ech.emit()
     kernel = {j: {j: Fraction(1)} for j in range(width) if j not in pivots}
     for row, p in zip(emitted, pivots):
@@ -329,7 +336,7 @@ def _fraction_route(rows, width):
             if j != p:
                 kernel[j][p] = Fraction(-v, row[p])
     fractions = list(kernel.values())
-    return fractions, [dict(_integer_terms(vec.items())[0]) for vec in fractions]
+    return fractions, [_integer_terms(vec)[0] for vec in fractions]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -482,7 +489,7 @@ def test_integer_kernel_peels_past_zero_and_fraction_entries(monkeypatch):
     ]
     calls = _count_inserts(monkeypatch)
     assert integer_kernel(columns) == [{3: 1}, {4: 10, 1: 3}]
-    assert calls == [{1: Fraction(2, 3), 4: Fraction(-1, 5)}]
+    assert calls == [{1: 10, 4: -3}]  # (2/3, -1/5) scaled by 15
     _assert_dense_kernel(columns)
 
 
@@ -533,6 +540,33 @@ def test_instance_kernels_are_read_off_without_eliminating(inst11, monkeypatch, 
     assert invariant_subspace(inst11.translation, degree).dim == degree + 1
     assert invariant_subspace(inst11.scaling_shear, degree).dim == 1
     assert calls == []
+
+
+def test_echelon_gets_only_nonzero_int_rows_inside_its_frame(monkeypatch):
+    """Rationals become integers before elimination: every row that reaches
+    `Echelon.insert` in the nine scenarios at (2,2,3), and in a degree-6
+    membership certificate at (2,2), is a non-empty map from `int` columns
+    inside the frame to nonzero `int`s."""
+    from ikernel.actions import build_instance
+    from ikernel.algebra import membership
+    from ikernel.harness import SCENARIOS, ScenarioConfig, run_scenario
+
+    insert, rows, bad = Echelon.insert, [], []
+
+    def checked(ech, row):
+        rows.append(row)
+        if not row or not all(type(c) is int and 0 <= c < ech.width and type(v) is int and v
+                              for c, v in row.items()):
+            bad.append(dict(row))
+        return insert(ech, row)
+
+    monkeypatch.setattr(Echelon, "insert", checked)
+    for name in SCENARIOS:
+        run_scenario(ScenarioConfig(scenario=name, n=2, m=2, max_degree=3))
+    inst = build_instance(2, 2)
+    member = inst.varsys.parse("1/2*(x1^2 + x1*z)^3 - 2/3*x1*x2*y1*z^3 + 3/7*(x2^3 + x2^2*z)*y2^3")
+    assert membership(inst.algebra, member) is not None
+    assert rows and bad == []
 
 
 def test_solve_of_a_right_hand_side_alone():
@@ -624,10 +658,8 @@ def _random_rows(rng, width, scale=1):
 def _check_against_dense(rows, width):
     ech = Echelon(width)
     raised = 0
-    for k, row in enumerate(rows):
-        # Alternate between omitting zeros and passing them explicitly.
-        sparse = {j: v for j, v in enumerate(row) if v or k % 2}
-        raised += ech.insert(sparse)
+    for row in rows:
+        raised += ech.insert(_integer_row(row))
     assert _emitted(ech) == dense_rref(rows, width)
     pivots = ech.pivots
     assert ech.dim == raised == len(pivots)
@@ -644,18 +676,35 @@ def test_sparse_echelon_matches_dense_gauss_jordan(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_echelon_emits_the_same_from_int_and_equal_fraction_rows(seed):
+    """`Echelon` takes integer rows, so its two callers that get rational
+    input scale it first and get what the int rows give.  `integer_kernel`
+    gives the same vectors, entries in the same order, from int columns as
+    from equal `Fraction` columns (zeros passed in every other key) and
+    from those columns divided by 7.  `from_polynomials` stores, for
+    polynomials with those rows as coefficients, each divided by its own
+    integer, the rows and pivots that `Echelon` stores for the int rows,
+    in `int`s."""
     rng = random.Random(500 + seed)
     width = rng.randint(1, 40)
     rows = [[int(v * 12) for v in row] for row in _random_rows(rng, width)]
-    emitted = []
-    for wrap in (int, Fraction):
-        ech = Echelon(width)
-        # Zeros are omitted from every other row and passed explicitly in the rest.
-        raised = [ech.insert({j: wrap(v) for j, v in enumerate(row) if v or k % 2})
-                  for k, row in enumerate(rows)]
-        emitted.append((raised, ech.emit(), tuple(map(tuple, ech.rows))))
-    assert emitted[0] == emitted[1]
-    assert all(type(x) is int for row in emitted[0][2] for x in row)
+    columns = _columns([{j: v for j, v in enumerate(row) if v} for row in rows], width)
+    want = [list(vec.items()) for vec in integer_kernel(columns)]
+    fractions = [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j] or i % 2}
+                 for j in range(width)]
+    sevenths = [{i: v / 7 for i, v in col.items()} for col in fractions]
+    for rational in (fractions, sevenths):
+        assert [list(vec.items()) for vec in integer_kernel(rational)] == want
+
+    frame = monomials_of_degree(VS, 8)[:width]
+    ech = Echelon(width)
+    for row in rows:
+        ech.insert({j: v for j, v in enumerate(row) if v})
+    direct = SpanBasis.of_echelon(VS, frame, ech)
+    polys = [Polynomial(VS, {frame[j]: Fraction(v, k + 1) for j, v in enumerate(row) if v})
+             for k, row in enumerate(rows)]
+    scaled = SpanBasis.from_polynomials(VS, polys)
+    assert (scaled.rows, scaled.pivots) == (direct.rows, direct.pivots)
+    assert all(type(x) is int for row in scaled.rows for x in row.values())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -684,9 +733,9 @@ def test_sparse_echelon_strips_content_of_huge_rows(seed, monkeypatch):
 
     monkeypatch.setattr(exactlin, "_eliminate", spy)
     stripped = 0
-    for row in _sparse_rows(rows):
+    for row in rows:
         steps.clear()
-        ech.insert(row)
+        ech.insert(_integer_row(row))
         for (_, left, multiplied), (handed, _, _) in zip(steps, steps[1:]):
             g = gcd(*left.values())
             if multiplied and max(map(abs, left.values()), default=0) > exactlin._STRIP_LIMIT:
@@ -751,7 +800,7 @@ def test_echelon_matches_dense_gauss_jordan_after_every_insert(seed):
     ech = Echelon(width)
     rank = 0
     for k, row in enumerate(rows):
-        raised = ech.insert({j: v for j, v in enumerate(row) if v})
+        raised = ech.insert(_integer_row(row))
         emitted, pivots = _emitted(ech)
         assert (emitted, pivots) == dense_rref(
             rows[: k + 1], width)
@@ -768,24 +817,23 @@ def test_echelon_matches_dense_gauss_jordan_after_every_insert(seed):
 
 @pytest.mark.parametrize("column", [-1, 5, 6])
 def test_insert_refuses_a_nonzero_entry_outside_the_frame(column):
-    """A nonzero entry outside `range(width)` raises `ValueError`, whether
-    the row is independent or first reduces against stored rows, and leaves
-    the accumulator as it was; a zero entry there is dropped like any zero."""
+    """An entry outside `range(width)` raises `ValueError`, whether the row
+    is independent or first reduces against stored rows, and leaves the
+    accumulator as it was; so does the empty row, which raises nothing."""
     ech = Echelon(5)
     ech.insert({0: 2, 2: 3, 4: 1})
-    ech.insert({1: 1, 2: Fraction(1, 2)})
+    ech.insert({1: 2, 2: 1})
     state = (ech.dim, list(ech.pivots), [list(row) for row in ech.rows],
              {c: set(pivots) for c, pivots in ech._cols.items()})
     for vec in ({column: 1}, {3: 1, column: -2}, {0: 2, 2: 3, 4: 1, column: 5},
-                {0: 4, 1: Fraction(1, 3), 2: 6, 4: 2, column: Fraction(-1, 7)}):
+                {0: 84, 1: 7, 2: 126, 4: 42, column: -3}):
         with pytest.raises(ValueError, match="outside the frame"):
             ech.insert(vec)
         assert (ech.dim, ech.pivots, [list(row) for row in ech.rows], ech._cols) == state
-    for zero in ({column: 0}, {3: Fraction(0)}):  # lone zeros, outside and at a fresh column
-        assert ech.insert(zero) is False
-        assert (ech.dim, ech.pivots, [list(row) for row in ech.rows], ech._cols) == state
-    assert ech.insert({column: 0, 0: 2, 2: 3, 4: 1}) is False
-    assert ech.insert({column: Fraction(0), 3: Fraction(1, 2)}) is True
+    assert ech.insert({}) is False
+    assert (ech.dim, ech.pivots, [list(row) for row in ech.rows], ech._cols) == state
+    assert ech.insert({0: 4, 2: 6, 4: 2}) is False
+    assert ech.insert({3: 2, 4: 1}) is True
     assert ech.pivots == [0, 1, 3]
 
 
