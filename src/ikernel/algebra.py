@@ -110,23 +110,16 @@ class SubalgebraSpec:
 
 
 class _Piece(NamedTuple):
-    """One degree d: the basis of A_d, its rows' label expressions (None
-    until `tracked_piece` adds them), (A+ . A+)_d, the products that
-    raised the rank, each as (lower degree, lower row index, generator
-    entry), the lone generators among them with lower degree 0, and per
-    basis row, in pivot order, the `Echelon` stamp of the block (generator
-    degree) in which d's stream last stored or changed it."""
+    """What degree d's product stream decided: the basis of A_d; the
+    products that raised the rank, each as (lower degree, lower row index,
+    generator entry), those of the prefix (lower degree > 0) first and the
+    lone degree-d generators (lower degree 0) last; and per basis row, in
+    pivot order, the `Echelon` stamp of the block (generator degree) in
+    which the stream last stored or changed it."""
 
     basis: SpanBasis
-    exprs: tuple[Polynomial, ...] | None
-    decomposable: SpanBasis
     sources: tuple[tuple[int, int, tuple], ...]
     stamps: tuple[int, ...]
-
-    @property
-    def representatives(self) -> tuple[Polynomial, ...]:
-        """The degree-d generators that raise the rank past (A+ . A+)_d."""
-        return tuple(gen for lower, _, (_, gen, _, _) in self.sources if lower == 0)
 
 
 def _product_row(index: Mapping[tuple, int], bterms: Mapping, gterms: Mapping) -> dict[int, int]:
@@ -192,12 +185,14 @@ class GradedBasis:
     everything stored before it, so it is outside P(k, e): the test is
     exact.  The row 1 of A_0 is no product and is never skipped.
 
-    One cache entry per degree holds all of it, built once.  The products
-    that raised the rank are recorded as where they came from, not as rows,
-    and `tracked_piece` derives the label expressions from them on first
-    request (the raw material for membership certificates).  Entries are
-    only added or given expressions, so concurrent callers may compute
-    either twice, but always to equal values.
+    One cache entry per degree holds what its stream decided, built once:
+    the basis, its rows' stamps, and the products that raised the rank,
+    recorded as where they came from, not as rows.  The span views read
+    those products on request, and `tracked_piece` derives the label
+    expressions from them on first request (the raw material for membership
+    certificates) into a memo of their own.  Both memos are filled with
+    `setdefault`, so concurrent callers may compute an entry twice, but all
+    read the first stored.
     """
 
     def __init__(self, algebra: SubalgebraSpec):
@@ -206,6 +201,7 @@ class GradedBasis:
         self.varsys, self.labels = algebra.varsys, algebra.label_system
         self.complete_through = algebra.complete_through
         self._pieces: dict[int, _Piece] = {}
+        self._exprs: dict[int, tuple[Polynomial, ...]] = {}
         # Ascending degrees; per generator: label index, polynomial.
         by_degree: dict[int, list[tuple[int, Polynomial]]] = {}
         for k, (label, gen) in enumerate(algebra.generators):
@@ -223,12 +219,10 @@ class GradedBasis:
                 f"generator list is only faithful through degree {self.complete_through}; "
                 f"degree {degree} requested"
             )
-        vs = self.varsys
-        frame = monomials_of_degree(vs, degree)
+        frame = monomials_of_degree(self.varsys, degree)
         index = {m: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame))
         sources = []
-        decomposable = None
         if degree == 0:
             ech.insert({0: 1})
         for e, block in self._by_degree.items():
@@ -241,29 +235,40 @@ class GradedBasis:
             if e < degree:
                 gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0]
             else:
-                decomposable = SpanBasis.of_echelon(vs, frame, ech)
                 gens = [(k, gen, *_integer_terms(gen.terms)) for k, gen in block]
             ech.block = e
             for gen in gens:
                 for i, brow in rows:
                     if ech.insert(_product_row(index, brow, gen[2])):
                         sources.append((degree - e, i, gen))
-        basis = SpanBasis.of_echelon(vs, frame, ech)
         stamps = tuple(map(ech.stamps.__getitem__, ech.pivots))
-        return _Piece(basis, None, decomposable or basis, tuple(sources), stamps)
+        return _Piece(SpanBasis.of_echelon(self.varsys, frame, ech), tuple(sources), stamps)
+
+    def _product_span(self, degree: int, lone: bool) -> SpanBasis:
+        """The span of degree d's rank-raising lone generators (`lone`), a
+        complement of (A+ . A+)_d in A_d, or of its prefix, which spans it."""
+        if degree < 1:
+            raise ValueError("degree must be positive")
+        frame = monomials_of_degree(self.varsys, degree)
+        index = {m: i for i, m in enumerate(frame)}
+        ech = Echelon(len(frame))
+        for lower, i, gen in self._entry(degree).sources:
+            if (lower == 0) == lone:
+                ech.insert(_product_row(index, self._entry(lower).basis.rows[i], gen[2]))
+        return SpanBasis.of_echelon(self.varsys, frame, ech)
 
     def _lower_rows(self, degree: int, e: int) -> list[tuple[int, Mapping]]:
         """The basis rows of A_{d-e}, with their indices, that block e of
         degree d streams: the row 1 of A_0 when e = d, else those stamped
         e or later, outside P(d-e, e), and none when e > d-e."""
         if e == degree:
-            return list(enumerate(self.piece(0).rows))
+            return list(enumerate(self._entry(0).basis.rows))
         if 2 * e > degree:
             return []
         lower = self._entry(degree - e)
         return [(i, row) for (i, row), s in zip(enumerate(lower.basis.rows), lower.stamps) if s >= e]
 
-    def _expressions(self, degree: int, entry: _Piece) -> tuple[Polynomial, ...]:
+    def _expressions(self, degree: int) -> tuple[Polynomial, ...]:
         """Each basis row's label expression, from the products that raised
         the rank.  Those r products P are independent and span A_d, so
         P = N*B for the reduced basis rows B, with N the products' entries
@@ -276,11 +281,12 @@ class GradedBasis:
         product j, which evaluates to it."""
         if degree == 0:
             return (self.labels.one(),)
+        entry = self._entry(degree)
         pivots = set(entry.basis.pivots)
         columns, formals = [], []
         lower_exprs = {d: self.tracked_piece(d)[1] for d in {s[0] for s in entry.sources}}
         for lower, i, (k, _, gterms, sg) in entry.sources:
-            lower_basis = self._pieces[lower].basis
+            lower_basis = self._entry(lower).basis
             sb = lower_basis.rows[i][lower_basis.pivots[i]]
             product = _product(lower_basis.rows[i], gterms)
             columns.append({m: v for m, v in product.items() if m in pivots})
@@ -296,24 +302,19 @@ class GradedBasis:
         )
 
     def _entry(self, degree: int) -> _Piece:
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        self.piece(degree)
+        if degree not in self._pieces:
+            self._pieces.setdefault(degree, self._build(degree))
         return self._pieces[degree]
 
     def piece(self, degree: int) -> SpanBasis:
-        if degree not in self._pieces:
-            self._pieces.setdefault(degree, self._build(degree))
-        return self._pieces[degree].basis
+        return self._entry(degree).basis
 
     def tracked_piece(self, degree: int) -> tuple[SpanBasis, tuple[Polynomial, ...]]:
         """`piece(degree)` and, per basis row, a formal polynomial in the
         generator labels that evaluates to it."""
-        self.piece(degree)
-        entry = self._pieces[degree]
-        if entry.exprs is None:
-            entry = self._pieces[degree] = entry._replace(exprs=self._expressions(degree, entry))
-        return entry.basis, entry.exprs
+        if degree not in self._exprs:
+            self._exprs.setdefault(degree, self._expressions(degree))
+        return self._entry(degree).basis, self._exprs[degree]
 
 
 @dataclass(frozen=True, slots=True)
@@ -548,7 +549,7 @@ def y_positive_monomial_algebra(
 
 def decomposable_span(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
     """Basis of (A+ . A+)_d: products of two positive-degree members."""
-    return algebra.graded_basis()._entry(degree).decomposable
+    return algebra.graded_basis()._product_span(degree, lone=False)
 
 
 def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis:
@@ -558,5 +559,4 @@ def indecomposable_generators(algebra: SubalgebraSpec, degree: int) -> SpanBasis
     It is a complement of (A+ . A+)_d inside A_d, and its dimension is the
     number of new generators the algebra needs in degree d.
     """
-    entry = algebra.graded_basis()._entry(degree)
-    return SpanBasis.from_polynomials(algebra.varsys, entry.representatives)
+    return algebra.graded_basis()._product_span(degree, lone=True)

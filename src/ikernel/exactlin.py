@@ -7,10 +7,10 @@ peels the unknowns that one-entry rows force to zero, so such rows never
 reach `Echelon`.  It and `solve` take a matrix as its columns, maps from
 row keys to entries (a polynomial's `terms`, say), and read its shape from
 them: one unknown per column, one row per key a column holds.  Column
-indices live only in elimination: in these three and in
-`algebra.GradedBasis._build`, the one builder that feeds `Echelon`
-directly; no caller of `integer_kernel`, `solve` or `kernel_span` numbers
-its rows.  A `SpanBasis` keys the same rows by exponent tuple, the keys of
+indices live only in elimination: in these three and in the product
+builders of `algebra.GradedBasis`, which feed `Echelon` directly; no
+caller of `integer_kernel`, `solve` or `kernel_span` numbers its rows.  A
+`SpanBasis` keys the same rows by exponent tuple, the keys of
 `Polynomial.terms`, and `SpanBasis.of_echelon` is the one place where a
 column becomes a monomial.  `Echelon` takes integer rows only: rational
 input becomes integers through `poly._integer_terms` in `integer_kernel`
@@ -186,14 +186,13 @@ def integer_kernel(columns: Sequence[Mapping[Hashable, Fraction | int]]) -> list
         for key, v in col.items():
             if v:
                 by_key[key][j] = v
+    forcing = [j for row in by_key.values() if len(row) == 1 for j in row]
     holders: defaultdict[int, list[dict]] = defaultdict(list)  # column -> rows of 2+ entries
-    forcing: list[int] = []
-    for row in by_key.values():
-        if len(row) == 1:
-            forcing.extend(row)
-        else:
-            for j in row:
-                holders[j].append(row)
+    if forcing:  # else nothing is peeled, and no row's holders are read
+        for row in by_key.values():
+            if len(row) > 1:
+                for j in row:
+                    holders[j].append(row)
     forced: set[int] = set()
     while forcing:
         c = forcing.pop()

@@ -153,6 +153,15 @@ MUTANTS = (
         (STREAM,),
     ),
     Mutant(
+        "decomposable-view-takes-the-lone-generators",
+        _one(
+            "algebra.py",
+            "            if (lower == 0) == lone:\n",
+            "            if lower == 0 or not lone:\n",
+        ),
+        (f"{ALGEBRA}::test_decomposable_span_matches_the_pairwise_products",),
+    ),
+    Mutant(
         "lower-rows-keep-only-later-stamps",
         _one(
             "algebra.py",
@@ -165,7 +174,7 @@ MUTANTS = (
         "lower-rows-without-the-lone-block-branch",
         _one(
             "algebra.py",
-            "        if e == degree:\n            return list(enumerate(self.piece(0).rows))\n",
+            "        if e == degree:\n            return list(enumerate(self._entry(0).basis.rows))\n",
             "",
         ),
         (f"{ALGEBRA}::test_graded_piece_low_degrees",),
@@ -207,6 +216,15 @@ MUTANTS = (
             "",
         ),
         ("tests/test_actions.py::test_substitution_parameters_follow_the_declared_order",),
+    ),
+    Mutant(
+        "instance-drops-the-squarefree-monomials-without-x1",
+        _one(
+            "actions.py",
+            "        for mask in range(1, 1 << n):\n",
+            "        for mask in range(1, 1 << n, 2):\n",
+        ),
+        ("tests/test_actions.py::test_swapping_like_coordinates_maps_each_space_onto_itself",),
     ),
     Mutant(
         "frame-iterates-the-indices-descending",

@@ -15,7 +15,9 @@ from ikernel.actions import (
     is_invariant,
     substitution_stabilizes,
 )
+from ikernel.algebra import graded_piece
 from ikernel.derivation import Derivation, kernel_graded_basis
+from ikernel.exactlin import SpanBasis
 from ikernel.poly import PARAMETER, Monomial, Polynomial, VarSystem
 
 
@@ -297,3 +299,37 @@ def test_invariant_subspace_matches_per_monomial_substitution(n, m):
             want = _invariant_subspace_reference(substitution, degree)
             assert (got.polynomials(), got.pivots) == (want.polynomials(), want.pivots)
 
+
+def _swapped(span, a, b):
+    """The span of `span`'s polynomials with the variables `a` and `b` swapped."""
+    vs = span.varsys
+    i, j = vs.index(a), vs.index(b)
+
+    def swap(mono):
+        mono = list(mono)
+        mono[i], mono[j] = mono[j], mono[i]
+        return tuple(mono)
+
+    polys = [Polynomial(vs, {swap(m): c for m, c in p.terms.items()}) for p in span.polynomials()]
+    return SpanBasis.from_polynomials(vs, polys)
+
+
+def test_swapping_like_coordinates_maps_each_space_onto_itself(inst22):
+    # x1 and x2 play one part in the generators and in both actions, so
+    # swapping them maps A_d, the translation kernels on the ring and on A,
+    # and both invariant subspaces onto themselves.  y1 and y2 play one part
+    # in the generators only (both actions single out y1), so the symmetry
+    # argument covers that swap on A_d alone.
+    algebra, vs, drv = inst22.algebra, inst22.varsys, inst22.translation_derivation
+    for d in range(7):
+        piece = graded_piece(algebra, d)
+        spaces = (
+            piece,
+            kernel_graded_basis([drv], vs, d),
+            kernel_graded_basis([drv], algebra, d),
+            invariant_subspace(inst22.translation, d),
+            invariant_subspace(inst22.scaling_shear, d),
+        )
+        for k, space in enumerate(spaces):
+            assert space.dim and _swapped(space, "x1", "x2").spans_same(space), (d, k)
+        assert _swapped(piece, "y1", "y2").spans_same(piece), d

@@ -391,6 +391,13 @@ def test_indecomposables_two_variable_case(inst21, mono21):
     assert not decomposable_span(mono21, 3).contains(cls)
 
 
+@pytest.mark.parametrize("view", [decomposable_span, indecomposable_generators])
+def test_span_views_refuse_degrees_below_one(inst11, view):
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            view(inst11.algebra, d)
+
+
 def _dense_rows(basis, frame):
     return tuple(tuple(p.coeff(m) for m in frame) for p in basis.polynomials())
 
@@ -415,7 +422,8 @@ def test_indecomposables_complement_the_decomposables():
         indec = indecomposable_generators(algebra, d)
         assert indec.dim == piece.dim - decomposable.dim
         assert indec.intersect(decomposable).dim == 0
-        representatives = algebra.graded_basis()._entry(d).representatives
+        sources = algebra.graded_basis()._entry(d).sources
+        representatives = [gen for lower, _, (_, gen, _, _) in sources if lower == 0]
         assert all(rep in generators for rep in representatives)
         assert SpanBasis.from_polynomials(algebra.varsys, representatives).spans_same(indec)
 
@@ -603,6 +611,8 @@ def _query(algebra, kind, d):
         basis = graded.piece(d)
     elif kind == "decomposable":
         basis = decomposable_span(algebra, d)
+    elif kind == "indecomposable":
+        basis = indecomposable_generators(algebra, d)
     elif kind == "tracked":
         basis, exprs = graded.tracked_piece(d)
         return basis.polynomials(), basis.pivots, tuple(map(str, exprs))
@@ -615,7 +625,7 @@ def _query(algebra, kind, d):
 
 
 def test_concurrent_queries_agree_with_a_serial_run():
-    kinds = ("piece", "tracked", "member", "non-member", "decomposable")
+    kinds = ("piece", "tracked", "member", "non-member", "decomposable", "indecomposable")
     queries = [(kind, d) for d in range(1, 7) for kind in kinds]
     serial_algebra = build_instance(2, 1).algebra
     serial = {q: _query(serial_algebra, *q) for q in queries}
@@ -628,7 +638,7 @@ def test_concurrent_queries_agree_with_a_serial_run():
         return [
             ((kind, d), _query(shared, kind, d))
             for d in range(1, 7)
-            for kind in kinds[k % 5:] + kinds[:k % 5]
+            for kind in kinds[k % len(kinds):] + kinds[:k % len(kinds)]
         ]
 
     interval = sys.getswitchinterval()
