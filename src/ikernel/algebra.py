@@ -9,12 +9,13 @@ algebra problem, with no truncation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from operator import add
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactlin import Echelon, SpanBasis, integer_kernel
 from .poly import (
@@ -115,11 +116,11 @@ class _Piece(NamedTuple):
     generator entry), those of the prefix (lower degree > 0) first and the
     lone degree-d generators (lower degree 0) last; and per basis row, in
     pivot order, the `Echelon` stamp of the block (generator degree) in
-    which the stream last stored or changed it."""
+    which the stream last stored or changed it (`inf` for A_0's row 1)."""
 
     basis: SpanBasis
     sources: tuple[tuple[int, int, tuple], ...]
-    stamps: tuple[int, ...]
+    stamps: tuple[float, ...]
 
 
 def _product_row(index: Mapping[tuple, int], bterms: Mapping, gterms: Mapping) -> dict[int, int]:
@@ -170,9 +171,9 @@ class GradedBasis:
     rank-raising product, no `sources` entry and no report byte.  The lone
     degree-d generators are all streamed: they decide the representatives.
 
-    Block e < d also skips every basis row b of A_k, k = d-e, that lies in
+    Block e also skips every basis row b of A_k, k = d-e, that lies in
     P(k, e), the span of A_k's own stream before its block e (all of A_k
-    when e > k, so such a block is skipped whole); in the spirit of
+    when 0 < k < e, so such a block is skipped whole); in the spirit of
     Faugère's F5 (ISSAC 2002), which likewise drops products known to
     reduce to zero.  Such a b is a sum of products b'*g' with g' of degree
     e' < e, and b'*g'*g = (b'*g)*g' with b'*g in A_{d-e'}: a product of
@@ -183,16 +184,19 @@ class GradedBasis:
     began.  A row stamped s >= e was, at its last change, either stored
     new or back-reduced by a nonzero multiple of a new row independent of
     everything stored before it, so it is outside P(k, e): the test is
-    exact.  The row 1 of A_0 is no product and is never skipped.
+    exact.  A_0's stream has no blocks, so its row 1 lies in no P(0, e):
+    it is stamped `inf`, later than every block, and block d streams it.
 
     One cache entry per degree holds what its stream decided, built once:
     the basis, its rows' stamps, and the products that raised the rank,
     recorded as where they came from, not as rows.  The span views read
     those products on request, and `tracked_piece` derives the label
     expressions from them on first request (the raw material for membership
-    certificates) into a memo of their own.  Both memos are filled with
-    `setdefault`, so concurrent callers may compute an entry twice, but all
-    read the first stored.
+    certificates) into a memo of their own.  Both memos fill bottom-up: a
+    query builds every missing degree through its own in ascending order,
+    so builds read lower degrees straight from the memos and never recurse.
+    Entries are stored with `setdefault`: concurrent callers may compute
+    one twice, but all read the first stored.
     """
 
     def __init__(self, algebra: SubalgebraSpec):
@@ -212,18 +216,12 @@ class GradedBasis:
         self._by_degree = dict(sorted(by_degree.items()))
 
     def _build(self, degree: int) -> _Piece:
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.complete_through is not None and degree > self.complete_through:
-            raise ValueError(
-                f"generator list is only faithful through degree {self.complete_through}; "
-                f"degree {degree} requested"
-            )
         frame = monomials_of_degree(self.varsys, degree)
         index = {m: i for i, m in enumerate(frame)}
         ech = Echelon(len(frame))
         sources = []
         if degree == 0:
+            ech.block = math.inf  # A_0's stream has no blocks: the row 1 lies in no P(0, e)
             ech.insert({0: 1})
         for e, block in self._by_degree.items():
             if e > degree:
@@ -233,7 +231,7 @@ class GradedBasis:
                 continue
             # Per generator: label index, polynomial, integer terms, scale.
             if e < degree:
-                gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0]
+                gens = [gen for lower, _, gen in self._pieces[e].sources if lower == 0]
             else:
                 gens = [(k, gen, *_integer_terms(gen.terms)) for k, gen in block]
             ech.block = e
@@ -254,18 +252,13 @@ class GradedBasis:
         ech = Echelon(len(frame))
         for lower, i, gen in self._entry(degree).sources:
             if (lower == 0) == lone:
-                ech.insert(_product_row(index, self._entry(lower).basis.rows[i], gen[2]))
+                ech.insert(_product_row(index, self._pieces[lower].basis.rows[i], gen[2]))
         return SpanBasis.of_echelon(self.varsys, frame, ech)
 
     def _lower_rows(self, degree: int, e: int) -> list[tuple[int, Mapping]]:
         """The basis rows of A_{d-e}, with their indices, that block e of
-        degree d streams: the row 1 of A_0 when e = d, else those stamped
-        e or later, outside P(d-e, e), and none when e > d-e."""
-        if e == degree:
-            return list(enumerate(self._entry(0).basis.rows))
-        if 2 * e > degree:
-            return []
-        lower = self._entry(degree - e)
+        degree d streams, by one rule for every e: those stamped e or later."""
+        lower = self._pieces[degree - e]
         return [(i, row) for (i, row), s in zip(enumerate(lower.basis.rows), lower.stamps) if s >= e]
 
     def _expressions(self, degree: int) -> tuple[Polynomial, ...]:
@@ -281,16 +274,15 @@ class GradedBasis:
         product j, which evaluates to it."""
         if degree == 0:
             return (self.labels.one(),)
-        entry = self._entry(degree)
+        entry = self._pieces[degree]
         pivots = set(entry.basis.pivots)
         columns, formals = [], []
-        lower_exprs = {d: self.tracked_piece(d)[1] for d in {s[0] for s in entry.sources}}
         for lower, i, (k, _, gterms, sg) in entry.sources:
-            lower_basis = self._entry(lower).basis
+            lower_basis = self._pieces[lower].basis
             sb = lower_basis.rows[i][lower_basis.pivots[i]]
             product = _product(lower_basis.rows[i], gterms)
             columns.append({m: v for m, v in product.items() if m in pivots})
-            formals.append((lower_exprs[lower][i].terms, k, sb * sg))
+            formals.append((self._exprs[lower][i].terms, k, sb * sg))
         r = len(formals)
         columns += ({p: -1} for p in entry.basis.pivots)
         return tuple(
@@ -301,10 +293,22 @@ class GradedBasis:
             ))) for i, vec in enumerate(integer_kernel(columns))
         )
 
+    def _fill(self, memo: dict, make: Callable[[int], object], degree: int):
+        """`memo[degree]`, once the degree passes its checks and `make(d)`
+        is stored for every missing d <= degree, in ascending order."""
+        if degree not in memo:
+            if degree < 0:
+                raise ValueError("degree must be nonnegative")
+            if self.complete_through is not None and degree > self.complete_through:
+                raise ValueError("generator list is only faithful through degree "
+                                 f"{self.complete_through}; degree {degree} requested")
+            for d in range(degree + 1):
+                if d not in memo:
+                    memo.setdefault(d, make(d))
+        return memo[degree]
+
     def _entry(self, degree: int) -> _Piece:
-        if degree not in self._pieces:
-            self._pieces.setdefault(degree, self._build(degree))
-        return self._pieces[degree]
+        return self._fill(self._pieces, self._build, degree)
 
     def piece(self, degree: int) -> SpanBasis:
         return self._entry(degree).basis
@@ -312,9 +316,7 @@ class GradedBasis:
     def tracked_piece(self, degree: int) -> tuple[SpanBasis, tuple[Polynomial, ...]]:
         """`piece(degree)` and, per basis row, a formal polynomial in the
         generator labels that evaluates to it."""
-        if degree not in self._exprs:
-            self._exprs.setdefault(degree, self._expressions(degree))
-        return self._entry(degree).basis, self._exprs[degree]
+        return self._entry(degree).basis, self._fill(self._exprs, self._expressions, degree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,9 +386,7 @@ def certificate_text(data: Mapping, field: str, varsys: VarSystem | None = None)
     """A serialized certificate's text field, or ValueError if it is missing
     or no string; given a system, the text parsed over it, every parse
     error named by the field."""
-    if field not in data:
-        raise ValueError(f"field {field!r} is missing")
-    text = data[field]
+    text = certificate_field(data, field)
     if not isinstance(text, str):
         raise ValueError(f"field {field!r} must be a string")
     return text if varsys is None else _parse_field(field, text, varsys)

@@ -147,8 +147,8 @@ MUTANTS = (
         "generator-filter-drops-each-block-first-generator",
         _one(
             "algebra.py",
-            "                gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0]\n",
-            "                gens = [gen for lower, _, gen in self._entry(e).sources if lower == 0][1:]\n",
+            "                gens = [gen for lower, _, gen in self._pieces[e].sources if lower == 0]\n",
+            "                gens = [gen for lower, _, gen in self._pieces[e].sources if lower == 0][1:]\n",
         ),
         (STREAM,),
     ),
@@ -174,10 +174,18 @@ MUTANTS = (
         "lower-rows-without-the-lone-block-branch",
         _one(
             "algebra.py",
-            "        if e == degree:\n            return list(enumerate(self._entry(0).basis.rows))\n",
+            "            ech.block = math.inf  # A_0's stream has no blocks: the row 1 lies in no P(0, e)\n",
             "",
         ),
         (f"{ALGEBRA}::test_graded_piece_low_degrees",),
+    ),
+    Mutant(
+        "fill-builds-only-the-requested-degree",
+        _one("algebra.py", "            for d in range(degree + 1):\n", "            for d in (degree,):\n"),
+        (
+            f"{ALGEBRA}::test_pieces_do_not_depend_on_the_order_of_the_queries",
+            f"{ALGEBRA}::test_degree_1000_queries_fill_the_degrees_below_without_recursing",
+        ),
     ),
     Mutant(
         "echelon-leaves-back-reduced-holders-unstamped",

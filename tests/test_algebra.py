@@ -362,6 +362,44 @@ def test_truncated_algebra_guards_deep_queries(inst11):
     graded_piece(truncated, 3)
     with pytest.raises(ValueError):
         graded_piece(truncated, 4)
+    # The requested degree is named, not the first missing one a fill reaches.
+    target = inst11.varsys.parse("x1^6*y1")
+    queries = (
+        lambda: graded_piece(truncated, 7),
+        lambda: truncated.graded_basis().tracked_piece(7),
+        lambda: membership(truncated, target),
+    )
+    for query in queries:
+        with pytest.raises(ValueError, match="degree 7 requested"):
+            query()
+    assert sorted(truncated.graded_basis()._pieces) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("query", ["graded_piece", "tracked_piece", "membership"])
+def test_degree_1000_queries_fill_the_degrees_below_without_recursing(query):
+    # Over k[x] with the generator x every degree streams the one below it.
+    # A query fills its missing degrees in ascending order, so its depth
+    # does not grow with the degree (a call per degree would pass the
+    # default recursion limit of 1000).
+    vs = VarSystem(("x",))
+    x = vs.variable("x")
+    algebra = SubalgebraSpec(vs, [("g", x)])
+    g = algebra.label_system.variable("g")
+    if query == "graded_piece":
+        assert graded_piece(algebra, 1000).polynomials() == (x ** 1000,)
+    elif query == "tracked_piece":
+        basis, exprs = algebra.graded_basis().tracked_piece(1000)
+        assert basis.polynomials() == (x ** 1000,) and exprs == (g ** 1000,)
+    else:
+        assert membership(algebra, x ** 1000).expression == g ** 1000
+
+
+def test_a_negative_degree_is_refused_before_anything_is_built():
+    graded = build_instance(1, 1).algebra.graded_basis()
+    for query in (graded.piece, graded.tracked_piece):
+        with pytest.raises(ValueError, match="nonnegative"):
+            query(-1)
+    assert graded._pieces == {} and graded._exprs == {}
 
 
 def test_indecomposables_single_fresh_generator(mono11, inst11):
@@ -668,6 +706,12 @@ def _instance_pieces(order):
         graded.piece(d)
     for d in order:
         graded.tracked_piece(d)
+    return _instance_records(graded)
+
+
+def _instance_records(graded):
+    """Per degree 1..8 of a graded basis: rows, pivots, sources, stamps and
+    label expressions."""
     found = []
     for d in range(1, 9):
         basis, exprs = graded.tracked_piece(d)
@@ -683,6 +727,34 @@ def test_pieces_do_not_depend_on_the_order_of_the_queries():
     orders = [random.Random(seed).sample(range(1, 9), 8) for seed in range(3)] + [[8]]
     for order in orders:
         assert _instance_pieces(order) == ascending, order
+
+
+def test_threads_racing_the_fill_store_what_a_serial_run_builds():
+    """Metamorphic: 8 threads fill one cold graded basis through degree 8 at
+    once, half for the pieces and half for the label expressions.  Every
+    entry equals the ascending serial build, and all threads read the
+    entries first stored."""
+    ascending = _instance_pieces(range(1, 9))
+
+    def worker(graded, start, k):
+        start.wait()
+        return graded.tracked_piece(8) if k % 2 else (graded.piece(8), None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the fill
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(3):
+                graded = build_instance(2, 2).algebra.graded_basis()
+                start = threading.Barrier(8, timeout=60)
+                runs = list(pool.map(worker, [graded] * 8, [start] * 8, range(8), timeout=120))
+                assert sorted(graded._pieces) == sorted(graded._exprs) == list(range(9))
+                for basis, exprs in runs:
+                    assert basis is graded.piece(8)
+                    assert exprs is None or exprs is graded._exprs[8]
+                assert _instance_records(graded) == ascending
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _dense_membership(algebra, f):
